@@ -33,7 +33,6 @@ from .estimators import (
     local_evidence,
     local_evidence_curve,
     perturbed_hbo,
-    riemann_integrate,
     rvi,
     tvo,
     wasserstein_bounds,
@@ -65,7 +64,7 @@ from .models import (
     quadrature_rvi,
     simulate_bayes_dataset,
 )
-from .paths import PathSpec, log_path_density, path_integrand
+from .paths import PathSpec, path_weights
 from .tuning import (
     AlphaSearchResult,
     CurveSummary,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -26,7 +25,7 @@ from .estimators import (
     PartitionSchedule,
     bound_report,
     draw_batch,
-    local_evidence,
+    local_evidence_curve,
     parse_bound_id,
 )
 from .gradients import BoundObjective, train
@@ -111,7 +110,6 @@ class ExperimentConfig:
         _require(self.sample_size >= 1, "sample_size", "must be >= 1")
         self.rule = IntegrationRule.parse(data.get("rule", "left"))
         self.out = data.get("out")
-        self.threads = _thread_cap()
 
     def model(self):
         try:
@@ -137,23 +135,8 @@ class ExperimentConfig:
         resolved = dict(self.data)
         resolved.setdefault("sample_size", self.sample_size)
         resolved["rule"] = self.rule.value
-        resolved["threads"] = self.threads
         resolved["version"] = __version__
         return resolved
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("HVI_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"config.<env>: HVI_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError("config.<env>: HVI_THREADS must be >= 1")
-    # Execution is sequential; the cap is honored trivially and echoed for audit.
-    return cap
 
 
 def _write_output(out: Optional[str], text: str, config_echo: dict):
@@ -205,14 +188,13 @@ def cmd_curve(cfg: ExperimentConfig) -> str:
     if alphas is not None:
         _require(isinstance(alphas, list) and alphas, "alphas", "must be a non-empty list")
         for alpha in alphas:
-            spec = PathSpec.holder(float(alpha))
-            for beta in schedule.betas:
-                est = local_evidence(batch, spec, beta)
+            curve = local_evidence_curve(batch, PathSpec.holder(float(alpha)), schedule.betas)
+            for beta, est in zip(schedule.betas, curve):
                 rows.append([float(alpha), beta, est.value, est.std_err, est.ess])
         return _csv(["alpha", "beta", "value", "std_err", "ess"], rows)
     spec = PathSpec.from_json(cfg.data.get("path", {"kind": "geometric"}))
-    for beta in schedule.betas:
-        est = local_evidence(batch, spec, beta)
+    curve = local_evidence_curve(batch, spec, schedule.betas)
+    for beta, est in zip(schedule.betas, curve):
         rows.append([beta, est.value, est.std_err, est.ess])
     return _csv(["beta", "value", "std_err", "ess"], rows)
 

@@ -9,14 +9,14 @@ a ground-truth posterior sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from .estimators import draw_batch, local_evidence
+from .estimators import draw_batch, local_evidence_curve
 from .models import GridSpec, LatentModel, quadrature_log_marginal
 from .paths import PathSpec
 from .util import derive_seeds
@@ -79,10 +79,9 @@ def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
     ess_vals = np.empty((replicates, betas.size))
     for r in range(replicates):
         batch = draw_batch(model, sample_size, int(seeds[r]), params)
-        for j, beta in enumerate(betas):
-            est = local_evidence(batch, spec, beta)
-            values[r, j] = est.value
-            ess_vals[r, j] = est.ess
+        estimates = local_evidence_curve(batch, spec, betas)
+        values[r] = [est.value for est in estimates]
+        ess_vals[r] = [est.ess for est in estimates]
     return CurveProfile(
         betas=betas,
         means=values.mean(axis=0),

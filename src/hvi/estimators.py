@@ -14,14 +14,13 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .models import LatentModel
-from .paths import PathSpec, blend_integrand_parts, blend_log_density
+from .paths import PathSpec, path_weights
 from .util import logmeanexp
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "local_evidence_curve",
     "PartitionSchedule",
     "IntegrationRule",
-    "riemann_integrate",
     "rule_weights",
     "tvo",
     "hbo",
@@ -116,7 +114,7 @@ def eubo(batch: ImportanceBatch) -> float:
     Biased for finite batch size, like every self-normalized estimate at
     beta > 0; there is no unbiased sample-based EUBO available here.
     """
-    return local_evidence(batch, PathSpec.geometric(), 1.0).value
+    return float(_curve_values(batch, PathSpec.geometric(), [1.0])[0])
 
 
 @dataclass(frozen=True)
@@ -134,48 +132,30 @@ class LocalEvidenceEstimate:
     degenerate: bool = False
 
 
-def _path_log_weights(batch: ImportanceBatch, spec: PathSpec, beta: float) -> np.ndarray:
-    """Unnormalized log importance weights log(pi_(spec,beta)/q) per sample."""
-    branch, param = spec.branch()
-    if beta == 0.0:
-        return np.zeros(batch.size)
-    if beta == 1.0:
-        return batch.log_ratio.copy()
-    if branch == "geometric":
-        return beta * batch.log_ratio
-    if branch == "holder":
-        return np.logaddexp(math.log(beta) + param * batch.log_ratio,
-                            math.log1p(-beta)) / param
-    return (blend_log_density(spec, batch.log_proposal, batch.log_target, beta)
-            - batch.log_proposal)
-
-
-def local_evidence(batch: ImportanceBatch, spec: PathSpec, beta: float) -> LocalEvidenceEstimate:
-    """Estimate E_(spec,beta) by reweighting the batch to the path density."""
-    beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    log_w = _path_log_weights(batch, spec, beta)
-    log_norm = float(logsumexp(log_w))
-    if not np.isfinite(log_norm):
-        raise ValueError("all importance weights vanished; cannot self-normalize")
-    weights = np.exp(log_w - log_norm)
-    # weight * integrand assembled in log space: the power-mean integrand can
-    # overflow exactly where the weight underflows.
-    sign, log_abs = blend_integrand_parts(spec, batch.log_proposal, batch.log_target, beta)
-    weighted_g = sign * np.exp(log_w - log_norm + log_abs)
-    value = float(np.sum(weighted_g))
-    ess = float(np.exp(2.0 * log_norm - logsumexp(2.0 * log_w) - math.log(batch.size)))
-    if batch.size == 1:
-        return LocalEvidenceEstimate(value=value, std_err=0.0, ess=ess, degenerate=True)
-    std_err = float(np.sqrt(np.sum((weighted_g - value * weights) ** 2)))
-    return LocalEvidenceEstimate(value=value, std_err=std_err, ess=ess)
+def _curve_values(batch: ImportanceBatch, spec: PathSpec, betas) -> np.ndarray:
+    """Local-evidence values alone, one per beta."""
+    return np.concatenate([block.wg.sum(axis=1)
+                           for block in path_weights(spec, betas, batch.log_ratio)])
 
 
 def local_evidence_curve(batch: ImportanceBatch, spec: PathSpec,
                          betas) -> list[LocalEvidenceEstimate]:
     """Local evidence at several beta from the same batch (correlated across beta)."""
-    return [local_evidence(batch, spec, beta) for beta in betas]
+    estimates = []
+    for block in path_weights(spec, betas, batch.log_ratio):
+        values = block.wg.sum(axis=1)
+        ess = 1.0 / (batch.size * np.sum(block.w * block.w, axis=1))
+        std_errs = np.sqrt(np.sum((block.wg - values[:, None] * block.w) ** 2, axis=1))
+        estimates.extend(
+            LocalEvidenceEstimate(value=float(v), std_err=float(se), ess=float(e),
+                                  degenerate=batch.size == 1)
+            for v, se, e in zip(values, std_errs, ess))
+    return estimates
+
+
+def local_evidence(batch: ImportanceBatch, spec: PathSpec, beta: float) -> LocalEvidenceEstimate:
+    """Estimate E_(spec,beta) by reweighting the batch to the path density."""
+    return local_evidence_curve(batch, spec, [beta])[0]
 
 
 class IntegrationRule(enum.Enum):
@@ -251,28 +231,9 @@ def rule_weights(betas: np.ndarray, rule: IntegrationRule) -> np.ndarray:
     return w
 
 
-def riemann_integrate(values: Sequence[tuple[float, float]],
-                      rule: IntegrationRule = IntegrationRule.LEFT) -> float:
-    """Integrate (beta, value) pairs over [0, 1] with the requested rule.
-
-    Betas must be strictly increasing with endpoints exactly 0 and 1.
-    """
-    if len(values) < 2:
-        raise ValueError("need at least two (beta, value) points")
-    betas = np.array([b for b, _ in values], dtype=float)
-    vals = np.array([v for _, v in values], dtype=float)
-    if betas[0] != 0.0 or betas[-1] != 1.0:
-        raise ValueError("integration endpoints must be exactly 0 and 1")
-    if not np.all(np.diff(betas) > 0):
-        raise ValueError("betas must be strictly increasing")
-    return float(rule_weights(betas, rule) @ vals)
-
-
 def _integrated_bound(batch: ImportanceBatch, spec: PathSpec,
                       schedule: PartitionSchedule, rule: IntegrationRule) -> float:
-    curve = local_evidence_curve(batch, spec, schedule.betas)
-    pairs = list(zip(schedule.betas, [est.value for est in curve]))
-    return riemann_integrate(pairs, rule)
+    return float(rule_weights(schedule.betas, rule) @ _curve_values(batch, spec, schedule.betas))
 
 
 def tvo(batch: ImportanceBatch, schedule: Optional[PartitionSchedule] = None,
@@ -304,10 +265,8 @@ def wasserstein_bounds(batch: ImportanceBatch) -> tuple[float, float]:
     wlbo is the beta = 1 local evidence on the arithmetic path, wubo the
     beta = 0 one (the plain sample mean of e^f - 1).
     """
-    spec = PathSpec.wasserstein()
-    wlbo = local_evidence(batch, spec, 1.0).value
-    wubo = local_evidence(batch, spec, 0.0).value
-    return wlbo, wubo
+    wlbo, wubo = _curve_values(batch, PathSpec.wasserstein(), [1.0, 0.0])
+    return float(wlbo), float(wubo)
 
 
 # ---------------------------------------------------------------------------

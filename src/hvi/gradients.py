@@ -1,10 +1,12 @@
 """Score-function gradient estimation and a plain gradient-ascent trainer.
 
-The per-temperature gradient uses the covariance identity
+The per-temperature gradient uses the covariance identity of Masrani et al.,
+The Thermodynamic Variational Objective (arXiv:1907.00031),
 
     grad E_pi[g] = E_pi[grad g] + cov_pi(grad log pi_beta, g),
 
-estimated with the batch's self-normalized weights.  On the geometric path
+estimated with the batch's self-normalized weights, for every beta of a
+schedule in one pass of ``paths.path_weights``.  On the geometric path
 this is exactly the two-term estimator
 
     sum_s w_s^beta grad log pi_beta(Z_s) (f(Z_s) - fbar)   (term i)
@@ -21,12 +23,10 @@ proposals.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .estimators import (
     ImportanceBatch,
@@ -40,14 +40,8 @@ from .estimators import (
     rule_weights,
     tvo,
 )
-from .models import LatentModel, ModelParameters
-from .paths import (
-    PathSpec,
-    blend_integrand_parts,
-    blend_log_density,
-    integrand_gradient_coeffs,
-    log_density_gradient_coeffs,
-)
+from .models import LatentModel
+from .paths import PathBlock, PathSpec, path_gradient_coeffs, path_weights
 from .util import derive_seeds
 
 __all__ = [
@@ -78,55 +72,55 @@ class GradientEstimate:
         return self.term_i + self.term_ii
 
 
-def _resolve_params(model: LatentModel, params) -> np.ndarray:
-    if isinstance(params, ModelParameters):
-        return params.values
-    return model._resolve(params)
+def _block_terms(spec: PathSpec, block: PathBlock, log_ratio: np.ndarray,
+                 grad_l0: np.ndarray, grad_f: np.ndarray):
+    """Per-beta terms (i), (ii) and std errs, each (B, P), for one kernel block.
+
+    grad log pi_beta = grad L0 + dh/df grad f and grad g = dg/df grad f, so
+    the per-sample contribution to the covariance identity at each beta is
+    (grad L0 + dh/df grad f) (w g - w gbar) + w dg/df grad f.
+    """
+    dh_df, w_dg_df = path_gradient_coeffs(spec, block, log_ratio)
+    centered = block.wg - block.wg.sum(axis=1, keepdims=True) * block.w
+    along_f = dh_df * centered
+    term_i = centered @ grad_l0 + along_f @ grad_f
+    term_ii = w_dg_df @ grad_f
+    per_sample = (centered[:, :, None] * grad_l0 + (along_f + w_dg_df)[:, :, None] * grad_f
+                  - block.w[:, :, None] * (term_i + term_ii)[:, None, :])
+    return term_i, term_ii, np.sqrt(np.sum(per_sample ** 2, axis=1))
+
+
+def _path_grad(model: LatentModel, params, spec: PathSpec, betas, weights,
+               batch: ImportanceBatch) -> GradientEstimate:
+    """sum_k weights_k grad_lambda E_(spec,betas_k), in one pass over the batch.
+
+    The batch's cached log densities supply the weights, so the model is only
+    asked for its two gradient fields, once per batch.
+    """
+    if not model.has_gradients:
+        raise ValueError(f"model {model.model_id!r} does not provide gradients")
+    lam = model._resolve(params)
+    grad_l0 = model.grad_log_proposal(batch.z, lam)
+    grad_f = model.grad_log_target(batch.z, lam) - grad_l0
+    blocks = [_block_terms(spec, block, batch.log_ratio, grad_l0, grad_f)
+              for block in path_weights(spec, betas, batch.log_ratio)]
+    term_i, term_ii, std_err = (np.concatenate(parts) for parts in zip(*blocks))
+    weights = np.asarray(weights, dtype=float)
+    # Cross-beta correlation from the shared batch is left unmodeled.
+    return GradientEstimate(term_i=weights @ term_i, term_ii=weights @ term_ii,
+                            std_err=np.sqrt(weights ** 2 @ std_err ** 2))
 
 
 def local_evidence_grad(model: LatentModel, params, spec: PathSpec, beta: float,
                         batch: ImportanceBatch) -> GradientEstimate:
     """Estimate grad_lambda E_(spec,beta) from a batch drawn at the same lambda.
 
-    Log densities and their gradients are re-evaluated at ``params`` on the
-    batch's sample points, so the batch must have been drawn from the proposal
-    at this very parameter vector for the weights to be valid.
+    Log densities come from the batch cache and their gradients are evaluated
+    at ``params`` on the batch's sample points, so the batch must have been
+    drawn from the proposal at this very parameter vector for the weights to
+    be valid.
     """
-    beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    if not model.has_gradients:
-        raise ValueError(f"model {model.model_id!r} does not provide gradients")
-    lam = _resolve_params(model, params)
-    z = batch.z
-    l0 = model.log_proposal(z, lam)
-    l1 = model.log_target(z, lam)
-    g0 = model.grad_log_proposal(z, lam)
-    g1 = model.grad_log_target(z, lam)
-
-    log_w = blend_log_density(spec, l0, l1, beta) - l0
-    log_norm = float(logsumexp(log_w))
-    if not np.isfinite(log_norm):
-        raise ValueError("all importance weights vanished; cannot self-normalize")
-    weights = np.exp(log_w - log_norm)
-
-    sign, log_abs = blend_integrand_parts(spec, l0, l1, beta)
-    weighted_g = sign * np.exp(log_w - log_norm + log_abs)  # w_s * g_s, stable
-    g_bar = float(np.sum(weighted_g))
-
-    c0, c1 = log_density_gradient_coeffs(spec, l0, l1, beta)
-    grad_log_path = c0[:, None] * g0 + c1[:, None] * g1
-    d0, d1 = integrand_gradient_coeffs(spec, l0, l1, beta)
-    grad_g = d0[:, None] * g0 + d1[:, None] * g1
-
-    # (i): sum_s w_s grad log pi_beta (g_s - g_bar); (ii): sum_s w_s grad g_s.
-    centered = weighted_g - g_bar * weights
-    term_i = grad_log_path.T @ centered
-    term_ii = grad_g.T @ weights
-    per_sample = grad_log_path * centered[:, None] + grad_g * weights[:, None]
-    total = term_i + term_ii
-    std_err = np.sqrt(np.sum((per_sample - weights[:, None] * total[None, :]) ** 2, axis=0))
-    return GradientEstimate(term_i=term_i, term_ii=term_ii, std_err=std_err)
+    return _path_grad(model, params, spec, [beta], [1.0], batch)
 
 
 def bound_grad(model: LatentModel, params, spec: PathSpec,
@@ -134,19 +128,8 @@ def bound_grad(model: LatentModel, params, spec: PathSpec,
                batch: ImportanceBatch) -> GradientEstimate:
     """Gradient of the Riemann-integrated bound: rule-weighted sum over the schedule."""
     weights = rule_weights(schedule.betas, IntegrationRule.parse(rule))
-    size = _resolve_params(model, params).size
-    term_i = np.zeros(size)
-    term_ii = np.zeros(size)
-    var = np.zeros(size)
-    for beta, w in zip(schedule.betas, weights):
-        if w == 0.0:
-            continue
-        grad = local_evidence_grad(model, params, spec, beta, batch)
-        term_i += w * grad.term_i
-        term_ii += w * grad.term_ii
-        var += (w * grad.std_err) ** 2
-    # Cross-beta correlation from the shared batch is left unmodeled.
-    return GradientEstimate(term_i=term_i, term_ii=term_ii, std_err=np.sqrt(var))
+    used = weights != 0.0
+    return _path_grad(model, params, spec, schedule.betas[used], weights[used], batch)
 
 
 def finite_difference_grad(model: LatentModel, params,
@@ -157,7 +140,7 @@ def finite_difference_grad(model: LatentModel, params,
     The oracle counterpart of the sampled gradients: ``objective`` is expected
     to be deterministic in (model, lambda), e.g. a quadrature local evidence.
     """
-    lam = _resolve_params(model, params).copy()
+    lam = model._resolve(params).copy()
     if step <= 0:
         raise ValueError("step must be positive")
     out = np.empty(lam.size)
@@ -266,7 +249,7 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    lam = _resolve_params(model, params0).copy()
+    lam = model._resolve(params0).copy()
     step_seeds = derive_seeds(seed, steps + 1)
     rows_step, rows_lam, rows_val = [], [], []
     diverged = False

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .paths import PathSpec, blend_integrand_parts, blend_log_density
+from .paths import PathSpec, blend_integrand_parts, path_weights
 
 __all__ = [
     "ModelParameters",
@@ -559,36 +559,29 @@ def quadrature_grid(model: LatentModel, grid: Optional[GridSpec] = None):
 
 
 def _grid_log_densities(model, grid, params):
+    """Log ratio f = L1 - L0 and base log weight L0 + log cell weight per grid point."""
     pts, logw = quadrature_grid(model, grid)
     l0 = model.log_proposal(pts, params)
     l1 = model.log_target(pts, params)
     if not (np.all(np.isfinite(l0)) and np.all(np.isfinite(l1))):
         raise ValueError("non-finite log density on the quadrature grid")
-    return l0, l1, logw
+    return l1 - l0, l0 + logw
 
 
 def quadrature_log_marginal(model: LatentModel, grid: Optional[GridSpec] = None,
                             params=None) -> float:
     """log integral of exp(log_target): the ground-truth log p(x)."""
-    _, l1, logw = _grid_log_densities(model, grid, params)
-    return float(logsumexp(l1 + logw))
+    f, base = _grid_log_densities(model, grid, params)
+    return float(logsumexp(f + base))
 
 
 def quadrature_local_evidence_curve(model: LatentModel, alpha: float, betas,
                                     grid: Optional[GridSpec] = None,
                                     params=None) -> np.ndarray:
     """Exact local evidence E_(alpha,beta) at several beta, one grid pass."""
-    l0, l1, logw = _grid_log_densities(model, grid, params)
-    spec = PathSpec.holder(float(alpha))
-    out = np.empty(len(betas))
-    for i, beta in enumerate(betas):
-        log_mass = blend_log_density(spec, l0, l1, beta) + logw
-        log_mass -= logsumexp(log_mass)
-        # The integrand can overflow where the path density underflows, so the
-        # product weight * integrand is assembled jointly in log space.
-        sign, log_abs = blend_integrand_parts(spec, l0, l1, beta)
-        out[i] = float(np.sum(sign * np.exp(log_mass + log_abs)))
-    return out
+    f, base = _grid_log_densities(model, grid, params)
+    return np.concatenate([block.wg.sum(axis=1) for block in
+                           path_weights(PathSpec.holder(float(alpha)), betas, f, base)])
 
 
 def quadrature_local_evidence(model: LatentModel, alpha: float, beta: float,
@@ -604,13 +597,13 @@ def quadrature_curve_slope(model: LatentModel, alpha: float, beta: float,
     g is the path integrand and both moments are taken under the normalized
     intermediate density.
     """
-    l0, l1, logw = _grid_log_densities(model, grid, params)
+    f, base = _grid_log_densities(model, grid, params)
     spec = PathSpec.holder(float(alpha))
-    log_mass = blend_log_density(spec, l0, l1, beta) + logw
-    log_mass -= logsumexp(log_mass)
-    sign, log_abs = blend_integrand_parts(spec, l0, l1, beta)
-    first = float(np.sum(sign * np.exp(log_mass + log_abs)))
-    second = float(np.sum(np.exp(log_mass + 2.0 * log_abs)))
+    block = next(path_weights(spec, [beta], f, base))
+    # the integrand depends on (L0, L1) only through f, so (0, f) stands in
+    _, log_abs = blend_integrand_parts(spec, 0.0, f, beta)
+    first = float(block.wg.sum())
+    second = float(np.sum(np.exp(block.log_w + 2.0 * log_abs)))
     return -first * first + (1.0 - alpha) * second
 
 
@@ -619,5 +612,5 @@ def quadrature_rvi(model: LatentModel, alpha: float,
     """Exact Renyi bound (1/alpha) log int q^(1-alpha) p^alpha for alpha > 0."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    l0, l1, logw = _grid_log_densities(model, grid, params)
-    return float(logsumexp(alpha * l1 + (1.0 - alpha) * l0 + logw)) / alpha
+    f, base = _grid_log_densities(model, grid, params)
+    return float(logsumexp(alpha * f + base)) / alpha

@@ -5,7 +5,12 @@ pi_beta interpolating between the proposal pi_0 = q(z|x) (at beta = 0) and the
 unnormalized target pi_1 = p(x, z) (at beta = 1).  Everything here is written
 in terms of the two endpoint log densities L0 = log pi_0(z) and L1 = log pi_1(z),
 which is what callers (estimators, quadrature oracles) have cached; the raw
-densities are never exponentiated on their own scale.
+densities are never exponentiated on their own scale.  Every quantity depends
+on them only through f = L1 - L0 once L0 is split off as a base log weight,
+so the path math below is written once in terms of f.  ``path_weights`` is
+the one kernel behind every local evidence, bound, quadrature oracle and
+gradient: the self-normalized weights of pi_beta and their product with the
+integrand, for a vector of beta.
 
 Supported families:
 
@@ -25,8 +30,10 @@ Supported families:
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +42,14 @@ from .util import log_abs_expm1
 __all__ = [
     "GEOMETRIC_ALPHA_CUTOFF",
     "PERTURBATION_GUARD",
+    "BLOCK_ELEMENTS",
     "PathSpec",
+    "PathBlock",
+    "path_weights",
+    "path_gradient_coeffs",
     "blend_log_density",
     "blend_integrand",
     "blend_integrand_parts",
-    "log_path_density",
-    "path_integrand",
     "log_density_gradient_coeffs",
     "integrand_gradient_coeffs",
 ]
@@ -138,45 +147,140 @@ class PathSpec:
         raise ValueError(f"unknown path kind {kind!r}")
 
 
-def _check_beta(beta: float) -> float:
+# Elements per pass of path_weights.  Fixed, so memory stays bounded on dense
+# grids (801^2 points take one beta per pass) while sample batches take every
+# beta of a schedule in one vectorized pass.
+BLOCK_ELEMENTS = 1 << 20
+
+
+def _check_betas(betas) -> np.ndarray:
+    betas = np.asarray(betas, dtype=float).reshape(-1)
+    if not np.all((betas >= 0.0) & (betas <= 1.0)):
+        raise ValueError(f"beta must lie in [0, 1], got {betas}")
+    return betas
+
+
+# ---------------------------------------------------------------------------
+# The path math, written once in terms of the log ratio f = L1 - L0.  beta is
+# a scalar or a column of temperatures broadcasting against f.
+# ---------------------------------------------------------------------------
+
+def _log_weight(branch: str, param: float, f, beta):
+    """h = log pi_beta - L0."""
+    if branch == "geometric":
+        return beta * f
+    if branch == "perturbed":
+        # beta*L1^2 + (1-beta)*L0^2 - U_geo^2 = beta*(1-beta)*f^2
+        return beta * f + (0.5 * param) * beta * (1.0 - beta) * (f * f)
+    with np.errstate(divide="ignore"):
+        return np.logaddexp(np.log(beta) + param * f, np.log1p(-beta)) / param
+
+
+def _integrand(branch: str, param: float, f, beta):
+    """g = dh/dbeta on the geometric and perturbed branches (never overflows)."""
+    if branch == "geometric":
+        return f
+    return f + (0.5 - beta) * param * (f * f)
+
+
+def _holder_log_scale(alpha: float, f):
+    """log |e^(alpha f) - 1| - log |alpha|, so that log |g| = this - alpha*h."""
+    return (alpha * np.maximum(f, 0.0) + log_abs_expm1(-alpha * np.abs(f))
+            - math.log(abs(alpha)))
+
+
+def _gradient_coeffs(branch: str, param: float, f, beta, h, log_w):
+    """(dh/df, w * dg/df) for normalized log weights log_w.
+
+    grad log pi_beta = grad L0 + dh/df * grad f and grad g = dg/df * grad f.
+    On the holder branch, with A = alpha*h = log(beta e^(alpha f) + 1 - beta),
+    dh/df = beta e^(alpha f - A) and dg/df = e^(alpha f - 2A); the product
+    with w is formed in log space, since e^(-2A) overflows where w underflows.
+    """
+    if branch == "geometric":
+        return np.broadcast_to(beta, np.shape(h)), np.exp(log_w)
+    if branch == "perturbed":
+        return (beta * (1.0 + param * (1.0 - beta) * f),
+                np.exp(log_w) * (1.0 + param * (1.0 - 2.0 * beta) * f))
+    a_h = param * h
+    with np.errstate(divide="ignore"):
+        return (np.exp(np.log(beta) + param * f - a_h),
+                np.exp(log_w + param * f - 2.0 * a_h))
+
+
+class PathBlock(NamedTuple):
+    """One pass of path_weights; arrays are (len(betas), N)."""
+
+    betas: np.ndarray   # (B, 1) column of temperatures
+    h: np.ndarray       # log pi_beta - L0
+    log_w: np.ndarray   # self-normalized log weights
+    w: np.ndarray       # self-normalized weights
+    wg: np.ndarray      # w * integrand
+
+
+def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
+    """Self-normalized path weights and weighted integrand, blockwise over beta.
+
+    ``log_ratio`` is f = L1 - L0 per point and ``base`` an extra log weight per
+    point: 0 for proposal samples, L0 + log cell weight on a quadrature grid.
+    The weights at temperature beta are proportional to exp(base + h); yields
+    one PathBlock per pass of at most BLOCK_ELEMENTS elements (and at least one
+    beta).  The weighted integrand is assembled in log space on the power-mean
+    branch, where the integrand can overflow exactly where the weight underflows.
+    """
+    betas = _check_betas(betas)
+    f = np.asarray(log_ratio, dtype=float)
+    branch, param = spec.branch()
+    if branch == "holder":
+        sign = np.sign(f)
+        log_scale = _holder_log_scale(param, f)
+    step = max(1, BLOCK_ELEMENTS // max(f.size, 1))
+    for start in range(0, betas.size, step):
+        beta = betas[start:start + step, None]
+        h = _log_weight(branch, param, f, beta)
+        log_w = h + base
+        top = log_w.max(axis=1, keepdims=True)
+        if not np.all(np.isfinite(top)):
+            raise ValueError("all importance weights vanished; cannot self-normalize")
+        log_w -= top
+        w = np.exp(log_w)
+        total = w.sum(axis=1, keepdims=True)
+        w /= total
+        log_w -= np.log(total)
+        if branch == "holder":
+            wg = sign * np.exp(log_w + log_scale - param * h)
+        else:
+            wg = w * _integrand(branch, param, f, beta)
+        yield PathBlock(beta, h, log_w, w, wg)
+
+
+def path_gradient_coeffs(spec: PathSpec, block: PathBlock, log_ratio):
+    """(dh/df, w * dg/df) for one PathBlock of path_weights over ``log_ratio``.
+
+    With these, grad log pi_beta = grad L0 + dh/df * grad f and
+    w * grad g = w * dg/df * grad f, where f = L1 - L0.
+    """
+    return _gradient_coeffs(*spec.branch(), np.asarray(log_ratio, dtype=float),
+                            block.betas, block.h, block.log_w)
+
+
+# ---------------------------------------------------------------------------
+# Pointwise (L0, L1) forms of the same path math.
+# ---------------------------------------------------------------------------
+
+def _pointwise(spec: PathSpec, log_proposal, log_target, beta: float):
+    """(branch, param, L0, f, beta) for the pointwise forms below."""
     beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return beta
-
-
-def _holder_log_alpha_u(alpha: float, l0, l1, beta: float):
-    """alpha * U on the holder path; exact at the endpoints."""
-    if beta == 0.0:
-        return alpha * np.asarray(l0, dtype=float)
-    if beta == 1.0:
-        return alpha * np.asarray(l1, dtype=float)
-    return np.logaddexp(np.log(beta) + alpha * np.asarray(l1, dtype=float),
-                        np.log1p(-beta) + alpha * np.asarray(l0, dtype=float))
+    _check_betas(beta)
+    l0 = np.asarray(log_proposal, dtype=float)
+    f = np.asarray(log_target, dtype=float) - l0
+    return (*spec.branch(), l0, f, beta)
 
 
 def blend_log_density(spec: PathSpec, log_proposal, log_target, beta: float):
     """log pi_beta(z) from the endpoint log densities L0, L1."""
-    beta = _check_beta(beta)
-    l0 = np.asarray(log_proposal, dtype=float)
-    l1 = np.asarray(log_target, dtype=float)
-    branch, param = spec.branch()
-    if beta == 0.0:
-        base = l0
-    elif beta == 1.0:
-        base = l1
-    elif branch == "holder":
-        return _holder_log_alpha_u(param, l0, l1, beta) / param
-    else:
-        base = beta * l1 + (1.0 - beta) * l0
-    if branch == "perturbed" and param != 0.0:
-        # First-order term of the holder log density in alpha at 0.  The
-        # quadratic mean beta*L1^2 + (1-beta)*L0^2 must be recentered by the
-        # squared geometric mean, otherwise the correction is O(1), not O(d).
-        m = beta * l1 + (1.0 - beta) * l0
-        q = beta * l1**2 + (1.0 - beta) * l0**2
-        return base + 0.5 * param * (q - m * m)
-    return base
+    branch, param, l0, f, beta = _pointwise(spec, log_proposal, log_target, beta)
+    return l0 + _log_weight(branch, param, f, beta)
 
 
 def blend_integrand_parts(spec: PathSpec, log_proposal, log_target, beta: float):
@@ -187,21 +291,12 @@ def blend_integrand_parts(spec: PathSpec, log_proposal, log_target, beta: float)
     the proposal, so consumers that multiply it with importance weights must
     combine the two in log space.  Returns (sign, log |integrand|).
     """
-    beta = _check_beta(beta)
-    l0 = np.asarray(log_proposal, dtype=float)
-    l1 = np.asarray(log_target, dtype=float)
-    f = l1 - l0
-    branch, param = spec.branch()
-    if branch in ("geometric", "perturbed"):
-        g = f if branch == "geometric" else f + (0.5 - beta) * f * f * param
-        with np.errstate(divide="ignore"):
-            return np.sign(g), np.log(np.abs(g))
-    alpha = param
-    a_u = _holder_log_alpha_u(alpha, l0, l1, beta)
-    with np.errstate(invalid="ignore"):
-        log_mag = (alpha * np.maximum(l0, l1) - a_u
-                   + log_abs_expm1(-alpha * np.abs(f)) - np.log(abs(alpha)))
-    return np.sign(f), log_mag
+    branch, param, _, f, beta = _pointwise(spec, log_proposal, log_target, beta)
+    if branch == "holder":
+        return np.sign(f), _holder_log_scale(param, f) - param * _log_weight(branch, param, f, beta)
+    g = _integrand(branch, param, f, beta)
+    with np.errstate(divide="ignore"):
+        return np.sign(g), np.log(np.abs(g))
 
 
 def blend_integrand(spec: PathSpec, log_proposal, log_target, beta: float):
@@ -210,32 +305,12 @@ def blend_integrand(spec: PathSpec, log_proposal, log_target, beta: float):
     May legitimately overflow to +-inf on the power-mean branch for extreme
     log ratios; use blend_integrand_parts when pairing with weights.
     """
-    branch, param = spec.branch()
-    l0 = np.asarray(log_proposal, dtype=float)
-    l1 = np.asarray(log_target, dtype=float)
-    if branch == "geometric":
-        _check_beta(beta)
-        return l1 - l0
-    if branch == "perturbed":
-        f = l1 - l0
-        return f + (0.5 - _check_beta(beta)) * f * f * param
-    sign, log_mag = blend_integrand_parts(spec, l0, l1, beta)
+    branch, param, _, f, beta = _pointwise(spec, log_proposal, log_target, beta)
+    if branch != "holder":
+        return _integrand(branch, param, f, beta)
+    sign, log_mag = blend_integrand_parts(spec, log_proposal, log_target, beta)
     with np.errstate(over="ignore"):
         return sign * np.exp(log_mag)
-
-
-def log_path_density(spec: PathSpec, model, beta: float, z, params=None):
-    """log pi_beta at latent point(s) z for a model; see blend_log_density."""
-    l0 = model.log_proposal(z, params)
-    l1 = model.log_target(z, params)
-    return blend_log_density(spec, l0, l1, beta)
-
-
-def path_integrand(spec: PathSpec, model, beta: float, z, params=None):
-    """Local-evidence integrand at latent point(s) z; see blend_integrand."""
-    l0 = model.log_proposal(z, params)
-    l1 = model.log_target(z, params)
-    return blend_integrand(spec, l0, l1, beta)
 
 
 def log_density_gradient_coeffs(spec: PathSpec, log_proposal, log_target, beta: float):
@@ -245,50 +320,18 @@ def log_density_gradient_coeffs(spec: PathSpec, log_proposal, log_target, beta: 
     c1 = beta*e^(a L1)/e^(a U), c0 = 1 - c1.  Perturbed: the derivative of the
     expanded log density, linear in grad L0 and grad L1.
     """
-    beta = _check_beta(beta)
-    l0 = np.asarray(log_proposal, dtype=float)
-    l1 = np.asarray(log_target, dtype=float)
-    branch, param = spec.branch()
-    if branch == "geometric":
-        shape = np.broadcast(l0, l1).shape
-        return np.full(shape, 1.0 - beta), np.full(shape, beta)
-    if branch == "holder":
-        a_u = _holder_log_alpha_u(param, l0, l1, beta)
-        if beta == 0.0:
-            c1 = np.zeros_like(l0)
-        elif beta == 1.0:
-            c1 = np.ones_like(l1)
-        else:
-            c1 = beta * np.exp(param * l1 - a_u)
-        return 1.0 - c1, c1
-    delta = param
-    m = beta * l1 + (1.0 - beta) * l0
-    c1 = beta * (1.0 + delta * (l1 - m))
-    c0 = (1.0 - beta) * (1.0 + delta * (l0 - m))
-    return c0, c1
+    branch, param, _, f, beta = _pointwise(spec, log_proposal, log_target, beta)
+    h = _log_weight(branch, param, f, beta)
+    c1, _ = _gradient_coeffs(branch, param, f, beta, h, np.zeros(np.shape(f)))
+    return 1.0 - c1, c1
 
 
-def integrand_gradient_coeffs(spec: PathSpec, log_proposal, log_target, beta: float,
-                              integrand=None):
-    """Coefficients (d0, d1) with grad of the integrand = d0*grad L0 + d1*grad L1."""
-    beta = _check_beta(beta)
-    l0 = np.asarray(log_proposal, dtype=float)
-    l1 = np.asarray(log_target, dtype=float)
-    branch, param = spec.branch()
-    if branch == "geometric":
-        shape = np.broadcast(l0, l1).shape
-        return np.full(shape, -1.0), np.full(shape, 1.0)
-    if branch == "perturbed":
-        f = l1 - l0
-        scale = 1.0 + (1.0 - 2.0 * beta) * f * param
-        return -scale, scale
-    alpha = param
-    if integrand is None:
-        integrand = blend_integrand(spec, l0, l1, beta)
-    a_u = _holder_log_alpha_u(alpha, l0, l1, beta)
-    c0, c1 = log_density_gradient_coeffs(spec, l0, l1, beta)
-    e1 = np.exp(alpha * l1 - a_u)
-    e0 = np.exp(alpha * l0 - a_u)
-    d1 = e1 - alpha * integrand * c1
-    d0 = -e0 - alpha * integrand * c0
-    return d0, d1
+def integrand_gradient_coeffs(spec: PathSpec, log_proposal, log_target, beta: float):
+    """Coefficients (d0, d1) with grad of the integrand = d0*grad L0 + d1*grad L1.
+
+    The integrand depends on L0, L1 only through f = L1 - L0, so d0 = -d1.
+    """
+    branch, param, _, f, beta = _pointwise(spec, log_proposal, log_target, beta)
+    h = _log_weight(branch, param, f, beta)
+    _, d1 = _gradient_coeffs(branch, param, f, beta, h, np.zeros(np.shape(f)))
+    return -d1, d1

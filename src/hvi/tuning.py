@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import ImportanceBatch, draw_batch, local_evidence
+from .estimators import ImportanceBatch, draw_batch, local_evidence_curve
 from .models import LatentModel
 from .paths import PathSpec
 
@@ -64,7 +64,9 @@ class CurveSummary:
     def slope(self) -> float:
         b = np.asarray(self.betas)
         coef = (b - b.mean()) / np.sum((b - b.mean()) ** 2)
-        return float(coef @ self.values)
+        # coef sums to zero only up to rounding; the shift makes the slope of
+        # an exactly constant curve exactly zero rather than rounding noise
+        return float(coef @ (self.values - self.values[0]))
 
     @property
     def slope_std_err(self) -> float:
@@ -97,7 +99,7 @@ def summarize_curve(batch: ImportanceBatch, alpha: float, betas) -> CurveSummary
     if len(betas) < 2:
         raise ValueError("need at least two test betas")
     spec = PathSpec.holder(float(alpha))
-    estimates = [local_evidence(batch, spec, b) for b in betas]
+    estimates = local_evidence_curve(batch, spec, betas)
     return CurveSummary(
         alpha=float(alpha),
         betas=betas,

@@ -273,16 +273,6 @@ def test_flags_override_config(tmp_path):
     assert rows_a[0][0] == "1" and rows_b[0][0] == "9"
 
 
-def test_threads_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("HVI_THREADS", "4")
-    out = tmp_path / "o.json"
-    assert run_cli(["oracle", "--model", "sin_toy", "--out", out]) == 0
-    echo = json.loads((tmp_path / "o.json.config.json").read_text())
-    assert echo["threads"] == 4
-    monkeypatch.setenv("HVI_THREADS", "zero")
-    assert run_cli(["oracle", "--model", "sin_toy", "--out", out]) == 1
-
-
 def test_seventeen_digit_floats(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "model": "scaled_factor",

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
-from scipy.special import logsumexp
 
 from hvi import models
 from hvi.estimators import (
@@ -22,12 +21,12 @@ from hvi.estimators import (
     local_evidence_curve,
     parse_bound_id,
     perturbed_hbo,
-    riemann_integrate,
+    rule_weights,
     rvi,
     tvo,
     wasserstein_bounds,
 )
-from hvi.paths import PathSpec
+from hvi.paths import PathSpec, path_weights
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +168,8 @@ def test_local_evidence_degenerate_single_sample(sin_toy):
 def test_self_normalized_weights_sum_to_one(beta, spec, seed):
     model = models.make_sin_toy()
     batch = draw_batch(model, 100, seed)
-    from hvi.estimators import _path_log_weights
-
-    log_w = _path_log_weights(batch, spec, beta)
-    weights = np.exp(log_w - logsumexp(log_w))
-    assert abs(weights.sum() - 1.0) < 1e-12
+    (block,) = path_weights(spec, [beta], batch.log_ratio)
+    assert abs(block.w.sum() - 1.0) < 1e-12
 
 
 @settings(max_examples=25)
@@ -234,28 +230,29 @@ def test_schedule_validation():
        st.sampled_from(list(IntegrationRule)))
 def test_riemann_constant_curve(value, partitions, rule):
     betas = np.linspace(0, 1, partitions + 1)
-    got = riemann_integrate([(b, value) for b in betas], rule)
+    got = rule_weights(betas, rule) @ np.full(betas.size, value)
     assert got == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
 def test_riemann_linear_curve_rule_values():
-    pairs = [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
-    assert riemann_integrate(pairs, IntegrationRule.LEFT) == pytest.approx(0.25)
-    assert riemann_integrate(pairs, IntegrationRule.RIGHT) == pytest.approx(0.75)
-    assert riemann_integrate(pairs, IntegrationRule.TRAPEZOID) == pytest.approx(0.5)
+    betas = np.array([0.0, 0.5, 1.0])
+    assert rule_weights(betas, IntegrationRule.LEFT) @ betas == pytest.approx(0.25)
+    assert rule_weights(betas, IntegrationRule.RIGHT) @ betas == pytest.approx(0.75)
+    assert rule_weights(betas, IntegrationRule.TRAPEZOID) @ betas == pytest.approx(0.5)
 
 
 def test_riemann_quadratic_trapezoid():
     betas = np.linspace(0, 1, 101)
-    got = riemann_integrate([(b, b * b) for b in betas], IntegrationRule.TRAPEZOID)
+    got = rule_weights(betas, IntegrationRule.TRAPEZOID) @ (betas * betas)
     assert abs(got - 1.0 / 3.0) < 1e-4
 
 
 def test_riemann_validation():
+    # Riemann sums run on PartitionSchedule knots, which carry the validation
     with pytest.raises(ValueError):
-        riemann_integrate([(0.0, 1.0)], IntegrationRule.LEFT)
+        PartitionSchedule(np.array([0.0]))
     with pytest.raises(ValueError):
-        riemann_integrate([(0.1, 1.0), (1.0, 2.0)], IntegrationRule.LEFT)
+        PartitionSchedule(np.array([0.1, 1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -124,6 +125,21 @@ def test_bound_grad_k1_trapezoid_averages_endpoints(sin_toy):
     np.testing.assert_allclose(both.total, 0.5 * (lo.total + hi.total), atol=1e-12)
 
 
+def test_holder_gradient_finite_at_extreme_log_ratios(conjugate):
+    # a wide proposal puts one sample at f ~ -824: the integrand overflows
+    # where its weight underflows, which must not leak NaN into the gradient
+    lam = np.array([0.0, math.log(12.0)])
+    batch = draw_batch(conjugate, 200, 0, lam)
+    assert batch.log_ratio.min() < -800
+    grad = local_evidence_grad(conjugate, lam, PathSpec.holder(1.0), 1.0, batch)
+    objective = BoundObjective(bound="hbo", alpha=1.0, rule="right",
+                               schedule=PartitionSchedule.uniform(5), sample_size=200)
+    assert np.isfinite(objective.value(batch))
+    bound = objective.gradient(conjugate, lam, batch)
+    for est in (grad, bound):
+        assert np.all(np.isfinite(est.total)) and np.all(np.isfinite(est.std_err))
+
+
 def test_integrated_gradient_matches_quadrature_fd(sin_toy):
     sched = PartitionSchedule.uniform(5)
     batch = draw_batch(sin_toy, 100_000, 9)
@@ -227,6 +243,32 @@ def test_divergence_aborts_with_partial_trace(conjugate):
     trace = train(conjugate, None, objective, steps=200, learning_rate=1e18, seed=0)
     assert trace.diverged
     assert len(trace) < 201
+
+
+@pytest.mark.parametrize("objective", [
+    BoundObjective(bound="hbo", alpha=0.05, schedule=PartitionSchedule.uniform(5),
+                   sample_size=100),
+    BoundObjective(bound="elbo", sample_size=100),
+])
+def test_training_step_evaluates_model_four_times(objective):
+    # one step as train runs it: draw (log_proposal, log_target), score, then
+    # the gradient reuses the cached densities and adds the two gradient fields
+    model = models.make_bayes_regression(models.simulate_bayes_dataset(0, 20))
+    calls = []
+
+    def counted(fn):
+        def wrapper(pts, lam):
+            calls.append(fn)
+            return fn(pts, lam)
+        return wrapper
+
+    model = dataclasses.replace(model, **{
+        name: counted(getattr(model, name))
+        for name in ("_log_target", "_log_proposal", "_grad_log_target", "_grad_log_proposal")})
+    batch = draw_batch(model, objective.sample_size, 0)
+    objective.value(batch)
+    objective.gradient(model, None, batch)
+    assert len(calls) == 4
 
 
 def test_objective_validation():

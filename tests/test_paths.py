@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hvi import models
+from scipy.special import logsumexp
+
+from hvi import models, paths
 from hvi.paths import (
     GEOMETRIC_ALPHA_CUTOFF,
     PathSpec,
@@ -14,8 +16,8 @@ from hvi.paths import (
     blend_log_density,
     integrand_gradient_coeffs,
     log_density_gradient_coeffs,
-    log_path_density,
-    path_integrand,
+    path_gradient_coeffs,
+    path_weights,
 )
 
 finite_logs = st.floats(-60.0, 5.0)
@@ -81,7 +83,7 @@ def test_holder_matches_direct_power_mean(sin_toy):
     l0 = sin_toy.log_proposal(z)
     l1 = sin_toy.log_target(z)
     direct = (beta * math.exp(l1) ** alpha + (1 - beta) * math.exp(l0) ** alpha) ** (1 / alpha)
-    got = log_path_density(PathSpec.holder(alpha), sin_toy, beta, z)
+    got = blend_log_density(PathSpec.holder(alpha), l0, l1, beta)
     assert got == pytest.approx(math.log(direct), abs=1e-12)
 
 
@@ -100,32 +102,39 @@ def test_integrand_matches_its_definition(l0, l1, beta, alpha):
     assert got == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
+def _endpoints(model, z):
+    return model.log_proposal(z), model.log_target(z)
+
+
 def test_geometric_integrand_is_constant_for_scaled_factor(scaled_two):
-    z = np.linspace(-3, 3, 9)
+    l0, l1 = _endpoints(scaled_two, np.linspace(-3, 3, 9))
     np.testing.assert_allclose(
-        path_integrand(PathSpec.geometric(), scaled_two, 0.3, z), math.log(2), atol=1e-12)
+        blend_integrand(PathSpec.geometric(), l0, l1, 0.3), math.log(2), atol=1e-12)
 
 
 def test_wasserstein_integrand_closed_form_at_zero(scaled_two):
-    z = np.linspace(-2, 2, 7)
-    got = path_integrand(PathSpec.holder(1.0), scaled_two, 0.0, z)
+    l0, l1 = _endpoints(scaled_two, np.linspace(-2, 2, 7))
+    got = blend_integrand(PathSpec.holder(1.0), l0, l1, 0.0)
     np.testing.assert_allclose(got, 1.0, atol=1e-12)  # c - 1 pointwise
 
 
 def test_perturbed_zero_collapses_to_geometric(sin_toy):
-    z = np.linspace(-4, 4, 11)
+    l0, l1 = _endpoints(sin_toy, np.linspace(-4, 4, 11))
     for beta in (0.0, 0.4, 1.0):
         np.testing.assert_array_equal(
-            path_integrand(PathSpec.perturbed(0.0), sin_toy, beta, z),
-            path_integrand(PathSpec.geometric(), sin_toy, beta, z))
+            blend_integrand(PathSpec.perturbed(0.0), l0, l1, beta),
+            blend_integrand(PathSpec.geometric(), l0, l1, beta))
 
 
 def test_beta_out_of_range_rejected(sin_toy):
+    l0, l1 = _endpoints(sin_toy, 0.0)
     for beta in (-0.1, 1.1):
         with pytest.raises(ValueError):
-            log_path_density(PathSpec.geometric(), sin_toy, beta, 0.0)
+            blend_log_density(PathSpec.geometric(), l0, l1, beta)
         with pytest.raises(ValueError):
-            path_integrand(PathSpec.holder(0.5), sin_toy, beta, 0.0)
+            blend_integrand(PathSpec.holder(0.5), l0, l1, beta)
+        with pytest.raises(ValueError):
+            next(path_weights(PathSpec.holder(0.5), [0.5, beta], [l1 - l0]))
 
 
 def test_integrand_parts_consistent_with_dense_values():
@@ -135,6 +144,37 @@ def test_integrand_parts_consistent_with_dense_values():
         sign, log_abs = blend_integrand_parts(spec, l0, l1, 0.3)
         np.testing.assert_allclose(
             sign * np.exp(log_abs), blend_integrand(spec, l0, l1, 0.3), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The blockwise kernel against the pointwise forms, one beta at a time
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [PathSpec.geometric(), PathSpec.holder(0.6),
+                                  PathSpec.holder(-0.5), PathSpec.wasserstein(),
+                                  PathSpec.perturbed(0.05)])
+def test_kernel_matches_pointwise_reference(sin_toy, spec, monkeypatch):
+    rng = np.random.default_rng(4)
+    l0, l1 = _endpoints(sin_toy, rng.normal(0.0, 1.5, 300))
+    base = rng.normal(0.0, 2.0, 300)
+    betas = np.linspace(0.0, 1.0, 11)
+    monkeypatch.setattr(paths, "BLOCK_ELEMENTS", 1000)
+    blocks = list(path_weights(spec, betas, l1 - l0, base))
+    assert [block.betas.size for block in blocks] == [3, 3, 3, 2]
+    w, wg = (np.vstack(arrays) for arrays in zip(*[(b.w, b.wg) for b in blocks]))
+    coeffs = [path_gradient_coeffs(spec, block, l1 - l0) for block in blocks]
+    dh_df = np.vstack([np.broadcast_to(c, block.w.shape) for (c, _), block in zip(coeffs, blocks)])
+    w_dg_df = np.vstack([wd for _, wd in coeffs])
+    for k, beta in enumerate(betas):
+        log_w = blend_log_density(spec, l0, l1, beta) - l0 + base
+        log_w -= logsumexp(log_w)
+        sign, log_abs = blend_integrand_parts(spec, l0, l1, beta)
+        np.testing.assert_allclose(w[k], np.exp(log_w), rtol=1e-11, atol=0)
+        np.testing.assert_allclose(wg[k], sign * np.exp(log_w + log_abs), rtol=1e-11, atol=0)
+        _, c1 = log_density_gradient_coeffs(spec, l0, l1, beta)
+        _, d1 = integrand_gradient_coeffs(spec, l0, l1, beta)
+        np.testing.assert_allclose(dh_df[k], c1, rtol=1e-11, atol=1e-300)
+        np.testing.assert_allclose(w_dg_df[k], np.exp(log_w) * d1, rtol=1e-11, atol=1e-300)
 
 
 # ---------------------------------------------------------------------------
