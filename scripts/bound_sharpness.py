@@ -14,17 +14,7 @@ import math
 import numpy as np
 
 from hvi import models
-from hvi.estimators import (
-    IntegrationRule,
-    PartitionSchedule,
-    draw_batch,
-    elbo,
-    eubo,
-    hbo,
-    iw_elbo,
-    rvi,
-    tvo,
-)
+from hvi.estimators import IntegrationRule, PartitionSchedule, bound_report, draw_batch
 from hvi.util import derive_seeds
 
 
@@ -41,21 +31,17 @@ def main():
 
     schedule = PartitionSchedule.uniform(args.partitions)
     seeds = derive_seeds(args.seed, args.replicates)
+    bounds = ["elbo", "iw_elbo", "rvi[0.5]", "tvo", f"hbo[{args.alpha!r}]"]
     header = ["x", "p_true", "elbo", "iw_elbo", "rvi_0.5", "tvo", f"hbo_{args.alpha:g}"]
     rows = []
     for x in np.linspace(-2.5, 2.5, args.x_points):
         model = models.make_sin_toy(x_obs=float(x))
         p_true = math.exp(models.quadrature_log_marginal(model))
-        sums = np.zeros(5)
+        sums = np.zeros(len(bounds))
         for seed in seeds:
             batch = draw_batch(model, args.batch_size, int(seed))
-            sums += np.exp([
-                elbo(batch),
-                iw_elbo(batch),
-                rvi(batch, 0.5),
-                tvo(batch, schedule, IntegrationRule.LEFT),
-                hbo(batch, args.alpha, schedule, IntegrationRule.LEFT),
-            ])
+            report = bound_report(batch, bounds, schedule, schedule, IntegrationRule.LEFT)
+            sums += np.exp(report.csv_row())
         rows.append([x, p_true, *(sums / args.replicates)])
 
     with open(args.out, "w", newline="") as fh:

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import curve_profile, mcmc_reference, mmd
 from .estimators import (
+    DEFAULT_PARTITIONS,
     IntegrationRule,
     PartitionSchedule,
     bound_report,
@@ -69,10 +70,11 @@ def _check_keys(obj: dict, allowed: Sequence[str], field: str):
         raise ConfigError(f"config.{field}: unknown keys {unknown}")
 
 
-def _schedule_from(obj: Optional[dict], field: str,
-                   default_kind: str = "uniform", default_k: int = 50) -> PartitionSchedule:
+def _schedule_from(obj: Optional[dict], field: str, default_kind: str = "uniform",
+                   default_k: int = DEFAULT_PARTITIONS) -> Optional[PartitionSchedule]:
+    """The configured schedule; None when the key is absent (the bound's default)."""
     if obj is None:
-        obj = {}
+        return None
     _check_keys(obj, ("kind", "partitions", "betas"), field)
     if "betas" in obj:
         return PartitionSchedule(np.asarray(obj["betas"], dtype=float))
@@ -163,24 +165,25 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
     model = cfg.model()
     bounds = cfg.data.get("bounds", ["elbo", "iw_elbo", "eubo", "wlbo", "wubo", "tvo"])
     _require(isinstance(bounds, list) and bounds, "bounds", "must be a non-empty list")
+    _require(len(set(bounds)) == len(bounds), "bounds", "bound ids must be distinct")
     for b in bounds:
         try:
             parse_bound_id(b)
         except ValueError as exc:
             raise ConfigError(f"config.bounds: {exc}") from None
-    tvo_schedule = _schedule_from(cfg.data.get("tvo_schedule"), "tvo_schedule", "log", 50)
-    hbo_schedule = _schedule_from(cfg.data.get("schedule"), "schedule", "uniform", 50)
+    tvo_schedule = _schedule_from(cfg.data.get("tvo_schedule"), "tvo_schedule", "log")
+    hbo_schedule = _schedule_from(cfg.data.get("schedule"), "schedule")
     rows = []
     for seed in cfg.seeds():
         batch = draw_batch(model, cfg.sample_size, seed)
         report = bound_report(batch, bounds, tvo_schedule, hbo_schedule, cfg.rule)
-        rows.append([seed] + [report.values[b] for b in bounds])
+        rows.append([seed] + report.csv_row())
     return _csv(["seed"] + list(bounds), rows)
 
 
 def cmd_curve(cfg: ExperimentConfig) -> str:
     model = cfg.model()
-    schedule = _schedule_from(cfg.data.get("schedule"), "schedule", "uniform", 20)
+    schedule = _schedule_from(cfg.data.get("schedule", {}), "schedule", "uniform", 20)
     seed = cfg.seeds()[0]
     batch = draw_batch(model, cfg.sample_size, seed)
     alphas = cfg.data.get("alphas")
@@ -233,17 +236,17 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     _check_keys(training, ("bound", "alpha", "delta", "schedule", "rule", "steps",
                            "learning_rate", "init", "mmd_every", "mmd_sample",
                            "mcmc"), "training")
-    schedule = None
-    if "schedule" in training:
-        schedule = _schedule_from(training["schedule"], "training.schedule")
-    objective = BoundObjective(
-        bound=training.get("bound", "elbo"),
-        alpha=float(training.get("alpha", 0.0)),
-        delta=float(training.get("delta", 0.0)),
-        schedule=schedule,
-        rule=IntegrationRule.parse(training.get("rule", cfg.rule)),
-        sample_size=cfg.sample_size,
-    )
+    alpha = float(training.get("alpha", 0.0))
+    delta = float(training.get("delta", 0.0))
+    schedule = _schedule_from(training.get("schedule"), "training.schedule")
+    rule = IntegrationRule.parse(training.get("rule", cfg.rule))
+    try:
+        # ExperimentConfig checks sample_size, so only the bound name can fail here
+        objective = BoundObjective(bound=training.get("bound", "elbo"), alpha=alpha,
+                                   delta=delta, schedule=schedule, rule=rule,
+                                   sample_size=cfg.sample_size)
+    except ValueError as exc:
+        raise ConfigError(f"config.training.bound: {exc}") from None
     steps = int(training.get("steps", 100))
     learning_rate = float(training.get("learning_rate", 1e-3))
     init = training.get("init")

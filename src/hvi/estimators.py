@@ -15,7 +15,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "BoundReport",
     "bound_report",
     "parse_bound_id",
+    "DEFAULT_PARTITIONS",
     "LOG_PARTITION_BETA1",
 ]
 
@@ -114,7 +115,7 @@ def eubo(batch: ImportanceBatch) -> float:
     Biased for finite batch size, like every self-normalized estimate at
     beta > 0; there is no unbiased sample-based EUBO available here.
     """
-    return float(_curve_values(batch, PathSpec.geometric(), [1.0])[0])
+    return _path_value(batch, "eubo")
 
 
 @dataclass(frozen=True)
@@ -231,32 +232,24 @@ def rule_weights(betas: np.ndarray, rule: IntegrationRule) -> np.ndarray:
     return w
 
 
-def _integrated_bound(batch: ImportanceBatch, spec: PathSpec,
-                      schedule: PartitionSchedule, rule: IntegrationRule) -> float:
-    return float(rule_weights(schedule.betas, rule) @ _curve_values(batch, spec, schedule.betas))
-
-
 def tvo(batch: ImportanceBatch, schedule: Optional[PartitionSchedule] = None,
         rule: IntegrationRule = IntegrationRule.LEFT) -> float:
     """Thermodynamic bound on the geometric path (default: log partition, K=50)."""
-    schedule = schedule or PartitionSchedule.log(50)
-    return _integrated_bound(batch, PathSpec.geometric(), schedule, rule)
+    return _path_value(batch, "tvo", None, schedule, rule)
 
 
 def hbo(batch: ImportanceBatch, alpha: float,
         schedule: Optional[PartitionSchedule] = None,
         rule: IntegrationRule = IntegrationRule.LEFT) -> float:
     """Holder bound of order alpha (default: uniform partition, K=50)."""
-    schedule = schedule or PartitionSchedule.uniform(50)
-    return _integrated_bound(batch, PathSpec.holder(alpha), schedule, rule)
+    return _path_value(batch, "hbo", alpha, schedule, rule)
 
 
 def perturbed_hbo(batch: ImportanceBatch, delta: float,
                   schedule: Optional[PartitionSchedule] = None,
                   rule: IntegrationRule = IntegrationRule.LEFT) -> float:
     """First-order-in-delta surrogate of hbo(delta) (default: uniform, K=50)."""
-    schedule = schedule or PartitionSchedule.uniform(50)
-    return _integrated_bound(batch, PathSpec.perturbed(delta), schedule, rule)
+    return _path_value(batch, "perturbed_hbo", delta, schedule, rule)
 
 
 def wasserstein_bounds(batch: ImportanceBatch) -> tuple[float, float]:
@@ -275,8 +268,65 @@ def wasserstein_bounds(batch: ImportanceBatch) -> tuple[float, float]:
 
 _BOUND_ID = re.compile(r"^([a-z_]+)(?:\[([^\]]+)\])?$")
 
-_PLAIN_BOUNDS = ("elbo", "iw_elbo", "eubo", "wlbo", "wubo", "tvo")
-_PARAM_BOUNDS = ("rvi", "hbo", "perturbed_hbo")
+# Partitions of a bound's default schedule.
+DEFAULT_PARTITIONS = 50
+
+
+class _Bound(NamedTuple):
+    """One row of the bound table below."""
+
+    param: Optional[str]
+    value: Callable[..., float]
+    path: Optional[str] = None
+    knots: Union[float, str, None] = None
+
+
+# Per bound: the BoundObjective field that carries its parameter; its
+# value(batch, arg, schedule, rule) through the public estimator, looked up at
+# call time so that wrappers and patches of those functions apply; and its path
+# form, a PathSpec kind (whose field named like the parameter takes the
+# argument) with one knot beta or the PartitionSchedule builder of its default
+# schedule.  The closed forms iw_elbo and rvi have no path form.
+_BOUNDS = {
+    "elbo": _Bound(None, lambda b, a, s, r: elbo(b), "geometric", 0.0),
+    "iw_elbo": _Bound(None, lambda b, a, s, r: iw_elbo(b)),
+    "rvi": _Bound("alpha", lambda b, a, s, r: rvi(b, a)),
+    "eubo": _Bound(None, lambda b, a, s, r: eubo(b), "geometric", 1.0),
+    "wlbo": _Bound(None, lambda b, a, s, r: wasserstein_bounds(b)[0], "wasserstein", 1.0),
+    "wubo": _Bound(None, lambda b, a, s, r: wasserstein_bounds(b)[1], "wasserstein", 0.0),
+    "tvo": _Bound(None, lambda b, a, s, r: tvo(b, s, r), "geometric", "log"),
+    "hbo": _Bound("alpha", lambda b, a, s, r: hbo(b, a, s, r), "holder", "uniform"),
+    "perturbed_hbo": _Bound("delta", lambda b, a, s, r: perturbed_hbo(b, a, s, r),
+                            "perturbed", "uniform"),
+}
+
+# Bounds with a path form: the ones score-function training can ascend.
+_PATH_BOUNDS = tuple(name for name, row in _BOUNDS.items() if row.path is not None)
+
+
+def _bound_schedule(name: str, schedule: Optional[PartitionSchedule] = None):
+    """``schedule``, or the bound's default; None for bounds without a schedule."""
+    kind = _BOUNDS[name].knots
+    if not isinstance(kind, str):
+        return None
+    return schedule or getattr(PartitionSchedule, kind)(DEFAULT_PARTITIONS)
+
+
+def _bound_path(name: str, arg: Optional[float], schedule=None,
+                rule: IntegrationRule = IntegrationRule.LEFT):
+    """(PathSpec, betas, rule weights) with bound = weights @ curve(betas)."""
+    row = _BOUNDS[name]
+    spec = PathSpec(row.path, **({row.param: float(arg)} if row.param else {}))
+    schedule = _bound_schedule(name, schedule)
+    if schedule is None:
+        return spec, np.array([row.knots]), np.ones(1)
+    return spec, schedule.betas, rule_weights(schedule.betas, rule)
+
+
+def _path_value(batch: ImportanceBatch, name: str, arg: Optional[float] = None,
+                schedule=None, rule: IntegrationRule = IntegrationRule.LEFT) -> float:
+    spec, betas, weights = _bound_path(name, arg, schedule, rule)
+    return float(weights @ _curve_values(batch, spec, betas))
 
 
 def parse_bound_id(bound_id: str) -> tuple[str, Optional[float]]:
@@ -285,15 +335,13 @@ def parse_bound_id(bound_id: str) -> tuple[str, Optional[float]]:
     if not m:
         raise ValueError(f"malformed bound id {bound_id!r}")
     name, arg = m.group(1), m.group(2)
-    if name in _PLAIN_BOUNDS:
-        if arg is not None:
-            raise ValueError(f"bound {name!r} takes no parameter")
-        return name, None
-    if name in _PARAM_BOUNDS:
-        if arg is None:
-            raise ValueError(f"bound {name!r} needs a parameter, e.g. {name}[0.5]")
-        return name, float(arg)
-    raise ValueError(f"unknown bound id {bound_id!r}")
+    if name not in _BOUNDS:
+        raise ValueError(f"unknown bound id {bound_id!r}")
+    if _BOUNDS[name].param is None and arg is not None:
+        raise ValueError(f"bound {name!r} takes no parameter")
+    if _BOUNDS[name].param is not None and arg is None:
+        raise ValueError(f"bound {name!r} needs a parameter, e.g. {name}[0.5]")
+    return name, None if arg is None else float(arg)
 
 
 @dataclass
@@ -320,37 +368,23 @@ def bound_report(batch: ImportanceBatch, bounds: Sequence[str],
                  tvo_schedule: Optional[PartitionSchedule] = None,
                  hbo_schedule: Optional[PartitionSchedule] = None,
                  rule: IntegrationRule = IntegrationRule.LEFT) -> BoundReport:
-    """Evaluate the requested bound ids on one shared batch."""
-    tvo_schedule = tvo_schedule or PartitionSchedule.log(50)
-    hbo_schedule = hbo_schedule or PartitionSchedule.uniform(50)
+    """Evaluate the requested bound ids on one shared batch.
+
+    ``tvo_schedule`` replaces the default log schedule, ``hbo_schedule`` the uniform one.
+    """
+    schedules = {"log": _bound_schedule("tvo", tvo_schedule),
+                 "uniform": _bound_schedule("hbo", hbo_schedule)}
     rule = IntegrationRule.parse(rule)
     values: dict[str, float] = {}
-    wasserstein_cache: Optional[tuple[float, float]] = None
     for bound_id in bounds:
         name, arg = parse_bound_id(bound_id)
-        if name == "elbo":
-            values[bound_id] = elbo(batch)
-        elif name == "iw_elbo":
-            values[bound_id] = iw_elbo(batch)
-        elif name == "eubo":
-            values[bound_id] = eubo(batch)
-        elif name in ("wlbo", "wubo"):
-            if wasserstein_cache is None:
-                wasserstein_cache = wasserstein_bounds(batch)
-            values[bound_id] = wasserstein_cache[0 if name == "wlbo" else 1]
-        elif name == "tvo":
-            values[bound_id] = tvo(batch, tvo_schedule, rule)
-        elif name == "rvi":
-            values[bound_id] = rvi(batch, arg)
-        elif name == "hbo":
-            values[bound_id] = hbo(batch, arg, hbo_schedule, rule)
-        else:
-            values[bound_id] = perturbed_hbo(batch, arg, hbo_schedule, rule)
+        row = _BOUNDS[name]
+        values[bound_id] = row.value(batch, arg, schedules.get(row.knots), rule)
     metadata = {
         "sample_size": batch.size,
         "seed": batch.seed,
         "rule": rule.value,
-        "tvo_schedule": tvo_schedule.to_json(),
-        "hbo_schedule": hbo_schedule.to_json(),
+        "tvo_schedule": schedules["log"].to_json(),
+        "hbo_schedule": schedules["uniform"].to_json(),
     }
     return BoundReport(values=values, metadata=metadata)

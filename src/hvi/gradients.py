@@ -29,16 +29,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .estimators import (
+    _BOUNDS,
+    _PATH_BOUNDS,
     ImportanceBatch,
     IntegrationRule,
     PartitionSchedule,
+    _bound_path,
+    _bound_schedule,
     draw_batch,
-    elbo,
-    eubo,
-    hbo,
-    perturbed_hbo,
     rule_weights,
-    tvo,
 )
 from .models import LatentModel
 from .paths import PathBlock, PathSpec, path_gradient_coeffs, path_weights
@@ -73,21 +72,22 @@ class GradientEstimate:
 
 
 def _block_terms(spec: PathSpec, block: PathBlock, log_ratio: np.ndarray,
-                 grad_l0: np.ndarray, grad_f: np.ndarray):
-    """Per-beta terms (i), (ii) and std errs, each (B, P), for one kernel block.
+                 grad_l0: np.ndarray, grad_f: np.ndarray, weights: np.ndarray):
+    """Weighted sums over one kernel block of terms (i), (ii) and the influences.
 
     grad log pi_beta = grad L0 + dh/df grad f and grad g = dg/df grad f, so
     the per-sample contribution to the covariance identity at each beta is
-    (grad L0 + dh/df grad f) (w g - w gbar) + w dg/df grad f.
+    (grad L0 + dh/df grad f) (w g - w gbar) + w dg/df grad f; the sample's
+    influence subtracts w times that beta's estimate.
     """
     dh_df, w_dg_df = path_gradient_coeffs(spec, block, log_ratio)
     centered = block.wg - block.wg.sum(axis=1, keepdims=True) * block.w
     along_f = dh_df * centered
     term_i = centered @ grad_l0 + along_f @ grad_f
     term_ii = w_dg_df @ grad_f
-    per_sample = (centered[:, :, None] * grad_l0 + (along_f + w_dg_df)[:, :, None] * grad_f
-                  - block.w[:, :, None] * (term_i + term_ii)[:, None, :])
-    return term_i, term_ii, np.sqrt(np.sum(per_sample ** 2, axis=1))
+    influence = (centered[:, :, None] * grad_l0 + (along_f + w_dg_df)[:, :, None] * grad_f
+                 - block.w[:, :, None] * (term_i + term_ii)[:, None, :])
+    return weights @ term_i, weights @ term_ii, np.tensordot(weights, influence, axes=1)
 
 
 def _path_grad(model: LatentModel, params, spec: PathSpec, betas, weights,
@@ -95,20 +95,28 @@ def _path_grad(model: LatentModel, params, spec: PathSpec, betas, weights,
     """sum_k weights_k grad_lambda E_(spec,betas_k), in one pass over the batch.
 
     The batch's cached log densities supply the weights, so the model is only
-    asked for its two gradient fields, once per batch.
+    asked for its two gradient fields, once per batch.  Knots of zero weight
+    are skipped.  All knots reweight the same samples, so the standard error is
+    the delta-method one of the sum, sqrt(sum_s (sum_k weights_k phi_ks)^2) over
+    the per-sample influences phi_ks.
     """
     if not model.has_gradients:
         raise ValueError(f"model {model.model_id!r} does not provide gradients")
+    weights = np.asarray(weights, dtype=float)
+    used = weights != 0.0
+    betas, weights = np.asarray(betas, dtype=float)[used], weights[used]
     lam = model._resolve(params)
     grad_l0 = model.grad_log_proposal(batch.z, lam)
     grad_f = model.grad_log_target(batch.z, lam) - grad_l0
-    blocks = [_block_terms(spec, block, batch.log_ratio, grad_l0, grad_f)
-              for block in path_weights(spec, betas, batch.log_ratio)]
-    term_i, term_ii, std_err = (np.concatenate(parts) for parts in zip(*blocks))
-    weights = np.asarray(weights, dtype=float)
-    # Cross-beta correlation from the shared batch is left unmodeled.
-    return GradientEstimate(term_i=weights @ term_i, term_ii=weights @ term_ii,
-                            std_err=np.sqrt(weights ** 2 @ std_err ** 2))
+    start, blocks = 0, []
+    for block in path_weights(spec, betas, batch.log_ratio):
+        stop = start + len(block.betas)
+        blocks.append(_block_terms(spec, block, batch.log_ratio, grad_l0, grad_f,
+                                   weights[start:stop]))
+        start = stop
+    term_i, term_ii, influence = (sum(parts) for parts in zip(*blocks))
+    return GradientEstimate(term_i=term_i, term_ii=term_ii,
+                            std_err=np.sqrt(np.sum(influence ** 2, axis=0)))
 
 
 def local_evidence_grad(model: LatentModel, params, spec: PathSpec, beta: float,
@@ -127,9 +135,8 @@ def bound_grad(model: LatentModel, params, spec: PathSpec,
                schedule: PartitionSchedule, rule: IntegrationRule,
                batch: ImportanceBatch) -> GradientEstimate:
     """Gradient of the Riemann-integrated bound: rule-weighted sum over the schedule."""
-    weights = rule_weights(schedule.betas, IntegrationRule.parse(rule))
-    used = weights != 0.0
-    return _path_grad(model, params, spec, schedule.betas[used], weights[used], batch)
+    return _path_grad(model, params, spec, schedule.betas,
+                      rule_weights(schedule.betas, rule), batch)
 
 
 def finite_difference_grad(model: LatentModel, params,
@@ -167,54 +174,31 @@ class BoundObjective:
     rule: IntegrationRule = IntegrationRule.LEFT
     sample_size: int = 100
 
-    _SUPPORTED = ("elbo", "eubo", "tvo", "hbo", "perturbed_hbo")
-
     def __post_init__(self):
-        if self.bound not in self._SUPPORTED:
+        if self.bound not in _PATH_BOUNDS:
             raise ValueError(
-                f"unsupported training bound {self.bound!r}; expected one of {self._SUPPORTED}")
+                f"unsupported training bound {self.bound!r}; expected one of {_PATH_BOUNDS}")
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
 
-    def path_spec(self) -> PathSpec:
-        if self.bound == "hbo":
-            return PathSpec.holder(self.alpha)
-        if self.bound == "perturbed_hbo":
-            return PathSpec.perturbed(self.delta)
-        return PathSpec.geometric()
-
-    def resolved_schedule(self) -> PartitionSchedule:
-        if self.schedule is not None:
-            return self.schedule
-        if self.bound == "tvo":
-            return PartitionSchedule.log(50)
-        return PartitionSchedule.uniform(50)
+    def _arg(self) -> Optional[float]:
+        param = _BOUNDS[self.bound].param
+        return getattr(self, param) if param else None
 
     def value(self, batch: ImportanceBatch) -> float:
-        if self.bound == "elbo":
-            return elbo(batch)
-        if self.bound == "eubo":
-            return eubo(batch)
-        if self.bound == "tvo":
-            return tvo(batch, self.resolved_schedule(), self.rule)
-        if self.bound == "hbo":
-            return hbo(batch, self.alpha, self.resolved_schedule(), self.rule)
-        return perturbed_hbo(batch, self.delta, self.resolved_schedule(), self.rule)
+        return _BOUNDS[self.bound].value(batch, self._arg(), self.schedule, self.rule)
 
     def gradient(self, model: LatentModel, params, batch: ImportanceBatch) -> GradientEstimate:
-        if self.bound == "elbo":
-            return local_evidence_grad(model, params, PathSpec.geometric(), 0.0, batch)
-        if self.bound == "eubo":
-            return local_evidence_grad(model, params, PathSpec.geometric(), 1.0, batch)
-        return bound_grad(model, params, self.path_spec(), self.resolved_schedule(),
-                          self.rule, batch)
+        spec, betas, weights = _bound_path(self.bound, self._arg(), self.schedule, self.rule)
+        return _path_grad(model, params, spec, betas, weights, batch)
 
     def to_json(self) -> dict:
+        schedule = _bound_schedule(self.bound, self.schedule)
         return {
             "bound": self.bound,
             "alpha": self.alpha,
             "delta": self.delta,
-            "schedule": self.resolved_schedule().to_json(),
+            "schedule": schedule.to_json() if schedule else None,
             "rule": IntegrationRule.parse(self.rule).value,
             "sample_size": self.sample_size,
         }

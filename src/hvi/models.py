@@ -120,10 +120,6 @@ class ModelParameters:
         except ValueError:
             raise KeyError(f"unknown parameter {name!r}") from None
 
-    def with_values(self, values) -> "ModelParameters":
-        return ModelParameters(self.names, np.asarray(values, dtype=float),
-                               self.theta_size)
-
 
 def _as_points(z, dim: int) -> tuple[np.ndarray, bool]:
     """Canonicalize latent input to shape (n, dim); flag single-point input."""

@@ -117,13 +117,6 @@ class PathSpec:
             return ("holder", self.alpha)
         return ("perturbed", self.delta)
 
-    def label(self) -> str:
-        if self.kind == "holder":
-            return f"holder[{self.alpha:g}]"
-        if self.kind == "perturbed":
-            return f"perturbed[{self.delta:g}]"
-        return self.kind
-
     def to_json(self) -> dict:
         out = {"kind": self.kind}
         if self.kind == "holder":

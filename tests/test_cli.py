@@ -257,6 +257,20 @@ def test_bad_bound_id_names_field(tmp_path, capsys):
     assert "config.bounds" in capsys.readouterr().err
 
 
+def test_duplicate_bound_ids_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "sin_toy", "seed": 1, "bounds": ["elbo", "tvo", "elbo"]})
+    assert run_cli(["bounds", "--config", cfg]) == 1
+    assert "config.bounds" in capsys.readouterr().err
+
+
+def test_bad_training_bound_names_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "sin_toy", "seed": 1, "training": {"bound": "iw_elbo"}})
+    assert run_cli(["train", "--config", cfg]) == 1
+    assert "config.training.bound" in capsys.readouterr().err
+
+
 def test_flags_override_config(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "model": "scaled_factor",

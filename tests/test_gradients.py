@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from hvi import models
-from hvi.estimators import IntegrationRule, PartitionSchedule, draw_batch
+from hvi.estimators import (
+    IntegrationRule,
+    PartitionSchedule,
+    bound_report,
+    draw_batch,
+    parse_bound_id,
+)
 from hvi.gradients import (
     BoundObjective,
     bound_grad,
@@ -140,6 +146,17 @@ def test_holder_gradient_finite_at_extreme_log_ratios(conjugate):
         assert np.all(np.isfinite(est.total)) and np.all(np.isfinite(est.std_err))
 
 
+def test_integrated_gradient_std_err_is_calibrated(sin_toy):
+    # every knot reweights the same batch, so the knots' errors are correlated
+    # and the std err has to be that of the rule-weighted sum, not of the knots
+    grads = [bound_grad(sin_toy, None, PathSpec.holder(0.5), PartitionSchedule.uniform(50),
+                        IntegrationRule.LEFT, draw_batch(sin_toy, 500, seed))
+             for seed in range(300)]
+    spread = np.std([g.total for g in grads], axis=0, ddof=1)
+    reported = np.mean([g.std_err for g in grads], axis=0)
+    np.testing.assert_allclose(reported, spread, rtol=0.2)
+
+
 def test_integrated_gradient_matches_quadrature_fd(sin_toy):
     sched = PartitionSchedule.uniform(5)
     batch = draw_batch(sin_toy, 100_000, 9)
@@ -269,6 +286,34 @@ def test_training_step_evaluates_model_four_times(objective):
     objective.value(batch)
     objective.gradient(model, None, batch)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("bound_id, spec, knots", [
+    ("elbo", PathSpec.geometric(), [0.0]),
+    ("eubo", PathSpec.geometric(), [1.0]),
+    ("wlbo", PathSpec.wasserstein(), [1.0]),
+    ("wubo", PathSpec.wasserstein(), [0.0]),
+    ("tvo", PathSpec.geometric(), PartitionSchedule.log(50)),
+    ("hbo[0.3]", PathSpec.holder(0.3), PartitionSchedule.uniform(50)),
+    ("perturbed_hbo[0.05]", PathSpec.perturbed(0.05), PartitionSchedule.uniform(50)),
+])
+def test_objective_follows_its_bound(conjugate, bound_id, spec, knots):
+    # the value bound_report gives, the gradient of the same path at the
+    # bound's default knots, and a short training run
+    name, arg = parse_bound_id(bound_id)
+    objective = BoundObjective(bound=name, alpha=arg or 0.0, delta=arg or 0.0,
+                               rule="trapezoid", sample_size=200)
+    batch = draw_batch(conjugate, objective.sample_size, 3)
+    report = bound_report(batch, [bound_id], rule="trapezoid")
+    assert objective.value(batch) == report.values[bound_id]
+    if isinstance(knots, PartitionSchedule):
+        expected = bound_grad(conjugate, None, spec, knots, "trapezoid", batch)
+    else:
+        expected = local_evidence_grad(conjugate, None, spec, knots[0], batch)
+    np.testing.assert_array_equal(objective.gradient(conjugate, None, batch).total,
+                                  expected.total)
+    trace = train(conjugate, None, objective, steps=5, learning_rate=0.01, seed=0)
+    assert len(trace) == 6 and not trace.diverged
 
 
 def test_objective_validation():
