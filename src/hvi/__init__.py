@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .diagnostics import (
     CurveProfile,
     McmcReference,
-    MmdConfig,
     approx_error,
     curve_profile,
     ess,

@@ -14,6 +14,7 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .estimators import (
     DEFAULT_PARTITIONS,
     IntegrationRule,
     PartitionSchedule,
+    _bound_schedule,
     bound_report,
     draw_batch,
     local_evidence_curve,
@@ -34,11 +36,11 @@ from .models import (
     MODEL_IDS,
     GridSpec,
     make_model,
-    quadrature_local_evidence,
+    quadrature_local_evidence_curve,
     quadrature_log_marginal,
 )
 from .paths import PathSpec
-from .tuning import tune_alpha_bisect, tune_alpha_grid
+from .tuning import DEFAULT_TEST_BETAS, tune_alpha_bisect, tune_alpha_grid
 
 
 class ConfigError(ValueError):
@@ -70,16 +72,16 @@ def _check_keys(obj: dict, allowed: Sequence[str], field: str):
         raise ConfigError(f"config.{field}: unknown keys {unknown}")
 
 
-def _schedule_from(obj: Optional[dict], field: str, default_kind: str = "uniform",
-                   default_k: int = DEFAULT_PARTITIONS) -> Optional[PartitionSchedule]:
-    """The configured schedule; None when the key is absent (the bound's default)."""
+def _schedule_from(obj: Optional[dict], field: str,
+                   default: PartitionSchedule) -> Optional[PartitionSchedule]:
+    """The configured schedule, missing fields taken from ``default``; None when absent."""
     if obj is None:
         return None
     _check_keys(obj, ("kind", "partitions", "betas"), field)
     if "betas" in obj:
         return PartitionSchedule(np.asarray(obj["betas"], dtype=float))
-    kind = obj.get("kind", default_kind)
-    partitions = int(obj.get("partitions", default_k))
+    kind = obj.get("kind", default.kind)
+    partitions = int(obj.get("partitions", default.partitions))
     if kind == "uniform":
         return PartitionSchedule.uniform(partitions)
     if kind == "log":
@@ -171,8 +173,9 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
             parse_bound_id(b)
         except ValueError as exc:
             raise ConfigError(f"config.bounds: {exc}") from None
-    tvo_schedule = _schedule_from(cfg.data.get("tvo_schedule"), "tvo_schedule", "log")
-    hbo_schedule = _schedule_from(cfg.data.get("schedule"), "schedule")
+    tvo_schedule = _schedule_from(cfg.data.get("tvo_schedule"), "tvo_schedule",
+                                  _bound_schedule("tvo"))
+    hbo_schedule = _schedule_from(cfg.data.get("schedule"), "schedule", _bound_schedule("hbo"))
     rows = []
     for seed in cfg.seeds():
         batch = draw_batch(model, cfg.sample_size, seed)
@@ -183,7 +186,8 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
 
 def cmd_curve(cfg: ExperimentConfig) -> str:
     model = cfg.model()
-    schedule = _schedule_from(cfg.data.get("schedule", {}), "schedule", "uniform", 20)
+    schedule = _schedule_from(cfg.data.get("schedule", {}), "schedule",
+                              PartitionSchedule.uniform(20))
     seed = cfg.seeds()[0]
     batch = draw_batch(model, cfg.sample_size, seed)
     alphas = cfg.data.get("alphas")
@@ -209,7 +213,7 @@ def cmd_tune(cfg: ExperimentConfig) -> str:
     _check_keys(tuning, ("method", "candidates", "betas", "alpha_lo", "alpha_hi",
                          "tolerance", "max_iters"), "tuning")
     method = tuning.get("method", "grid")
-    betas = tuning.get("betas", [0.0, 0.25, 0.5, 0.75, 1.0])
+    betas = tuning.get("betas", DEFAULT_TEST_BETAS)
     if method == "grid":
         candidates = tuning.get("candidates", [0.1, 0.3, 0.5, 0.7, 0.9])
         result = tune_alpha_grid(model, candidates, betas, cfg.sample_size, seed)
@@ -238,15 +242,17 @@ def cmd_train(cfg: ExperimentConfig) -> str:
                            "mcmc"), "training")
     alpha = float(training.get("alpha", 0.0))
     delta = float(training.get("delta", 0.0))
-    schedule = _schedule_from(training.get("schedule"), "training.schedule")
     rule = IntegrationRule.parse(training.get("rule", cfg.rule))
     try:
         # ExperimentConfig checks sample_size, so only the bound name can fail here
         objective = BoundObjective(bound=training.get("bound", "elbo"), alpha=alpha,
-                                   delta=delta, schedule=schedule, rule=rule,
-                                   sample_size=cfg.sample_size)
+                                   delta=delta, rule=rule, sample_size=cfg.sample_size)
     except ValueError as exc:
         raise ConfigError(f"config.training.bound: {exc}") from None
+    # single-knot bounds ignore the schedule, but a configured one is still checked
+    default = _bound_schedule(objective.bound) or PartitionSchedule.uniform(DEFAULT_PARTITIONS)
+    objective = replace(objective, schedule=_schedule_from(
+        training.get("schedule"), "training.schedule", default))
     steps = int(training.get("steps", 100))
     learning_rate = float(training.get("learning_rate", 1e-3))
     init = training.get("init")
@@ -312,12 +318,11 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
     }
     alphas = oracle.get("alphas")
     if alphas:
-        betas = oracle.get("betas", [0.0, 0.25, 0.5, 0.75, 1.0])
+        betas = [float(b) for b in oracle.get("betas", DEFAULT_TEST_BETAS)]
         report["local_evidence"] = {
-            f"{float(a):g}": {
-                f"{float(b):g}": quadrature_local_evidence(model, float(a), float(b), grid)
-                for b in betas
-            }
+            f"{float(a):g}": dict(zip(
+                (f"{b:g}" for b in betas),
+                quadrature_local_evidence_curve(model, float(a), betas, grid).tolist()))
             for a in alphas
         }
     return json.dumps(report, indent=2, sort_keys=True) + "\n"

@@ -25,7 +25,7 @@ __all__ = [
     "ess",
     "CurveProfile",
     "curve_profile",
-    "MmdConfig",
+    "MMD_BANDWIDTH",
     "mmd",
     "McmcReference",
     "mcmc_reference",
@@ -98,27 +98,19 @@ def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
     )
 
 
-@dataclass(frozen=True)
-class MmdConfig:
-    """Gaussian-kernel MMD settings; inputs are normalized by the reference."""
-
-    bandwidth: float = 0.5
-
-    def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+# Gaussian-kernel bandwidth of mmd, in units of the reference's per-axis std.
+MMD_BANDWIDTH = 0.5
 
 
-def mmd(sample_a, sample_b, config: Optional[MmdConfig] = None) -> float:
+def mmd(sample_a, sample_b) -> float:
     """Biased (V-statistic) Gaussian-kernel MMD between two samples.
 
     Both samples are first normalized by the mean and standard deviation of
     ``sample_b`` (the reference, e.g. MCMC ground truth), then compared with
-    kernel exp(-|x-y|^2 / (2 h^2)).  The V-statistic includes diagonal terms,
-    so the squared discrepancy is nonnegative by construction; the square root
-    is returned.
+    kernel exp(-|x-y|^2 / (2 h^2)), h = MMD_BANDWIDTH.  The V-statistic
+    includes diagonal terms, so the squared discrepancy is nonnegative by
+    construction; the square root is returned.
     """
-    config = config or MmdConfig()
     a = np.atleast_2d(np.asarray(sample_a, dtype=float))
     b = np.atleast_2d(np.asarray(sample_b, dtype=float))
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
@@ -130,7 +122,7 @@ def mmd(sample_a, sample_b, config: Optional[MmdConfig] = None) -> float:
     scale = np.where(scale > 0, scale, 1.0)
     a = (a - center) / scale
     b = (b - center) / scale
-    gamma = 0.5 / config.bandwidth**2
+    gamma = 0.5 / MMD_BANDWIDTH**2
     k_aa = np.exp(-gamma * cdist(a, a, "sqeuclidean")).mean()
     k_bb = np.exp(-gamma * cdist(b, b, "sqeuclidean")).mean()
     k_ab = np.exp(-gamma * cdist(a, b, "sqeuclidean")).mean()
@@ -161,15 +153,14 @@ class McmcReference:
 
 def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
                    burn_in: int = 5000, thin: int = 10, step_size: float = 1.0,
-                   seed: int = 0, params=None, tune_step: bool = True) -> McmcReference:
+                   seed: int = 0, params=None) -> McmcReference:
     """Multi-chain random-walk Metropolis targeting the model's log_target.
 
     Chains start from proposal draws (overdispersed relative to the
     posterior).  Proposal increments are scaled per dimension by the spread of
     a pilot draw from the model's proposal, so targets with very different
-    coordinate scales still mix evenly; when ``tune_step`` is set, a short
-    pilot then adjusts the global step multiplier into the 20-50% acceptance
-    band.  Everything runs off one seeded generator, so results are
+    coordinate scales still mix evenly; a short pilot then adjusts the global
+    step multiplier into the 20-50% acceptance band.  Everything runs off one seeded generator, so results are
     deterministic given the seed.
     """
     if steps <= burn_in:
@@ -197,15 +188,14 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
         return accepted
 
     step = float(step_size)
-    if tune_step:
-        for _ in range(15):
-            rate = sweep(100, step) / (100 * chains)
-            if rate < 0.2:
-                step *= 0.7
-            elif rate > 0.5:
-                step *= 1.4
-            else:
-                break
+    for _ in range(15):
+        rate = sweep(100, step) / (100 * chains)
+        if rate < 0.2:
+            step *= 0.7
+        elif rate > 0.5:
+            step *= 1.4
+        else:
+            break
 
     accepted = sweep(burn_in, step)
     kept = []

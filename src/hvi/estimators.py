@@ -205,13 +205,11 @@ class PartitionSchedule:
         return cls(np.linspace(0.0, 1.0, partitions + 1), kind="uniform")
 
     @classmethod
-    def log(cls, partitions: int, beta1: float = LOG_PARTITION_BETA1) -> "PartitionSchedule":
-        """beta_0 = 0, then beta_1 .. 1 equally spaced on a log scale."""
+    def log(cls, partitions: int) -> "PartitionSchedule":
+        """beta_0 = 0, then LOG_PARTITION_BETA1 .. 1 equally spaced on a log scale."""
         if partitions < 2:
             raise ValueError("log schedule needs at least two partitions")
-        if not 0.0 < beta1 < 1.0:
-            raise ValueError("beta1 must lie in (0, 1)")
-        tail = np.logspace(math.log10(beta1), 0.0, partitions)
+        tail = np.logspace(math.log10(LOG_PARTITION_BETA1), 0.0, partitions)
         tail[-1] = 1.0
         return cls(np.concatenate([[0.0], tail]), kind="log")
 

@@ -202,13 +202,21 @@ class LatentModel:
         return out[0] if single else out
 
 
-def _diag_gaussian_proposal(theta_size: int, dim: int):
-    """Proposal callables for a diagonal Gaussian with phi = (means, log stds)."""
+def _gaussian_proposal_model(model_id: str, suffixes, means, log_stds, domain,
+                             log_target) -> LatentModel:
+    """A model whose parameters are phi = (means, log stds) of a diagonal Gaussian.
+
+    The proposal is N(means, diag(exp(log_stds))^2); the target does not depend
+    on lambda, so its gradient is zero.  Parameter names are ``q_mean<suffix>``
+    for each suffix, then ``q_log_std<suffix>``.
+    """
+    dim = len(suffixes)
+    params = ModelParameters(
+        [f"q_mean{s}" for s in suffixes] + [f"q_log_std{s}" for s in suffixes],
+        np.array([*means, *log_stds]), theta_size=0)
 
     def split(lam):
-        mean = lam[theta_size : theta_size + dim]
-        std = np.exp(lam[theta_size + dim : theta_size + 2 * dim])
-        return mean, std
+        return lam[:dim], np.exp(lam[dim:])
 
     def log_proposal(pts, lam):
         mean, std = split(lam)
@@ -218,15 +226,16 @@ def _diag_gaussian_proposal(theta_size: int, dim: int):
         mean, std = split(lam)
         return mean + std * rng.standard_normal((n, dim))
 
-    def grad(pts, lam):
+    def grad_proposal(pts, lam):
         mean, std = split(lam)
         u = (pts - mean) / std
-        g = np.zeros((pts.shape[0], lam.size))
-        g[:, theta_size : theta_size + dim] = u / std
-        g[:, theta_size + dim : theta_size + 2 * dim] = u * u - 1.0
-        return g
+        return np.concatenate([u / std, u * u - 1.0], axis=1)
 
-    return log_proposal, sample, grad
+    def grad_target(pts, lam):
+        return np.zeros((pts.shape[0], lam.size))
+
+    return LatentModel(model_id, dim, params, tuple(domain), log_target, log_proposal,
+                       sample, grad_target, grad_proposal)
 
 
 def make_scaled_factor(scale: float) -> LatentModel:
@@ -287,31 +296,14 @@ def make_conjugate_gaussian(sigma: float, x_obs: float) -> LatentModel:
     x_obs = float(x_obs)
     post_mean = x_obs / (1.0 + sigma**2)
     post_var = sigma**2 / (1.0 + sigma**2)
-    params = ModelParameters(
-        ("q_mean", "q_log_std"),
-        np.array([post_mean, 0.5 * math.log(post_var)]),
-        theta_size=0,
-    )
-    log_proposal, sample, grad_proposal = _diag_gaussian_proposal(0, 1)
 
     def log_target(pts, lam):
         z = pts[:, 0]
         return _norm_logpdf(z, 0.0, 1.0) + _norm_logpdf(x_obs, z, sigma)
 
-    def grad_target(pts, lam):
-        return np.zeros((pts.shape[0], lam.size))
-
-    return LatentModel(
-        model_id="conjugate_gaussian",
-        latent_dim=1,
-        default_params=params,
-        quadrature_domain=((post_mean - 8.0, post_mean + 8.0),),
-        _log_target=log_target,
-        _log_proposal=log_proposal,
-        _sample_proposal=sample,
-        _grad_log_target=grad_target,
-        _grad_log_proposal=grad_proposal,
-    )
+    return _gaussian_proposal_model(
+        "conjugate_gaussian", ("",), (post_mean,), (0.5 * math.log(post_var),),
+        ((post_mean - 8.0, post_mean + 8.0),), log_target)
 
 
 def make_sin_toy(x_obs: float = 0.0, proposal_mean: float = 0.0,
@@ -323,36 +315,19 @@ def make_sin_toy(x_obs: float = 0.0, proposal_mean: float = 0.0,
     as phi so gradient and training paths stay exercisable.
     """
     x_obs = float(x_obs)
+    proposal_mean = float(proposal_mean)
     proposal_std = float(proposal_std)
     if not proposal_std > 0:
         raise ValueError("proposal_std must be positive")
-    params = ModelParameters(
-        ("q_mean", "q_log_std"),
-        np.array([float(proposal_mean), math.log(proposal_std)]),
-        theta_size=0,
-    )
-    log_proposal, sample, grad_proposal = _diag_gaussian_proposal(0, 1)
 
     def log_target(pts, lam):
         z = pts[:, 0]
         return _norm_logpdf(z, 0.0, 1.0) + _norm_logpdf(x_obs, np.sin(z), SIN_TOY_OBS_STD)
 
-    def grad_target(pts, lam):
-        return np.zeros((pts.shape[0], lam.size))
-
-    lo = float(proposal_mean) - 8.0 * proposal_std
-    hi = float(proposal_mean) + 8.0 * proposal_std
-    return LatentModel(
-        model_id="sin_toy",
-        latent_dim=1,
-        default_params=params,
-        quadrature_domain=((lo, hi),),
-        _log_target=log_target,
-        _log_proposal=log_proposal,
-        _sample_proposal=sample,
-        _grad_log_target=grad_target,
-        _grad_log_proposal=grad_proposal,
-    )
+    half_width = 8.0 * proposal_std
+    return _gaussian_proposal_model(
+        "sin_toy", ("",), (proposal_mean,), (math.log(proposal_std),),
+        ((proposal_mean - half_width, proposal_mean + half_width),), log_target)
 
 
 def make_ring(y_obs: float = 1.0) -> LatentModel:
@@ -363,33 +338,15 @@ def make_ring(y_obs: float = 1.0) -> LatentModel:
     phi = (means, log stds) of the diagonal Gaussian.
     """
     y_obs = float(y_obs)
-    default_std = math.sqrt(0.5)
-    params = ModelParameters(
-        ("q_mean_1", "q_mean_2", "q_log_std_1", "q_log_std_2"),
-        np.array([0.0, 0.0, math.log(default_std), math.log(default_std)]),
-        theta_size=0,
-    )
-    log_proposal, sample, grad_proposal = _diag_gaussian_proposal(0, 2)
 
     def log_target(pts, lam):
         r = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
         prior = _norm_logpdf(pts, 0.0, 1.0).sum(axis=1)
         return prior + _norm_logpdf(y_obs, r, RING_OBS_STD)
 
-    def grad_target(pts, lam):
-        return np.zeros((pts.shape[0], lam.size))
-
-    return LatentModel(
-        model_id="ring",
-        latent_dim=2,
-        default_params=params,
-        quadrature_domain=((-4.0, 4.0), (-4.0, 4.0)),
-        _log_target=log_target,
-        _log_proposal=log_proposal,
-        _sample_proposal=sample,
-        _grad_log_target=grad_target,
-        _grad_log_proposal=grad_proposal,
-    )
+    log_std = math.log(math.sqrt(0.5))
+    return _gaussian_proposal_model("ring", ("_1", "_2"), (0.0, 0.0), (log_std, log_std),
+                                    ((-4.0, 4.0), (-4.0, 4.0)), log_target)
 
 
 @dataclass(frozen=True)
@@ -443,14 +400,6 @@ def make_bayes_regression(data: BayesRegressionDataset) -> LatentModel:
     resid = y - intercept - slope * x
     dof = max(data.n - 2, 1)
     resid_std = float(np.sqrt(resid @ resid / dof))
-    params = ModelParameters(
-        ("q_mean_alpha", "q_mean_beta", "q_mean_log_sigma",
-         "q_log_std_alpha", "q_log_std_beta", "q_log_std_log_sigma"),
-        np.array([intercept, slope, math.log(resid_std),
-                  math.log(3.0), math.log(0.05), math.log(0.3)]),
-        theta_size=0,
-    )
-    log_proposal, sample, grad_proposal = _diag_gaussian_proposal(0, 3)
 
     def log_target(pts, lam):
         a = pts[:, 0:1]
@@ -462,23 +411,11 @@ def make_bayes_regression(data: BayesRegressionDataset) -> LatentModel:
         prior = -1.5 * np.log1p(b[:, 0] ** 2)
         return prior + loglik
 
-    def grad_target(pts, lam):
-        return np.zeros((pts.shape[0], lam.size))
-
-    means = params.values[:3]
-    stds = np.exp(params.values[3:])
-    domain = tuple((float(m - 8 * s), float(m + 8 * s)) for m, s in zip(means, stds))
-    return LatentModel(
-        model_id="bayes_regression",
-        latent_dim=3,
-        default_params=params,
-        quadrature_domain=domain,
-        _log_target=log_target,
-        _log_proposal=log_proposal,
-        _sample_proposal=sample,
-        _grad_log_target=grad_target,
-        _grad_log_proposal=grad_proposal,
-    )
+    means = (intercept, slope, math.log(resid_std))
+    log_stds = (math.log(3.0), math.log(0.05), math.log(0.3))
+    domain = [(m - 8 * s, m + 8 * s) for m, s in zip(means, np.exp(log_stds).tolist())]
+    return _gaussian_proposal_model("bayes_regression", ("_alpha", "_beta", "_log_sigma"),
+                                    means, log_stds, domain, log_target)
 
 
 def _bayes_regression_from_seed(seed: int = 0, n: int = 20) -> LatentModel:

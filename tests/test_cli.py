@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from hvi.cli import main
+from hvi.estimators import PartitionSchedule
+from hvi.gradients import BoundObjective, train
+from hvi.models import make_conjugate_gaussian, make_sin_toy, quadrature_local_evidence
+from hvi.tuning import DEFAULT_TEST_BETAS
 
 
 def run_cli(args):
@@ -167,6 +171,23 @@ def test_train_flat_trace_with_zero_learning_rate(tmp_path):
         assert row[2:] == first_params
 
 
+def test_train_partial_schedule_takes_the_bound_default_kind(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "sin_toy",
+        "sample_size": 50,
+        "seed": 4,
+        "training": {"bound": "tvo", "schedule": {"partitions": 10},
+                     "steps": 3, "learning_rate": 1e-2},
+    })
+    out = tmp_path / "trace.csv"
+    assert run_cli(["train", "--config", cfg, "--out", out]) == 0
+    _, rows = read_csv(out)
+    objective = BoundObjective(bound="tvo", schedule=PartitionSchedule.log(10), sample_size=50)
+    trace = train(make_sin_toy(), None, objective, 3, 1e-2, 4)
+    assert [[float(v) for v in row[1:]] for row in rows] == [
+        [trace.objective[i], *trace.params[i]] for i in range(len(trace))]
+
+
 def test_train_with_mmd_column(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "model": "bayes_regression",
@@ -221,11 +242,20 @@ def test_oracle_report(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "model": "conjugate_gaussian",
         "model_params": {"sigma": 1.0, "x_obs": 0.0},
+        "oracle": {"alphas": [0.0, 0.5, 1.0]},
     })
     out = tmp_path / "oracle.json"
     assert run_cli(["oracle", "--config", cfg, "--out", out]) == 0
     report = json.loads(out.read_text())
     assert report["log_marginal"] == pytest.approx(-0.5 * math.log(4 * math.pi), abs=1e-8)
+    model = make_conjugate_gaussian(1.0, 0.0)
+    assert list(report["local_evidence"]) == ["0", "0.5", "1"]
+    for alpha in (0.0, 0.5, 1.0):
+        values = report["local_evidence"][f"{alpha:g}"]
+        assert list(values) == [f"{b:g}" for b in DEFAULT_TEST_BETAS]
+        for beta in DEFAULT_TEST_BETAS:
+            assert values[f"{beta:g}"] == pytest.approx(
+                quadrature_local_evidence(model, alpha, beta), rel=1e-12, abs=1e-15)
 
 
 def test_oracle_does_not_require_seed(tmp_path):

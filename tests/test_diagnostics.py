@@ -8,7 +8,6 @@ from scipy.stats import spearmanr
 
 from hvi import models
 from hvi.diagnostics import (
-    MmdConfig,
     approx_error,
     curve_profile,
     ess,
@@ -122,11 +121,6 @@ def test_mmd_dimension_mismatch():
         mmd(np.zeros((5, 2)), np.zeros((5, 3)))
     with pytest.raises(ValueError):
         mmd(np.zeros((0, 2)), np.zeros((5, 2)))
-
-
-def test_mmd_config_validation():
-    with pytest.raises(ValueError):
-        MmdConfig(bandwidth=0.0)
 
 
 # ---------------------------------------------------------------------------

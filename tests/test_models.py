@@ -315,3 +315,38 @@ def test_make_model_registry():
 def test_make_model_bayes_regression_from_seed():
     model = make_model("bayes_regression", {"seed": 1})
     assert model.latent_dim == 3
+
+
+# model id -> (model params, names, theta_size, values, quadrature domain); the
+# names are the `hvi train` CSV header.  Bayes-regression means and domain are
+# the seed-0 OLS fit, recorded as exact 17-digit literals.
+PINNED_DEFAULTS = {
+    "scaled_factor": ({"scale": 2.0}, ("log_scale",), 1, [math.log(2.0)], ((-8.0, 8.0),)),
+    "conjugate_gaussian": (
+        {"sigma": 0.7, "x_obs": 1.3}, ("q_mean", "q_log_std"), 0,
+        [1.3 / (1.0 + 0.7**2), 0.5 * math.log(0.7**2 / (1.0 + 0.7**2))],
+        ((1.3 / (1.0 + 0.7**2) - 8.0, 1.3 / (1.0 + 0.7**2) + 8.0),)),
+    "sin_toy": ({}, ("q_mean", "q_log_std"), 0, [0.0, math.log(1.5)], ((-12.0, 12.0),)),
+    "ring": ({}, ("q_mean_1", "q_mean_2", "q_log_std_1", "q_log_std_2"), 0,
+             [0.0, 0.0, math.log(math.sqrt(0.5)), math.log(math.sqrt(0.5))],
+             ((-4.0, 4.0), (-4.0, 4.0))),
+    "bayes_regression": (
+        {"seed": 0},
+        ("q_mean_alpha", "q_mean_beta", "q_mean_log_sigma",
+         "q_log_std_alpha", "q_log_std_beta", "q_log_std_log_sigma"),
+        0,
+        [25.993092075955776, 0.47413785776332484, 1.1468253915089248,
+         math.log(3.0), math.log(0.05), math.log(0.3)],
+        ((1.9930920759557722, 49.99309207595578), (0.07413785776332477, 0.874137857763325),
+         (-1.253174608491075, 3.546825391508925))),
+}
+
+
+@pytest.mark.parametrize("model_id", models.MODEL_IDS)
+def test_builtin_default_parameters_are_pinned(model_id):
+    params, names, theta_size, values, domain = PINNED_DEFAULTS[model_id]
+    model = make_model(model_id, params)
+    assert model.default_params.names == names
+    assert model.default_params.theta_size == theta_size
+    assert model.default_params.values.tolist() == values
+    assert model.quadrature_domain == domain
