@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .diagnostics import curve_profile, mcmc_reference, mmd
 from .estimators import (
-    DEFAULT_PARTITIONS,
     IntegrationRule,
     PartitionSchedule,
     _bound_schedule,
@@ -249,10 +248,12 @@ def cmd_train(cfg: ExperimentConfig) -> str:
                                    delta=delta, rule=rule, sample_size=cfg.sample_size)
     except ValueError as exc:
         raise ConfigError(f"config.training.bound: {exc}") from None
-    # single-knot bounds ignore the schedule, but a configured one is still checked
-    default = _bound_schedule(objective.bound) or PartitionSchedule.uniform(DEFAULT_PARTITIONS)
+    schedule, default = training.get("schedule"), _bound_schedule(objective.bound)
+    if schedule is not None and default is None:
+        raise ConfigError(f"config.training.schedule: bound {objective.bound!r} has a "
+                          "single knot and takes no schedule")
     objective = replace(objective, schedule=_schedule_from(
-        training.get("schedule"), "training.schedule", default))
+        schedule, "training.schedule", default))
     steps = int(training.get("steps", 100))
     learning_rate = float(training.get("learning_rate", 1e-3))
     init = training.get("init")

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
+from . import paths
 from .estimators import draw_batch, local_evidence_curve
 from .models import GridSpec, LatentModel, quadrature_log_marginal
 from .paths import PathSpec
@@ -102,6 +103,22 @@ def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
 MMD_BANDWIDTH = 0.5
 
 
+def _kernel_mean(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
+    """Mean of exp(-gamma |x_i - y_j|^2) over all pairs, summed over row blocks of x.
+
+    Each block holds at most paths.BLOCK_ELEMENTS kernel entries (and at
+    least one row), so memory stays bounded whatever the sample sizes.
+    """
+    rows = max(1, paths.BLOCK_ELEMENTS // y.shape[0])
+    total = 0.0
+    for start in range(0, x.shape[0], rows):
+        block = cdist(x[start:start + rows], y, "sqeuclidean")
+        block *= -gamma
+        np.exp(block, out=block)
+        total += block.sum()
+    return total / (x.shape[0] * y.shape[0])
+
+
 def mmd(sample_a, sample_b) -> float:
     """Biased (V-statistic) Gaussian-kernel MMD between two samples.
 
@@ -109,7 +126,9 @@ def mmd(sample_a, sample_b) -> float:
     ``sample_b`` (the reference, e.g. MCMC ground truth), then compared with
     kernel exp(-|x-y|^2 / (2 h^2)), h = MMD_BANDWIDTH.  The V-statistic
     includes diagonal terms, so the squared discrepancy is nonnegative by
-    construction; the square root is returned.
+    construction; the square root is returned.  The three kernel means are
+    summed over row blocks, so memory is bounded by paths.BLOCK_ELEMENTS
+    entries rather than growing with the product of the sample sizes.
     """
     a = np.atleast_2d(np.asarray(sample_a, dtype=float))
     b = np.atleast_2d(np.asarray(sample_b, dtype=float))
@@ -123,9 +142,9 @@ def mmd(sample_a, sample_b) -> float:
     a = (a - center) / scale
     b = (b - center) / scale
     gamma = 0.5 / MMD_BANDWIDTH**2
-    k_aa = np.exp(-gamma * cdist(a, a, "sqeuclidean")).mean()
-    k_bb = np.exp(-gamma * cdist(b, b, "sqeuclidean")).mean()
-    k_ab = np.exp(-gamma * cdist(a, b, "sqeuclidean")).mean()
+    k_aa = _kernel_mean(a, a, gamma)
+    k_bb = _kernel_mean(b, b, gamma)
+    k_ab = _kernel_mean(a, b, gamma)
     return float(math.sqrt(max(k_aa + k_bb - 2.0 * k_ab, 0.0)))
 
 

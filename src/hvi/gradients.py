@@ -36,6 +36,7 @@ from .estimators import (
     PartitionSchedule,
     _bound_path,
     _bound_schedule,
+    _curve_values,
     draw_batch,
     rule_weights,
 )
@@ -73,7 +74,7 @@ class GradientEstimate:
 
 def _block_terms(spec: PathSpec, block: PathBlock, log_ratio: np.ndarray,
                  grad_l0: np.ndarray, grad_f: np.ndarray, weights: np.ndarray):
-    """Weighted sums over one kernel block of terms (i), (ii) and the influences.
+    """A kernel block's curve values and weighted sums of terms (i), (ii), influences.
 
     grad log pi_beta = grad L0 + dh/df grad f and grad g = dg/df grad f, so
     the per-sample contribution to the covariance identity at each beta is
@@ -81,18 +82,20 @@ def _block_terms(spec: PathSpec, block: PathBlock, log_ratio: np.ndarray,
     influence subtracts w times that beta's estimate.
     """
     dh_df, w_dg_df = path_gradient_coeffs(spec, block, log_ratio)
-    centered = block.wg - block.wg.sum(axis=1, keepdims=True) * block.w
+    values = block.wg.sum(axis=1)
+    centered = block.wg - values[:, None] * block.w
     along_f = dh_df * centered
     term_i = centered @ grad_l0 + along_f @ grad_f
     term_ii = w_dg_df @ grad_f
     influence = (centered[:, :, None] * grad_l0 + (along_f + w_dg_df)[:, :, None] * grad_f
                  - block.w[:, :, None] * (term_i + term_ii)[:, None, :])
-    return weights @ term_i, weights @ term_ii, np.tensordot(weights, influence, axes=1)
+    return (values, weights @ term_i, weights @ term_ii,
+            np.tensordot(weights, influence, axes=1))
 
 
-def _path_grad(model: LatentModel, params, spec: PathSpec, betas, weights,
-               batch: ImportanceBatch) -> GradientEstimate:
-    """sum_k weights_k grad_lambda E_(spec,betas_k), in one pass over the batch.
+def _path_step(model: LatentModel, params, spec: PathSpec, betas, weights,
+               batch: ImportanceBatch) -> tuple[float, GradientEstimate]:
+    """(sum_k weights_k E_(spec,betas_k), its gradient over lambda) in one batch pass.
 
     The batch's cached log densities supply the weights, so the model is only
     asked for its two gradient fields, once per batch.  Knots of zero weight
@@ -103,20 +106,23 @@ def _path_grad(model: LatentModel, params, spec: PathSpec, betas, weights,
     if not model.has_gradients:
         raise ValueError(f"model {model.model_id!r} does not provide gradients")
     weights = np.asarray(weights, dtype=float)
-    used = weights != 0.0
-    betas, weights = np.asarray(betas, dtype=float)[used], weights[used]
+    knots = np.flatnonzero(weights)
     lam = model._resolve(params)
     grad_l0 = model.grad_log_proposal(batch.z, lam)
     grad_f = model.grad_log_target(batch.z, lam) - grad_l0
-    start, blocks = 0, []
-    for block in path_weights(spec, betas, batch.log_ratio):
-        stop = start + len(block.betas)
-        blocks.append(_block_terms(spec, block, batch.log_ratio, grad_l0, grad_f,
-                                   weights[start:stop]))
-        start = stop
+    # skipped knots add nothing to the sum, so leaving their curve entries 0
+    # keeps the value bitwise the estimators' weights @ curve
+    curve, start, blocks = np.zeros(weights.size), 0, []
+    for block in path_weights(spec, np.asarray(betas, dtype=float)[knots], batch.log_ratio):
+        rows = knots[start:start + len(block.betas)]
+        values, *terms = _block_terms(spec, block, batch.log_ratio, grad_l0, grad_f,
+                                      weights[rows])
+        curve[rows] = values
+        blocks.append(terms)
+        start += rows.size
     term_i, term_ii, influence = (sum(parts) for parts in zip(*blocks))
-    return GradientEstimate(term_i=term_i, term_ii=term_ii,
-                            std_err=np.sqrt(np.sum(influence ** 2, axis=0)))
+    return float(weights @ curve), GradientEstimate(
+        term_i=term_i, term_ii=term_ii, std_err=np.sqrt(np.sum(influence ** 2, axis=0)))
 
 
 def local_evidence_grad(model: LatentModel, params, spec: PathSpec, beta: float,
@@ -128,15 +134,15 @@ def local_evidence_grad(model: LatentModel, params, spec: PathSpec, beta: float,
     drawn from the proposal at this very parameter vector for the weights to
     be valid.
     """
-    return _path_grad(model, params, spec, [beta], [1.0], batch)
+    return _path_step(model, params, spec, [beta], [1.0], batch)[1]
 
 
 def bound_grad(model: LatentModel, params, spec: PathSpec,
                schedule: PartitionSchedule, rule: IntegrationRule,
                batch: ImportanceBatch) -> GradientEstimate:
     """Gradient of the Riemann-integrated bound: rule-weighted sum over the schedule."""
-    return _path_grad(model, params, spec, schedule.betas,
-                      rule_weights(schedule.betas, rule), batch)
+    return _path_step(model, params, spec, schedule.betas,
+                      rule_weights(schedule.betas, rule), batch)[1]
 
 
 def finite_difference_grad(model: LatentModel, params,
@@ -185,12 +191,15 @@ class BoundObjective:
         param = _BOUNDS[self.bound].param
         return getattr(self, param) if param else None
 
+    def _path(self):
+        """(PathSpec, betas, rule weights) with the bound = weights @ curve(betas)."""
+        return _bound_path(self.bound, self._arg(), self.schedule, self.rule)
+
     def value(self, batch: ImportanceBatch) -> float:
         return _BOUNDS[self.bound].value(batch, self._arg(), self.schedule, self.rule)
 
     def gradient(self, model: LatentModel, params, batch: ImportanceBatch) -> GradientEstimate:
-        spec, betas, weights = _bound_path(self.bound, self._arg(), self.schedule, self.rule)
-        return _path_grad(model, params, spec, betas, weights, batch)
+        return _path_step(model, params, *self._path(), batch)[1]
 
     def to_json(self) -> dict:
         schedule = _bound_schedule(self.bound, self.schedule)
@@ -226,24 +235,33 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
           learning_rate: float, seed: int) -> TrainingTrace:
     """Plain gradient ascent with a fresh batch per step.
 
-    Per-step batch seeds derive deterministically from ``seed``, so identical
-    calls produce identical traces.  If the parameters or the objective go
-    non-finite the run aborts and returns the partial trace flagged as
-    diverged.
+    Each step takes the objective's value and gradient from one pass of the
+    path kernel over its batch (the value is the kernel's weights @ curve,
+    which for the ELBO can differ from ``elbo`` in the last bits).  Per-step
+    batch seeds derive deterministically from ``seed``, so identical calls
+    produce identical traces.  If the parameters or the objective go
+    non-finite, or a step's sampling, densities or gradients fail, the run
+    aborts and returns the rows before that step flagged as diverged.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if steps and not model.has_gradients:
+        raise ValueError(f"model {model.model_id!r} does not provide gradients")
     lam = model._resolve(params0).copy()
     step_seeds = derive_seeds(seed, steps + 1)
+    spec, betas, weights = objective._path()
     rows_step, rows_lam, rows_val = [], [], []
     diverged = False
     for t in range(steps + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 batch = draw_batch(model, objective.sample_size, int(step_seeds[t]), lam)
-                value = objective.value(batch)
+                if t < steps:
+                    value, grad = _path_step(model, lam, spec, betas, weights, batch)
+                else:  # the last batch only scores the final parameters
+                    value = float(weights @ _curve_values(batch, spec, betas))
         except (ValueError, FloatingPointError):
-            # lambda drove the proposal or densities non-finite
+            # lambda drove the proposal, densities or gradients non-finite
             diverged = True
             break
         rows_step.append(t)
@@ -254,7 +272,6 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
             break
         if t == steps:
             break
-        grad = objective.gradient(model, lam, batch)
         lam = lam + learning_rate * grad.total
         if not np.all(np.isfinite(lam)):
             diverged = True

@@ -301,6 +301,17 @@ def test_bad_training_bound_names_field(tmp_path, capsys):
     assert "config.training.bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["elbo", "eubo", "wlbo", "wubo"])
+def test_train_rejects_schedule_for_single_knot_bound(tmp_path, capsys, bound):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "sin_toy", "seed": 1,
+        "training": {"bound": bound, "schedule": {"partitions": 10}, "steps": 2}})
+    out = tmp_path / "trace.csv"
+    assert run_cli(["train", "--config", cfg, "--out", out]) == 1
+    assert "config.training.schedule" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flags_override_config(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "model": "scaled_factor",

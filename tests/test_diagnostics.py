@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 from scipy.stats import spearmanr
 
-from hvi import models
+from hvi import models, paths
 from hvi.diagnostics import (
+    MMD_BANDWIDTH,
     approx_error,
     curve_profile,
     ess,
@@ -114,6 +117,47 @@ def test_mmd_separates_shifted_distributions():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(500, 1))
     assert mmd(x + 3.0, x) > 10 * mmd(x, x + 0.01)
+
+
+def _dense_mmd(a, b):
+    # the V-statistic from the full kernel matrices
+    scale = np.where(b.std(axis=0) > 0, b.std(axis=0), 1.0)
+    a, b = (a - b.mean(axis=0)) / scale, (b - b.mean(axis=0)) / scale
+    gamma = 0.5 / MMD_BANDWIDTH**2
+
+    def k(x, y):
+        return np.exp(-gamma * cdist(x, y, "sqeuclidean")).mean()
+
+    return math.sqrt(max(k(a, a) + k(b, b) - 2.0 * k(a, b), 0.0))
+
+
+@pytest.mark.parametrize("block_elements", [100, 10])
+@pytest.mark.parametrize("n, m", [(37, 23), (1, 23), (23, 1)])
+def test_mmd_blocks_match_dense_statistic(monkeypatch, block_elements, n, m):
+    # 100 // 23 = 4 rows per block leaves a ragged last block of 37 rows;
+    # 10 < 23 entries still takes one row per block
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(n, 3))
+    y = rng.normal(0.3, 1.2, size=(m, 3))
+    expected = _dense_mmd(x, y)
+    monkeypatch.setattr(paths, "BLOCK_ELEMENTS", block_elements)
+    assert mmd(x, y) == pytest.approx(expected, rel=1e-12, abs=0)
+    assert mmd(x, x) == 0.0
+
+
+def test_mmd_memory_is_bounded():
+    # criterion 11's shape: dense kernel matrices would take >= 400 MB
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(2000, 3))
+    y = rng.normal(size=(5000, 3))
+    tracemalloc.start()
+    try:
+        value = mmd(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value)
+    assert peak < 40e6
 
 
 def test_mmd_dimension_mismatch():

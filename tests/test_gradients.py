@@ -20,6 +20,7 @@ from hvi.gradients import (
     train,
 )
 from hvi.paths import PathSpec
+from hvi.util import derive_seeds
 
 SPECS = [PathSpec.geometric(), PathSpec.holder(0.5), PathSpec.holder(-0.4),
          PathSpec.wasserstein(), PathSpec.perturbed(0.05)]
@@ -260,6 +261,71 @@ def test_divergence_aborts_with_partial_trace(conjugate):
     trace = train(conjugate, None, objective, steps=200, learning_rate=1e18, seed=0)
     assert trace.diverged
     assert len(trace) < 201
+
+
+def test_gradient_failure_gives_flagged_partial_trace(conjugate):
+    calls = []
+
+    def failing(pts, lam):
+        calls.append(lam)
+        if len(calls) > 3:
+            raise ValueError("gradient failed")
+        return conjugate._grad_log_target(pts, lam)
+
+    model = dataclasses.replace(conjugate, _grad_log_target=failing)
+    objective = BoundObjective(bound="elbo", sample_size=20)
+    trace = train(model, None, objective, steps=10, learning_rate=0.01, seed=0)
+    full = train(conjugate, None, objective, steps=10, learning_rate=0.01, seed=0)
+    assert trace.diverged and not full.diverged
+    # the fourth step's gradient fails: the three steps before it are kept
+    assert len(trace) == 3
+    np.testing.assert_array_equal(trace.params, full.params[:3])
+    np.testing.assert_array_equal(trace.objective, full.objective[:3])
+
+
+_BAYES = models.make_bayes_regression(models.simulate_bayes_dataset(0, 20))
+_HBO = BoundObjective(bound="hbo", alpha=0.05, schedule=PartitionSchedule.uniform(5),
+                      sample_size=100)
+
+
+@pytest.mark.parametrize("model, objective, exact", [
+    (_BAYES, _HBO, True),  # criterion 11's HBO step from its init offset
+    (None, _HBO, True),
+    (None, BoundObjective(bound="tvo", schedule=PartitionSchedule.log(10), rule="trapezoid",
+                          sample_size=100), True),
+    (None, BoundObjective(bound="perturbed_hbo", delta=0.05, sample_size=100), True),
+    (None, BoundObjective(bound="wlbo", sample_size=100), False),
+    (None, BoundObjective(bound="elbo", sample_size=100), False),
+])
+def test_train_matches_separate_value_and_gradient(sin_toy, model, objective, exact):
+    # train takes each step's value and gradient from one kernel pass; the
+    # reference loop asks the objective for them separately
+    if model is None:
+        model, init, learning_rate = sin_toy, sin_toy.default_params.values + 0.3, 1e-2
+    else:
+        init = model.default_params.values + np.array([1.5, -0.04, 0.5, 0.0, 0.0, 0.0])
+        learning_rate = 8e-4
+    steps, seed = 40, 3
+    trace = train(model, init, objective, steps, learning_rate, seed)
+    lam, params, values = init.copy(), [], []
+    for t, step_seed in enumerate(derive_seeds(seed, steps + 1)):
+        batch = draw_batch(model, objective.sample_size, int(step_seed), lam)
+        params.append(lam.copy())
+        values.append(objective.value(batch))
+        if t < steps:
+            lam = lam + learning_rate * objective.gradient(model, lam, batch).total
+    assert not trace.diverged
+    np.testing.assert_array_equal(trace.params, params)
+    if exact:
+        np.testing.assert_array_equal(trace.objective, values)
+    else:
+        np.testing.assert_allclose(trace.objective, values, rtol=1e-12, atol=0)
+
+
+def test_train_without_gradients_raises(sin_toy):
+    stripped = dataclasses.replace(sin_toy, _grad_log_target=None)
+    with pytest.raises(ValueError):
+        train(stripped, None, BoundObjective(), steps=3, learning_rate=0.01, seed=0)
 
 
 @pytest.mark.parametrize("objective", [
