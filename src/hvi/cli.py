@@ -134,6 +134,13 @@ class ExperimentConfig:
                               "(pass --seed or set seed/seeds in the config)")
         return []
 
+    def seed(self) -> int:
+        """The seed of a single-run command; a list of several is rejected."""
+        seeds = self.seeds()
+        _require(len(seeds) == 1, "seeds",
+                 f"this command runs one seed, got {len(seeds)}; only bounds takes several")
+        return seeds[0]
+
     def echo(self) -> dict:
         resolved = dict(self.data)
         resolved.setdefault("sample_size", self.sample_size)
@@ -187,7 +194,7 @@ def cmd_curve(cfg: ExperimentConfig) -> str:
     model = cfg.model()
     schedule = _schedule_from(cfg.data.get("schedule", {}), "schedule",
                               PartitionSchedule.uniform(20))
-    seed = cfg.seeds()[0]
+    seed = cfg.seed()
     batch = draw_batch(model, cfg.sample_size, seed)
     alphas = cfg.data.get("alphas")
     rows = []
@@ -207,7 +214,7 @@ def cmd_curve(cfg: ExperimentConfig) -> str:
 
 def cmd_tune(cfg: ExperimentConfig) -> str:
     model = cfg.model()
-    seed = cfg.seeds()[0]
+    seed = cfg.seed()
     tuning = cfg.data.get("tuning", {})
     _check_keys(tuning, ("method", "candidates", "betas", "alpha_lo", "alpha_hi",
                          "tolerance", "max_iters"), "tuning")
@@ -234,7 +241,7 @@ def cmd_tune(cfg: ExperimentConfig) -> str:
 
 def cmd_train(cfg: ExperimentConfig) -> str:
     model = cfg.model()
-    seed = cfg.seeds()[0]
+    seed = cfg.seed()
     training = cfg.data.get("training", {})
     _check_keys(training, ("bound", "alpha", "delta", "schedule", "rule", "steps",
                            "learning_rate", "init", "mmd_every", "mmd_sample",
@@ -294,7 +301,7 @@ def cmd_train(cfg: ExperimentConfig) -> str:
 
 def cmd_diagnose(cfg: ExperimentConfig) -> str:
     model = cfg.model()
-    seed = cfg.seeds()[0]
+    seed = cfg.seed()
     diag = cfg.data.get("diagnose", {})
     _check_keys(diag, ("path", "betas", "replicates"), "diagnose")
     spec = PathSpec.from_json(diag.get("path", {"kind": "geometric"}))

@@ -20,7 +20,7 @@ from . import paths
 from .estimators import draw_batch, local_evidence_curve
 from .models import GridSpec, LatentModel, quadrature_log_marginal
 from .paths import PathSpec
-from .util import derive_seeds
+from .util import derive_seeds, log_abs_expm1
 
 __all__ = [
     "ess",
@@ -251,7 +251,7 @@ def approx_error(model_family: Callable[[float], LatentModel], x_grid=None,
     integrand = np.empty(x_grid.size)
     for i, x in enumerate(x_grid):
         model = model_family(float(x))
-        p_true = math.exp(quadrature_log_marginal(model, grid))
-        p_hat = math.exp(estimate(model))
-        integrand[i] = p_true * abs(p_true - p_hat)
+        # p |p - p_hat| = exp(2 log p + log |p_hat/p - 1|), finite whenever it is
+        log_p = quadrature_log_marginal(model, grid)
+        integrand[i] = math.exp(2.0 * log_p + float(log_abs_expm1(estimate(model) - log_p)))
     return float(np.trapezoid(integrand, x_grid))

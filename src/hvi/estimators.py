@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .models import LatentModel
-from .paths import PathSpec, path_weights
+from .paths import PathBlock, PathSpec, path_weights
 from .util import logmeanexp
 
 __all__ = [
@@ -139,19 +139,39 @@ def _curve_values(batch: ImportanceBatch, spec: PathSpec, betas) -> np.ndarray:
                            for block in path_weights(spec, betas, batch.log_ratio)])
 
 
+def _block_influence(block: PathBlock) -> tuple[np.ndarray, np.ndarray]:
+    """A kernel block's local evidences E_k and influences phi_ks = w_ks (g_ks - E_k)."""
+    values = block.wg.sum(axis=1)
+    return values, block.wg - values[:, None] * block.w
+
+
+def _reduce_curve(batch: ImportanceBatch, spec: PathSpec, betas, coef=None):
+    """(values, std errs, ESS) per beta, and the std errs of ``coef @ values``.
+
+    Delta-method errors (Owen, Monte Carlo theory, methods and examples, 2013,
+    ch. 9) over one batch: sqrt(sum_s phi_ks^2) per beta and, for each row of
+    the matrix ``coef``, sqrt(sum_s ((coef phi)_s)^2), which keeps the
+    correlation of betas that reweight the same samples.  None without ``coef``.
+    """
+    parts, combo, start = [], 0.0, 0
+    for block in path_weights(spec, betas, batch.log_ratio):
+        values, phi = _block_influence(block)
+        if coef is not None:
+            combo = combo + coef[:, start:start + values.size] @ phi
+        start += values.size
+        parts.append((values, np.sqrt(np.sum(phi ** 2, axis=1)),
+                      1.0 / (batch.size * np.sum(block.w * block.w, axis=1))))
+    values, std_errs, ess = (np.concatenate(column) for column in zip(*parts))
+    return values, std_errs, ess, None if coef is None else np.sqrt(np.sum(combo ** 2, axis=1))
+
+
 def local_evidence_curve(batch: ImportanceBatch, spec: PathSpec,
                          betas) -> list[LocalEvidenceEstimate]:
     """Local evidence at several beta from the same batch (correlated across beta)."""
-    estimates = []
-    for block in path_weights(spec, betas, batch.log_ratio):
-        values = block.wg.sum(axis=1)
-        ess = 1.0 / (batch.size * np.sum(block.w * block.w, axis=1))
-        std_errs = np.sqrt(np.sum((block.wg - values[:, None] * block.w) ** 2, axis=1))
-        estimates.extend(
-            LocalEvidenceEstimate(value=float(v), std_err=float(se), ess=float(e),
+    values, std_errs, ess, _ = _reduce_curve(batch, spec, betas)
+    return [LocalEvidenceEstimate(value=float(v), std_err=float(se), ess=float(e),
                                   degenerate=batch.size == 1)
-            for v, se, e in zip(values, std_errs, ess))
-    return estimates
+            for v, se, e in zip(values, std_errs, ess)]
 
 
 def local_evidence(batch: ImportanceBatch, spec: PathSpec, beta: float) -> LocalEvidenceEstimate:

@@ -34,6 +34,7 @@ from .estimators import (
     ImportanceBatch,
     IntegrationRule,
     PartitionSchedule,
+    _block_influence,
     _bound_path,
     _bound_schedule,
     _curve_values,
@@ -78,16 +79,15 @@ def _block_terms(spec: PathSpec, block: PathBlock, log_ratio: np.ndarray,
 
     grad log pi_beta = grad L0 + dh/df grad f and grad g = dg/df grad f, so
     the per-sample contribution to the covariance identity at each beta is
-    (grad L0 + dh/df grad f) (w g - w gbar) + w dg/df grad f; the sample's
-    influence subtracts w times that beta's estimate.
+    (grad L0 + dh/df grad f) phi + w dg/df grad f with phi = w (g - gbar); the
+    sample's influence subtracts w times that beta's estimate.
     """
     dh_df, w_dg_df = path_gradient_coeffs(spec, block, log_ratio)
-    values = block.wg.sum(axis=1)
-    centered = block.wg - values[:, None] * block.w
-    along_f = dh_df * centered
-    term_i = centered @ grad_l0 + along_f @ grad_f
+    values, phi = _block_influence(block)
+    along_f = dh_df * phi
+    term_i = phi @ grad_l0 + along_f @ grad_f
     term_ii = w_dg_df @ grad_f
-    influence = (centered[:, :, None] * grad_l0 + (along_f + w_dg_df)[:, :, None] * grad_f
+    influence = (phi[:, :, None] * grad_l0 + (along_f + w_dg_df)[:, :, None] * grad_f
                  - block.w[:, :, None] * (term_i + term_ii)[:, None, :])
     return (values, weights @ term_i, weights @ term_ii,
             np.tensordot(weights, influence, axes=1))
@@ -153,16 +153,12 @@ def finite_difference_grad(model: LatentModel, params,
     The oracle counterpart of the sampled gradients: ``objective`` is expected
     to be deterministic in (model, lambda), e.g. a quadrature local evidence.
     """
-    lam = model._resolve(params).copy()
+    lam = model._resolve(params)
     if step <= 0:
         raise ValueError("step must be positive")
     out = np.empty(lam.size)
-    for j in range(lam.size):
-        bumped = lam.copy()
-        bumped[j] = lam[j] + step
-        hi = objective(model, bumped)
-        bumped[j] = lam[j] - step
-        lo = objective(model, bumped)
+    for j, bump in enumerate(step * np.eye(lam.size)):
+        hi, lo = objective(model, lam + bump), objective(model, lam - bump)
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise ValueError("objective returned a non-finite value")
         out[j] = (hi - lo) / (2.0 * step)

@@ -1,13 +1,13 @@
 """Selection of the power-mean order alpha that flattens the evidence curve.
 
 A flat thermodynamic curve means every local evidence already equals the log
-marginal likelihood, so the Riemann sum needs almost no partitions.  Two
-searches are provided: a grid pass that keeps the candidate with the smallest
-estimated curve range, and a bisection on the sign of the curve slope, which
-exploits that the curve rises for alpha at 0 and falls at 1.  All candidate
-evaluations reuse one shared proposal batch (common random numbers), so range
-and slope comparisons across alpha are low-variance and the per-search cost is
-a countable number of local-evidence evaluations.
+marginal likelihood, so the Riemann sum needs almost no partitions.  A grid
+pass keeps the candidate with the smallest curve range; a bisection follows
+the sign of the curve slope, which rises for alpha at 0 and falls at 1.  All
+candidates reuse one proposal batch (common random numbers), so comparisons
+across alpha are low-variance, the cost is a countable number of
+local-evidence evaluations, and flatness (``CurveSummary.is_flat``, the one
+significance rule) is judged with delta-method std errs over that batch.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import ImportanceBatch, draw_batch, local_evidence_curve
+from .estimators import ImportanceBatch, _reduce_curve, draw_batch
 from .models import LatentModel
 from .paths import PathSpec
 
@@ -36,6 +36,9 @@ __all__ = [
 DEFAULT_TEST_BETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 SLOPE_SIGNIFICANCE = 3.0  # slopes count as nonzero beyond this many std errs
+# ... and beyond this many ulps of the least-squares sum, whose inputs are
+# batch sums carrying a few ulps of rounding each
+SLOPE_ROUNDING = 64.0
 
 
 class BracketError(ValueError):
@@ -47,7 +50,9 @@ class CurveSummary:
     """Per-beta local evidence for one alpha, with flatness statistics.
 
     ``value_range`` is max - min of the estimates; ``slope`` the least-squares
-    slope of value against beta, with its propagated standard error.
+    slope of value against beta.  All betas reweight one batch, so
+    ``std_errs`` and ``slope_std_err`` are delta-method errors over the
+    per-sample influences of that batch, correlations across beta included.
     """
 
     alpha: float
@@ -55,30 +60,19 @@ class CurveSummary:
     values: np.ndarray
     std_errs: np.ndarray
     ess: np.ndarray
+    slope: float
+    slope_std_err: float
 
     @property
     def value_range(self) -> float:
         return float(np.max(self.values) - np.min(self.values))
 
-    @property
-    def slope(self) -> float:
-        b = np.asarray(self.betas)
-        coef = (b - b.mean()) / np.sum((b - b.mean()) ** 2)
-        # coef sums to zero only up to rounding; the shift makes the slope of
-        # an exactly constant curve exactly zero rather than rounding noise
-        return float(coef @ (self.values - self.values[0]))
-
-    @property
-    def slope_std_err(self) -> float:
-        # Per-beta errors are treated as independent, which overstates the
-        # spread for a shared batch; significance calls are conservative.
-        b = np.asarray(self.betas)
-        coef = (b - b.mean()) / np.sum((b - b.mean()) ** 2)
-        return float(np.sqrt(np.sum((coef * self.std_errs) ** 2)))
-
     def is_flat(self) -> bool:
-        """Slope statistically indistinguishable from zero."""
-        return abs(self.slope) <= SLOPE_SIGNIFICANCE * self.slope_std_err
+        """|slope| within SLOPE_SIGNIFICANCE std errs or within the rounding
+        floor SLOPE_ROUNDING * eps * max|values| * sum|coef| of coef @ values."""
+        floor = float(SLOPE_ROUNDING * np.finfo(float).eps * np.max(np.abs(self.values))
+                      * np.sum(np.abs(_slope_coef(self.betas))))
+        return abs(self.slope) <= max(SLOPE_SIGNIFICANCE * self.slope_std_err, floor)
 
     def to_json(self) -> dict:
         return {
@@ -93,20 +87,25 @@ class CurveSummary:
         }
 
 
+def _slope_coef(betas) -> np.ndarray:
+    """Least-squares row: slope = coef @ values."""
+    b = np.asarray(betas)
+    return (b - b.mean()) / np.sum((b - b.mean()) ** 2)
+
+
 def summarize_curve(batch: ImportanceBatch, alpha: float, betas) -> CurveSummary:
     """Local evidence at the test betas for one alpha, from a shared batch."""
     betas = tuple(float(b) for b in betas)
     if len(betas) < 2:
         raise ValueError("need at least two test betas")
-    spec = PathSpec.holder(float(alpha))
-    estimates = local_evidence_curve(batch, spec, betas)
-    return CurveSummary(
-        alpha=float(alpha),
-        betas=betas,
-        values=np.array([e.value for e in estimates]),
-        std_errs=np.array([e.std_err for e in estimates]),
-        ess=np.array([e.ess for e in estimates]),
-    )
+    coef = _slope_coef(betas)
+    values, std_errs, ess, (slope_std_err,) = _reduce_curve(
+        batch, PathSpec.holder(float(alpha)), betas, coef[None, :])
+    # coef sums to zero only up to rounding; the shift makes the slope of an
+    # exactly constant curve exactly zero rather than rounding noise
+    return CurveSummary(alpha=float(alpha), betas=betas, values=values, std_errs=std_errs,
+                        ess=ess, slope=float(coef @ (values - values[0])),
+                        slope_std_err=float(slope_std_err))
 
 
 def curve_summary(model: LatentModel, alpha: float, betas=DEFAULT_TEST_BETAS,
@@ -155,19 +154,14 @@ def tune_alpha_grid(model: LatentModel, candidates: Sequence[float],
     if not candidates:
         raise ValueError("need at least one candidate alpha")
     batch = draw_batch(model, sample_size, seed, params)
-    table = []
-    best: Optional[CurveSummary] = None
-    for alpha in sorted(candidates):
-        summary = summarize_curve(batch, alpha, betas)
-        table.append(summary)
-        if best is None or summary.value_range < best.value_range:
-            best = summary
+    table = tuple(summarize_curve(batch, alpha, betas) for alpha in sorted(candidates))
+    best = min(table, key=lambda summary: summary.value_range)
     return AlphaSearchResult(
         alpha=best.alpha,
         method="grid",
         evaluations=len(candidates) * len(tuple(betas)),
         summary=best,
-        table=tuple(table),
+        table=table,
     )
 
 
@@ -178,9 +172,9 @@ def tune_alpha_bisect(model: LatentModel, alpha_lo: float = 0.05, alpha_hi: floa
     """Bisect on the sign of the curve slope between a rising and a falling alpha.
 
     The bracket is validated first: the slope at ``alpha_lo`` must be
-    significantly positive and at ``alpha_hi`` significantly negative (3 std
-    errs), else BracketError.  Stops when the bracket is narrower than
-    ``tolerance`` or the midpoint slope is statistically zero; hitting
+    positive and at ``alpha_hi`` negative, neither flat by
+    ``CurveSummary.is_flat``, else BracketError.  Stops when the bracket is
+    narrower than ``tolerance`` or the midpoint curve is flat; hitting
     ``max_iters`` returns the last midpoint flagged as not converged.
     """
     alpha_lo, alpha_hi = float(alpha_lo), float(alpha_hi)
@@ -190,15 +184,12 @@ def tune_alpha_bisect(model: LatentModel, alpha_lo: float = 0.05, alpha_hi: floa
         raise ValueError("tolerance must be positive")
     betas = tuple(float(b) for b in betas)
     batch = draw_batch(model, sample_size, seed, params)
-    evaluations = 0
-
     lo_summary = summarize_curve(batch, alpha_lo, betas)
     hi_summary = summarize_curve(batch, alpha_hi, betas)
-    evaluations += 2 * len(betas)
-    if not (lo_summary.slope > SLOPE_SIGNIFICANCE * lo_summary.slope_std_err):
+    if lo_summary.is_flat() or not lo_summary.slope > 0:
         raise BracketError(
             f"curve slope at alpha_lo={alpha_lo:g} is not significantly positive")
-    if not (hi_summary.slope < -SLOPE_SIGNIFICANCE * hi_summary.slope_std_err):
+    if hi_summary.is_flat() or not hi_summary.slope < 0:
         raise BracketError(
             f"curve slope at alpha_hi={alpha_hi:g} is not significantly negative")
 
@@ -210,21 +201,17 @@ def tune_alpha_bisect(model: LatentModel, alpha_lo: float = 0.05, alpha_hi: floa
         mid = 0.5 * (lo + hi)
         mid_summary = summarize_curve(batch, mid, betas)
         table.append(mid_summary)
-        evaluations += len(betas)
         if mid_summary.is_flat():
             converged = True
             break
-        if mid_summary.slope > 0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if mid_summary.slope > 0 else (lo, mid)
         if hi - lo < tolerance:
             converged = True
             break
     return AlphaSearchResult(
         alpha=mid_summary.alpha,
         method="bisect",
-        evaluations=evaluations,
+        evaluations=len(table) * len(betas),
         summary=mid_summary,
         table=tuple(table),
         converged=converged,

@@ -312,6 +312,18 @@ def test_train_rejects_schedule_for_single_knot_bound(tmp_path, capsys, bound):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["curve", "tune", "train", "diagnose"])
+def test_single_run_commands_reject_several_seeds(tmp_path, capsys, command):
+    # only bounds loops over seeds; the others must not drop all but the first
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "sin_toy", "seeds": [1, 2], "sample_size": 50,
+        "training": {"steps": 2}, "diagnose": {"replicates": 2, "betas": [0.0, 1.0]}})
+    out = tmp_path / "out.txt"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 1
+    assert "config.seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flags_override_config(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "model": "scaled_factor",

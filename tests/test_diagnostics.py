@@ -225,6 +225,18 @@ def test_approx_error_zero_for_exact_oracle():
     assert err == pytest.approx(0.0, abs=1e-12)
 
 
+def test_approx_error_survives_large_log_estimates():
+    # p_hat = e^720 overflows a double, but p |p - p_hat| ~ e^668 does not
+    def family(x):
+        return models.make_sin_toy(x_obs=x)
+
+    x_grid = [2.0, 2.1]
+    err = approx_error(family, x_grid, lambda m: 720.0)
+    log_p = [models.quadrature_log_marginal(family(x)) for x in x_grid]
+    terms = [math.exp(lp + 720.0 + math.log1p(-math.exp(lp - 720.0))) for lp in log_p]
+    assert err == pytest.approx(0.05 * sum(terms), rel=1e-12)
+
+
 def test_approx_error_nonnegative_and_orders_budgets(sin_toy):
     x_grid = np.linspace(-1.5, 1.5, 31)
     sched_fine = PartitionSchedule.uniform(40)

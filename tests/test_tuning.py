@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from hvi import models
+from hvi import models, paths
 from hvi.estimators import draw_batch
+from hvi.paths import PathSpec
 from hvi.tuning import (
     DEFAULT_TEST_BETAS,
     BracketError,
@@ -13,6 +15,7 @@ from hvi.tuning import (
     tune_alpha_bisect,
     tune_alpha_grid,
 )
+from hvi.util import derive_seeds
 
 INTERIOR_BETAS = (0.0, 0.25, 0.5, 0.75)
 
@@ -36,6 +39,53 @@ def test_scaled_factor_wasserstein_curve_range(scaled_two):
 def test_sin_toy_geometric_slope_significant(sin_toy):
     summary = curve_summary(sin_toy, 0.0, DEFAULT_TEST_BETAS, 10_000, seed=1)
     assert summary.slope > 3 * summary.slope_std_err
+
+
+@pytest.mark.parametrize("scale", [3.0, 7.5])
+def test_rounding_noise_slope_is_flat(scale):
+    # exactly constant in theory (log scale at every beta); the least-squares
+    # sum of the computed values reads a few ulps, with an even smaller std err
+    summary = curve_summary(models.make_scaled_factor(scale), 0.0, DEFAULT_TEST_BETAS,
+                            500, seed=0)
+    assert summary.slope != 0.0 and abs(summary.slope) > 3 * summary.slope_std_err
+    assert summary.is_flat()
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_slope_std_err_is_calibrated(sin_toy, alpha):
+    # every test beta reweights one batch, so the slope's std err must carry
+    # their correlation; treating the betas as independent overstates it
+    b = np.asarray(DEFAULT_TEST_BETAS)
+    coef = (b - b.mean()) / np.sum((b - b.mean()) ** 2)
+    exact = coef @ models.quadrature_local_evidence_curve(sin_toy, alpha, DEFAULT_TEST_BETAS)
+    summaries = [summarize_curve(draw_batch(sin_toy, 1000, int(seed)), alpha, DEFAULT_TEST_BETAS)
+                 for seed in derive_seeds(0, 500)]
+    slopes = np.array([s.slope for s in summaries])
+    std_errs = np.array([s.slope_std_err for s in summaries])
+    assert np.mean(std_errs) == pytest.approx(np.std(slopes, ddof=1), rel=0.15)
+    # the mean z-score is not tested: the self-normalized bias shifts it
+    assert 0.85 <= np.std((slopes - exact) / std_errs, ddof=1) <= 1.15
+
+
+def test_slope_std_err_is_the_delta_method_over_kernel_blocks(sin_toy, monkeypatch):
+    # reference: per-beta influences phi_k = w_k (g - E_k) from the pointwise
+    # path forms, combined across beta before squaring
+    batch = draw_batch(sin_toy, 400, 5)
+    spec = PathSpec.holder(0.6)
+    phi = []
+    for beta in DEFAULT_TEST_BETAS:
+        log_w = (paths.blend_log_density(spec, batch.log_proposal, batch.log_target, beta)
+                 - batch.log_proposal)
+        w = np.exp(log_w - logsumexp(log_w))
+        g = paths.blend_integrand(spec, batch.log_proposal, batch.log_target, beta)
+        phi.append(w * (g - w @ g))
+    b = np.asarray(DEFAULT_TEST_BETAS)
+    coef = (b - b.mean()) / np.sum((b - b.mean()) ** 2)
+    monkeypatch.setattr(paths, "BLOCK_ELEMENTS", 2 * batch.size)  # blocks of 2, 2, 1 betas
+    summary = summarize_curve(batch, 0.6, DEFAULT_TEST_BETAS)
+    np.testing.assert_allclose(summary.std_errs, np.sqrt(np.sum(np.square(phi), axis=1)),
+                               rtol=1e-10)
+    assert summary.slope_std_err == pytest.approx(np.sqrt(np.sum((coef @ phi) ** 2)), rel=1e-10)
 
 
 def test_summary_requires_two_betas(sin_toy):
