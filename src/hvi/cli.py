@@ -1,11 +1,11 @@
 """Command-line front end: reproducible experiments emitting CSV/JSON.
 
 Subcommands: bounds, curve, tune, train, diagnose, oracle.  Configuration
-comes from a JSON file (--config) with flag overrides; every estimator command
-requires an explicit seed (no wall-clock seeding anywhere).  Outputs are
-deterministic byte-for-byte given the same resolved configuration: floats are
-written with 17 significant digits and a sorted-key config echo lands next to
-each output file.
+comes from a JSON file (--config) with flag overrides; each subcommand offers
+only the flags it reads, and every estimator command requires an explicit seed
+(no wall-clock seeding anywhere).  Outputs are deterministic byte-for-byte
+given the same resolved configuration: floats are written with 17 significant
+digits and a sorted-key config echo lands next to each output file.
 """
 
 from __future__ import annotations
@@ -66,26 +66,30 @@ def _require(condition: bool, field: str, message: str):
 
 
 def _check_keys(obj: dict, allowed: Sequence[str], field: str):
+    _require(isinstance(obj, dict), field, "must be an object")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ConfigError(f"config.{field}: unknown keys {unknown}")
 
 
 def _schedule_from(obj: Optional[dict], field: str,
-                   default: PartitionSchedule) -> Optional[PartitionSchedule]:
-    """The configured schedule, missing fields taken from ``default``; None when absent."""
+                   default: Optional[PartitionSchedule]) -> Optional[PartitionSchedule]:
+    """The configured schedule, missing fields taken from ``default``; ``default`` when absent."""
     if obj is None:
-        return None
+        return default
     _check_keys(obj, ("kind", "partitions", "betas"), field)
     if "betas" in obj:
         return PartitionSchedule(np.asarray(obj["betas"], dtype=float))
     kind = obj.get("kind", default.kind)
-    partitions = int(obj.get("partitions", default.partitions))
-    if kind == "uniform":
-        return PartitionSchedule.uniform(partitions)
-    if kind == "log":
-        return PartitionSchedule.log(partitions)
-    raise ConfigError(f"config.{field}.kind: unknown schedule kind {kind!r}")
+    _require(kind in ("uniform", "log"), f"{field}.kind", f"unknown schedule kind {kind!r}")
+    return getattr(PartitionSchedule, kind)(int(obj.get("partitions", default.partitions)))
+
+
+def _path_from(obj, field: str) -> PathSpec:
+    try:
+        return PathSpec.from_json(obj)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"config.{field}: {exc}") from None
 
 
 _TOP_KEYS = (
@@ -99,8 +103,6 @@ class ExperimentConfig:
     """Validated union of config-file values and command-line overrides."""
 
     def __init__(self, data: dict):
-        if not isinstance(data, dict):
-            raise ConfigError("config: top level must be a JSON object")
         _check_keys(data, _TOP_KEYS, "<root>")
         self.data = data
         _require("model" in data, "model", "required")
@@ -120,19 +122,17 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"config.model_params: {exc}") from None
 
-    def seeds(self, required: bool = True) -> list[int]:
+    def seeds(self) -> list[int]:
+        """The seeds to run: ``seeds``, else ``seed`` (which ``--seed`` sets)."""
         data = self.data
         if "seeds" in data:
             seeds = data["seeds"]
             _require(isinstance(seeds, list) and len(seeds) > 0, "seeds",
                      "must be a non-empty list of integers")
             return [int(s) for s in seeds]
-        if "seed" in data:
-            return [int(data["seed"])]
-        if required:
-            raise ConfigError("config.seed: estimator commands require an explicit seed "
-                              "(pass --seed or set seed/seeds in the config)")
-        return []
+        _require("seed" in data, "seed", "estimator commands require an explicit seed "
+                 "(pass --seed or set seed/seeds in the config)")
+        return [int(data["seed"])]
 
     def seed(self) -> int:
         """The seed of a single-run command; a list of several is rejected."""
@@ -172,7 +172,8 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 def cmd_bounds(cfg: ExperimentConfig) -> str:
     model = cfg.model()
     bounds = cfg.data.get("bounds", ["elbo", "iw_elbo", "eubo", "wlbo", "wubo", "tvo"])
-    _require(isinstance(bounds, list) and bounds, "bounds", "must be a non-empty list")
+    _require(isinstance(bounds, list) and bounds and all(isinstance(b, str) for b in bounds),
+             "bounds", "must be a non-empty list of bound ids")
     _require(len(set(bounds)) == len(bounds), "bounds", "bound ids must be distinct")
     for b in bounds:
         try:
@@ -192,8 +193,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
 
 def cmd_curve(cfg: ExperimentConfig) -> str:
     model = cfg.model()
-    schedule = _schedule_from(cfg.data.get("schedule", {}), "schedule",
-                              PartitionSchedule.uniform(20))
+    schedule = _schedule_from(cfg.data.get("schedule"), "schedule", PartitionSchedule.uniform(20))
     seed = cfg.seed()
     batch = draw_batch(model, cfg.sample_size, seed)
     alphas = cfg.data.get("alphas")
@@ -205,7 +205,7 @@ def cmd_curve(cfg: ExperimentConfig) -> str:
             for beta, est in zip(schedule.betas, curve):
                 rows.append([float(alpha), beta, est.value, est.std_err, est.ess])
         return _csv(["alpha", "beta", "value", "std_err", "ess"], rows)
-    spec = PathSpec.from_json(cfg.data.get("path", {"kind": "geometric"}))
+    spec = _path_from(cfg.data.get("path", {"kind": "geometric"}), "path")
     curve = local_evidence_curve(batch, spec, schedule.betas)
     for beta, est in zip(schedule.betas, curve):
         rows.append([beta, est.value, est.std_err, est.ess])
@@ -269,11 +269,10 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     reference = None
     mmd_every = int(training.get("mmd_every", 0))
     if mmd_every:
-        mcmc_cfg = dict(training.get("mcmc", {}))
+        mcmc_cfg = training.get("mcmc", {})
         _check_keys(mcmc_cfg, ("chains", "steps", "burn_in", "thin", "step_size", "seed"),
                     "training.mcmc")
-        mcmc_cfg.setdefault("seed", seed)
-        reference = mcmc_reference(model, **mcmc_cfg).pooled
+        reference = mcmc_reference(model, **{"seed": seed, **mcmc_cfg}).pooled
     mmd_sample = int(training.get("mmd_sample", 2000))
 
     trace = train(model, params0, objective, steps, learning_rate, seed)
@@ -304,7 +303,7 @@ def cmd_diagnose(cfg: ExperimentConfig) -> str:
     seed = cfg.seed()
     diag = cfg.data.get("diagnose", {})
     _check_keys(diag, ("path", "betas", "replicates"), "diagnose")
-    spec = PathSpec.from_json(diag.get("path", {"kind": "geometric"}))
+    spec = _path_from(diag.get("path", {"kind": "geometric"}), "diagnose.path")
     betas = diag.get("betas", np.linspace(0.0, 1.0, 21).tolist())
     replicates = int(diag.get("replicates", 50))
     profile = curve_profile(model, spec, betas, cfg.sample_size, replicates, seed)
@@ -336,13 +335,15 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+# Per command: its handler, whether it draws samples (and so offers --seed and
+# --sample-size), and whether it reads cfg.rule (and so offers --rule).
 _COMMANDS = {
-    "bounds": (cmd_bounds, True),
-    "curve": (cmd_curve, True),
-    "tune": (cmd_tune, True),
-    "train": (cmd_train, True),
-    "diagnose": (cmd_diagnose, True),
-    "oracle": (cmd_oracle, False),
+    "bounds": (cmd_bounds, True, True),
+    "curve": (cmd_curve, True, False),
+    "tune": (cmd_tune, True, False),
+    "train": (cmd_train, True, True),
+    "diagnose": (cmd_diagnose, True, False),
+    "oracle": (cmd_oracle, False, False),
 }
 
 
@@ -353,14 +354,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "estimators, tuning, training and diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, samples, reads_rule) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="master seed (required for estimator commands)")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--model", choices=MODEL_IDS, help="model id override")
-        p.add_argument("--sample-size", type=int, dest="sample_size")
-        p.add_argument("--rule", choices=["left", "right", "trapezoid"])
+        if samples:
+            p.add_argument("--seed", type=int, help="master seed; replaces seed/seeds")
+            p.add_argument("--sample-size", type=int, dest="sample_size")
+        if reads_rule:
+            p.add_argument("--rule", choices=[r.value for r in IntegrationRule])
     return parser
 
 
@@ -372,6 +375,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config: invalid JSON ({exc})") from None
+    _require(isinstance(data, dict), "<root>", "must be an object")
+    if getattr(args, "seed", None) is not None:
+        data.pop("seeds", None)
     for key in ("seed", "out", "model", "sample_size", "rule"):
         value = getattr(args, key, None)
         if value is not None:
@@ -381,19 +387,16 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    handler, needs_seed = _COMMANDS[args.command]
     try:
         cfg = _load_config(args)
-        if needs_seed:
-            cfg.seeds(required=True)
-        text = handler(cfg)
+        text = _COMMANDS[args.command][0](cfg)
         _write_output(cfg.out, text, cfg.echo())
     except ComputationFailure as exc:
         # flagged output is still delivered, marker included
         _write_output(cfg.out, exc.text, cfg.echo())
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -174,32 +174,30 @@ class LatentModel:
     def has_gradients(self) -> bool:
         return self._grad_log_target is not None and self._grad_log_proposal is not None
 
-    def log_target(self, z, params=None):
+    def _evaluate(self, fn: Optional[Callable], z, params):
+        """fn at canonicalized points and resolved lambda; one point gives one row."""
+        if fn is None:
+            raise ValueError(f"model {self.model_id!r} does not provide gradients")
         pts, single = _as_points(z, self.latent_dim)
-        out = self._log_target(pts, self._resolve(params))
-        return float(out[0]) if single else out
+        out = fn(pts, self._resolve(params))
+        if not single:
+            return out
+        return float(out[0]) if out.ndim == 1 else out[0]
+
+    def log_target(self, z, params=None):
+        return self._evaluate(self._log_target, z, params)
 
     def log_proposal(self, z, params=None):
-        pts, single = _as_points(z, self.latent_dim)
-        out = self._log_proposal(pts, self._resolve(params))
-        return float(out[0]) if single else out
+        return self._evaluate(self._log_proposal, z, params)
 
     def sample_proposal(self, rng: np.random.Generator, size: int, params=None):
         return self._sample_proposal(rng, self._resolve(params), int(size))
 
     def grad_log_target(self, z, params=None):
-        if self._grad_log_target is None:
-            raise ValueError(f"model {self.model_id!r} does not provide gradients")
-        pts, single = _as_points(z, self.latent_dim)
-        out = self._grad_log_target(pts, self._resolve(params))
-        return out[0] if single else out
+        return self._evaluate(self._grad_log_target, z, params)
 
     def grad_log_proposal(self, z, params=None):
-        if self._grad_log_proposal is None:
-            raise ValueError(f"model {self.model_id!r} does not provide gradients")
-        pts, single = _as_points(z, self.latent_dim)
-        out = self._grad_log_proposal(pts, self._resolve(params))
-        return out[0] if single else out
+        return self._evaluate(self._grad_log_proposal, z, params)
 
 
 def _gaussian_proposal_model(model_id: str, suffixes, means, log_stds, domain,
@@ -483,12 +481,8 @@ def quadrature_grid(model: LatentModel, grid: Optional[GridSpec] = None):
         w[0] = w[-1] = 0.5 * h
         axes.append(axis)
         log_ws.append(np.log(w))
-    if model.latent_dim == 1:
-        return axes[0].reshape(-1, 1), log_ws[0]
-    za, zb = np.meshgrid(axes[0], axes[1], indexing="ij")
-    pts = np.column_stack([za.ravel(), zb.ravel()])
-    logw = (log_ws[0][:, None] + log_ws[1][None, :]).ravel()
-    return pts, logw
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh]), sum(np.ix_(*log_ws)).ravel()
 
 
 def _grid_log_densities(model, grid, params):

@@ -62,15 +62,18 @@ GEOMETRIC_ALPHA_CUTOFF = 1e-6
 # |delta| << 1, so large values warn instead of raising.
 PERTURBATION_GUARD = 0.2
 
-_KINDS = ("geometric", "holder", "wasserstein", "perturbed")
+# Per path kind: the PathSpec field that carries its parameter, if any.
+_KINDS = {"geometric": None, "holder": "alpha", "wasserstein": None, "perturbed": "delta"}
 
 
 @dataclass(frozen=True)
 class PathSpec:
     """Which interpolation family to use, plus its parameter.
 
-    ``holder(0)`` behaves identically to ``geometric()`` and ``holder(1)``
-    identically to ``wasserstein()``.
+    Only ``holder`` takes ``alpha`` and only ``perturbed`` takes ``delta``; a
+    nonzero parameter the kind does not take is rejected.  ``holder(0)``
+    behaves identically to ``geometric()`` and ``holder(1)`` identically to
+    ``wasserstein()``.
     """
 
     kind: str
@@ -79,9 +82,14 @@ class PathSpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown path kind {self.kind!r}; expected one of {_KINDS}")
-        if not np.isfinite(self.alpha) or not np.isfinite(self.delta):
-            raise ValueError("path parameters must be finite")
+            raise ValueError(f"unknown path kind {self.kind!r}; expected one of {tuple(_KINDS)}")
+        for name in ("alpha", "delta"):
+            value = float(getattr(self, name))
+            object.__setattr__(self, name, value)
+            if not np.isfinite(value):
+                raise ValueError("path parameters must be finite")
+            if value != 0.0 and name != _KINDS[self.kind]:
+                raise ValueError(f"path kind {self.kind!r} takes no {name}")
         if self.kind == "perturbed" and abs(self.delta) > PERTURBATION_GUARD:
             warnings.warn(
                 f"perturbed path with |delta| = {abs(self.delta):g} > {PERTURBATION_GUARD}; "
@@ -95,7 +103,7 @@ class PathSpec:
 
     @classmethod
     def holder(cls, alpha: float) -> "PathSpec":
-        return cls("holder", alpha=float(alpha))
+        return cls("holder", alpha=alpha)
 
     @classmethod
     def wasserstein(cls) -> "PathSpec":
@@ -103,7 +111,7 @@ class PathSpec:
 
     @classmethod
     def perturbed(cls, delta: float) -> "PathSpec":
-        return cls("perturbed", delta=float(delta))
+        return cls("perturbed", delta=delta)
 
     def branch(self) -> tuple[str, float]:
         """Resolve to the actual evaluation branch: (name, parameter)."""
@@ -118,26 +126,17 @@ class PathSpec:
         return ("perturbed", self.delta)
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "holder":
-            out["alpha"] = self.alpha
-        elif self.kind == "perturbed":
-            out["delta"] = self.delta
-        return out
+        name = _KINDS[self.kind]
+        return {"kind": self.kind, **({name: getattr(self, name)} if name else {})}
 
     @classmethod
-    def from_json(cls, data: dict) -> "PathSpec":
+    def from_json(cls, data) -> "PathSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"path must be an object with a 'kind', got {data!r}")
         extra = set(data) - {"kind", "alpha", "delta"}
         if extra:
             raise ValueError(f"unknown path keys: {sorted(extra)}")
-        kind = data.get("kind")
-        if kind == "holder":
-            return cls.holder(data.get("alpha", 0.0))
-        if kind == "perturbed":
-            return cls.perturbed(data.get("delta", 0.0))
-        if kind in ("geometric", "wasserstein"):
-            return cls(kind)
-        raise ValueError(f"unknown path kind {kind!r}")
+        return cls(**{"kind": None, **data})
 
 
 # Elements per pass of path_weights.  Fixed, so memory stays bounded on dense

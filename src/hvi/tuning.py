@@ -13,7 +13,7 @@ significance rule) is judged with delta-method std errs over that batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -182,6 +182,8 @@ def tune_alpha_bisect(model: LatentModel, alpha_lo: float = 0.05, alpha_hi: floa
         raise ValueError("alpha_lo must be smaller than alpha_hi")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     betas = tuple(float(b) for b in betas)
     batch = draw_batch(model, sample_size, seed, params)
     lo_summary = summarize_curve(batch, alpha_lo, betas)
@@ -195,7 +197,6 @@ def tune_alpha_bisect(model: LatentModel, alpha_lo: float = 0.05, alpha_hi: floa
 
     table = [lo_summary, hi_summary]
     lo, hi = alpha_lo, alpha_hi
-    mid_summary: Optional[CurveSummary] = None
     converged = False
     for _ in range(max_iters):
         mid = 0.5 * (lo + hi)

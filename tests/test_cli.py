@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ def test_bounds_requires_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_seed_flag_replaces_config_seeds(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "sin_toy", "sample_size": 32, "seeds": [1, 2], "bounds": ["elbo"]})
+    out = tmp_path / "b.csv"
+    assert run_cli(["bounds", "--config", cfg, "--seed", 9, "--out", out]) == 0
+    _, rows = read_csv(out)
+    assert [row[0] for row in rows] == ["9"]
+    echo = json.loads((tmp_path / "b.csv.config.json").read_text())
+    assert echo["seed"] == 9 and "seeds" not in echo
+
+
 # ---------------------------------------------------------------------------
 # curve
 # ---------------------------------------------------------------------------
@@ -98,6 +110,16 @@ def test_curve_constant_for_scaled_factor(tmp_path):
     np.testing.assert_allclose(betas, np.linspace(0, 1, 11), atol=1e-15)
     for row in rows:
         assert float(row[1]) == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_curve_null_schedule_takes_the_default(tmp_path):
+    outs = []
+    for name, extra in (("absent", {}), ("null", {"schedule": None})):
+        cfg = write_config(tmp_path, f"{name}.json",
+                           {"model": "sin_toy", "sample_size": 32, "seed": 4, **extra})
+        outs.append(tmp_path / f"{name}.csv")
+        assert run_cli(["curve", "--config", cfg, "--out", outs[-1]]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_bounds_matched_budget_configuration(tmp_path):
@@ -136,6 +158,16 @@ def test_curve_alpha_surface(tmp_path):
 # ---------------------------------------------------------------------------
 # tune / train / diagnose / oracle
 # ---------------------------------------------------------------------------
+
+def test_tune_rejects_zero_bisection_iterations(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "sin_toy", "sample_size": 10_000, "seed": 3,
+        "tuning": {"method": "bisect", "max_iters": 0, "betas": [0.0, 0.25, 0.5, 0.75]}})
+    out = tmp_path / "tune.json"
+    assert run_cli(["tune", "--config", cfg, "--out", out]) == 1
+    assert "max_iters" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_tune_emits_result_json(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
@@ -322,6 +354,65 @@ def test_single_run_commands_reject_several_seeds(tmp_path, capsys, command):
     assert run_cli([command, "--config", cfg, "--out", out]) == 1
     assert "config.seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, field, path", [
+    ("curve", "config.path", {"kind": "holder", "delta": 0.3}),
+    ("curve", "config.path", "holder"),
+    ("diagnose", "config.diagnose.path", {"kind": "geometric", "alpha": 0.8}),
+])
+def test_path_errors_name_their_field(tmp_path, capsys, command, field, path):
+    data = {"model": "sin_toy", "seed": 1, "sample_size": 50}
+    data.update({"path": path} if command == "curve" else {"diagnose": {"path": path}})
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", write_config(tmp_path, "cfg.json", data),
+                    "--out", out]) == 1
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# One malformed field per command: each must end in an error line, not a traceback.
+@pytest.mark.parametrize("command, field", [
+    ("bounds", {"sample_size": None}),
+    ("curve", {"schedule": 5}),
+    ("tune", {"tuning": {"candidates": 0.5}}),
+    ("train", {"training": 5}),
+    ("diagnose", {"diagnose": {"replicates": None}}),
+    ("oracle", {"oracle": {"alphas": 0.5}}),
+    ("bounds", {"bounds": [None]}),
+])
+def test_malformed_config_is_an_error_not_a_traceback(tmp_path, capsys, command, field):
+    cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", "seed": 1, **field})
+    out = tmp_path / "out.txt"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+_COMMON_FLAGS = {"--help", "--config", "--out", "--model"}
+_SAMPLING_FLAGS = {"--seed", "--sample-size"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("bounds", _COMMON_FLAGS | _SAMPLING_FLAGS | {"--rule"}),
+    ("curve", _COMMON_FLAGS | _SAMPLING_FLAGS),
+    ("tune", _COMMON_FLAGS | _SAMPLING_FLAGS),
+    ("train", _COMMON_FLAGS | _SAMPLING_FLAGS | {"--rule"}),
+    ("diagnose", _COMMON_FLAGS | _SAMPLING_FLAGS),
+    ("oracle", _COMMON_FLAGS),
+])
+def test_help_lists_exactly_the_flags_the_command_reads(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == flags
+
+
+@pytest.mark.parametrize("argv", [["oracle", "--seed", 1], ["curve", "--rule", "left"]])
+def test_flag_the_command_does_not_read_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
 
 
 def test_flags_override_config(tmp_path):

@@ -294,7 +294,7 @@ _HBO = BoundObjective(bound="hbo", alpha=0.05, schedule=PartitionSchedule.unifor
     (None, BoundObjective(bound="tvo", schedule=PartitionSchedule.log(10), rule="trapezoid",
                           sample_size=100), True),
     (None, BoundObjective(bound="perturbed_hbo", delta=0.05, sample_size=100), True),
-    (None, BoundObjective(bound="wlbo", sample_size=100), False),
+    (None, BoundObjective(bound="wlbo", sample_size=100), True),
     (None, BoundObjective(bound="elbo", sample_size=100), False),
 ])
 def test_train_matches_separate_value_and_gradient(sin_toy, model, objective, exact):

@@ -1,0 +1,80 @@
+"""Standard-library lint: every import is used and every ``__all__`` entry exists.
+
+Parses each ``hvi`` module and each script with ``ast``; nothing is imported.
+A name counts as used when it is read anywhere in the file, appears in a
+string annotation, or is re-exported through ``__all__``; the package
+``__init__`` re-exports everything it imports from its own modules.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted((ROOT / "src" / "hvi").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def _imports(tree: ast.Module, skip_relative: bool = False) -> dict:
+    """Bound name -> line, for every import except ``__future__``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module != "__future__"
+              and not (skip_relative and node.level)):
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _all_entries(tree: ast.Module) -> list:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _read(tree: ast.AST) -> set:
+    """Names read anywhere in ``tree``, string annotations included."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        else:
+            continue
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            names |= _read(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def _defined(tree: ast.Module) -> set:
+    """Names bound at module level."""
+    names = set(_imports(ast.Module(body=tree.body, type_ignores=[])))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _read(tree) | set(_all_entries(tree))
+    imports = _imports(tree, skip_relative=path.name == "__init__.py")
+    unused = {name: line for name, line in imports.items() if name not in used}
+    assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_all_names_are_defined(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    missing = sorted(set(_all_entries(tree)) - _defined(tree))
+    assert not missing, f"{path.name}: __all__ names that are not defined {missing}"

@@ -38,6 +38,24 @@ def test_pathspec_validation_and_json_roundtrip():
         PathSpec.from_json({"kind": "holder", "alpha": 0.5, "oops": 1})
 
 
+@pytest.mark.parametrize("data", [
+    {"kind": "holder", "delta": 0.3},
+    {"kind": "geometric", "alpha": 0.8},
+    {"kind": "perturbed", "alpha": 0.1, "delta": 0.05},
+    "holder",
+])
+def test_from_json_rejects_foreign_parameters_and_non_objects(data):
+    # dropping a parameter of another kind would silently run a different path
+    with pytest.raises(ValueError):
+        PathSpec.from_json(data)
+
+
+def test_constructor_rejects_a_parameter_its_kind_does_not_take():
+    with pytest.raises(ValueError, match="takes no alpha"):
+        PathSpec("wasserstein", alpha=0.5)
+    assert PathSpec("holder", alpha=0.5, delta=0.0) == PathSpec.holder(0.5)
+
+
 def test_perturbed_guard_warns():
     with pytest.warns(UserWarning):
         PathSpec.perturbed(0.5)

@@ -187,6 +187,11 @@ def test_bisect_validates_bracket_order(sin_toy):
         tune_alpha_bisect(sin_toy, 0.9, 0.1, DEFAULT_TEST_BETAS, 100, seed=0)
 
 
+def test_bisect_rejects_zero_iterations(sin_toy):
+    with pytest.raises(ValueError, match="max_iters"):
+        tune_alpha_bisect(sin_toy, 0.05, 0.95, INTERIOR_BETAS, 100, max_iters=0, seed=3)
+
+
 def test_bisect_deterministic(sin_toy):
     a = tune_alpha_bisect(sin_toy, 0.05, 0.95, INTERIOR_BETAS, 2000, seed=7)
     b = tune_alpha_bisect(sin_toy, 0.05, 0.95, INTERIOR_BETAS, 2000, seed=7)
