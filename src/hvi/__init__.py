@@ -67,7 +67,6 @@ from .paths import PathSpec, path_weights
 from .tuning import (
     AlphaSearchResult,
     CurveSummary,
-    curve_summary,
     tune_alpha_bisect,
     tune_alpha_grid,
 )

@@ -1,11 +1,12 @@
 """Command-line front end: reproducible experiments emitting CSV/JSON.
 
 Subcommands: bounds, curve, tune, train, diagnose, oracle.  Configuration
-comes from a JSON file (--config) with flag overrides; each subcommand offers
-only the flags it reads, and every estimator command requires an explicit seed
-(no wall-clock seeding anywhere).  Outputs are deterministic byte-for-byte
-given the same resolved configuration: floats are written with 17 significant
-digits and a sorted-key config echo lands next to each output file.
+comes from a JSON file (--config) with flag overrides; each subcommand accepts
+only the config keys and offers only the flags it reads, and every estimator
+command requires an explicit seed (no wall-clock seeding anywhere).  Outputs
+are deterministic byte-for-byte given the same resolved configuration: floats
+are written with 17 significant digits and a sorted-key config echo lands next
+to each output file.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import curve_profile, mcmc_reference, mmd
 from .estimators import (
+    DEFAULT_PARTITIONS,
     IntegrationRule,
     PartitionSchedule,
     _bound_schedule,
@@ -72,67 +74,82 @@ def _check_keys(obj: dict, allowed: Sequence[str], field: str):
         raise ConfigError(f"config.{field}: unknown keys {unknown}")
 
 
+def _read(obj: dict, field: str, cast, default=None):
+    """``cast`` of the value at ``field`` (``section.key``) of ``obj``, else ``default``.
+
+    A key without a default is optional: null stands for absent and gives
+    None.  A value ``cast`` rejects is reported as ``config.<field>``.
+    """
+    value = obj.get(field.rpartition(".")[2], default)
+    if value is None and default is None:
+        return None
+    try:
+        return cast(value)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.{field}: {exc}") from None
+
+
+def _numbers(value, cast=float) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"must be a list of numbers, got {value!r}")
+    return [cast(v) for v in value]
+
+
 def _schedule_from(obj: Optional[dict], field: str,
                    default: Optional[PartitionSchedule]) -> Optional[PartitionSchedule]:
     """The configured schedule, missing fields taken from ``default``; ``default`` when absent."""
     if obj is None:
         return default
     _check_keys(obj, ("kind", "partitions", "betas"), field)
-    if "betas" in obj:
-        return PartitionSchedule(np.asarray(obj["betas"], dtype=float))
+    custom = _read(obj, f"{field}.betas", PartitionSchedule)
+    if custom is not None:
+        return custom
     kind = obj.get("kind", default.kind)
     _require(kind in ("uniform", "log"), f"{field}.kind", f"unknown schedule kind {kind!r}")
-    return getattr(PartitionSchedule, kind)(int(obj.get("partitions", default.partitions)))
-
-
-def _path_from(obj, field: str) -> PathSpec:
-    try:
-        return PathSpec.from_json(obj)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config.{field}: {exc}") from None
-
-
-_TOP_KEYS = (
-    "model", "model_params", "seed", "seeds", "sample_size", "schedule",
-    "tvo_schedule", "rule", "bounds", "path", "alphas", "tuning", "training",
-    "diagnose", "oracle", "out",
-)
+    build = getattr(PartitionSchedule, kind)
+    return _read(obj, f"{field}.partitions", lambda n: build(int(n)), default.partitions)
 
 
 class ExperimentConfig:
-    """Validated union of config-file values and command-line overrides."""
+    """Validated union of config-file values and command-line overrides.
 
-    def __init__(self, data: dict):
-        _check_keys(data, _TOP_KEYS, "<root>")
+    ``keys`` are the top-level keys the command reads besides model,
+    model_params and out; any other key is rejected.
+    """
+
+    def __init__(self, data: dict, keys: Sequence[str]):
+        _check_keys(data, ("model", "model_params", "out", *keys), "<root>")
         self.data = data
         _require("model" in data, "model", "required")
         _require(data["model"] in MODEL_IDS, "model",
                  f"unknown model {data['model']!r}; expected one of {MODEL_IDS}")
         self.model_id = data["model"]
-        self.model_params = data.get("model_params", {})
-        _require(isinstance(self.model_params, dict), "model_params", "must be an object")
-        self.sample_size = int(data.get("sample_size", 1000))
+        _require(isinstance(data.get("model_params", {}), dict), "model_params",
+                 "must be an object")
+        self.sample_size = _read(data, "sample_size", int, 1000)
         _require(self.sample_size >= 1, "sample_size", "must be >= 1")
-        self.rule = IntegrationRule.parse(data.get("rule", "left"))
+        self.rule = _read(data, "rule", IntegrationRule.parse, "left")
         self.out = data.get("out")
 
     def model(self):
-        try:
-            return make_model(self.model_id, self.model_params)
-        except ValueError as exc:
-            raise ConfigError(f"config.model_params: {exc}") from None
+        return _read(self.data, "model_params",
+                     lambda params: make_model(self.model_id, params), {})
 
     def seeds(self) -> list[int]:
-        """The seeds to run: ``seeds``, else ``seed`` (which ``--seed`` sets)."""
+        """The seeds to run: ``seeds`` or ``seed`` (which ``--seed`` sets), never both."""
         data = self.data
+        _require("seed" not in data or "seeds" not in data, "seeds",
+                 "give seed or seeds, not both")
         if "seeds" in data:
-            seeds = data["seeds"]
-            _require(isinstance(seeds, list) and len(seeds) > 0, "seeds",
-                     "must be a non-empty list of integers")
-            return [int(s) for s in seeds]
-        _require("seed" in data, "seed", "estimator commands require an explicit seed "
+            seeds = _read(data, "seeds", lambda value: _numbers(value, int))
+            _require(seeds, "seeds", "must be a non-empty list of integers")
+            return seeds
+        seed = _read(data, "seed", int)
+        _require(seed is not None, "seed", "estimator commands require an explicit seed "
                  "(pass --seed or set seed/seeds in the config)")
-        return [int(data["seed"])]
+        return [seed]
 
     def seed(self) -> int:
         """The seed of a single-run command; a list of several is rejected."""
@@ -175,11 +192,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
     _require(isinstance(bounds, list) and bounds and all(isinstance(b, str) for b in bounds),
              "bounds", "must be a non-empty list of bound ids")
     _require(len(set(bounds)) == len(bounds), "bounds", "bound ids must be distinct")
-    for b in bounds:
-        try:
-            parse_bound_id(b)
-        except ValueError as exc:
-            raise ConfigError(f"config.bounds: {exc}") from None
+    _read(cfg.data, "bounds", lambda ids: [parse_bound_id(b) for b in ids])
     tvo_schedule = _schedule_from(cfg.data.get("tvo_schedule"), "tvo_schedule",
                                   _bound_schedule("tvo"))
     hbo_schedule = _schedule_from(cfg.data.get("schedule"), "schedule", _bound_schedule("hbo"))
@@ -196,47 +209,56 @@ def cmd_curve(cfg: ExperimentConfig) -> str:
     schedule = _schedule_from(cfg.data.get("schedule"), "schedule", PartitionSchedule.uniform(20))
     seed = cfg.seed()
     batch = draw_batch(model, cfg.sample_size, seed)
-    alphas = cfg.data.get("alphas")
+    alphas = _read(cfg.data, "alphas", _numbers)
     rows = []
     if alphas is not None:
-        _require(isinstance(alphas, list) and alphas, "alphas", "must be a non-empty list")
+        _require(alphas, "alphas", "must be a non-empty list")
         for alpha in alphas:
-            curve = local_evidence_curve(batch, PathSpec.holder(float(alpha)), schedule.betas)
+            curve = local_evidence_curve(batch, PathSpec.holder(alpha), schedule.betas)
             for beta, est in zip(schedule.betas, curve):
-                rows.append([float(alpha), beta, est.value, est.std_err, est.ess])
+                rows.append([alpha, beta, est.value, est.std_err, est.ess])
         return _csv(["alpha", "beta", "value", "std_err", "ess"], rows)
-    spec = _path_from(cfg.data.get("path", {"kind": "geometric"}), "path")
+    spec = _read(cfg.data, "path", PathSpec.from_json, {"kind": "geometric"})
     curve = local_evidence_curve(batch, spec, schedule.betas)
     for beta, est in zip(schedule.betas, curve):
         rows.append([beta, est.value, est.std_err, est.ess])
     return _csv(["beta", "value", "std_err", "ess"], rows)
 
 
+# Per tuning method: the keys of the tuning object it reads besides method and betas.
+_TUNING_KEYS = {"grid": ("candidates",),
+                "bisect": ("alpha_lo", "alpha_hi", "tolerance", "max_iters")}
+
+
 def cmd_tune(cfg: ExperimentConfig) -> str:
     model = cfg.model()
     seed = cfg.seed()
     tuning = cfg.data.get("tuning", {})
-    _check_keys(tuning, ("method", "candidates", "betas", "alpha_lo", "alpha_hi",
-                         "tolerance", "max_iters"), "tuning")
+    _require(isinstance(tuning, dict), "tuning", "must be an object")
     method = tuning.get("method", "grid")
-    betas = tuning.get("betas", DEFAULT_TEST_BETAS)
+    _require(method in tuple(_TUNING_KEYS), "tuning.method", f"unknown method {method!r}")
+    _check_keys(tuning, ("method", "betas", *_TUNING_KEYS[method]), "tuning")
+    betas = _read(tuning, "tuning.betas", _numbers, DEFAULT_TEST_BETAS)
     if method == "grid":
-        candidates = tuning.get("candidates", [0.1, 0.3, 0.5, 0.7, 0.9])
+        candidates = _read(tuning, "tuning.candidates", _numbers, [0.1, 0.3, 0.5, 0.7, 0.9])
         result = tune_alpha_grid(model, candidates, betas, cfg.sample_size, seed)
-    elif method == "bisect":
+    else:
         result = tune_alpha_bisect(
             model,
-            alpha_lo=float(tuning.get("alpha_lo", 0.05)),
-            alpha_hi=float(tuning.get("alpha_hi", 0.95)),
+            alpha_lo=_read(tuning, "tuning.alpha_lo", float, 0.05),
+            alpha_hi=_read(tuning, "tuning.alpha_hi", float, 0.95),
             betas=betas,
             sample_size=cfg.sample_size,
-            tolerance=float(tuning.get("tolerance", 0.02)),
-            max_iters=int(tuning.get("max_iters", 20)),
+            tolerance=_read(tuning, "tuning.tolerance", float, 0.02),
+            max_iters=_read(tuning, "tuning.max_iters", int, 20),
             seed=seed,
         )
-    else:
-        raise ConfigError(f"config.tuning.method: unknown method {method!r}")
     return json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+# Keys of training.mcmc: the mcmc_reference argument each sets, and its type.
+_MCMC_KEYS = {"chains": int, "steps": int, "burn_in": int, "thin": int,
+              "step_size": float, "seed": int}
 
 
 def cmd_train(cfg: ExperimentConfig) -> str:
@@ -246,34 +268,30 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     _check_keys(training, ("bound", "alpha", "delta", "schedule", "rule", "steps",
                            "learning_rate", "init", "mmd_every", "mmd_sample",
                            "mcmc"), "training")
-    alpha = float(training.get("alpha", 0.0))
-    delta = float(training.get("delta", 0.0))
-    rule = IntegrationRule.parse(training.get("rule", cfg.rule))
-    try:
-        # ExperimentConfig checks sample_size, so only the bound name can fail here
-        objective = BoundObjective(bound=training.get("bound", "elbo"), alpha=alpha,
-                                   delta=delta, rule=rule, sample_size=cfg.sample_size)
-    except ValueError as exc:
-        raise ConfigError(f"config.training.bound: {exc}") from None
-    schedule, default = training.get("schedule"), _bound_schedule(objective.bound)
-    if schedule is not None and default is None:
-        raise ConfigError(f"config.training.schedule: bound {objective.bound!r} has a "
-                          "single knot and takes no schedule")
-    objective = replace(objective, schedule=_schedule_from(
-        schedule, "training.schedule", default))
-    steps = int(training.get("steps", 100))
-    learning_rate = float(training.get("learning_rate", 1e-3))
-    init = training.get("init")
-    params0 = np.asarray(init, dtype=float) if init is not None else None
+    rule = _read(training, "training.rule", IntegrationRule.parse, cfg.rule)
+    params = {key: _read(training, f"training.{key}", float, 0.0) for key in ("alpha", "delta")}
+    # ExperimentConfig checks sample_size, so only the bound and its parameters can fail here
+    objective = _read(training, "training.bound", lambda bound: BoundObjective(
+        bound=bound, **params, rule=rule, sample_size=cfg.sample_size), "elbo")
+    if training.get("schedule") is not None:
+        # BoundObjective rejects a schedule for a bound without a default one,
+        # so the uniform stand-in only fills a partial schedule to be rejected
+        default = _bound_schedule(objective.bound) or PartitionSchedule.uniform(DEFAULT_PARTITIONS)
+        objective = _read(training, "training.schedule", lambda obj: replace(
+            objective, schedule=_schedule_from(obj, "training.schedule", default)))
+    steps = _read(training, "training.steps", int, 100)
+    learning_rate = _read(training, "training.learning_rate", float, 1e-3)
+    params0 = _read(training, "training.init", lambda init: np.asarray(init, dtype=float))
 
     reference = None
-    mmd_every = int(training.get("mmd_every", 0))
+    mmd_every = _read(training, "training.mmd_every", int, 0)
     if mmd_every:
         mcmc_cfg = training.get("mcmc", {})
-        _check_keys(mcmc_cfg, ("chains", "steps", "burn_in", "thin", "step_size", "seed"),
-                    "training.mcmc")
-        reference = mcmc_reference(model, **{"seed": seed, **mcmc_cfg}).pooled
-    mmd_sample = int(training.get("mmd_sample", 2000))
+        _check_keys(mcmc_cfg, tuple(_MCMC_KEYS), "training.mcmc")
+        mcmc = {key: _read(mcmc_cfg, f"training.mcmc.{key}", cast)
+                for key, cast in _MCMC_KEYS.items() if mcmc_cfg.get(key) is not None}
+        reference = mcmc_reference(model, **{"seed": seed, **mcmc}).pooled
+    mmd_sample = _read(training, "training.mmd_sample", int, 2000)
 
     trace = train(model, params0, objective, steps, learning_rate, seed)
     names = model.default_params.names
@@ -303,9 +321,9 @@ def cmd_diagnose(cfg: ExperimentConfig) -> str:
     seed = cfg.seed()
     diag = cfg.data.get("diagnose", {})
     _check_keys(diag, ("path", "betas", "replicates"), "diagnose")
-    spec = _path_from(diag.get("path", {"kind": "geometric"}), "diagnose.path")
-    betas = diag.get("betas", np.linspace(0.0, 1.0, 21).tolist())
-    replicates = int(diag.get("replicates", 50))
+    spec = _read(diag, "diagnose.path", PathSpec.from_json, {"kind": "geometric"})
+    betas = _read(diag, "diagnose.betas", _numbers, np.linspace(0.0, 1.0, 21).tolist())
+    replicates = _read(diag, "diagnose.replicates", int, 50)
     profile = curve_profile(model, spec, betas, cfg.sample_size, replicates, seed)
     rows = [
         [profile.betas[i], profile.means[i], profile.variances[i], profile.mean_ess[i]]
@@ -318,32 +336,34 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
     model = cfg.model()
     oracle = cfg.data.get("oracle", {})
     _check_keys(oracle, ("grid_points", "alphas", "betas"), "oracle")
-    grid = GridSpec(points=oracle.get("grid_points"))
+    grid = GridSpec(points=_read(oracle, "oracle.grid_points", int))
+    alphas = _read(oracle, "oracle.alphas", _numbers)
+    betas = _read(oracle, "oracle.betas", _numbers, DEFAULT_TEST_BETAS)
     report = {
         "model": cfg.model_id,
         "log_marginal": quadrature_log_marginal(model, grid),
     }
-    alphas = oracle.get("alphas")
     if alphas:
-        betas = [float(b) for b in oracle.get("betas", DEFAULT_TEST_BETAS)]
         report["local_evidence"] = {
-            f"{float(a):g}": dict(zip(
-                (f"{b:g}" for b in betas),
-                quadrature_local_evidence_curve(model, float(a), betas, grid).tolist()))
+            f"{a:g}": dict(zip((f"{b:g}" for b in betas),
+                               quadrature_local_evidence_curve(model, a, betas, grid).tolist()))
             for a in alphas
         }
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-# Per command: its handler, whether it draws samples (and so offers --seed and
-# --sample-size), and whether it reads cfg.rule (and so offers --rule).
+_SAMPLING_KEYS = ("seed", "seeds", "sample_size")
+
+# Per command: its handler and the top-level config keys it reads besides
+# model, model_params and out.  It offers --seed, --sample-size and --rule
+# exactly when seed, sample_size and rule are among them.
 _COMMANDS = {
-    "bounds": (cmd_bounds, True, True),
-    "curve": (cmd_curve, True, False),
-    "tune": (cmd_tune, True, False),
-    "train": (cmd_train, True, True),
-    "diagnose": (cmd_diagnose, True, False),
-    "oracle": (cmd_oracle, False, False),
+    "bounds": (cmd_bounds, (*_SAMPLING_KEYS, "rule", "bounds", "schedule", "tvo_schedule")),
+    "curve": (cmd_curve, (*_SAMPLING_KEYS, "schedule", "alphas", "path")),
+    "tune": (cmd_tune, (*_SAMPLING_KEYS, "tuning")),
+    "train": (cmd_train, (*_SAMPLING_KEYS, "rule", "training")),
+    "diagnose": (cmd_diagnose, (*_SAMPLING_KEYS, "diagnose")),
+    "oracle": (cmd_oracle, ("oracle",)),
 }
 
 
@@ -354,15 +374,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "estimators, tuning, training and diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, samples, reads_rule) in _COMMANDS.items():
+    for name, (_, keys) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--model", choices=MODEL_IDS, help="model id override")
-        if samples:
+        if "seed" in keys:
             p.add_argument("--seed", type=int, help="master seed; replaces seed/seeds")
+        if "sample_size" in keys:
             p.add_argument("--sample-size", type=int, dest="sample_size")
-        if reads_rule:
+        if "rule" in keys:
             p.add_argument("--rule", choices=[r.value for r in IntegrationRule])
     return parser
 
@@ -382,7 +403,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    return ExperimentConfig(data)
+    return ExperimentConfig(data, _COMMANDS[args.command][1])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 
 from . import paths
 from .estimators import draw_batch, local_evidence_curve
-from .models import GridSpec, LatentModel, quadrature_log_marginal
+from .models import LatentModel, quadrature_log_marginal
 from .paths import PathSpec
 from .util import derive_seeds, log_abs_expm1
 
@@ -55,9 +55,9 @@ def ess(log_weights) -> float:
 class CurveProfile:
     """Replicate spread of local-evidence estimates along the curve.
 
-    Per beta: mean and variance of the estimate across ``replicates``
-    independent batches, and the mean ESS.  ``ess_values`` keeps the full
-    (replicate, beta) ESS matrix for trend tests.
+    Per beta: mean and variance of the estimate across independent replicate
+    batches, and the mean ESS.  ``ess_values`` keeps the full (replicate, beta)
+    ESS matrix for trend tests.
     """
 
     betas: np.ndarray
@@ -65,12 +65,10 @@ class CurveProfile:
     variances: np.ndarray
     mean_ess: np.ndarray
     ess_values: np.ndarray
-    replicates: int
-    config: dict
 
 
 def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
-                  replicates: int, seed: int, params=None) -> CurveProfile:
+                  replicates: int, seed: int) -> CurveProfile:
     """Profile estimator mean/variance/ESS over independent replicate batches."""
     if replicates < 2:
         raise ValueError("need at least two replicates")
@@ -79,7 +77,7 @@ def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
     values = np.empty((replicates, betas.size))
     ess_vals = np.empty((replicates, betas.size))
     for r in range(replicates):
-        batch = draw_batch(model, sample_size, int(seeds[r]), params)
+        batch = draw_batch(model, sample_size, int(seeds[r]))
         estimates = local_evidence_curve(batch, spec, betas)
         values[r] = [est.value for est in estimates]
         ess_vals[r] = [est.ess for est in estimates]
@@ -89,13 +87,6 @@ def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
         variances=values.var(axis=0, ddof=1),
         mean_ess=ess_vals.mean(axis=0),
         ess_values=ess_vals,
-        replicates=replicates,
-        config={
-            "path": spec.to_json(),
-            "sample_size": int(sample_size),
-            "seed": int(seed),
-            "model": model.model_id,
-        },
     )
 
 
@@ -154,16 +145,10 @@ class McmcReference:
 
     samples: np.ndarray       # (chains, draws, dim), post burn-in, thinned
     acceptance_rate: float
-    step_size: float
-    seed: int
 
     def __post_init__(self):
         if not 0.0 < self.acceptance_rate < 1.0:
             raise ValueError("acceptance rate must lie strictly in (0, 1)")
-
-    @property
-    def chains(self) -> int:
-        return self.samples.shape[0]
 
     @property
     def pooled(self) -> np.ndarray:
@@ -172,7 +157,7 @@ class McmcReference:
 
 def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
                    burn_in: int = 5000, thin: int = 10, step_size: float = 1.0,
-                   seed: int = 0, params=None) -> McmcReference:
+                   seed: int = 0) -> McmcReference:
     """Multi-chain random-walk Metropolis targeting the model's log_target.
 
     Chains start from proposal draws (overdispersed relative to the
@@ -186,7 +171,7 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
         raise ValueError("steps must exceed burn_in")
     if thin < 1 or chains < 1:
         raise ValueError("thin and chains must be >= 1")
-    lam = model._resolve(params)
+    lam = model.default_params.values
     rng = np.random.default_rng(seed)
     dim = model.latent_dim
     scales = model.sample_proposal(rng, 256, lam).std(axis=0)
@@ -227,24 +212,17 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
     if accepted_rate == 0.0:
         raise RuntimeError("sampler accepted no proposals; check step size")
     samples = np.stack(kept, axis=1)  # (chains, draws, dim)
-    return McmcReference(samples=samples, acceptance_rate=float(accepted_rate),
-                         step_size=step, seed=int(seed))
+    return McmcReference(samples=samples, acceptance_rate=float(accepted_rate))
 
 
-def approx_error(model_family: Callable[[float], LatentModel], x_grid=None,
-                 estimate: Callable[[LatentModel], float] = None,
-                 grid: Optional[GridSpec] = None) -> float:
+def approx_error(model_family: Callable[[float], LatentModel], x_grid,
+                 estimate: Callable[[LatentModel], float]) -> float:
     """Likelihood approximation error integral(p(x) |p(x) - p_hat(x)|) dx.
 
     ``estimate`` maps a model instance to its log-likelihood approximation
     (e.g. a thermodynamic bound from a seeded batch); p(x) comes from the
-    quadrature oracle.  The outer integral is a trapezoid over ``x_grid``,
-    which defaults to 101 points across the toys' observable range [-2.5, 2.5].
+    quadrature oracle.  The outer integral is a trapezoid over ``x_grid``.
     """
-    if estimate is None:
-        raise TypeError("approx_error requires an estimate callable")
-    if x_grid is None:
-        x_grid = np.linspace(-2.5, 2.5, 101)
     x_grid = np.asarray(list(x_grid), dtype=float)
     if x_grid.ndim != 1 or x_grid.size < 2:
         raise ValueError("x_grid must contain at least two points")
@@ -252,6 +230,6 @@ def approx_error(model_family: Callable[[float], LatentModel], x_grid=None,
     for i, x in enumerate(x_grid):
         model = model_family(float(x))
         # p |p - p_hat| = exp(2 log p + log |p_hat/p - 1|), finite whenever it is
-        log_p = quadrature_log_marginal(model, grid)
+        log_p = quadrature_log_marginal(model)
         integrand[i] = math.exp(2.0 * log_p + float(log_abs_expm1(estimate(model) - log_p)))
     return float(np.trapezoid(integrand, x_grid))

@@ -53,26 +53,20 @@ LOG_PARTITION_BETA1 = 10.0 ** (-1.09)
 
 @dataclass(frozen=True)
 class ImportanceBatch:
-    """Proposal samples with cached log densities, reused across all bounds.
+    """Proposal samples with their cached log ratios, reused across all bounds.
 
     ``log_ratio`` caches f_i = log_target_i - log_proposal_i, the quantity
-    every estimator reweights.
+    every estimator reweights; it is finite only where both log densities are.
     """
 
     z: np.ndarray
-    log_proposal: np.ndarray
-    log_target: np.ndarray
     log_ratio: np.ndarray
-    seed: int
-    params: np.ndarray
 
     def __post_init__(self):
         if self.z.ndim != 2 or self.z.shape[0] < 1:
             raise ValueError("batch needs at least one sample")
-        for name in ("log_proposal", "log_target", "log_ratio"):
-            arr = getattr(self, name)
-            if arr.shape != (self.z.shape[0],) or not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite with one entry per sample")
+        if self.log_ratio.shape != (self.z.shape[0],) or not np.all(np.isfinite(self.log_ratio)):
+            raise ValueError("log_ratio must be finite with one entry per sample")
 
     @property
     def size(self) -> int:
@@ -80,16 +74,14 @@ class ImportanceBatch:
 
 
 def draw_batch(model: LatentModel, size: int, seed: int, params=None) -> ImportanceBatch:
-    """Draw ``size`` proposal samples and cache both endpoint log densities."""
+    """Draw ``size`` proposal samples and cache their log ratios."""
     if size < 1:
         raise ValueError("size must be >= 1")
     lam = model._resolve(params)
     rng = np.random.default_rng(seed)
     z = model.sample_proposal(rng, size, lam)
     l0 = model.log_proposal(z, lam)
-    l1 = model.log_target(z, lam)
-    return ImportanceBatch(z=z, log_proposal=l0, log_target=l1,
-                           log_ratio=l1 - l0, seed=int(seed), params=lam.copy())
+    return ImportanceBatch(z=z, log_ratio=model.log_target(z, lam) - l0)
 
 
 def elbo(batch: ImportanceBatch) -> float:
@@ -123,14 +115,13 @@ class LocalEvidenceEstimate:
     """A self-normalized importance estimate of the local evidence.
 
     ``std_err`` is the delta-method standard error of the ratio estimator and
-    ``ess`` the normalized effective sample size in [1/S, 1].  ``degenerate``
-    flags single-sample batches, whose spread cannot be estimated.
+    ``ess`` the normalized effective sample size in [1/S, 1].  A single-sample
+    batch gives std_err 0, since its spread cannot be estimated.
     """
 
     value: float
     std_err: float
     ess: float
-    degenerate: bool = False
 
 
 def _curve_values(batch: ImportanceBatch, spec: PathSpec, betas) -> np.ndarray:
@@ -169,8 +160,7 @@ def local_evidence_curve(batch: ImportanceBatch, spec: PathSpec,
                          betas) -> list[LocalEvidenceEstimate]:
     """Local evidence at several beta from the same batch (correlated across beta)."""
     values, std_errs, ess, _ = _reduce_curve(batch, spec, betas)
-    return [LocalEvidenceEstimate(value=float(v), std_err=float(se), ess=float(e),
-                                  degenerate=batch.size == 1)
+    return [LocalEvidenceEstimate(value=float(v), std_err=float(se), ess=float(e))
             for v, se, e in zip(values, std_errs, ess)]
 
 
@@ -364,18 +354,14 @@ def parse_bound_id(bound_id: str) -> tuple[str, Optional[float]]:
 
 @dataclass
 class BoundReport:
-    """Named bound values from one batch, plus the configuration that made them."""
+    """Named bound values from one batch, in request order."""
 
     values: dict[str, float]
-    metadata: dict
 
     def __post_init__(self):
         bad = [k for k, v in self.values.items() if not np.isfinite(v)]
         if bad:
             raise ValueError(f"non-finite bound values for {bad}")
-
-    def to_json(self) -> dict:
-        return {"values": dict(self.values), "metadata": dict(self.metadata)}
 
     def csv_row(self) -> list[float]:
         """One value per bound id, in request order (pairs with list(values))."""
@@ -398,11 +384,4 @@ def bound_report(batch: ImportanceBatch, bounds: Sequence[str],
         name, arg = parse_bound_id(bound_id)
         row = _BOUNDS[name]
         values[bound_id] = row.value(batch, arg, schedules.get(row.knots), rule)
-    metadata = {
-        "sample_size": batch.size,
-        "seed": batch.seed,
-        "rule": rule.value,
-        "tvo_schedule": schedules["log"].to_json(),
-        "hbo_schedule": schedules["uniform"].to_json(),
-    }
-    return BoundReport(values=values, metadata=metadata)
+    return BoundReport(values=values)

@@ -167,7 +167,12 @@ def finite_difference_grad(model: LatentModel, params,
 
 @dataclass(frozen=True)
 class BoundObjective:
-    """Which bound to ascend, and the estimator budget per step."""
+    """Which bound to ascend, and the estimator budget per step.
+
+    Only the bound's own parameter field (``alpha`` for hbo, ``delta`` for
+    perturbed_hbo) may be nonzero, and only a bound with a default schedule
+    takes a ``schedule``; anything else is rejected rather than ignored.
+    """
 
     bound: str = "elbo"
     alpha: float = 0.0
@@ -180,6 +185,11 @@ class BoundObjective:
         if self.bound not in _PATH_BOUNDS:
             raise ValueError(
                 f"unsupported training bound {self.bound!r}; expected one of {_PATH_BOUNDS}")
+        for name in ("alpha", "delta"):
+            if getattr(self, name) != 0.0 and name != _BOUNDS[self.bound].param:
+                raise ValueError(f"bound {self.bound!r} takes no {name}")
+        if self.schedule is not None and _bound_schedule(self.bound) is None:
+            raise ValueError(f"bound {self.bound!r} has a single knot and takes no schedule")
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
 

@@ -2,9 +2,9 @@
 
 Each built-in bundles an unnormalized target log density log p(x, z), a
 normalized proposal log q(z|x), a proposal sampler, and log-density gradients
-with respect to the flat parameter vector lambda = (theta, phi).  Evaluators
-are pure functions of (z, lambda); all randomness lives in the sampler, which
-takes a caller-owned Generator.
+with respect to one flat parameter vector lambda, which training updates as a
+whole.  Evaluators are pure functions of (z, lambda); all randomness lives in
+the sampler, which takes a caller-owned Generator.
 
 The quadrature helpers integrate on dense trapezoid grids in log space.  For
 the 1-D and 2-D built-ins their error is far below every test tolerance, which
@@ -73,15 +73,10 @@ def _norm_logpdf(x, mean, std):
 
 @dataclass(frozen=True)
 class ModelParameters:
-    """Flat parameter vector lambda with named components.
-
-    The first ``theta_size`` entries belong to the model (theta), the rest to
-    the proposal (phi).
-    """
+    """Flat parameter vector lambda with one unique name per entry."""
 
     names: tuple[str, ...]
     values: np.ndarray
-    theta_size: int
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float).reshape(-1)
@@ -91,34 +86,10 @@ class ModelParameters:
             raise ValueError("names and values must have equal length")
         if len(set(self.names)) != len(self.names):
             raise ValueError("parameter names must be unique")
-        if not 0 <= self.theta_size <= values.size:
-            raise ValueError("theta_size out of range")
 
     @property
     def size(self) -> int:
         return self.values.size
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.values[: self.theta_size]
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.values[self.theta_size :]
-
-    @property
-    def theta_names(self) -> tuple[str, ...]:
-        return self.names[: self.theta_size]
-
-    @property
-    def phi_names(self) -> tuple[str, ...]:
-        return self.names[self.theta_size :]
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown parameter {name!r}") from None
 
 
 def _as_points(z, dim: int) -> tuple[np.ndarray, bool]:
@@ -162,8 +133,6 @@ class LatentModel:
     def _resolve(self, params) -> np.ndarray:
         if params is None:
             return self.default_params.values
-        if isinstance(params, ModelParameters):
-            return params.values
         lam = np.asarray(params, dtype=float).reshape(-1)
         if lam.size != self.default_params.size:
             raise ValueError(
@@ -202,7 +171,7 @@ class LatentModel:
 
 def _gaussian_proposal_model(model_id: str, suffixes, means, log_stds, domain,
                              log_target) -> LatentModel:
-    """A model whose parameters are phi = (means, log stds) of a diagonal Gaussian.
+    """A model whose parameters lambda = (means, log stds) set a diagonal-Gaussian proposal.
 
     The proposal is N(means, diag(exp(log_stds))^2); the target does not depend
     on lambda, so its gradient is zero.  Parameter names are ``q_mean<suffix>``
@@ -211,7 +180,7 @@ def _gaussian_proposal_model(model_id: str, suffixes, means, log_stds, domain,
     dim = len(suffixes)
     params = ModelParameters(
         [f"q_mean{s}" for s in suffixes] + [f"q_log_std{s}" for s in suffixes],
-        np.array([*means, *log_stds]), theta_size=0)
+        np.array([*means, *log_stds]))
 
     def split(lam):
         return lam[:dim], np.exp(lam[dim:])
@@ -239,14 +208,14 @@ def _gaussian_proposal_model(model_id: str, suffixes, means, log_stds, domain,
 def make_scaled_factor(scale: float) -> LatentModel:
     """Analytic oracle: pi_1 = c * pi_0 with pi_0 = N(0, 1), so log p(x) = log c.
 
-    The single parameter is theta = log c; the proposal is fixed.  Every bound
+    The single parameter is lambda = log c; the proposal is fixed.  Every bound
     and local evidence has a closed form on this model, which makes it the
     primary exactness fixture.
     """
     scale = float(scale)
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    params = ModelParameters(("log_scale",), np.array([math.log(scale)]), theta_size=1)
+    params = ModelParameters(("log_scale",), np.array([math.log(scale)]))
 
     def log_proposal(pts, lam):
         return _norm_logpdf(pts, 0.0, 1.0).sum(axis=1)
@@ -286,7 +255,7 @@ def make_conjugate_gaussian(sigma: float, x_obs: float) -> LatentModel:
 
     The marginal is N(x; 0, 1+sigma^2) in closed form, and the default
     proposal is the exact posterior N(x/(1+sigma^2), sigma^2/(1+sigma^2)),
-    exposed through phi = (mean, log std) so it can be perturbed and trained.
+    exposed through lambda = (mean, log std) so it can be perturbed and trained.
     """
     sigma = float(sigma)
     if not sigma > 0:
@@ -310,7 +279,7 @@ def make_sin_toy(x_obs: float = 0.0, proposal_mean: float = 0.0,
 
     The proposal is deliberately mismatched to the multimodal posterior and
     held fixed in the sharpness experiments; its (mean, log std) are exposed
-    as phi so gradient and training paths stay exercisable.
+    as lambda so gradient and training paths stay exercisable.
     """
     x_obs = float(x_obs)
     proposal_mean = float(proposal_mean)
@@ -333,7 +302,7 @@ def make_ring(y_obs: float = 1.0) -> LatentModel:
 
     For y around 1 the posterior is an annulus of radius ~y.  The default
     proposal N(0, 0.5*I) matches the posterior second moment E[z_i^2] ~ 1/2;
-    phi = (means, log stds) of the diagonal Gaussian.
+    lambda = (means, log stds) of the diagonal Gaussian.
     """
     y_obs = float(y_obs)
 
@@ -353,7 +322,6 @@ class BayesRegressionDataset:
 
     x: np.ndarray
     y: np.ndarray
-    seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -377,7 +345,7 @@ def simulate_bayes_dataset(seed: int = 0, n: int = 20) -> BayesRegressionDataset
     x_latent = rng.uniform(0.0, 100.0, size=n)
     y = BAYES_TRUE_INTERCEPT + BAYES_TRUE_SLOPE * x_latent + rng.normal(0.0, noise_std, size=n)
     x = x_latent + rng.normal(0.0, noise_std, size=n)
-    return BayesRegressionDataset(x=x, y=y, seed=int(seed))
+    return BayesRegressionDataset(x=x, y=y)
 
 
 def make_bayes_regression(data: BayesRegressionDataset) -> LatentModel:
@@ -454,10 +422,12 @@ DEFAULT_GRID_POINTS = {1: 20001, 2: 801}
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid override: points per axis and/or integration domain."""
+    """Grid override: points per axis over the model's quadrature_domain.
+
+    ``None`` takes DEFAULT_GRID_POINTS for the model's latent dimension.
+    """
 
     points: Optional[int] = None
-    domain: Optional[tuple[tuple[float, float], ...]] = None
 
 
 def quadrature_grid(model: LatentModel, grid: Optional[GridSpec] = None):
@@ -468,11 +438,8 @@ def quadrature_grid(model: LatentModel, grid: Optional[GridSpec] = None):
     points = grid.points or DEFAULT_GRID_POINTS[model.latent_dim]
     if points < 2:
         raise ValueError("grid needs at least 2 points per axis")
-    domain = grid.domain or model.quadrature_domain
-    if len(domain) != model.latent_dim:
-        raise ValueError("domain dimensionality mismatch")
     axes, log_ws = [], []
-    for lo, hi in domain:
+    for lo, hi in model.quadrature_domain:
         if not hi > lo:
             raise ValueError("empty quadrature interval")
         axis = np.linspace(lo, hi, points)

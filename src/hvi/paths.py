@@ -50,8 +50,6 @@ __all__ = [
     "blend_log_density",
     "blend_integrand",
     "blend_integrand_parts",
-    "log_density_gradient_coeffs",
-    "integrand_gradient_coeffs",
 ]
 
 # Below this |alpha| the power-mean branch has no working precision left and
@@ -124,10 +122,6 @@ class PathSpec:
                 return ("geometric", 0.0)
             return ("holder", self.alpha)
         return ("perturbed", self.delta)
-
-    def to_json(self) -> dict:
-        name = _KINDS[self.kind]
-        return {"kind": self.kind, **({name: getattr(self, name)} if name else {})}
 
     @classmethod
     def from_json(cls, data) -> "PathSpec":
@@ -304,26 +298,3 @@ def blend_integrand(spec: PathSpec, log_proposal, log_target, beta: float):
     with np.errstate(over="ignore"):
         return sign * np.exp(log_mag)
 
-
-def log_density_gradient_coeffs(spec: PathSpec, log_proposal, log_target, beta: float):
-    """Coefficients (c0, c1) with grad log pi_beta = c0*grad L0 + c1*grad L1.
-
-    Geometric: (1-beta, beta).  Holder: the convex weights
-    c1 = beta*e^(a L1)/e^(a U), c0 = 1 - c1.  Perturbed: the derivative of the
-    expanded log density, linear in grad L0 and grad L1.
-    """
-    branch, param, _, f, beta = _pointwise(spec, log_proposal, log_target, beta)
-    h = _log_weight(branch, param, f, beta)
-    c1, _ = _gradient_coeffs(branch, param, f, beta, h, np.zeros(np.shape(f)))
-    return 1.0 - c1, c1
-
-
-def integrand_gradient_coeffs(spec: PathSpec, log_proposal, log_target, beta: float):
-    """Coefficients (d0, d1) with grad of the integrand = d0*grad L0 + d1*grad L1.
-
-    The integrand depends on L0, L1 only through f = L1 - L0, so d0 = -d1.
-    """
-    branch, param, _, f, beta = _pointwise(spec, log_proposal, log_target, beta)
-    h = _log_weight(branch, param, f, beta)
-    _, d1 = _gradient_coeffs(branch, param, f, beta, h, np.zeros(np.shape(f)))
-    return -d1, d1

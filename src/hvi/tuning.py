@@ -26,7 +26,6 @@ __all__ = [
     "CurveSummary",
     "AlphaSearchResult",
     "summarize_curve",
-    "curve_summary",
     "tune_alpha_grid",
     "tune_alpha_bisect",
     "BracketError",
@@ -108,13 +107,6 @@ def summarize_curve(batch: ImportanceBatch, alpha: float, betas) -> CurveSummary
                         slope_std_err=float(slope_std_err))
 
 
-def curve_summary(model: LatentModel, alpha: float, betas=DEFAULT_TEST_BETAS,
-                  sample_size: int = 1000, seed: int = 0, params=None) -> CurveSummary:
-    """Draw a batch and summarize the curve at one alpha."""
-    batch = draw_batch(model, sample_size, seed, params)
-    return summarize_curve(batch, alpha, betas)
-
-
 @dataclass(frozen=True)
 class AlphaSearchResult:
     """Outcome of an alpha search.
@@ -144,7 +136,7 @@ class AlphaSearchResult:
 
 def tune_alpha_grid(model: LatentModel, candidates: Sequence[float],
                     betas=DEFAULT_TEST_BETAS, sample_size: int = 1000,
-                    seed: int = 0, params=None) -> AlphaSearchResult:
+                    seed: int = 0) -> AlphaSearchResult:
     """Keep the candidate alpha with the smallest estimated curve range.
 
     All candidates are scored on one shared batch; ties break toward the
@@ -153,7 +145,7 @@ def tune_alpha_grid(model: LatentModel, candidates: Sequence[float],
     candidates = [float(a) for a in candidates]
     if not candidates:
         raise ValueError("need at least one candidate alpha")
-    batch = draw_batch(model, sample_size, seed, params)
+    batch = draw_batch(model, sample_size, seed)
     table = tuple(summarize_curve(batch, alpha, betas) for alpha in sorted(candidates))
     best = min(table, key=lambda summary: summary.value_range)
     return AlphaSearchResult(
@@ -168,7 +160,7 @@ def tune_alpha_grid(model: LatentModel, candidates: Sequence[float],
 def tune_alpha_bisect(model: LatentModel, alpha_lo: float = 0.05, alpha_hi: float = 0.95,
                       betas=DEFAULT_TEST_BETAS, sample_size: int = 1000,
                       tolerance: float = 0.02, max_iters: int = 20,
-                      seed: int = 0, params=None) -> AlphaSearchResult:
+                      seed: int = 0) -> AlphaSearchResult:
     """Bisect on the sign of the curve slope between a rising and a falling alpha.
 
     The bracket is validated first: the slope at ``alpha_lo`` must be
@@ -185,7 +177,7 @@ def tune_alpha_bisect(model: LatentModel, alpha_lo: float = 0.05, alpha_hi: floa
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     betas = tuple(float(b) for b in betas)
-    batch = draw_batch(model, sample_size, seed, params)
+    batch = draw_batch(model, sample_size, seed)
     lo_summary = summarize_curve(batch, alpha_lo, betas)
     hi_summary = summarize_curve(batch, alpha_hi, betas)
     if lo_summary.is_flat() or not lo_summary.slope > 0:

@@ -1,5 +1,4 @@
 import hypothesis
-import numpy as np
 import pytest
 
 from hvi import models

@@ -344,12 +344,29 @@ def test_train_rejects_schedule_for_single_knot_bound(tmp_path, capsys, bound):
     assert not out.exists()
 
 
+def test_seed_and_seeds_together_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "sin_toy", "sample_size": 32, "seed": 5, "seeds": [1, 2], "bounds": ["elbo"]})
+    out = tmp_path / "b.csv"
+    assert run_cli(["bounds", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: config.seeds: give seed or seeds, not both\n"
+    assert not out.exists()
+    # --seed replaces both keys
+    assert run_cli(["bounds", "--config", cfg, "--seed", 9, "--out", out]) == 0
+    assert [row[0] for row in read_csv(out)[1]] == ["9"]
+
+
+# The section each single-run command reads, set so that it would run.
+_RUNNABLE_SECTIONS = {"train": {"training": {"steps": 2}},
+                      "diagnose": {"diagnose": {"replicates": 2, "betas": [0.0, 1.0]}}}
+
+
 @pytest.mark.parametrize("command", ["curve", "tune", "train", "diagnose"])
 def test_single_run_commands_reject_several_seeds(tmp_path, capsys, command):
     # only bounds loops over seeds; the others must not drop all but the first
     cfg = write_config(tmp_path, "cfg.json", {
         "model": "sin_toy", "seeds": [1, 2], "sample_size": 50,
-        "training": {"steps": 2}, "diagnose": {"replicates": 2, "betas": [0.0, 1.0]}})
+        **_RUNNABLE_SECTIONS.get(command, {})})
     out = tmp_path / "out.txt"
     assert run_cli([command, "--config", cfg, "--out", out]) == 1
     assert "config.seeds" in capsys.readouterr().err
@@ -371,22 +388,74 @@ def test_path_errors_name_their_field(tmp_path, capsys, command, field, path):
     assert not out.exists()
 
 
-# One malformed field per command: each must end in an error line, not a traceback.
-@pytest.mark.parametrize("command, field", [
-    ("bounds", {"sample_size": None}),
-    ("curve", {"schedule": 5}),
-    ("tune", {"tuning": {"candidates": 0.5}}),
-    ("train", {"training": 5}),
-    ("diagnose", {"diagnose": {"replicates": None}}),
-    ("oracle", {"oracle": {"alphas": 0.5}}),
-    ("bounds", {"bounds": [None]}),
-])
-def test_malformed_config_is_an_error_not_a_traceback(tmp_path, capsys, command, field):
-    cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", "seed": 1, **field})
+# One malformed field per command: each must end in an error line that names
+# the field, not a traceback.
+_MALFORMED = [
+    ("bounds", {"sample_size": None}, "config.sample_size"),
+    ("curve", {"schedule": 5}, "config.schedule"),
+    ("tune", {"tuning": {"candidates": 0.5}}, "config.tuning.candidates"),
+    ("train", {"training": 5}, "config.training"),
+    ("diagnose", {"diagnose": {"replicates": None}}, "config.diagnose.replicates"),
+    ("oracle", {"oracle": {"alphas": 0.5}}, "config.oracle.alphas"),
+    ("bounds", {"bounds": [None]}, "config.bounds"),
+    ("oracle", {"oracle": {"grid_points": "x"}}, "config.oracle.grid_points"),
+]
+
+
+@pytest.mark.parametrize("command, field, expected", _MALFORMED,
+                         ids=[f"{case[0]}-field{i}" for i, case in enumerate(_MALFORMED)])
+def test_malformed_config_is_an_error_not_a_traceback(tmp_path, capsys, command, field,
+                                                       expected):
+    seed = {} if command == "oracle" else {"seed": 1}
+    cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", **seed, **field})
     out = tmp_path / "out.txt"
     assert run_cli([command, "--config", cfg, "--out", out]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {expected}: ")
     assert not out.exists()
+
+
+# Top-level keys each command reads besides model, model_params and out.
+_READ_KEYS = {
+    "bounds": {"seed", "seeds", "sample_size", "rule", "bounds", "schedule", "tvo_schedule"},
+    "curve": {"seed", "seeds", "sample_size", "schedule", "alphas", "path"},
+    "tune": {"seed", "seeds", "sample_size", "tuning"},
+    "train": {"seed", "seeds", "sample_size", "rule", "training"},
+    "diagnose": {"seed", "seeds", "sample_size", "diagnose"},
+    "oracle": {"oracle"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_READ_KEYS))
+def test_each_command_rejects_the_keys_it_does_not_read(tmp_path, capsys, command):
+    # an accepted but unread key would look like a setting and change nothing
+    for key in sorted(set().union(*_READ_KEYS.values()) - _READ_KEYS[command]):
+        cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", key: 1})
+        assert run_cli([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: config.<root>: unknown keys ['{key}']\n"
+
+
+@pytest.mark.parametrize("tuning, key", [
+    ({"method": "grid", "max_iters": 5}, "max_iters"),
+    ({"candidates": [0.5], "alpha_lo": 0.1}, "alpha_lo"),
+    ({"method": "bisect", "candidates": [0.5]}, "candidates"),
+])
+def test_tuning_rejects_the_other_methods_keys(tmp_path, capsys, tuning, key):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "sin_toy", "seed": 1, "sample_size": 50, "tuning": tuning})
+    assert run_cli(["tune", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: config.tuning: unknown keys ['{key}']\n"
+
+
+@pytest.mark.parametrize("training, name", [
+    ({"bound": "hbo", "delta": 0.3}, "delta"),
+    ({"bound": "elbo", "alpha": 0.5}, "alpha"),
+])
+def test_train_rejects_a_parameter_its_bound_does_not_take(tmp_path, capsys, training, name):
+    cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", "seed": 1,
+                                              "training": {**training, "steps": 2}})
+    assert run_cli(["train", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.training.bound: ") and f"takes no {name}" in err
 
 
 _COMMON_FLAGS = {"--help", "--config", "--out", "--model"}

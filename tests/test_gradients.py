@@ -367,7 +367,8 @@ def test_objective_follows_its_bound(conjugate, bound_id, spec, knots):
     # the value bound_report gives, the gradient of the same path at the
     # bound's default knots, and a short training run
     name, arg = parse_bound_id(bound_id)
-    objective = BoundObjective(bound=name, alpha=arg or 0.0, delta=arg or 0.0,
+    param = {"hbo": "alpha", "perturbed_hbo": "delta"}.get(name)
+    objective = BoundObjective(bound=name, **({param: arg} if param else {}),
                                rule="trapezoid", sample_size=200)
     batch = draw_batch(conjugate, objective.sample_size, 3)
     report = bound_report(batch, [bound_id], rule="trapezoid")
@@ -387,3 +388,18 @@ def test_objective_validation():
         BoundObjective(bound="iw_elbo")
     with pytest.raises(ValueError):
         BoundObjective(bound="elbo", sample_size=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"bound": "hbo", "delta": 0.3}, "takes no delta"),
+    ({"bound": "perturbed_hbo", "alpha": 0.5}, "takes no alpha"),
+    ({"bound": "tvo", "alpha": 0.5}, "takes no alpha"),
+    ({"bound": "elbo", "schedule": PartitionSchedule.uniform(5)}, "takes no schedule"),
+    ({"bound": "wubo", "schedule": PartitionSchedule.log(5)}, "takes no schedule"),
+])
+def test_objective_rejects_what_its_bound_does_not_take(kwargs, message):
+    # hbo with a delta would train at alpha = 0, and elbo would drop the schedule
+    with pytest.raises(ValueError, match=message):
+        BoundObjective(**kwargs)
+    # a zero parameter is the field's default, so the bound's own zero is allowed
+    assert BoundObjective(bound="hbo", alpha=0.0, delta=0.0).alpha == 0.0

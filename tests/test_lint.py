@@ -1,6 +1,7 @@
 """Standard-library lint: every import is used and every ``__all__`` entry exists.
 
-Parses each ``hvi`` module and each script with ``ast``; nothing is imported.
+Parses each ``hvi`` module, each script and each test module with ``ast``;
+nothing is imported.
 A name counts as used when it is read anywhere in the file, appears in a
 string annotation, or is re-exported through ``__all__``; the package
 ``__init__`` re-exports everything it imports from its own modules.
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted((ROOT / "src" / "hvi").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+FILES = [path for directory in ("src/hvi", "scripts", "tests")
+         for path in sorted((ROOT / directory).glob("*.py"))]
 
 
 def _imports(tree: ast.Module, skip_relative: bool = False) -> dict:

@@ -35,30 +35,11 @@ ALL_LOW_DIM = [
 # ModelParameters
 # ---------------------------------------------------------------------------
 
-def test_parameter_segments_and_roundtrip():
-    p = ModelParameters(("a", "b", "c"), np.array([1.0, 2.0, 3.0]), theta_size=1)
-    assert p.theta.tolist() == [1.0]
-    assert p.phi.tolist() == [2.0, 3.0]
-    assert p.theta_names == ("a",) and p.phi_names == ("b", "c")
-    for name in p.names:
-        assert p.names[p.index(name)] == name
-    with pytest.raises(KeyError):
-        p.index("nope")
-
-
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        ModelParameters(("a",), np.array([1.0, 2.0]), 0)
+        ModelParameters(("a",), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        ModelParameters(("a", "a"), np.array([1.0, 2.0]), 0)
-    with pytest.raises(ValueError):
-        ModelParameters(("a",), np.array([1.0]), 2)
-
-
-@given(st.integers(0, 3))
-def test_parameter_theta_size_splits(theta_size):
-    p = ModelParameters(("p0", "p1", "p2"), np.arange(3.0), theta_size=theta_size)
-    assert len(p.theta) + len(p.phi) == p.size
+        ModelParameters(("a", "a"), np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +159,11 @@ def test_sin_toy_grid_refinement_converges(sin_toy):
 
 
 def test_sin_toy_marginal_insensitive_to_domain_choice(sin_toy):
-    # the target carries no mass beyond |z| ~ 6, so [-8, 8] already suffices
-    narrow = quadrature_log_marginal(sin_toy, GridSpec(points=20001, domain=((-8.0, 8.0),)))
-    assert abs(narrow - quadrature_log_marginal(sin_toy)) < 1e-8
+    # the target carries no mass beyond |z| ~ 6, so [-8, 8] already suffices;
+    # proposal_std = 1 spans 8 stds = [-8, 8] with the same target
+    narrow = make_sin_toy(proposal_std=1.0)
+    assert narrow.quadrature_domain == ((-8.0, 8.0),)
+    assert abs(quadrature_log_marginal(narrow) - quadrature_log_marginal(sin_toy)) < 1e-8
 
 
 def test_quadrature_signals_nonfinite_grid_values(sin_toy):
@@ -251,7 +234,7 @@ def test_bayes_regression_prior_vanishes_at_zero_slope():
 
 
 def test_bayes_regression_rejects_empty():
-    empty = models.BayesRegressionDataset(x=np.array([]), y=np.array([]), seed=0)
+    empty = models.BayesRegressionDataset(x=np.array([]), y=np.array([]))
     with pytest.raises(ValueError):
         make_bayes_regression(empty)
 
@@ -317,24 +300,23 @@ def test_make_model_bayes_regression_from_seed():
     assert model.latent_dim == 3
 
 
-# model id -> (model params, names, theta_size, values, quadrature domain); the
+# model id -> (model params, names, values, quadrature domain); the
 # names are the `hvi train` CSV header.  Bayes-regression means and domain are
 # the seed-0 OLS fit, recorded as exact 17-digit literals.
 PINNED_DEFAULTS = {
-    "scaled_factor": ({"scale": 2.0}, ("log_scale",), 1, [math.log(2.0)], ((-8.0, 8.0),)),
+    "scaled_factor": ({"scale": 2.0}, ("log_scale",), [math.log(2.0)], ((-8.0, 8.0),)),
     "conjugate_gaussian": (
-        {"sigma": 0.7, "x_obs": 1.3}, ("q_mean", "q_log_std"), 0,
+        {"sigma": 0.7, "x_obs": 1.3}, ("q_mean", "q_log_std"),
         [1.3 / (1.0 + 0.7**2), 0.5 * math.log(0.7**2 / (1.0 + 0.7**2))],
         ((1.3 / (1.0 + 0.7**2) - 8.0, 1.3 / (1.0 + 0.7**2) + 8.0),)),
-    "sin_toy": ({}, ("q_mean", "q_log_std"), 0, [0.0, math.log(1.5)], ((-12.0, 12.0),)),
-    "ring": ({}, ("q_mean_1", "q_mean_2", "q_log_std_1", "q_log_std_2"), 0,
+    "sin_toy": ({}, ("q_mean", "q_log_std"), [0.0, math.log(1.5)], ((-12.0, 12.0),)),
+    "ring": ({}, ("q_mean_1", "q_mean_2", "q_log_std_1", "q_log_std_2"),
              [0.0, 0.0, math.log(math.sqrt(0.5)), math.log(math.sqrt(0.5))],
              ((-4.0, 4.0), (-4.0, 4.0))),
     "bayes_regression": (
         {"seed": 0},
         ("q_mean_alpha", "q_mean_beta", "q_mean_log_sigma",
          "q_log_std_alpha", "q_log_std_beta", "q_log_std_log_sigma"),
-        0,
         [25.993092075955776, 0.47413785776332484, 1.1468253915089248,
          math.log(3.0), math.log(0.05), math.log(0.3)],
         ((1.9930920759557722, 49.99309207595578), (0.07413785776332477, 0.874137857763325),
@@ -344,9 +326,8 @@ PINNED_DEFAULTS = {
 
 @pytest.mark.parametrize("model_id", models.MODEL_IDS)
 def test_builtin_default_parameters_are_pinned(model_id):
-    params, names, theta_size, values, domain = PINNED_DEFAULTS[model_id]
+    params, names, values, domain = PINNED_DEFAULTS[model_id]
     model = make_model(model_id, params)
     assert model.default_params.names == names
-    assert model.default_params.theta_size == theta_size
     assert model.default_params.values.tolist() == values
     assert model.quadrature_domain == domain

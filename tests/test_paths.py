@@ -14,8 +14,6 @@ from hvi.paths import (
     blend_integrand,
     blend_integrand_parts,
     blend_log_density,
-    integrand_gradient_coeffs,
-    log_density_gradient_coeffs,
     path_gradient_coeffs,
     path_weights,
 )
@@ -29,9 +27,11 @@ betas_mid = st.floats(0.01, 0.99)
 # ---------------------------------------------------------------------------
 
 def test_pathspec_validation_and_json_roundtrip():
-    for spec in (PathSpec.geometric(), PathSpec.holder(0.3), PathSpec.wasserstein(),
-                 PathSpec.perturbed(0.01)):
-        assert PathSpec.from_json(spec.to_json()) == spec
+    for data, spec in (({"kind": "geometric"}, PathSpec.geometric()),
+                       ({"kind": "holder", "alpha": 0.3}, PathSpec.holder(0.3)),
+                       ({"kind": "wasserstein"}, PathSpec.wasserstein()),
+                       ({"kind": "perturbed", "delta": 0.01}, PathSpec.perturbed(0.01))):
+        assert PathSpec.from_json(data) == spec
     with pytest.raises(ValueError):
         PathSpec("powermean")
     with pytest.raises(ValueError):
@@ -168,6 +168,19 @@ def test_integrand_parts_consistent_with_dense_values():
 # The blockwise kernel against the pointwise forms, one beta at a time
 # ---------------------------------------------------------------------------
 
+def _closed_form_coeffs(spec, f, beta):
+    """(dh/df, dg/df) of h = log pi_beta - L0 and the integrand g, written out per kind."""
+    if spec.kind == "geometric":
+        return np.full_like(f, beta), np.ones_like(f)
+    if spec.kind == "perturbed":
+        return (beta * (1.0 + spec.delta * (1.0 - beta) * f),
+                1.0 + spec.delta * (1.0 - 2.0 * beta) * f)
+    alpha = 1.0 if spec.kind == "wasserstein" else spec.alpha
+    e = np.exp(alpha * f)
+    mix = beta * e + (1.0 - beta)  # grouped: at beta = 1 it must be exactly e
+    return beta * e / mix, e / mix**2
+
+
 @pytest.mark.parametrize("spec", [PathSpec.geometric(), PathSpec.holder(0.6),
                                   PathSpec.holder(-0.5), PathSpec.wasserstein(),
                                   PathSpec.perturbed(0.05)])
@@ -189,10 +202,9 @@ def test_kernel_matches_pointwise_reference(sin_toy, spec, monkeypatch):
         sign, log_abs = blend_integrand_parts(spec, l0, l1, beta)
         np.testing.assert_allclose(w[k], np.exp(log_w), rtol=1e-11, atol=0)
         np.testing.assert_allclose(wg[k], sign * np.exp(log_w + log_abs), rtol=1e-11, atol=0)
-        _, c1 = log_density_gradient_coeffs(spec, l0, l1, beta)
-        _, d1 = integrand_gradient_coeffs(spec, l0, l1, beta)
-        np.testing.assert_allclose(dh_df[k], c1, rtol=1e-11, atol=1e-300)
-        np.testing.assert_allclose(w_dg_df[k], np.exp(log_w) * d1, rtol=1e-11, atol=1e-300)
+        dh, dg = _closed_form_coeffs(spec, l1 - l0, beta)
+        np.testing.assert_allclose(dh_df[k], dh, rtol=1e-11, atol=1e-300)
+        np.testing.assert_allclose(w_dg_df[k], np.exp(log_w) * dg, rtol=1e-11, atol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +289,20 @@ def test_slope_identity_matches_finite_differences(sin_toy):
 # Gradient coefficients: convexity and geometric limits
 # ---------------------------------------------------------------------------
 
+def _coeffs(spec, l0, l1, beta):
+    """(dh/df, w * dg/df) of the kernel at one point, whose weight w is 1."""
+    f = np.array([l1 - l0])
+    dh_df, w_dg_df = path_gradient_coeffs(spec, next(path_weights(spec, [beta], f)), f)
+    return np.broadcast_to(dh_df, (1, 1)).item(), w_dg_df.item()
+
+
 @given(finite_logs, finite_logs, betas_mid)
 def test_holder_density_coeffs_are_convex_weights(l0, l1, beta):
-    c0, c1 = log_density_gradient_coeffs(PathSpec.holder(0.6), l0, l1, beta)
-    assert c0 >= 0 and c1 >= 0
-    assert float(c0 + c1) == pytest.approx(1.0, abs=1e-12)
+    # grad log pi_beta = (1 - dh/df) grad L0 + dh/df grad L1, a convex combination
+    dh_df, _ = _coeffs(PathSpec.holder(0.6), l0, l1, beta)
+    assert 0.0 <= dh_df <= 1.0
 
 
 def test_geometric_coeffs():
-    c0, c1 = log_density_gradient_coeffs(PathSpec.geometric(), -1.0, -2.0, 0.3)
-    assert (float(c0), float(c1)) == (0.7, 0.3)
-    d0, d1 = integrand_gradient_coeffs(PathSpec.geometric(), -1.0, -2.0, 0.3)
-    assert (float(d0), float(d1)) == (-1.0, 1.0)
+    dh_df, w_dg_df = _coeffs(PathSpec.geometric(), -1.0, -2.0, 0.3)
+    assert (dh_df, w_dg_df) == (0.3, 1.0)

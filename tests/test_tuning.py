@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -10,7 +8,6 @@ from hvi.paths import PathSpec
 from hvi.tuning import (
     DEFAULT_TEST_BETAS,
     BracketError,
-    curve_summary,
     summarize_curve,
     tune_alpha_bisect,
     tune_alpha_grid,
@@ -25,19 +22,19 @@ INTERIOR_BETAS = (0.0, 0.25, 0.5, 0.75)
 # ---------------------------------------------------------------------------
 
 def test_scaled_factor_geometric_curve_is_flat(scaled_two):
-    summary = curve_summary(scaled_two, 0.0, DEFAULT_TEST_BETAS, 500, seed=0)
+    summary = summarize_curve(draw_batch(scaled_two, 500, 0), 0.0, DEFAULT_TEST_BETAS)
     assert summary.value_range < 1e-12
     assert abs(summary.slope) < 1e-12
 
 
 def test_scaled_factor_wasserstein_curve_range(scaled_two):
     # exact curve 1/(1+beta): endpoints 1 and 1/2
-    summary = curve_summary(scaled_two, 1.0, (0.0, 1.0), 500, seed=0)
+    summary = summarize_curve(draw_batch(scaled_two, 500, 0), 1.0, (0.0, 1.0))
     assert summary.value_range == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sin_toy_geometric_slope_significant(sin_toy):
-    summary = curve_summary(sin_toy, 0.0, DEFAULT_TEST_BETAS, 10_000, seed=1)
+    summary = summarize_curve(draw_batch(sin_toy, 10_000, 1), 0.0, DEFAULT_TEST_BETAS)
     assert summary.slope > 3 * summary.slope_std_err
 
 
@@ -45,8 +42,8 @@ def test_sin_toy_geometric_slope_significant(sin_toy):
 def test_rounding_noise_slope_is_flat(scale):
     # exactly constant in theory (log scale at every beta); the least-squares
     # sum of the computed values reads a few ulps, with an even smaller std err
-    summary = curve_summary(models.make_scaled_factor(scale), 0.0, DEFAULT_TEST_BETAS,
-                            500, seed=0)
+    summary = summarize_curve(draw_batch(models.make_scaled_factor(scale), 500, 0), 0.0,
+                              DEFAULT_TEST_BETAS)
     assert summary.slope != 0.0 and abs(summary.slope) > 3 * summary.slope_std_err
     assert summary.is_flat()
 
@@ -69,15 +66,15 @@ def test_slope_std_err_is_calibrated(sin_toy, alpha):
 
 def test_slope_std_err_is_the_delta_method_over_kernel_blocks(sin_toy, monkeypatch):
     # reference: per-beta influences phi_k = w_k (g - E_k) from the pointwise
-    # path forms, combined across beta before squaring
+    # path forms, combined across beta before squaring; both depend on the
+    # endpoints only through f, so (L0, L1) = (0, f) stands in for them
     batch = draw_batch(sin_toy, 400, 5)
     spec = PathSpec.holder(0.6)
     phi = []
     for beta in DEFAULT_TEST_BETAS:
-        log_w = (paths.blend_log_density(spec, batch.log_proposal, batch.log_target, beta)
-                 - batch.log_proposal)
+        log_w = paths.blend_log_density(spec, 0.0, batch.log_ratio, beta)
         w = np.exp(log_w - logsumexp(log_w))
-        g = paths.blend_integrand(spec, batch.log_proposal, batch.log_target, beta)
+        g = paths.blend_integrand(spec, 0.0, batch.log_ratio, beta)
         phi.append(w * (g - w @ g))
     b = np.asarray(DEFAULT_TEST_BETAS)
     coef = (b - b.mean()) / np.sum((b - b.mean()) ** 2)
