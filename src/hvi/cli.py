@@ -91,10 +91,20 @@ def _read(obj: dict, field: str, cast, default=None):
         raise ConfigError(f"config.{field}: {exc}") from None
 
 
-def _numbers(value, cast=float) -> list:
+def _numbers(value, cast=float, least=1) -> list:
+    """A list of at least ``least`` numbers, each passed through ``cast``."""
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"must be a list of numbers, got {value!r}")
+    if len(value) < least:
+        raise ValueError(f"must list at least {least} number{'s' * (least > 1)}, "
+                         f"got {len(value)}")
     return [cast(v) for v in value]
+
+
+def _unread(obj: dict, field: str, reason: str):
+    """Reject a key of ``obj`` that the configuration as given does not read."""
+    key = field.rpartition(".")[2]
+    _require(obj.get(key) is None, field, f"is not read {reason}")
 
 
 def _schedule_from(obj: Optional[dict], field: str,
@@ -143,9 +153,7 @@ class ExperimentConfig:
         _require("seed" not in data or "seeds" not in data, "seeds",
                  "give seed or seeds, not both")
         if "seeds" in data:
-            seeds = _read(data, "seeds", lambda value: _numbers(value, int))
-            _require(seeds, "seeds", "must be a non-empty list of integers")
-            return seeds
+            return _read(data, "seeds", lambda value: _numbers(value, int))
         seed = _read(data, "seed", int)
         _require(seed is not None, "seed", "estimator commands require an explicit seed "
                  "(pass --seed or set seed/seeds in the config)")
@@ -212,7 +220,7 @@ def cmd_curve(cfg: ExperimentConfig) -> str:
     alphas = _read(cfg.data, "alphas", _numbers)
     rows = []
     if alphas is not None:
-        _require(alphas, "alphas", "must be a non-empty list")
+        _unread(cfg.data, "path", "when alphas is given (alphas runs holder paths)")
         for alpha in alphas:
             curve = local_evidence_curve(batch, PathSpec.holder(alpha), schedule.betas)
             for beta, est in zip(schedule.betas, curve):
@@ -238,7 +246,8 @@ def cmd_tune(cfg: ExperimentConfig) -> str:
     method = tuning.get("method", "grid")
     _require(method in tuple(_TUNING_KEYS), "tuning.method", f"unknown method {method!r}")
     _check_keys(tuning, ("method", "betas", *_TUNING_KEYS[method]), "tuning")
-    betas = _read(tuning, "tuning.betas", _numbers, DEFAULT_TEST_BETAS)
+    betas = _read(tuning, "tuning.betas", lambda value: _numbers(value, least=2),
+                  DEFAULT_TEST_BETAS)
     if method == "grid":
         candidates = _read(tuning, "tuning.candidates", _numbers, [0.1, 0.3, 0.5, 0.7, 0.9])
         result = tune_alpha_grid(model, candidates, betas, cfg.sample_size, seed)
@@ -281,11 +290,15 @@ def cmd_train(cfg: ExperimentConfig) -> str:
             objective, schedule=_schedule_from(obj, "training.schedule", default)))
     steps = _read(training, "training.steps", int, 100)
     learning_rate = _read(training, "training.learning_rate", float, 1e-3)
-    params0 = _read(training, "training.init", lambda init: np.asarray(init, dtype=float))
+    params0 = _read(training, "training.init", model._resolve)
 
     reference = None
     mmd_every = _read(training, "training.mmd_every", int, 0)
-    if mmd_every:
+    _require(mmd_every >= 0, "training.mmd_every", "must be >= 0")
+    if not mmd_every:
+        for key in ("mcmc", "mmd_sample"):
+            _unread(training, f"training.{key}", "unless training.mmd_every is positive")
+    else:
         mcmc_cfg = training.get("mcmc", {})
         _check_keys(mcmc_cfg, tuple(_MCMC_KEYS), "training.mcmc")
         mcmc = {key: _read(mcmc_cfg, f"training.mcmc.{key}", cast)
@@ -338,12 +351,14 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
     _check_keys(oracle, ("grid_points", "alphas", "betas"), "oracle")
     grid = GridSpec(points=_read(oracle, "oracle.grid_points", int))
     alphas = _read(oracle, "oracle.alphas", _numbers)
+    if alphas is None:
+        _unread(oracle, "oracle.betas", "without oracle.alphas")
     betas = _read(oracle, "oracle.betas", _numbers, DEFAULT_TEST_BETAS)
     report = {
         "model": cfg.model_id,
         "log_marginal": quadrature_log_marginal(model, grid),
     }
-    if alphas:
+    if alphas is not None:
         report["local_evidence"] = {
             f"{a:g}": dict(zip((f"{b:g}" for b in betas),
                                quadrature_local_evidence_curve(model, a, betas, grid).tolist()))

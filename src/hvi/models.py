@@ -431,7 +431,7 @@ class GridSpec:
 
 
 def quadrature_grid(model: LatentModel, grid: Optional[GridSpec] = None):
-    """Tensor trapezoid grid: points of shape (N, dim) and log cell weights (N,)."""
+    """Tensor trapezoid grid: points of shape (N, dim), column-major, and log cell weights (N,)."""
     if model.latent_dim > 2:
         raise ValueError("quadrature oracles support latent_dim <= 2 only")
     grid = grid or GridSpec()
@@ -448,8 +448,10 @@ def quadrature_grid(model: LatentModel, grid: Optional[GridSpec] = None):
         w[0] = w[-1] = 0.5 * h
         axes.append(axis)
         log_ws.append(np.log(w))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh]), sum(np.ix_(*log_ws)).ravel()
+    # column-major (N, dim): each coordinate is one contiguous column, so the
+    # evaluators' elementwise ops never run along the short last axis
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij", copy=False))
+    return mesh.reshape(len(axes), -1).T, sum(np.ix_(*log_ws)).ravel()
 
 
 def _grid_log_densities(model, grid, params):
@@ -474,8 +476,9 @@ def quadrature_local_evidence_curve(model: LatentModel, alpha: float, betas,
                                     params=None) -> np.ndarray:
     """Exact local evidence E_(alpha,beta) at several beta, one grid pass."""
     f, base = _grid_log_densities(model, grid, params)
-    return np.concatenate([block.wg.sum(axis=1) for block in
-                           path_weights(PathSpec.holder(float(alpha)), betas, f, base)])
+    # map holds no block while the next is built, so one block is alive at a time
+    return np.concatenate([*map(lambda block: block.wg.sum(axis=1), path_weights(
+        PathSpec.holder(float(alpha)), betas, f, base))])
 
 
 def quadrature_local_evidence(model: LatentModel, alpha: float, beta: float,

@@ -204,6 +204,112 @@ class PathBlock(NamedTuple):
     wg: np.ndarray      # w * integrand
 
 
+# On the power-mean branch, a beta with |alpha| * min(beta, 1 - beta) below
+# this forms its weighted integrand in log space: elsewhere the integrand is
+# at most 1 / (|alpha| min(beta, 1 - beta)) <= 2^58 in magnitude, so a weight
+# that underflows leaves w * integrand below 2^58 times the smallest normal.
+_EDGE_SCALE = 2.0 ** -58
+
+# Largest |alpha f| on the near-geometric form of the power-mean branch.
+_NEAR_LIMIT = math.log(2.0)
+
+
+def _holder_terms(alpha: float, f):
+    """The beta-independent arrays of the power-mean branch, with s = alpha*f.
+
+    With e^(alpha h) = 1 + beta (e^s - 1) and integrand g = (e^s - 1) / (alpha e^(alpha h)):
+
+    near form, when every |s| <= log 2: (e, e / alpha) with e = expm1(s).  Then
+    beta e >= -1/2, so alpha h = log1p(beta e) keeps full relative precision
+    however small it is, and g = (e / alpha) / (1 + beta e).
+
+    far form: (m, u, v, p) with m = max(s, 0), u = e^(-m), v = e^(s - m) (one
+    of the two is 1) and p = (v - u) / alpha, formed with expm1 since v - u
+    cancels at small |s|; p carries the sign of f.  Then alpha h = m + log d
+    with d = (1 - beta) u + beta v, and g = p / d.
+    """
+    s = alpha * f
+    abs_s = np.abs(s)
+    if abs_s.max(initial=0.0) <= _NEAR_LIMIT:
+        e = np.expm1(s)
+        return e, e / alpha
+    m = np.maximum(s, 0.0)
+    u = np.exp(-m)
+    v = np.exp(s - m)
+    p = np.expm1(np.negative(abs_s, out=abs_s))
+    p *= -1.0 / abs(alpha)
+    return m, u, v, np.copysign(p, f, out=p)
+
+
+def _normalized(h, base):
+    """(log_w, w): self-normalized log weights and weights proportional to exp(h + base)."""
+    log_w = h + base
+    top = log_w.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        raise ValueError("all importance weights vanished; cannot self-normalize")
+    log_w -= top
+    w = np.exp(log_w)
+    total = w.sum(axis=1, keepdims=True)
+    w /= total
+    log_w -= np.log(total)
+    return log_w, w
+
+
+def _block(branch: str, param: float, f, base, beta) -> PathBlock:
+    """path_weights at the column of temperatures beta, geometric or perturbed branch."""
+    h = _log_weight(branch, param, f, beta)
+    log_w, w = _normalized(h, base)
+    return PathBlock(beta, h, log_w, w, w * _integrand(branch, param, f, beta))
+
+
+def _holder_near_block(alpha: float, base, terms, beta) -> PathBlock:
+    """path_weights at the column of temperatures beta, near form of _holder_terms."""
+    e, p = terms
+    x = beta * e
+    g = np.add(x, 1.0)
+    np.divide(p, g, out=g)
+    h = np.log1p(x, out=x)
+    h /= alpha
+    log_w, w = _normalized(h, base)
+    return PathBlock(beta, h, log_w, w, np.multiply(w, g, out=g))
+
+
+def _holder_far_block(alpha: float, f, base, terms, beta, edges) -> PathBlock:
+    """path_weights at the column of temperatures beta, far form of _holder_terms.
+
+    ``edges`` lists the rows whose weighted integrand is formed in log space.
+    """
+    m, u, v, p = terms
+    # only edge rows can divide by zero or overflow below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # d sums two nonnegative terms and d >= min(beta, 1 - beta): no
+        # cancellation, and no underflow off the endpoints
+        d = (1.0 - beta) * u + beta * v
+        g = p / d
+        a = np.log(d, out=d)
+        a += m  # alpha h
+        for row in edges:
+            # the exact endpoints, where d can underflow: alpha h = beta * alpha f
+            if beta[row, 0] == 0.0:
+                a[row] = 0.0
+            elif beta[row, 0] == 1.0:
+                np.multiply(alpha, f, out=a[row])
+        # log |g| = log |p| + m - alpha h on the edge rows, completed below
+        log_g = [m - a[row] for row in edges]
+        h = np.divide(a, alpha, out=a)
+        log_w, w = _normalized(h, base)
+        wg = np.multiply(w, g, out=g)
+        if edges:
+            log_abs_p = np.abs(p)
+            np.log(log_abs_p, out=log_abs_p)
+    for row, log_wg in zip(edges, log_g):
+        # in log space, since the integrand may overflow exactly where the weight underflows
+        log_wg += log_w[row]
+        log_wg += log_abs_p
+        np.copysign(np.exp(log_wg, out=log_wg), p, out=wg[row])
+    return PathBlock(beta, h, log_w, w, wg)
+
+
 def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
     """Self-normalized path weights and weighted integrand, blockwise over beta.
 
@@ -211,33 +317,36 @@ def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
     point: 0 for proposal samples, L0 + log cell weight on a quadrature grid.
     The weights at temperature beta are proportional to exp(base + h); yields
     one PathBlock per pass of at most BLOCK_ELEMENTS elements (and at least one
-    beta).  The weighted integrand is assembled in log space on the power-mean
-    branch, where the integrand can overflow exactly where the weight underflows.
+    beta), and keeps no reference to a block it has yielded.
+
+    On the power-mean branch the beta-independent terms of _holder_terms are
+    formed once per call, so each beta takes one log per element, and the
+    weighted integrand is w times a quotient whose divisor cannot cancel.
+    Near the geometric path (every |alpha f| <= log 2) alpha h = log1p(beta
+    expm1(alpha f)).  Otherwise alpha h = m + log d with d = (1 - beta) u +
+    beta v; at beta in {0, 1}, where d can underflow, alpha h is set exactly
+    to beta * alpha f, and there (and within 2^-58 / |alpha| of them) the
+    weighted integrand is formed in log space, since the integrand can
+    overflow exactly where the weight underflows.
     """
     betas = _check_betas(betas)
     f = np.asarray(log_ratio, dtype=float)
     branch, param = spec.branch()
-    if branch == "holder":
-        sign = np.sign(f)
-        log_scale = _holder_log_scale(param, f)
     step = max(1, BLOCK_ELEMENTS // max(f.size, 1))
+    if branch != "holder":
+        for start in range(0, betas.size, step):
+            yield _block(branch, param, f, base, betas[start:start + step, None])
+        return
+    terms = _holder_terms(param, f)
+    if len(terms) == 2:  # the near form
+        for start in range(0, betas.size, step):
+            yield _holder_near_block(param, base, terms, betas[start:start + step, None])
+        return
+    edges = [k for k, b in enumerate(betas.tolist())
+             if abs(param) * min(b, 1.0 - b) < _EDGE_SCALE]
     for start in range(0, betas.size, step):
-        beta = betas[start:start + step, None]
-        h = _log_weight(branch, param, f, beta)
-        log_w = h + base
-        top = log_w.max(axis=1, keepdims=True)
-        if not np.all(np.isfinite(top)):
-            raise ValueError("all importance weights vanished; cannot self-normalize")
-        log_w -= top
-        w = np.exp(log_w)
-        total = w.sum(axis=1, keepdims=True)
-        w /= total
-        log_w -= np.log(total)
-        if branch == "holder":
-            wg = sign * np.exp(log_w + log_scale - param * h)
-        else:
-            wg = w * _integrand(branch, param, f, beta)
-        yield PathBlock(beta, h, log_w, w, wg)
+        yield _holder_far_block(param, f, base, terms, betas[start:start + step, None],
+                                [k - start for k in edges if start <= k < start + step])
 
 
 def path_gradient_coeffs(spec: PathSpec, block: PathBlock, log_ratio):

@@ -399,6 +399,8 @@ _MALFORMED = [
     ("oracle", {"oracle": {"alphas": 0.5}}, "config.oracle.alphas"),
     ("bounds", {"bounds": [None]}, "config.bounds"),
     ("oracle", {"oracle": {"grid_points": "x"}}, "config.oracle.grid_points"),
+    ("train", {"training": {"mmd_every": -1, "steps": 2}}, "config.training.mmd_every"),
+    ("train", {"training": {"init": [], "steps": 2}}, "config.training.init"),
 ]
 
 
@@ -411,6 +413,52 @@ def test_malformed_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
     out = tmp_path / "out.txt"
     assert run_cli([command, "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"error: {expected}: ")
+    assert not out.exists()
+
+
+# A list shorter than its command needs: each must name its field, not fail
+# inside the estimators or, for oracle alphas, silently drop the curves.
+_SHORT_LISTS = [
+    ("diagnose", {"diagnose": {"betas": [], "replicates": 2}}, "config.diagnose.betas"),
+    ("oracle", {"oracle": {"alphas": [0.5], "betas": []}}, "config.oracle.betas"),
+    ("oracle", {"oracle": {"alphas": []}}, "config.oracle.alphas"),
+    ("tune", {"tuning": {"candidates": [0.5], "betas": []}}, "config.tuning.betas"),
+    ("tune", {"tuning": {"method": "bisect", "betas": [0.5]}}, "config.tuning.betas"),
+    ("tune", {"tuning": {"candidates": []}}, "config.tuning.candidates"),
+]
+
+
+@pytest.mark.parametrize("command, section, field", _SHORT_LISTS,
+                         ids=[f"{case[0]}-list{i}" for i, case in enumerate(_SHORT_LISTS)])
+def test_short_list_names_its_field(tmp_path, capsys, command, section, field):
+    sampling = {} if command == "oracle" else {"seed": 1, "sample_size": 50}
+    cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", **sampling, **section})
+    out = tmp_path / "out.txt"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: must list at least ")
+    assert not out.exists()
+
+
+# A key the command reads only under a condition, given without it: each ran
+# and changed nothing.
+_CONDITIONAL_KEYS = [
+    ("curve", {"alphas": [0.5], "path": {"kind": "perturbed", "delta": 0.05}}, "config.path"),
+    ("train", {"training": {"steps": 2, "mcmc": {"chains": 2}}}, "config.training.mcmc"),
+    ("train", {"training": {"steps": 2, "mmd_every": 0, "mmd_sample": 100}},
+     "config.training.mmd_sample"),
+    ("oracle", {"oracle": {"betas": [0.5]}}, "config.oracle.betas"),
+]
+
+
+@pytest.mark.parametrize("command, data, field", _CONDITIONAL_KEYS,
+                         ids=[f"{case[0]}-key{i}" for i, case in enumerate(_CONDITIONAL_KEYS)])
+def test_key_read_only_under_a_condition_is_rejected_without_it(tmp_path, capsys, command,
+                                                                 data, field):
+    sampling = {} if command == "oracle" else {"seed": 1, "sample_size": 50}
+    cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", **sampling, **data})
+    out = tmp_path / "out.txt"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: is not read ")
     assert not out.exists()
 
 

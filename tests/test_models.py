@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,6 +254,45 @@ def test_quadrature_grid_weights_integrate_constants(sin_toy):
     pts, logw = quadrature_grid(sin_toy, GridSpec(points=101))
     lo, hi = sin_toy.quadrature_domain[0]
     assert np.exp(logw).sum() == pytest.approx(hi - lo, rel=1e-12)
+
+
+@pytest.mark.parametrize("build", ALL_LOW_DIM)
+def test_quadrature_grid_is_column_major(build):
+    # one contiguous column per coordinate, the points of a column_stack of the mesh
+    model = build()
+    pts, _ = quadrature_grid(model)
+    points = models.DEFAULT_GRID_POINTS[model.latent_dim]
+    axes = [np.linspace(lo, hi, points) for lo, hi in model.quadrature_domain]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    assert pts.flags.f_contiguous
+    assert np.ascontiguousarray(pts).tobytes() == np.column_stack(
+        [m.ravel() for m in mesh]).tobytes()
+
+
+@pytest.mark.parametrize("build", ALL_LOW_DIM)
+def test_grid_log_densities_do_not_depend_on_the_layout(build):
+    model = build()
+    f, base = models._grid_log_densities(model, None, None)
+    pts, logw = quadrature_grid(model)
+    c_pts = np.ascontiguousarray(pts)
+    l0, l1 = model.log_proposal(c_pts), model.log_target(c_pts)
+    assert f.tobytes() == (l1 - l0).tobytes()
+    assert base.tobytes() == (l0 + logw).tobytes()
+
+
+def test_quadrature_curve_keeps_one_beta_block_alive(ring):
+    # traced peak within 13 grid-length float arrays: the beta-independent
+    # terms, f, base and one block of four arrays, with room for temporaries
+    betas = np.linspace(0.0, 1.0, 21)
+    limit = 13 * quadrature_grid(ring)[1].nbytes
+    for alpha in (0.5, 0.0):
+        tracemalloc.start()
+        try:
+            quadrature_local_evidence_curve(ring, alpha, betas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit, alpha
 
 
 def test_thermodynamic_identity_one_dim_builtins():

@@ -208,6 +208,93 @@ def test_kernel_matches_pointwise_reference(sin_toy, spec, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The power-mean kernel against a long-double reference
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+_FLOAT_MAX = np.finfo(float).max
+# unit steps through +-2000, 0 among them, and +-1e-10
+_LD_LOG_RATIOS = np.concatenate([np.linspace(-2000.0, 2000.0, 4001), [1e-10, -1e-10]])
+_LD_BETAS = np.array([0.0, 1e-300, 1e-12, 0.3, 0.5, 1.0 - 1e-12, 1.0])
+
+
+def _long_double_reference(alpha, f, beta):
+    """alpha h, max(alpha f, 0), w, w g, dh/df and w dg/df in np.longdouble."""
+    ld = np.longdouble
+    a, b = ld(alpha), ld(beta)
+    s = a * f.astype(ld)
+    m = np.maximum(s, ld(0))
+    d = (1 - b) * np.exp(-m) + b * np.exp(s - m)
+    a_h = m + np.log(d)
+    log_w = a_h / a
+    log_w -= np.max(log_w)
+    log_w -= np.log(np.sum(np.exp(log_w)))
+    w = np.exp(log_w)
+    g = np.sign(f) * -np.expm1(-np.abs(s)) / (abs(a) * d)
+    return a_h, m, w, w * g, b * np.exp(s - a_h), w * np.exp(s - 2 * a_h)
+
+
+def _kernel_rows(alpha, f):
+    """Per beta of _LD_BETAS: (h, w, wg, dh/df, w dg/df) from path_weights."""
+    spec = PathSpec.holder(alpha)
+    for block in path_weights(spec, _LD_BETAS, f):
+        dh_df, w_dg_df = path_gradient_coeffs(spec, block, f)
+        dh_df = np.broadcast_to(dh_df, block.w.shape)
+        yield from zip(block.h, block.w, block.wg, dh_df, w_dg_df)
+
+
+def _relative_error(got, ref):
+    """Largest relative error of ``got`` where 1e-280 < |ref| <= the largest float."""
+    ok = (np.abs(ref) > 1e-280) & (np.abs(ref) <= _FLOAT_MAX)
+    return float(np.max(np.abs(got[ok] - ref[ok]) / np.abs(ref[ok]), initial=0.0))
+
+
+def _check_out_of_range(got, ref):
+    """No NaN; inf of the right sign beyond the float range; within 1e-292 at or below 1e-280."""
+    assert not np.any(np.isnan(got))
+    big, tiny = np.abs(ref) > _FLOAT_MAX, np.abs(ref) <= 1e-280
+    assert np.all(got[big] == np.sign(ref[big]) * np.inf)
+    assert np.all(np.abs(got[tiny] - ref[tiny]) <= 1e-292)
+
+
+# 2e-4 takes the near-geometric form (every |alpha f| <= log 2), the others the far one
+@pytest.mark.parametrize("alpha", [-0.5, 2e-4, 0.05, 0.5, 1.5])
+def test_holder_kernel_matches_long_double_reference(alpha):
+    f = _LD_LOG_RATIOS
+    with np.errstate(over="ignore"):
+        rows = list(_kernel_rows(alpha, f))
+    for beta, (h, *outputs) in zip(_LD_BETAS, rows):
+        a_h, m, *refs = _long_double_reference(alpha, f, beta)
+        for got, ref in zip(outputs, refs):
+            _check_out_of_range(got, ref)
+            assert _relative_error(got, ref) <= 1e-12, beta
+        # absolute in alpha h, which reaches every output through exp(+-alpha h)
+        # or h + base.  |alpha h - m| = |log d| covers rounding alpha f itself:
+        # where beta e^(alpha f) ~ 1 at beta = 1e-300 that alone moves alpha h
+        # by up to 128 eps at |alpha f| ~ 690, in the pointwise forms as well
+        bound = 4 * _EPS * (np.maximum(1, np.abs(a_h)) + np.abs(a_h - m))
+        assert np.all(np.abs(alpha * h.astype(np.longdouble) - a_h) <= bound), beta
+
+
+def test_holder_kernel_near_the_geometric_cutoff_is_no_less_accurate():
+    # both forms lose accuracy as 1/alpha here; the kernel's largest weight
+    # error must not exceed that of the pointwise logaddexp forms
+    alpha, f = 2e-6, _LD_LOG_RATIOS
+    spec = PathSpec.holder(alpha)
+    kernel = pointwise = 0.0
+    for beta, (_, w, wg, _, _) in zip(_LD_BETAS, _kernel_rows(alpha, f)):
+        _, _, ref_w, ref_wg, _, _ = _long_double_reference(alpha, f, beta)
+        assert not (np.any(np.isnan(w)) or np.any(np.isnan(wg)))
+        log_w = blend_log_density(spec, 0.0, f, beta)
+        log_w -= logsumexp(log_w)
+        sign, log_abs = blend_integrand_parts(spec, 0.0, f, beta)
+        kernel = max(kernel, _relative_error(w, ref_w), _relative_error(wg, ref_wg))
+        pointwise = max(pointwise, _relative_error(np.exp(log_w), ref_w),
+                        _relative_error(sign * np.exp(log_w + log_abs), ref_wg))
+    assert kernel <= pointwise
+
+
+# ---------------------------------------------------------------------------
 # Taylor-continuity at alpha -> 0 and the perturbed expansion
 # ---------------------------------------------------------------------------
 
