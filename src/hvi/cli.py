@@ -23,10 +23,10 @@ import numpy as np
 from . import __version__
 from .diagnostics import curve_profile, mcmc_reference, mmd
 from .estimators import (
+    _BOUNDS,
     DEFAULT_PARTITIONS,
     IntegrationRule,
     PartitionSchedule,
-    _bound_schedule,
     bound_report,
     draw_batch,
     local_evidence_curve,
@@ -40,7 +40,7 @@ from .models import (
     quadrature_local_evidence_curve,
     quadrature_log_marginal,
 )
-from .paths import PathSpec
+from .paths import PathSpec, _check_betas
 from .tuning import DEFAULT_TEST_BETAS, tune_alpha_bisect, tune_alpha_grid
 
 
@@ -87,7 +87,7 @@ def _read(obj: dict, field: str, cast, default=None):
         return cast(value)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config.{field}: {exc}") from None
 
 
@@ -101,32 +101,38 @@ def _numbers(value, cast=float, least=1) -> list:
     return [cast(v) for v in value]
 
 
+def _betas(value, least=1) -> list:
+    """A list of at least ``least`` temperatures, each checked to lie in [0, 1]."""
+    return _check_betas(_numbers(value, least=least)).tolist()
+
+
 def _unread(obj: dict, field: str, reason: str):
     """Reject a key of ``obj`` that the configuration as given does not read."""
     key = field.rpartition(".")[2]
     _require(obj.get(key) is None, field, f"is not read {reason}")
 
 
-def _schedule_from(obj: Optional[dict], field: str,
-                   default: Optional[PartitionSchedule]) -> Optional[PartitionSchedule]:
-    """The configured schedule, missing fields taken from ``default``; ``default`` when absent."""
+def _schedule_from(obj: Optional[dict], field: str, kind: str,
+                   partitions: int = DEFAULT_PARTITIONS) -> Optional[PartitionSchedule]:
+    """The configured schedule, missing fields taken from ``kind(partitions)``; None when absent."""
     if obj is None:
-        return default
+        return None
     _check_keys(obj, ("kind", "partitions", "betas"), field)
     custom = _read(obj, f"{field}.betas", PartitionSchedule)
     if custom is not None:
         return custom
-    kind = obj.get("kind", default.kind)
+    kind = obj.get("kind", kind)
     _require(kind in ("uniform", "log"), f"{field}.kind", f"unknown schedule kind {kind!r}")
     build = getattr(PartitionSchedule, kind)
-    return _read(obj, f"{field}.partitions", lambda n: build(int(n)), default.partitions)
+    return _read(obj, f"{field}.partitions", lambda n: build(int(n)), partitions)
 
 
 class ExperimentConfig:
     """Validated union of config-file values and command-line overrides.
 
     ``keys`` are the top-level keys the command reads besides model,
-    model_params and out; any other key is rejected.
+    model_params and out; any other key is rejected.  ``sample_size`` and
+    ``rule`` are resolved, and echoed, only for a command that reads them.
     """
 
     def __init__(self, data: dict, keys: Sequence[str]):
@@ -138,9 +144,9 @@ class ExperimentConfig:
         self.model_id = data["model"]
         _require(isinstance(data.get("model_params", {}), dict), "model_params",
                  "must be an object")
-        self.sample_size = _read(data, "sample_size", int, 1000)
-        _require(self.sample_size >= 1, "sample_size", "must be >= 1")
-        self.rule = _read(data, "rule", IntegrationRule.parse, "left")
+        self.sample_size = _read(data, "sample_size", int, 1000 if "sample_size" in keys else None)
+        _require(self.sample_size is None or self.sample_size >= 1, "sample_size", "must be >= 1")
+        self.rule = _read(data, "rule", IntegrationRule.parse, "left" if "rule" in keys else None)
         self.out = data.get("out")
 
     def model(self):
@@ -167,10 +173,11 @@ class ExperimentConfig:
         return seeds[0]
 
     def echo(self) -> dict:
-        resolved = dict(self.data)
-        resolved.setdefault("sample_size", self.sample_size)
-        resolved["rule"] = self.rule.value
-        resolved["version"] = __version__
+        resolved = dict(self.data, version=__version__)
+        if self.sample_size is not None:
+            resolved.setdefault("sample_size", self.sample_size)
+        if self.rule is not None:
+            resolved["rule"] = self.rule.value
         return resolved
 
 
@@ -202,8 +209,8 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
     _require(len(set(bounds)) == len(bounds), "bounds", "bound ids must be distinct")
     _read(cfg.data, "bounds", lambda ids: [parse_bound_id(b) for b in ids])
     tvo_schedule = _schedule_from(cfg.data.get("tvo_schedule"), "tvo_schedule",
-                                  _bound_schedule("tvo"))
-    hbo_schedule = _schedule_from(cfg.data.get("schedule"), "schedule", _bound_schedule("hbo"))
+                                  _BOUNDS["tvo"].knots)
+    hbo_schedule = _schedule_from(cfg.data.get("schedule"), "schedule", _BOUNDS["hbo"].knots)
     rows = []
     for seed in cfg.seeds():
         batch = draw_batch(model, cfg.sample_size, seed)
@@ -214,7 +221,8 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
 
 def cmd_curve(cfg: ExperimentConfig) -> str:
     model = cfg.model()
-    schedule = _schedule_from(cfg.data.get("schedule"), "schedule", PartitionSchedule.uniform(20))
+    schedule = (_schedule_from(cfg.data.get("schedule"), "schedule", "uniform", 20)
+                or PartitionSchedule.uniform(20))
     seed = cfg.seed()
     batch = draw_batch(model, cfg.sample_size, seed)
     alphas = _read(cfg.data, "alphas", _numbers)
@@ -246,7 +254,7 @@ def cmd_tune(cfg: ExperimentConfig) -> str:
     method = tuning.get("method", "grid")
     _require(method in tuple(_TUNING_KEYS), "tuning.method", f"unknown method {method!r}")
     _check_keys(tuning, ("method", "betas", *_TUNING_KEYS[method]), "tuning")
-    betas = _read(tuning, "tuning.betas", lambda value: _numbers(value, least=2),
+    betas = _read(tuning, "tuning.betas", lambda value: _betas(value, least=2),
                   DEFAULT_TEST_BETAS)
     if method == "grid":
         candidates = _read(tuning, "tuning.candidates", _numbers, [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -282,12 +290,12 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     # ExperimentConfig checks sample_size, so only the bound and its parameters can fail here
     objective = _read(training, "training.bound", lambda bound: BoundObjective(
         bound=bound, **params, rule=rule, sample_size=cfg.sample_size), "elbo")
-    if training.get("schedule") is not None:
-        # BoundObjective rejects a schedule for a bound without a default one,
-        # so the uniform stand-in only fills a partial schedule to be rejected
-        default = _bound_schedule(objective.bound) or PartitionSchedule.uniform(DEFAULT_PARTITIONS)
-        objective = _read(training, "training.schedule", lambda obj: replace(
-            objective, schedule=_schedule_from(obj, "training.schedule", default)))
+    kind = _BOUNDS[objective.bound].knots  # the default schedule's kind, or the one knot
+    if isinstance(kind, str):
+        objective = replace(objective, schedule=_schedule_from(
+            training.get("schedule"), "training.schedule", kind))
+    else:
+        _unread(training, "training.schedule", f"by the single-knot bound {objective.bound!r}")
     steps = _read(training, "training.steps", int, 100)
     learning_rate = _read(training, "training.learning_rate", float, 1e-3)
     params0 = _read(training, "training.init", model._resolve)
@@ -335,7 +343,7 @@ def cmd_diagnose(cfg: ExperimentConfig) -> str:
     diag = cfg.data.get("diagnose", {})
     _check_keys(diag, ("path", "betas", "replicates"), "diagnose")
     spec = _read(diag, "diagnose.path", PathSpec.from_json, {"kind": "geometric"})
-    betas = _read(diag, "diagnose.betas", _numbers, np.linspace(0.0, 1.0, 21).tolist())
+    betas = _read(diag, "diagnose.betas", _betas, np.linspace(0.0, 1.0, 21).tolist())
     replicates = _read(diag, "diagnose.replicates", int, 50)
     profile = curve_profile(model, spec, betas, cfg.sample_size, replicates, seed)
     rows = [
@@ -353,7 +361,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
     alphas = _read(oracle, "oracle.alphas", _numbers)
     if alphas is None:
         _unread(oracle, "oracle.betas", "without oracle.alphas")
-    betas = _read(oracle, "oracle.betas", _numbers, DEFAULT_TEST_BETAS)
+    betas = _read(oracle, "oracle.betas", _betas, DEFAULT_TEST_BETAS)
     report = {
         "model": cfg.model_id,
         "log_marginal": quadrature_log_marginal(model, grid),
@@ -403,12 +411,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite_float(literal: str) -> float:
+    """A JSON number, NaN or (-)Infinity literal as a float, rejected unless finite."""
+    value = float(literal)
+    if np.isfinite(value):
+        return value
+    raise ConfigError(f"config: non-finite number {literal} is not allowed")
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
+                data = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config: invalid JSON ({exc})") from None
     _require(isinstance(data, dict), "<root>", "must be an object")

@@ -96,8 +96,7 @@ def iw_elbo(batch: ImportanceBatch) -> float:
 
 def rvi(batch: ImportanceBatch, alpha: float) -> float:
     """Renyi bound (1/alpha) log mean exp(alpha * f); alpha = 1 is iw_elbo."""
-    if not alpha > 0:
-        raise ValueError("rvi requires alpha > 0; use elbo for the alpha -> 0 limit")
+    _resolve("rvi", alpha)
     return logmeanexp(alpha * batch.log_ratio) / alpha
 
 
@@ -107,7 +106,7 @@ def eubo(batch: ImportanceBatch) -> float:
     Biased for finite batch size, like every self-normalized estimate at
     beta > 0; there is no unbiased sample-based EUBO available here.
     """
-    return _path_value(batch, "eubo")
+    return _form_value(batch, _resolve("eubo"))
 
 
 @dataclass(frozen=True)
@@ -188,10 +187,9 @@ class IntegrationRule(enum.Enum):
 
 @dataclass(frozen=True)
 class PartitionSchedule:
-    """Sorted temperatures beta_0 = 0 < ... < beta_K = 1 plus the builder tag."""
+    """Sorted temperatures beta_0 = 0 < ... < beta_K = 1."""
 
     betas: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=float).reshape(-1)
@@ -212,7 +210,7 @@ class PartitionSchedule:
         """Equally spaced partition of [0, 1] into ``partitions`` bins."""
         if partitions < 1:
             raise ValueError("need at least one partition")
-        return cls(np.linspace(0.0, 1.0, partitions + 1), kind="uniform")
+        return cls(np.linspace(0.0, 1.0, partitions + 1))
 
     @classmethod
     def log(cls, partitions: int) -> "PartitionSchedule":
@@ -221,10 +219,7 @@ class PartitionSchedule:
             raise ValueError("log schedule needs at least two partitions")
         tail = np.logspace(math.log10(LOG_PARTITION_BETA1), 0.0, partitions)
         tail[-1] = 1.0
-        return cls(np.concatenate([[0.0], tail]), kind="log")
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "partitions": self.partitions}
+        return cls(np.concatenate([[0.0], tail]))
 
 
 def rule_weights(betas: np.ndarray, rule: IntegrationRule) -> np.ndarray:
@@ -243,21 +238,21 @@ def rule_weights(betas: np.ndarray, rule: IntegrationRule) -> np.ndarray:
 def tvo(batch: ImportanceBatch, schedule: Optional[PartitionSchedule] = None,
         rule: IntegrationRule = IntegrationRule.LEFT) -> float:
     """Thermodynamic bound on the geometric path (default: log partition, K=50)."""
-    return _path_value(batch, "tvo", None, schedule, rule)
+    return _form_value(batch, _resolve("tvo", None, schedule, rule))
 
 
 def hbo(batch: ImportanceBatch, alpha: float,
         schedule: Optional[PartitionSchedule] = None,
         rule: IntegrationRule = IntegrationRule.LEFT) -> float:
     """Holder bound of order alpha (default: uniform partition, K=50)."""
-    return _path_value(batch, "hbo", alpha, schedule, rule)
+    return _form_value(batch, _resolve("hbo", alpha, schedule, rule))
 
 
 def perturbed_hbo(batch: ImportanceBatch, delta: float,
                   schedule: Optional[PartitionSchedule] = None,
                   rule: IntegrationRule = IntegrationRule.LEFT) -> float:
     """First-order-in-delta surrogate of hbo(delta) (default: uniform, K=50)."""
-    return _path_value(batch, "perturbed_hbo", delta, schedule, rule)
+    return _form_value(batch, _resolve("perturbed_hbo", delta, schedule, rule))
 
 
 def wasserstein_bounds(batch: ImportanceBatch) -> tuple[float, float]:
@@ -312,33 +307,39 @@ _BOUNDS = {
 _PATH_BOUNDS = tuple(name for name, row in _BOUNDS.items() if row.path is not None)
 
 
-def _bound_schedule(name: str, schedule: Optional[PartitionSchedule] = None):
-    """``schedule``, or the bound's default; None for bounds without a schedule."""
-    kind = _BOUNDS[name].knots
-    if not isinstance(kind, str):
-        return None
-    return schedule or getattr(PartitionSchedule, kind)(DEFAULT_PARTITIONS)
+def _resolve(name: str, arg: Optional[float] = None,
+             schedule: Optional[PartitionSchedule] = None,
+             rule: IntegrationRule = IntegrationRule.LEFT):
+    """Check a bound's inputs; its path form (PathSpec, betas, rule weights), or None.
 
-
-def _bound_path(name: str, arg: Optional[float], schedule=None,
-                rule: IntegrationRule = IntegrationRule.LEFT):
-    """(PathSpec, betas, rule weights) with bound = weights @ curve(betas)."""
-    row = _BOUNDS[name]
-    spec = PathSpec(row.path, **({row.param: float(arg)} if row.param else {}))
-    schedule = _bound_schedule(name, schedule)
-    if schedule is None:
-        return spec, np.array([row.knots]), np.ones(1)
+    The parameter must be finite (and positive for rvi), the rule known, and a
+    single-knot bound takes no schedule.  None stands for a closed form; else
+    bound = weights @ curve(betas), on the bound's one knot with weight 1 or on
+    ``schedule`` (its default when None) with the rule's weights.
+    """
+    row, rule = _BOUNDS[name], IntegrationRule.parse(rule)
+    if arg is not None and not math.isfinite(arg):
+        raise ValueError(f"bound {name!r} needs a finite parameter, got {arg}")
+    if name == "rvi" and not arg > 0:
+        raise ValueError("rvi requires alpha > 0; use elbo for the alpha -> 0 limit")
+    if not isinstance(row.knots, str):
+        if schedule is not None:
+            raise ValueError(f"bound {name!r} has a single knot and takes no schedule")
+        return None if row.path is None else (PathSpec(row.path), np.array([row.knots]),
+                                              np.ones(1))
+    spec = PathSpec(row.path, **({row.param: arg} if row.param else {}))
+    schedule = schedule or getattr(PartitionSchedule, row.knots)(DEFAULT_PARTITIONS)
     return spec, schedule.betas, rule_weights(schedule.betas, rule)
 
 
-def _path_value(batch: ImportanceBatch, name: str, arg: Optional[float] = None,
-                schedule=None, rule: IntegrationRule = IntegrationRule.LEFT) -> float:
-    spec, betas, weights = _bound_path(name, arg, schedule, rule)
+def _form_value(batch: ImportanceBatch, form) -> float:
+    """A bound from its path form (see _resolve)."""
+    spec, betas, weights = form
     return float(weights @ _curve_values(batch, spec, betas))
 
 
-def parse_bound_id(bound_id: str) -> tuple[str, Optional[float]]:
-    """Split a bound id like ``hbo[0.8]`` into its name and parameter."""
+def _split_bound_id(bound_id: str) -> tuple[str, Optional[float]]:
+    """A bound id's name and parameter, before the parameter is checked."""
     m = _BOUND_ID.match(bound_id.strip())
     if not m:
         raise ValueError(f"malformed bound id {bound_id!r}")
@@ -350,6 +351,13 @@ def parse_bound_id(bound_id: str) -> tuple[str, Optional[float]]:
     if _BOUNDS[name].param is not None and arg is None:
         raise ValueError(f"bound {name!r} needs a parameter, e.g. {name}[0.5]")
     return name, None if arg is None else float(arg)
+
+
+def parse_bound_id(bound_id: str) -> tuple[str, Optional[float]]:
+    """Split a bound id like ``hbo[0.8]`` into its name and checked parameter."""
+    name, arg = _split_bound_id(bound_id)
+    _resolve(name, arg)
+    return name, arg
 
 
 @dataclass
@@ -376,12 +384,12 @@ def bound_report(batch: ImportanceBatch, bounds: Sequence[str],
 
     ``tvo_schedule`` replaces the default log schedule, ``hbo_schedule`` the uniform one.
     """
-    schedules = {"log": _bound_schedule("tvo", tvo_schedule),
-                 "uniform": _bound_schedule("hbo", hbo_schedule)}
+    schedules = {"log": tvo_schedule, "uniform": hbo_schedule}
     rule = IntegrationRule.parse(rule)
     values: dict[str, float] = {}
     for bound_id in bounds:
-        name, arg = parse_bound_id(bound_id)
+        # the estimator resolves the id, so parse_bound_id here would resolve it twice
+        name, arg = _split_bound_id(bound_id)
         row = _BOUNDS[name]
         values[bound_id] = row.value(batch, arg, schedules.get(row.knots), rule)
     return BoundReport(values=values)

@@ -23,7 +23,7 @@ proposals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,9 +35,8 @@ from .estimators import (
     IntegrationRule,
     PartitionSchedule,
     _block_influence,
-    _bound_path,
-    _bound_schedule,
-    _curve_values,
+    _form_value,
+    _resolve,
     draw_batch,
     rule_weights,
 )
@@ -103,8 +102,6 @@ def _path_step(model: LatentModel, params, spec: PathSpec, betas, weights,
     the delta-method one of the sum, sqrt(sum_s (sum_k weights_k phi_ks)^2) over
     the per-sample influences phi_ks.
     """
-    if not model.has_gradients:
-        raise ValueError(f"model {model.model_id!r} does not provide gradients")
     weights = np.asarray(weights, dtype=float)
     knots = np.flatnonzero(weights)
     lam = model._resolve(params)
@@ -171,7 +168,8 @@ class BoundObjective:
 
     Only the bound's own parameter field (``alpha`` for hbo, ``delta`` for
     perturbed_hbo) may be nonzero, and only a bound with a default schedule
-    takes a ``schedule``; anything else is rejected rather than ignored.
+    takes a ``schedule``; anything else is rejected rather than ignored.  The
+    bound is resolved once, here, into its path form.
     """
 
     bound: str = "elbo"
@@ -180,6 +178,7 @@ class BoundObjective:
     schedule: Optional[PartitionSchedule] = None
     rule: IntegrationRule = IntegrationRule.LEFT
     sample_size: int = 100
+    _form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bound not in _PATH_BOUNDS:
@@ -188,35 +187,18 @@ class BoundObjective:
         for name in ("alpha", "delta"):
             if getattr(self, name) != 0.0 and name != _BOUNDS[self.bound].param:
                 raise ValueError(f"bound {self.bound!r} takes no {name}")
-        if self.schedule is not None and _bound_schedule(self.bound) is None:
-            raise ValueError(f"bound {self.bound!r} has a single knot and takes no schedule")
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
-
-    def _arg(self) -> Optional[float]:
-        param = _BOUNDS[self.bound].param
-        return getattr(self, param) if param else None
-
-    def _path(self):
-        """(PathSpec, betas, rule weights) with the bound = weights @ curve(betas)."""
-        return _bound_path(self.bound, self._arg(), self.schedule, self.rule)
+        # only the bound's own parameter field can be nonzero, so alpha or delta is it
+        object.__setattr__(self, "_form", _resolve(self.bound, self.alpha or self.delta,
+                                                   self.schedule, self.rule))
 
     def value(self, batch: ImportanceBatch) -> float:
-        return _BOUNDS[self.bound].value(batch, self._arg(), self.schedule, self.rule)
+        return _BOUNDS[self.bound].value(batch, self.alpha or self.delta, self.schedule,
+                                         self.rule)
 
     def gradient(self, model: LatentModel, params, batch: ImportanceBatch) -> GradientEstimate:
-        return _path_step(model, params, *self._path(), batch)[1]
-
-    def to_json(self) -> dict:
-        schedule = _bound_schedule(self.bound, self.schedule)
-        return {
-            "bound": self.bound,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "schedule": schedule.to_json() if schedule else None,
-            "rule": IntegrationRule.parse(self.rule).value,
-            "sample_size": self.sample_size,
-        }
+        return _path_step(model, params, *self._form, batch)[1]
 
 
 @dataclass
@@ -251,11 +233,12 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not np.isfinite(learning_rate):
+        raise ValueError(f"learning_rate must be finite, got {learning_rate}")
     if steps and not model.has_gradients:
         raise ValueError(f"model {model.model_id!r} does not provide gradients")
     lam = model._resolve(params0).copy()
     step_seeds = derive_seeds(seed, steps + 1)
-    spec, betas, weights = objective._path()
     rows_step, rows_lam, rows_val = [], [], []
     diverged = False
     for t in range(steps + 1):
@@ -263,9 +246,9 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
             with np.errstate(over="ignore", invalid="ignore"):
                 batch = draw_batch(model, objective.sample_size, int(step_seeds[t]), lam)
                 if t < steps:
-                    value, grad = _path_step(model, lam, spec, betas, weights, batch)
+                    value, grad = _path_step(model, lam, *objective._form, batch)
                 else:  # the last batch only scores the final parameters
-                    value = float(weights @ _curve_values(batch, spec, betas))
+                    value = _form_value(batch, objective._form)
         except (ValueError, FloatingPointError):
             # lambda drove the proposal, densities or gradients non-finite
             diverged = True
@@ -282,17 +265,10 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
         if not np.all(np.isfinite(lam)):
             diverged = True
             break
-    config = {
-        "objective": objective.to_json(),
-        "steps": int(steps),
-        "learning_rate": float(learning_rate),
-        "seed": int(seed),
-        "model": model.model_id,
-    }
     return TrainingTrace(
         steps=np.asarray(rows_step, dtype=int),
         params=np.asarray(rows_lam, dtype=float),
         objective=np.asarray(rows_val, dtype=float),
-        config=config,
+        config={"objective": {"bound": objective.bound}},
         diverged=diverged,
     )

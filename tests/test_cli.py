@@ -401,6 +401,17 @@ _MALFORMED = [
     ("oracle", {"oracle": {"grid_points": "x"}}, "config.oracle.grid_points"),
     ("train", {"training": {"mmd_every": -1, "steps": 2}}, "config.training.mmd_every"),
     ("train", {"training": {"init": [], "steps": 2}}, "config.training.init"),
+    ("bounds", {"bounds": ["hbo[nan]"]}, "config.bounds"),
+    ("bounds", {"bounds": ["hbo[inf]"]}, "config.bounds"),
+    ("bounds", {"bounds": ["perturbed_hbo[nan]"]}, "config.bounds"),
+    ("bounds", {"bounds": ["rvi[0]"]}, "config.bounds"),
+    ("bounds", {"bounds": ["rvi[-1]"]}, "config.bounds"),
+    ("bounds", {"bounds": ["rvi[inf]"]}, "config.bounds"),
+    ("tune", {"tuning": {"betas": [0, 2]}}, "config.tuning.betas"),
+    ("diagnose", {"diagnose": {"betas": [0, 2]}}, "config.diagnose.betas"),
+    ("oracle", {"oracle": {"alphas": [0.5], "betas": [-1]}}, "config.oracle.betas"),
+    ("train", {"training": {"learning_rate": 10 ** 400, "steps": 2}},
+     "config.training.learning_rate"),
 ]
 
 
@@ -413,6 +424,40 @@ def test_malformed_config_is_an_error_not_a_traceback(tmp_path, capsys, command,
     out = tmp_path / "out.txt"
     assert run_cli([command, "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"error: {expected}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound_id", ["hbo[nan]", "hbo[inf]", "perturbed_hbo[nan]",
+                                      "rvi[0]", "rvi[-1]", "rvi[inf]"])
+def test_bad_bound_parameter_fails_before_sampling(tmp_path, capsys, monkeypatch, bound_id):
+    drawn = []
+    monkeypatch.setattr("hvi.cli.draw_batch", lambda *args: drawn.append(args))
+    cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", "seed": 1,
+                                              "bounds": ["elbo", bound_id]})
+    assert run_cli(["bounds", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: config.bounds: ")
+    assert drawn == []
+
+
+# json.load accepts these literals; each would fail late under no field, or
+# (a NaN learning rate) write a trace flagged as diverged.
+_NON_FINITE = [
+    ("curve", '"seed": 1, "alphas": [NaN]'),
+    ("oracle", '"oracle": {"alphas": [Infinity]}'),
+    ("tune", '"seed": 1, "tuning": {"candidates": [0.5, -Infinity]}'),
+    ("train", '"seed": 1, "training": {"steps": 2, "learning_rate": NaN}'),
+    ("train", '"seed": 1, "training": {"steps": 2, "learning_rate": 1e999}'),
+]
+
+
+@pytest.mark.parametrize("command, text", _NON_FINITE,
+                         ids=[f"{case[0]}-number{i}" for i, case in enumerate(_NON_FINITE)])
+def test_non_finite_numbers_are_rejected_at_load(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": "sin_toy", ' + text + "}")
+    out = tmp_path / "out.txt"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: config: non-finite number ")
     assert not out.exists()
 
 
@@ -480,6 +525,26 @@ def test_each_command_rejects_the_keys_it_does_not_read(tmp_path, capsys, comman
         cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", key: 1})
         assert run_cli([command, "--config", cfg]) == 1
         assert capsys.readouterr().err == f"error: config.<root>: unknown keys ['{key}']\n"
+
+
+# The smallest config on which each command runs.
+_MINIMAL = {"bounds": {"seed": 1, "sample_size": 50, "bounds": ["elbo"]},
+            "curve": {"seed": 1, "sample_size": 50},
+            "tune": {"seed": 1, "sample_size": 50},
+            "train": {"seed": 1, "sample_size": 50, "training": {"steps": 2}},
+            "diagnose": {"seed": 1, "sample_size": 50,
+                         "diagnose": {"replicates": 2, "betas": [0.0, 1.0]}},
+            "oracle": {"oracle": {"grid_points": 101}}}
+
+
+@pytest.mark.parametrize("command", sorted(_READ_KEYS))
+def test_echo_holds_only_the_keys_the_command_reads(tmp_path, command):
+    # oracle used to echo the rule and sample size it never reads
+    cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", **_MINIMAL[command]})
+    out = tmp_path / "out.txt"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 0
+    echo = json.loads((tmp_path / "out.txt.config.json").read_text())
+    assert set(echo) <= {"model", "model_params", "out", "version"} | _READ_KEYS[command]
 
 
 @pytest.mark.parametrize("tuning, key", [

@@ -351,6 +351,23 @@ def test_parse_bound_ids():
             parse_bound_id(bad)
 
 
+@pytest.mark.parametrize("bound_id, message", [
+    ("hbo[nan]", "finite"), ("hbo[inf]", "finite"), ("perturbed_hbo[-inf]", "finite"),
+    ("rvi[inf]", "finite"), ("rvi[0]", "alpha > 0"), ("rvi[-1]", "alpha > 0"),
+])
+def test_parse_bound_id_checks_the_parameter(bound_id, message):
+    with pytest.raises(ValueError, match=message):
+        parse_bound_id(bound_id)
+
+
+def test_estimators_reject_a_non_finite_parameter(sin_toy):
+    batch = draw_batch(sin_toy, 32, 0)
+    for estimate in (lambda: rvi(batch, math.inf), lambda: hbo(batch, math.nan),
+                     lambda: perturbed_hbo(batch, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            estimate()
+
+
 def test_bound_report_values_in_request_order(scaled_two):
     batch = draw_batch(scaled_two, 128, 11)
     ids = ["elbo", "iw_elbo", "rvi[0.5]", "eubo", "wlbo", "wubo", "tvo", "hbo[1]"]

@@ -390,12 +390,28 @@ def test_objective_validation():
         BoundObjective(bound="elbo", sample_size=0)
 
 
+@pytest.mark.parametrize("kwargs", [{"bound": "hbo", "alpha": math.nan},
+                                    {"bound": "hbo", "alpha": math.inf},
+                                    {"bound": "perturbed_hbo", "delta": -math.inf}])
+def test_objective_rejects_a_non_finite_parameter_at_construction(kwargs):
+    # it used to construct and fail only inside train
+    with pytest.raises(ValueError, match="finite parameter"):
+        BoundObjective(**kwargs)
+
+
+@pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
+def test_train_rejects_a_non_finite_learning_rate(conjugate, learning_rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        train(conjugate, None, BoundObjective(), steps=2, learning_rate=learning_rate, seed=0)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"bound": "hbo", "delta": 0.3}, "takes no delta"),
     ({"bound": "perturbed_hbo", "alpha": 0.5}, "takes no alpha"),
     ({"bound": "tvo", "alpha": 0.5}, "takes no alpha"),
     ({"bound": "elbo", "schedule": PartitionSchedule.uniform(5)}, "takes no schedule"),
     ({"bound": "wubo", "schedule": PartitionSchedule.log(5)}, "takes no schedule"),
+    ({"bound": "elbo", "rule": "simpson"}, "unknown integration rule"),
 ])
 def test_objective_rejects_what_its_bound_does_not_take(kwargs, message):
     # hbo with a delta would train at alpha = 0, and elbo would drop the schedule

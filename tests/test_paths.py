@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from scipy.special import logsumexp
@@ -393,3 +393,83 @@ def test_holder_density_coeffs_are_convex_weights(l0, l1, beta):
 def test_geometric_coeffs():
     dh_df, w_dg_df = _coeffs(PathSpec.geometric(), -1.0, -2.0, 0.3)
     assert (dh_df, w_dg_df) == (0.3, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the kernel over arbitrary batches
+# ---------------------------------------------------------------------------
+
+# Temperatures at and next to the endpoints, where the kernel takes its edge forms.
+EDGE_BETAS = [0.0, 1e-300, 0.3, 1.0 - 1e-12, 1.0]
+log_ratios = st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=12).map(np.array)
+
+
+def _kernel_curve(spec, betas, f):
+    """Per-beta (local evidence, sum of |w g|, ESS) from path_weights over f."""
+    blocks = list(path_weights(spec, betas, f))
+    wg = np.concatenate([block.wg for block in blocks])
+    w = np.concatenate([block.w for block in blocks])
+    return wg.sum(axis=1), np.abs(wg).sum(axis=1), 1.0 / (f.size * np.sum(w * w, axis=1))
+
+
+def _holder_spec(form, scale, f):
+    """holder(alpha) whose batch takes the near (every |alpha f| <= log 2) or far form.
+
+    |alpha| <= 1, so every w g stays below e^700 / 0.05 and is representable.
+    """
+    top = np.abs(f).max()
+    if form == "near":
+        alpha = scale * math.log(2.0) / max(top, 1.0)
+    else:
+        assume(top >= 1.5 * math.log(2.0))
+        alpha = math.copysign(max(abs(scale), 1.5 * math.log(2.0) / top), scale)
+    assert (np.abs(alpha * f).max() <= math.log(2.0)) == (form == "near")
+    return PathSpec.holder(alpha)
+
+
+_specs = st.one_of(
+    st.just(PathSpec.geometric()),
+    st.floats(-0.2, 0.2).map(PathSpec.perturbed),
+    st.tuples(st.sampled_from(["near", "far"]),
+              st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)),
+)
+
+
+def _resolve_spec(spec, f):
+    return spec if isinstance(spec, PathSpec) else _holder_spec(*spec, f)
+
+
+@given(log_ratios, st.floats(-700.0, 700.0), st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_shifting_f_shifts_the_geometric_curve(f, shift, extra):
+    betas = EDGE_BETAS + extra
+    base, _, _ = _kernel_curve(PathSpec.geometric(), betas, f)
+    shifted, _, _ = _kernel_curve(PathSpec.geometric(), betas, f + shift)
+    # each log weight beta (f + c) is rounded once more than beta f
+    scale = np.abs(f).max() + abs(shift)
+    np.testing.assert_allclose(shifted, base + shift, rtol=0.0, atol=1e-12 * scale)
+
+
+@given(log_ratios, _specs, st.randoms(use_true_random=False))
+def test_permuting_the_samples_changes_nothing(f, spec, rng):
+    spec = _resolve_spec(spec, f)
+    order = list(range(f.size))
+    rng.shuffle(order)
+    values, magnitude, ess = _kernel_curve(spec, EDGE_BETAS, f)
+    permuted, _, ess_permuted = _kernel_curve(spec, EDGE_BETAS, f[order])
+    np.testing.assert_array_less(np.abs(permuted - values), 1e-12 * magnitude + 1e-300)
+    np.testing.assert_allclose(ess_permuted, ess, rtol=1e-12)
+
+
+@given(log_ratios, _specs)
+def test_ess_stays_between_one_sample_and_all(f, spec):
+    _, _, ess = _kernel_curve(_resolve_spec(spec, f), EDGE_BETAS, f)
+    assert np.all(ess >= (1.0 - 1e-12) / f.size) and np.all(ess <= 1.0 + 1e-12)
+
+
+@given(log_ratios, _specs)
+def test_no_nan_for_log_ratios_up_to_700(f, spec):
+    spec = _resolve_spec(spec, f)
+    for block in path_weights(spec, EDGE_BETAS, f):
+        for name, array in block._asdict().items():
+            assert not np.any(np.isnan(array)), (spec, name)
+        assert np.all(np.isfinite(block.w)) and np.all(np.isfinite(block.wg))
