@@ -60,6 +60,7 @@ from .models import (
     quadrature_local_evidence,
     quadrature_local_evidence_curve,
     quadrature_log_marginal,
+    quadrature_oracle,
     quadrature_rvi,
     simulate_bayes_dataset,
 )

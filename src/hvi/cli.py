@@ -37,8 +37,7 @@ from .models import (
     MODEL_IDS,
     GridSpec,
     make_model,
-    quadrature_local_evidence_curve,
-    quadrature_log_marginal,
+    quadrature_oracle,
 )
 from .paths import PathSpec, _check_betas
 from .tuning import DEFAULT_TEST_BETAS, tune_alpha_bisect, tune_alpha_grid
@@ -91,7 +90,21 @@ def _read(obj: dict, field: str, cast, default=None):
         raise ConfigError(f"config.{field}: {exc}") from None
 
 
-def _numbers(value, cast=float, least=1) -> list:
+def _real(value) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """A JSON integer, or a number with an integral value such as 1e4, as an int."""
+    if _real(value).is_integer():
+        return int(value)
+    raise ValueError(f"must be an integer, got {value!r}")
+
+
+def _numbers(value, cast=_real, least=1) -> list:
     """A list of at least ``least`` numbers, each passed through ``cast``."""
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"must be a list of numbers, got {value!r}")
@@ -118,13 +131,13 @@ def _schedule_from(obj: Optional[dict], field: str, kind: str,
     if obj is None:
         return None
     _check_keys(obj, ("kind", "partitions", "betas"), field)
-    custom = _read(obj, f"{field}.betas", PartitionSchedule)
+    custom = _read(obj, f"{field}.betas", lambda betas: PartitionSchedule(_numbers(betas)))
     if custom is not None:
         return custom
     kind = obj.get("kind", kind)
     _require(kind in ("uniform", "log"), f"{field}.kind", f"unknown schedule kind {kind!r}")
     build = getattr(PartitionSchedule, kind)
-    return _read(obj, f"{field}.partitions", lambda n: build(int(n)), partitions)
+    return _read(obj, f"{field}.partitions", lambda n: build(_integer(n)), partitions)
 
 
 class ExperimentConfig:
@@ -144,7 +157,8 @@ class ExperimentConfig:
         self.model_id = data["model"]
         _require(isinstance(data.get("model_params", {}), dict), "model_params",
                  "must be an object")
-        self.sample_size = _read(data, "sample_size", int, 1000 if "sample_size" in keys else None)
+        self.sample_size = _read(data, "sample_size", _integer,
+                                 1000 if "sample_size" in keys else None)
         _require(self.sample_size is None or self.sample_size >= 1, "sample_size", "must be >= 1")
         self.rule = _read(data, "rule", IntegrationRule.parse, "left" if "rule" in keys else None)
         self.out = data.get("out")
@@ -159,8 +173,8 @@ class ExperimentConfig:
         _require("seed" not in data or "seeds" not in data, "seeds",
                  "give seed or seeds, not both")
         if "seeds" in data:
-            return _read(data, "seeds", lambda value: _numbers(value, int))
-        seed = _read(data, "seed", int)
+            return _read(data, "seeds", lambda value: _numbers(value, _integer))
+        seed = _read(data, "seed", _integer)
         _require(seed is not None, "seed", "estimator commands require an explicit seed "
                  "(pass --seed or set seed/seeds in the config)")
         return [seed]
@@ -262,20 +276,20 @@ def cmd_tune(cfg: ExperimentConfig) -> str:
     else:
         result = tune_alpha_bisect(
             model,
-            alpha_lo=_read(tuning, "tuning.alpha_lo", float, 0.05),
-            alpha_hi=_read(tuning, "tuning.alpha_hi", float, 0.95),
+            alpha_lo=_read(tuning, "tuning.alpha_lo", _real, 0.05),
+            alpha_hi=_read(tuning, "tuning.alpha_hi", _real, 0.95),
             betas=betas,
             sample_size=cfg.sample_size,
-            tolerance=_read(tuning, "tuning.tolerance", float, 0.02),
-            max_iters=_read(tuning, "tuning.max_iters", int, 20),
+            tolerance=_read(tuning, "tuning.tolerance", _real, 0.02),
+            max_iters=_read(tuning, "tuning.max_iters", _integer, 20),
             seed=seed,
         )
     return json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 # Keys of training.mcmc: the mcmc_reference argument each sets, and its type.
-_MCMC_KEYS = {"chains": int, "steps": int, "burn_in": int, "thin": int,
-              "step_size": float, "seed": int}
+_MCMC_KEYS = {"chains": _integer, "steps": _integer, "burn_in": _integer,
+              "thin": _integer, "step_size": _real, "seed": _integer}
 
 
 def cmd_train(cfg: ExperimentConfig) -> str:
@@ -286,7 +300,7 @@ def cmd_train(cfg: ExperimentConfig) -> str:
                            "learning_rate", "init", "mmd_every", "mmd_sample",
                            "mcmc"), "training")
     rule = _read(training, "training.rule", IntegrationRule.parse, cfg.rule)
-    params = {key: _read(training, f"training.{key}", float, 0.0) for key in ("alpha", "delta")}
+    params = {key: _read(training, f"training.{key}", _real, 0.0) for key in ("alpha", "delta")}
     # ExperimentConfig checks sample_size, so only the bound and its parameters can fail here
     objective = _read(training, "training.bound", lambda bound: BoundObjective(
         bound=bound, **params, rule=rule, sample_size=cfg.sample_size), "elbo")
@@ -296,12 +310,12 @@ def cmd_train(cfg: ExperimentConfig) -> str:
             training.get("schedule"), "training.schedule", kind))
     else:
         _unread(training, "training.schedule", f"by the single-knot bound {objective.bound!r}")
-    steps = _read(training, "training.steps", int, 100)
-    learning_rate = _read(training, "training.learning_rate", float, 1e-3)
-    params0 = _read(training, "training.init", model._resolve)
+    steps = _read(training, "training.steps", _integer, 100)
+    learning_rate = _read(training, "training.learning_rate", _real, 1e-3)
+    params0 = _read(training, "training.init", lambda init: model._resolve(_numbers(init)))
 
     reference = None
-    mmd_every = _read(training, "training.mmd_every", int, 0)
+    mmd_every = _read(training, "training.mmd_every", _integer, 0)
     _require(mmd_every >= 0, "training.mmd_every", "must be >= 0")
     if not mmd_every:
         for key in ("mcmc", "mmd_sample"):
@@ -312,7 +326,7 @@ def cmd_train(cfg: ExperimentConfig) -> str:
         mcmc = {key: _read(mcmc_cfg, f"training.mcmc.{key}", cast)
                 for key, cast in _MCMC_KEYS.items() if mcmc_cfg.get(key) is not None}
         reference = mcmc_reference(model, **{"seed": seed, **mcmc}).pooled
-    mmd_sample = _read(training, "training.mmd_sample", int, 2000)
+    mmd_sample = _read(training, "training.mmd_sample", _integer, 2000)
 
     trace = train(model, params0, objective, steps, learning_rate, seed)
     names = model.default_params.names
@@ -344,7 +358,7 @@ def cmd_diagnose(cfg: ExperimentConfig) -> str:
     _check_keys(diag, ("path", "betas", "replicates"), "diagnose")
     spec = _read(diag, "diagnose.path", PathSpec.from_json, {"kind": "geometric"})
     betas = _read(diag, "diagnose.betas", _betas, np.linspace(0.0, 1.0, 21).tolist())
-    replicates = _read(diag, "diagnose.replicates", int, 50)
+    replicates = _read(diag, "diagnose.replicates", _integer, 50)
     profile = curve_profile(model, spec, betas, cfg.sample_size, replicates, seed)
     rows = [
         [profile.betas[i], profile.means[i], profile.variances[i], profile.mean_ess[i]]
@@ -357,20 +371,17 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
     model = cfg.model()
     oracle = cfg.data.get("oracle", {})
     _check_keys(oracle, ("grid_points", "alphas", "betas"), "oracle")
-    grid = GridSpec(points=_read(oracle, "oracle.grid_points", int))
+    grid = GridSpec(points=_read(oracle, "oracle.grid_points", _integer))
     alphas = _read(oracle, "oracle.alphas", _numbers)
     if alphas is None:
         _unread(oracle, "oracle.betas", "without oracle.alphas")
     betas = _read(oracle, "oracle.betas", _betas, DEFAULT_TEST_BETAS)
-    report = {
-        "model": cfg.model_id,
-        "log_marginal": quadrature_log_marginal(model, grid),
-    }
+    log_marginal, curves = quadrature_oracle(model, alphas or (), betas, grid)
+    report = {"model": cfg.model_id, "log_marginal": log_marginal}
     if alphas is not None:
         report["local_evidence"] = {
-            f"{a:g}": dict(zip((f"{b:g}" for b in betas),
-                               quadrature_local_evidence_curve(model, a, betas, grid).tolist()))
-            for a in alphas
+            f"{a:g}": dict(zip((f"{b:g}" for b in betas), curve.tolist()))
+            for a, curve in zip(alphas, curves)
         }
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -419,12 +430,23 @@ def _finite_float(literal: str) -> float:
     raise ConfigError(f"config: non-finite number {literal} is not allowed")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a repeated key would silently replace the first."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config: duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                data = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+                data = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float,
+                                 object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config: invalid JSON ({exc})") from None
     _require(isinstance(data, dict), "<root>", "must be an object")

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .models import LatentModel
-from .paths import PathBlock, PathSpec, path_weights
+from .paths import PathBlock, PathSpec, path_curve, path_weights
 from .util import logmeanexp
 
 __all__ = [
@@ -121,12 +121,6 @@ class LocalEvidenceEstimate:
     value: float
     std_err: float
     ess: float
-
-
-def _curve_values(batch: ImportanceBatch, spec: PathSpec, betas) -> np.ndarray:
-    """Local-evidence values alone, one per beta."""
-    return np.concatenate([block.wg.sum(axis=1)
-                           for block in path_weights(spec, betas, batch.log_ratio)])
 
 
 def _block_influence(block: PathBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -261,7 +255,7 @@ def wasserstein_bounds(batch: ImportanceBatch) -> tuple[float, float]:
     wlbo is the beta = 1 local evidence on the arithmetic path, wubo the
     beta = 0 one (the plain sample mean of e^f - 1).
     """
-    wlbo, wubo = _curve_values(batch, PathSpec.wasserstein(), [1.0, 0.0])
+    wlbo, wubo = path_curve(PathSpec.wasserstein(), [1.0, 0.0], batch.log_ratio)
     return float(wlbo), float(wubo)
 
 
@@ -335,7 +329,7 @@ def _resolve(name: str, arg: Optional[float] = None,
 def _form_value(batch: ImportanceBatch, form) -> float:
     """A bound from its path form (see _resolve)."""
     spec, betas, weights = form
-    return float(weights @ _curve_values(batch, spec, betas))
+    return float(weights @ path_curve(spec, betas, batch.log_ratio))
 
 
 def _split_bound_id(bound_id: str) -> tuple[str, Optional[float]]:

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .paths import PathSpec, blend_integrand_parts, path_weights
+from .paths import PathSpec, path_curve, path_integrand_parts, path_weights
 
 __all__ = [
     "ModelParameters",
@@ -50,6 +50,7 @@ __all__ = [
     "MODEL_IDS",
     "GridSpec",
     "quadrature_grid",
+    "quadrature_oracle",
     "quadrature_log_marginal",
     "quadrature_local_evidence",
     "quadrature_local_evidence_curve",
@@ -464,11 +465,21 @@ def _grid_log_densities(model, grid, params):
     return l1 - l0, l0 + logw
 
 
+def quadrature_oracle(model: LatentModel, alphas=(), betas=(),
+                      grid: Optional[GridSpec] = None, params=None):
+    """log p(x) and the exact local-evidence curve of each alpha at ``betas``.
+
+    One grid evaluation serves all of them.
+    """
+    f, base = _grid_log_densities(model, grid, params)
+    return (float(logsumexp(f + base)),
+            [path_curve(PathSpec.holder(float(alpha)), betas, f, base) for alpha in alphas])
+
+
 def quadrature_log_marginal(model: LatentModel, grid: Optional[GridSpec] = None,
                             params=None) -> float:
     """log integral of exp(log_target): the ground-truth log p(x)."""
-    f, base = _grid_log_densities(model, grid, params)
-    return float(logsumexp(f + base))
+    return quadrature_oracle(model, grid=grid, params=params)[0]
 
 
 def quadrature_local_evidence_curve(model: LatentModel, alpha: float, betas,
@@ -476,9 +487,7 @@ def quadrature_local_evidence_curve(model: LatentModel, alpha: float, betas,
                                     params=None) -> np.ndarray:
     """Exact local evidence E_(alpha,beta) at several beta, one grid pass."""
     f, base = _grid_log_densities(model, grid, params)
-    # map holds no block while the next is built, so one block is alive at a time
-    return np.concatenate([*map(lambda block: block.wg.sum(axis=1), path_weights(
-        PathSpec.holder(float(alpha)), betas, f, base))])
+    return path_curve(PathSpec.holder(float(alpha)), betas, f, base)
 
 
 def quadrature_local_evidence(model: LatentModel, alpha: float, beta: float,
@@ -492,16 +501,17 @@ def quadrature_curve_slope(model: LatentModel, alpha: float, beta: float,
     """Analytic d/dbeta of the local evidence: -E[g]^2 + (1-alpha) E[g^2].
 
     g is the path integrand and both moments are taken under the normalized
-    intermediate density.
+    intermediate density.  At alpha = 1 the second term is 0 and is not
+    formed, since E[g^2] can overflow there.
     """
     f, base = _grid_log_densities(model, grid, params)
     spec = PathSpec.holder(float(alpha))
     block = next(path_weights(spec, [beta], f, base))
-    # the integrand depends on (L0, L1) only through f, so (0, f) stands in
-    _, log_abs = blend_integrand_parts(spec, 0.0, f, beta)
     first = float(block.wg.sum())
-    second = float(np.sum(np.exp(block.log_w + 2.0 * log_abs)))
-    return -first * first + (1.0 - alpha) * second
+    if alpha == 1.0:
+        return -first * first
+    _, log_abs = path_integrand_parts(spec, block, f)
+    return -first * first + (1.0 - alpha) * float(np.sum(np.exp(block.log_w + 2.0 * log_abs)))
 
 
 def quadrature_rvi(model: LatentModel, alpha: float,

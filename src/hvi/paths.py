@@ -47,9 +47,8 @@ __all__ = [
     "PathBlock",
     "path_weights",
     "path_gradient_coeffs",
-    "blend_log_density",
-    "blend_integrand",
-    "blend_integrand_parts",
+    "path_integrand_parts",
+    "path_curve",
 ]
 
 # Below this |alpha| the power-mean branch has no working precision left and
@@ -151,17 +150,6 @@ def _check_betas(betas) -> np.ndarray:
 # a scalar or a column of temperatures broadcasting against f.
 # ---------------------------------------------------------------------------
 
-def _log_weight(branch: str, param: float, f, beta):
-    """h = log pi_beta - L0."""
-    if branch == "geometric":
-        return beta * f
-    if branch == "perturbed":
-        # beta*L1^2 + (1-beta)*L0^2 - U_geo^2 = beta*(1-beta)*f^2
-        return beta * f + (0.5 * param) * beta * (1.0 - beta) * (f * f)
-    with np.errstate(divide="ignore"):
-        return np.logaddexp(np.log(beta) + param * f, np.log1p(-beta)) / param
-
-
 def _integrand(branch: str, param: float, f, beta):
     """g = dh/dbeta on the geometric and perturbed branches (never overflows)."""
     if branch == "geometric":
@@ -257,7 +245,10 @@ def _normalized(h, base):
 
 def _block(branch: str, param: float, f, base, beta) -> PathBlock:
     """path_weights at the column of temperatures beta, geometric or perturbed branch."""
-    h = _log_weight(branch, param, f, beta)
+    h = beta * f  # h = log pi_beta - L0
+    if branch == "perturbed":
+        # beta*L1^2 + (1-beta)*L0^2 - U_geo^2 = beta*(1-beta)*f^2
+        h += (0.5 * param) * beta * (1.0 - beta) * (f * f)
     log_w, w = _normalized(h, base)
     return PathBlock(beta, h, log_w, w, w * _integrand(branch, param, f, beta))
 
@@ -359,51 +350,23 @@ def path_gradient_coeffs(spec: PathSpec, block: PathBlock, log_ratio):
                             block.betas, block.h, block.log_w)
 
 
-# ---------------------------------------------------------------------------
-# Pointwise (L0, L1) forms of the same path math.
-# ---------------------------------------------------------------------------
+def path_integrand_parts(spec: PathSpec, block: PathBlock, log_ratio):
+    """(sign, log |g|) of the integrand g for one PathBlock of path_weights over ``log_ratio``.
 
-def _pointwise(spec: PathSpec, log_proposal, log_target, beta: float):
-    """(branch, param, L0, f, beta) for the pointwise forms below."""
-    beta = float(beta)
-    _check_betas(beta)
-    l0 = np.asarray(log_proposal, dtype=float)
-    f = np.asarray(log_target, dtype=float) - l0
-    return (*spec.branch(), l0, f, beta)
-
-
-def blend_log_density(spec: PathSpec, log_proposal, log_target, beta: float):
-    """log pi_beta(z) from the endpoint log densities L0, L1."""
-    branch, param, l0, f, beta = _pointwise(spec, log_proposal, log_target, beta)
-    return l0 + _log_weight(branch, param, f, beta)
-
-
-def blend_integrand_parts(spec: PathSpec, log_proposal, log_target, beta: float):
-    """Sign and log magnitude of the local-evidence integrand.
-
-    The integrand on the power-mean path, (1/a)(e^(a L1) - e^(a L0))/e^(a U),
-    can be astronomically large near beta = 1 wherever the target is far below
-    the proposal, so consumers that multiply it with importance weights must
-    combine the two in log space.  Returns (sign, log |integrand|).
+    For moments of g beyond w * g: on the power-mean branch g can overflow
+    exactly where the weight underflows, so pair log |g| with block.log_w.
     """
-    branch, param, _, f, beta = _pointwise(spec, log_proposal, log_target, beta)
+    branch, param = spec.branch()
+    f = np.asarray(log_ratio, dtype=float)
     if branch == "holder":
-        return np.sign(f), _holder_log_scale(param, f) - param * _log_weight(branch, param, f, beta)
-    g = _integrand(branch, param, f, beta)
+        return np.sign(f), _holder_log_scale(param, f) - param * block.h
+    g = _integrand(branch, param, f, block.betas)
     with np.errstate(divide="ignore"):
         return np.sign(g), np.log(np.abs(g))
 
 
-def blend_integrand(spec: PathSpec, log_proposal, log_target, beta: float):
-    """d/dbeta log pi_beta(z), the local-evidence integrand, from L0 and L1.
-
-    May legitimately overflow to +-inf on the power-mean branch for extreme
-    log ratios; use blend_integrand_parts when pairing with weights.
-    """
-    branch, param, _, f, beta = _pointwise(spec, log_proposal, log_target, beta)
-    if branch != "holder":
-        return _integrand(branch, param, f, beta)
-    sign, log_mag = blend_integrand_parts(spec, log_proposal, log_target, beta)
-    with np.errstate(over="ignore"):
-        return sign * np.exp(log_mag)
-
+def path_curve(spec: PathSpec, betas, log_ratio, base=0.0) -> np.ndarray:
+    """The local evidence sum_s w g at each beta (path_weights' arguments)."""
+    # map holds no block while the next is built, so one block is alive at a time
+    return np.concatenate([*map(lambda block: block.wg.sum(axis=1),
+                                path_weights(spec, betas, log_ratio, base))])

@@ -37,9 +37,10 @@ from hvi.gradients import (
     local_evidence_grad,
     train,
 )
-from hvi.paths import PathSpec, blend_integrand, blend_log_density
+from hvi.paths import PathSpec
 from hvi.tuning import tune_alpha_grid
 from hvi.util import derive_seeds
+from path_forms import integrand, log_density
 
 
 def _pass(criterion: int, started: float, budget: float, detail: str):
@@ -175,11 +176,11 @@ def test_criterion_07_perturbed_quadratic_decay():
         for beta in (0.1, 0.3, 0.5, 0.7, 0.9):
             exact, pert = PathSpec.holder(delta), PathSpec.perturbed(delta)
             worst_u = max(worst_u, float(np.max(np.abs(
-                blend_log_density(exact, l0, l1, beta)
-                - blend_log_density(pert, l0, l1, beta)))))
+                log_density(exact, l0, l1, beta)
+                - log_density(pert, l0, l1, beta)))))
             worst_g = max(worst_g, float(np.max(np.abs(
-                blend_integrand(exact, l0, l1, beta)
-                - blend_integrand(pert, l0, l1, beta)))))
+                integrand(exact, l0, l1, beta)
+                - integrand(pert, l0, l1, beta)))))
         return worst_u, worst_g
 
     u_big, g_big = max_errors(1e-2)

@@ -295,6 +295,18 @@ def test_oracle_does_not_require_seed(tmp_path):
     assert run_cli(["oracle", "--model", "sin_toy", "--out", out]) == 0
 
 
+def test_oracle_evaluates_the_grid_once(tmp_path, monkeypatch):
+    from hvi import models
+
+    calls = []
+    grid = models.quadrature_grid
+    monkeypatch.setattr(models, "quadrature_grid", lambda *args: calls.append(1) or grid(*args))
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "ring", "oracle": {"grid_points": 101, "alphas": [0.0, 0.5, 1.0]}})
+    assert run_cli(["oracle", "--config", cfg, "--out", tmp_path / "o.json"]) == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # validation and environment
 # ---------------------------------------------------------------------------
@@ -412,6 +424,20 @@ _MALFORMED = [
     ("oracle", {"oracle": {"alphas": [0.5], "betas": [-1]}}, "config.oracle.betas"),
     ("train", {"training": {"learning_rate": 10 ** 400, "steps": 2}},
      "config.training.learning_rate"),
+    # integer settings that int() truncated or coerced, and float settings
+    # that float() coerced
+    ("bounds", {"sample_size": 100.9}, "config.sample_size"),
+    ("bounds", {"seed": 1.7}, "config.seed"),
+    ("bounds", {"sample_size": "100"}, "config.sample_size"),
+    ("bounds", {"sample_size": True}, "config.sample_size"),
+    ("bounds", {"seeds": [1.5, 2]}, "config.seeds"),
+    ("bounds", {"schedule": {"partitions": 10.7}}, "config.schedule.partitions"),
+    ("bounds", {"schedule": {"betas": [False, True]}}, "config.schedule.betas"),
+    ("curve", {"alphas": [True]}, "config.alphas"),
+    ("train", {"training": {"learning_rate": "1e-3", "steps": 2}},
+     "config.training.learning_rate"),
+    ("train", {"training": {"steps": True}}, "config.training.steps"),
+    ("oracle", {"oracle": {"grid_points": 101.5}}, "config.oracle.grid_points"),
 ]
 
 
@@ -419,11 +445,37 @@ _MALFORMED = [
                          ids=[f"{case[0]}-field{i}" for i, case in enumerate(_MALFORMED)])
 def test_malformed_config_is_an_error_not_a_traceback(tmp_path, capsys, command, field,
                                                        expected):
-    seed = {} if command == "oracle" else {"seed": 1}
+    seed = {} if command == "oracle" or "seeds" in field else {"seed": 1}
     cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", **seed, **field})
     out = tmp_path / "out.txt"
     assert run_cli([command, "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(f"error: {expected}: ")
+    assert not out.exists()
+
+
+def test_integral_floats_are_accepted_as_integers(tmp_path):
+    outputs = []
+    for numbers in ({"sample_size": 100, "seeds": [1, 2]},
+                    {"sample_size": 1e2, "seeds": [1.0, 2e0]}):
+        out = tmp_path / f"out{len(outputs)}.csv"
+        cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", **numbers,
+                                                  "schedule": {"partitions": 4.0}})
+        assert run_cli(["bounds", "--config", cfg, "--out", out]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("text, key", [
+    ('"seed": 1, "sample_size": 50, "seed": 3', "seed"),
+    ('"seed": 1, "tuning": {"candidates": [0.5], "candidates": [0.1, 0.9]}', "candidates"),
+])
+def test_duplicate_keys_are_rejected(tmp_path, capsys, text, key):
+    # json.load keeps the last of repeated keys, which ran without a word
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": "sin_toy", ' + text + "}")
+    out = tmp_path / "out.txt"
+    assert run_cli(["tune", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: config: duplicate key {key!r}\n"
     assert not out.exists()
 
 

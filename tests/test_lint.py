@@ -80,3 +80,17 @@ def test_all_names_are_defined(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     missing = sorted(set(_all_entries(tree)) - _defined(tree))
     assert not missing, f"{path.name}: __all__ names that are not defined {missing}"
+
+
+def test_every_private_module_name_is_read():
+    # a private helper nothing in the package reads is dead code
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src/hvi").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        read |= _read(tree) | {node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)}
+    unread = sorted(f"{file}: {name}" for file, tree in trees.items()
+                    for name in _defined(tree) - set(_imports(tree))
+                    if name.startswith("_") and not name.startswith("__") and name not in read)
+    assert not unread, f"module-level private names nothing in src/hvi reads: {unread}"

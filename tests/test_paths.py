@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,15 @@ from hvi import models, paths
 from hvi.paths import (
     GEOMETRIC_ALPHA_CUTOFF,
     PathSpec,
-    blend_integrand,
-    blend_integrand_parts,
-    blend_log_density,
     path_gradient_coeffs,
+    path_integrand_parts,
     path_weights,
+)
+from path_forms import (
+    integrand,
+    log_density,
+    reference_integrand_parts,
+    reference_log_density,
 )
 
 finite_logs = st.floats(-60.0, 5.0)
@@ -76,13 +81,13 @@ def test_tiny_alpha_routes_to_geometric():
 def test_every_spec_hits_the_endpoints(l0, l1):
     for spec in (PathSpec.geometric(), PathSpec.holder(0.7), PathSpec.holder(-0.5),
                  PathSpec.wasserstein(), PathSpec.perturbed(0.05)):
-        assert blend_log_density(spec, l0, l1, 0.0) == pytest.approx(l0, abs=1e-12)
-        assert blend_log_density(spec, l0, l1, 1.0) == pytest.approx(l1, abs=1e-12)
+        assert log_density(spec, l0, l1, 0.0) == pytest.approx(l0, abs=1e-12)
+        assert log_density(spec, l0, l1, 1.0) == pytest.approx(l1, abs=1e-12)
 
 
 def test_wasserstein_is_arithmetic_mean():
     # densities 2 and 4 average to 3
-    got = blend_log_density(PathSpec.holder(1.0), math.log(2.0), math.log(4.0), 0.5)
+    got = log_density(PathSpec.holder(1.0), math.log(2.0), math.log(4.0), 0.5)
     assert got == pytest.approx(math.log(3.0), abs=1e-12)
 
 
@@ -90,8 +95,8 @@ def test_holder_one_equals_wasserstein_everywhere():
     rng = np.random.default_rng(0)
     l0, l1 = rng.normal(-3, 2, 50), rng.normal(-4, 3, 50)
     for beta in (0.0, 0.2, 0.5, 0.9, 1.0):
-        a = blend_log_density(PathSpec.holder(1.0), l0, l1, beta)
-        b = blend_log_density(PathSpec.wasserstein(), l0, l1, beta)
+        a = log_density(PathSpec.holder(1.0), l0, l1, beta)
+        b = log_density(PathSpec.wasserstein(), l0, l1, beta)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -101,22 +106,22 @@ def test_holder_matches_direct_power_mean(sin_toy):
     l0 = sin_toy.log_proposal(z)
     l1 = sin_toy.log_target(z)
     direct = (beta * math.exp(l1) ** alpha + (1 - beta) * math.exp(l0) ** alpha) ** (1 / alpha)
-    got = blend_log_density(PathSpec.holder(alpha), l0, l1, beta)
+    got = log_density(PathSpec.holder(alpha), l0, l1, beta)
     assert got == pytest.approx(math.log(direct), abs=1e-12)
 
 
 @given(finite_logs, finite_logs, betas_mid, st.sampled_from([-1.5, -0.5, 0.4, 0.8, 1.0, 1.5]))
 def test_power_mean_between_endpoints(l0, l1, beta, alpha):
-    u = blend_log_density(PathSpec.holder(alpha), l0, l1, beta)
+    u = log_density(PathSpec.holder(alpha), l0, l1, beta)
     assert min(l0, l1) - 1e-9 <= u <= max(l0, l1) + 1e-9
 
 
 @given(finite_logs, finite_logs, betas_mid, st.sampled_from([-1.5, -0.5, 0.4, 1.0, 1.5]))
 def test_integrand_matches_its_definition(l0, l1, beta, alpha):
     # the stable form equals (1/a)(e^(a L1) - e^(a L0)) / e^(a U)
-    u = blend_log_density(PathSpec.holder(alpha), l0, l1, beta)
+    u = log_density(PathSpec.holder(alpha), l0, l1, beta)
     direct = (math.exp(alpha * (l1 - u)) - math.exp(alpha * (l0 - u))) / alpha
-    got = float(blend_integrand(PathSpec.holder(alpha), l0, l1, beta))
+    got = float(integrand(PathSpec.holder(alpha), l0, l1, beta))
     assert got == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
@@ -127,12 +132,12 @@ def _endpoints(model, z):
 def test_geometric_integrand_is_constant_for_scaled_factor(scaled_two):
     l0, l1 = _endpoints(scaled_two, np.linspace(-3, 3, 9))
     np.testing.assert_allclose(
-        blend_integrand(PathSpec.geometric(), l0, l1, 0.3), math.log(2), atol=1e-12)
+        integrand(PathSpec.geometric(), l0, l1, 0.3), math.log(2), atol=1e-12)
 
 
 def test_wasserstein_integrand_closed_form_at_zero(scaled_two):
     l0, l1 = _endpoints(scaled_two, np.linspace(-2, 2, 7))
-    got = blend_integrand(PathSpec.holder(1.0), l0, l1, 0.0)
+    got = integrand(PathSpec.holder(1.0), l0, l1, 0.0)
     np.testing.assert_allclose(got, 1.0, atol=1e-12)  # c - 1 pointwise
 
 
@@ -140,17 +145,17 @@ def test_perturbed_zero_collapses_to_geometric(sin_toy):
     l0, l1 = _endpoints(sin_toy, np.linspace(-4, 4, 11))
     for beta in (0.0, 0.4, 1.0):
         np.testing.assert_array_equal(
-            blend_integrand(PathSpec.perturbed(0.0), l0, l1, beta),
-            blend_integrand(PathSpec.geometric(), l0, l1, beta))
+            integrand(PathSpec.perturbed(0.0), l0, l1, beta),
+            integrand(PathSpec.geometric(), l0, l1, beta))
 
 
 def test_beta_out_of_range_rejected(sin_toy):
     l0, l1 = _endpoints(sin_toy, 0.0)
     for beta in (-0.1, 1.1):
         with pytest.raises(ValueError):
-            blend_log_density(PathSpec.geometric(), l0, l1, beta)
+            log_density(PathSpec.geometric(), l0, l1, beta)
         with pytest.raises(ValueError):
-            blend_integrand(PathSpec.holder(0.5), l0, l1, beta)
+            integrand(PathSpec.holder(0.5), l0, l1, beta)
         with pytest.raises(ValueError):
             next(path_weights(PathSpec.holder(0.5), [0.5, beta], [l1 - l0]))
 
@@ -159,13 +164,13 @@ def test_integrand_parts_consistent_with_dense_values():
     rng = np.random.default_rng(1)
     l0, l1 = rng.normal(-2, 1, 40), rng.normal(-3, 2, 40)
     for spec in (PathSpec.geometric(), PathSpec.holder(0.6), PathSpec.perturbed(0.02)):
-        sign, log_abs = blend_integrand_parts(spec, l0, l1, 0.3)
-        np.testing.assert_allclose(
-            sign * np.exp(log_abs), blend_integrand(spec, l0, l1, 0.3), rtol=1e-12)
+        block = next(path_weights(spec, [0.3], l1 - l0))
+        sign, log_abs = path_integrand_parts(spec, block, l1 - l0)
+        np.testing.assert_allclose(block.w * sign * np.exp(log_abs), block.wg, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# The blockwise kernel against the pointwise forms, one beta at a time
+# The blockwise kernel against the pointwise reference, one beta at a time
 # ---------------------------------------------------------------------------
 
 def _closed_form_coeffs(spec, f, beta):
@@ -197,9 +202,9 @@ def test_kernel_matches_pointwise_reference(sin_toy, spec, monkeypatch):
     dh_df = np.vstack([np.broadcast_to(c, block.w.shape) for (c, _), block in zip(coeffs, blocks)])
     w_dg_df = np.vstack([wd for _, wd in coeffs])
     for k, beta in enumerate(betas):
-        log_w = blend_log_density(spec, l0, l1, beta) - l0 + base
+        log_w = reference_log_density(spec, l0, l1, beta) - l0 + base
         log_w -= logsumexp(log_w)
-        sign, log_abs = blend_integrand_parts(spec, l0, l1, beta)
+        sign, log_abs = reference_integrand_parts(spec, l0, l1, beta)
         np.testing.assert_allclose(w[k], np.exp(log_w), rtol=1e-11, atol=0)
         np.testing.assert_allclose(wg[k], sign * np.exp(log_w + log_abs), rtol=1e-11, atol=0)
         dh, dg = _closed_form_coeffs(spec, l1 - l0, beta)
@@ -285,9 +290,9 @@ def test_holder_kernel_near_the_geometric_cutoff_is_no_less_accurate():
     for beta, (_, w, wg, _, _) in zip(_LD_BETAS, _kernel_rows(alpha, f)):
         _, _, ref_w, ref_wg, _, _ = _long_double_reference(alpha, f, beta)
         assert not (np.any(np.isnan(w)) or np.any(np.isnan(wg)))
-        log_w = blend_log_density(spec, 0.0, f, beta)
+        log_w = reference_log_density(spec, 0.0, f, beta)
         log_w -= logsumexp(log_w)
-        sign, log_abs = blend_integrand_parts(spec, 0.0, f, beta)
+        sign, log_abs = reference_integrand_parts(spec, 0.0, f, beta)
         kernel = max(kernel, _relative_error(w, ref_w), _relative_error(wg, ref_wg))
         pointwise = max(pointwise, _relative_error(np.exp(log_w), ref_w),
                         _relative_error(sign * np.exp(log_w + log_abs), ref_wg))
@@ -309,9 +314,9 @@ def test_limit_consistency_small_alpha(sin_toy):
     for alpha in (1e-4, -1e-4):
         spec = PathSpec.holder(alpha)
         for beta in (0.1, 0.5, 0.9):
-            du = blend_log_density(spec, l0, l1, beta) - blend_log_density(
+            du = log_density(spec, l0, l1, beta) - log_density(
                 PathSpec.geometric(), l0, l1, beta)
-            dg = blend_integrand(spec, l0, l1, beta) - blend_integrand(
+            dg = integrand(spec, l0, l1, beta) - integrand(
                 PathSpec.geometric(), l0, l1, beta)
             assert np.max(np.abs(du)) < 5e-3
             assert np.max(np.abs(dg)) < 5e-3
@@ -327,9 +332,9 @@ def _max_errors(sin_toy, delta):
         exact = PathSpec.holder(delta)
         pert = PathSpec.perturbed(delta)
         worst_u = max(worst_u, np.max(np.abs(
-            blend_log_density(exact, l0, l1, beta) - blend_log_density(pert, l0, l1, beta))))
+            log_density(exact, l0, l1, beta) - log_density(pert, l0, l1, beta))))
         worst_g = max(worst_g, np.max(np.abs(
-            blend_integrand(exact, l0, l1, beta) - blend_integrand(pert, l0, l1, beta))))
+            integrand(exact, l0, l1, beta) - integrand(pert, l0, l1, beta))))
     return worst_u, worst_g
 
 
@@ -370,6 +375,17 @@ def test_slope_identity_matches_finite_differences(sin_toy):
                   - models.quadrature_local_evidence(sin_toy, alpha, beta - step)) / (2 * step)
             analytic = models.quadrature_curve_slope(sin_toy, alpha, beta)
             assert fd == pytest.approx(analytic, rel=1e-3)
+
+
+def test_slope_at_alpha_one_is_minus_the_squared_evidence(ring):
+    # (1 - alpha) E[g^2] is 0 at alpha = 1, where E[g^2] overflows on the ring's
+    # grid; forming it gave 0 * inf = nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope = models.quadrature_curve_slope(ring, 1.0, 1.0)
+    evidence = models.quadrature_local_evidence(ring, 1.0, 1.0)
+    assert slope == -evidence * evidence
+    assert slope == pytest.approx(-0.44256, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------

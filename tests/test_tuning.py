@@ -13,6 +13,7 @@ from hvi.tuning import (
     tune_alpha_grid,
 )
 from hvi.util import derive_seeds
+from path_forms import reference_integrand, reference_log_density
 
 INTERIOR_BETAS = (0.0, 0.25, 0.5, 0.75)
 
@@ -65,16 +66,16 @@ def test_slope_std_err_is_calibrated(sin_toy, alpha):
 
 
 def test_slope_std_err_is_the_delta_method_over_kernel_blocks(sin_toy, monkeypatch):
-    # reference: per-beta influences phi_k = w_k (g - E_k) from the pointwise
-    # path forms, combined across beta before squaring; both depend on the
+    # reference: per-beta influences phi_k = w_k (g - E_k) from the test-only
+    # pointwise path forms, combined across beta before squaring; both depend on the
     # endpoints only through f, so (L0, L1) = (0, f) stands in for them
     batch = draw_batch(sin_toy, 400, 5)
     spec = PathSpec.holder(0.6)
     phi = []
     for beta in DEFAULT_TEST_BETAS:
-        log_w = paths.blend_log_density(spec, 0.0, batch.log_ratio, beta)
+        log_w = reference_log_density(spec, 0.0, batch.log_ratio, beta)
         w = np.exp(log_w - logsumexp(log_w))
-        g = paths.blend_integrand(spec, 0.0, batch.log_ratio, beta)
+        g = reference_integrand(spec, 0.0, batch.log_ratio, beta)
         phi.append(w * (g - w @ g))
     b = np.asarray(DEFAULT_TEST_BETAS)
     coef = (b - b.mean()) / np.sum((b - b.mean()) ** 2)
