@@ -164,8 +164,12 @@ class ExperimentConfig:
         self.out = data.get("out")
 
     def model(self):
-        return _read(self.data, "model_params",
-                     lambda params: make_model(self.model_id, params), {})
+        params = self.data.get("model_params", {})
+        # every builder parameter is a real number but a dataset's seed and size
+        typed = {name: _read(params, f"model_params.{name}",
+                             _integer if name in ("seed", "n") else _real)
+                 for name in params if params[name] is not None}
+        return _read(self.data, "model_params", lambda _: make_model(self.model_id, typed), {})
 
     def seeds(self) -> list[int]:
         """The seeds to run: ``seeds`` or ``seed`` (which ``--seed`` sets), never both."""

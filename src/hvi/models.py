@@ -8,7 +8,10 @@ the sampler, which takes a caller-owned Generator.
 
 The quadrature helpers integrate on dense trapezoid grids in log space.  For
 the 1-D and 2-D built-ins their error is far below every test tolerance, which
-makes them usable as ground truth for the sample-based estimators.
+makes them usable as ground truth for the sample-based estimators.  Each call
+makes one pass over the grid: the model is evaluated on a tile of points at a
+time and every curve reduced tile by tile (``paths.PathCurve``), so memory
+stays at the grid itself plus a few tiles.
 
 Built-ins (addressable by string id through ``make_model``):
 
@@ -33,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .paths import PathSpec, path_curve, path_integrand_parts, path_weights
+from .paths import PathCurve, PathSpec, path_integrand_parts, path_weights
 
 __all__ = [
     "ModelParameters",
@@ -455,25 +458,49 @@ def quadrature_grid(model: LatentModel, grid: Optional[GridSpec] = None):
     return mesh.reshape(len(axes), -1).T, sum(np.ix_(*log_ws)).ravel()
 
 
-def _grid_log_densities(model, grid, params):
-    """Log ratio f = L1 - L0 and base log weight L0 + log cell weight per grid point."""
+# Grid points per tile of _grid_tiles: the model is evaluated, and the curves
+# reduced, a tile at a time, so no grid-length array of densities is formed.
+_GRID_TILE = 1 << 15
+
+
+def _grid_tiles(model, grid, params):
+    """Per tile of grid points: (log ratio f = L1 - L0, base log weight L0 + log cell weight)."""
     pts, logw = quadrature_grid(model, grid)
-    l0 = model.log_proposal(pts, params)
-    l1 = model.log_target(pts, params)
-    if not (np.all(np.isfinite(l0)) and np.all(np.isfinite(l1))):
-        raise ValueError("non-finite log density on the quadrature grid")
-    return l1 - l0, l0 + logw
+    for start in range(0, logw.size, _GRID_TILE):
+        tile = slice(start, start + _GRID_TILE)
+        l0 = model.log_proposal(pts[tile], params)
+        l1 = model.log_target(pts[tile], params)
+        if not (np.all(np.isfinite(l0)) and np.all(np.isfinite(l1))):
+            raise ValueError("non-finite log density on the quadrature grid")
+        yield l1 - l0, l0 + logw[tile]
+
+
+def _grid_log_densities(model, grid, params):
+    """Log ratio f and base log weight of every grid point (the tiles of _grid_tiles)."""
+    f, base = zip(*_grid_tiles(model, grid, params))
+    return np.concatenate(f), np.concatenate(base)
+
+
+def _grid_curves(model, curves, grid, params) -> list[PathCurve]:
+    """``curves`` (PathCurves) after one pass over the tiles of the grid."""
+    for f, base in _grid_tiles(model, grid, params):
+        for curve in curves:
+            curve.add(f, base)
+    return curves
 
 
 def quadrature_oracle(model: LatentModel, alphas=(), betas=(),
                       grid: Optional[GridSpec] = None, params=None):
     """log p(x) and the exact local-evidence curve of each alpha at ``betas``.
 
-    One grid evaluation serves all of them.
+    One pass over the grid serves all of them; log p(x) is the log normalizer
+    of the geometric path at beta = 1.
     """
-    f, base = _grid_log_densities(model, grid, params)
-    return (float(logsumexp(f + base)),
-            [path_curve(PathSpec.holder(float(alpha)), betas, f, base) for alpha in alphas])
+    log_p, *curves = _grid_curves(
+        model, [PathCurve(PathSpec.geometric(), [1.0]),
+                *(PathCurve(PathSpec.holder(float(alpha)), betas) for alpha in alphas)],
+        grid, params)
+    return float(log_p.log_normalizer()[0]), [curve.values() for curve in curves]
 
 
 def quadrature_log_marginal(model: LatentModel, grid: Optional[GridSpec] = None,
@@ -486,8 +513,9 @@ def quadrature_local_evidence_curve(model: LatentModel, alpha: float, betas,
                                     grid: Optional[GridSpec] = None,
                                     params=None) -> np.ndarray:
     """Exact local evidence E_(alpha,beta) at several beta, one grid pass."""
-    f, base = _grid_log_densities(model, grid, params)
-    return path_curve(PathSpec.holder(float(alpha)), betas, f, base)
+    (curve,) = _grid_curves(model, [PathCurve(PathSpec.holder(float(alpha)), betas)],
+                            grid, params)
+    return curve.values()
 
 
 def quadrature_local_evidence(model: LatentModel, alpha: float, beta: float,
@@ -501,17 +529,24 @@ def quadrature_curve_slope(model: LatentModel, alpha: float, beta: float,
     """Analytic d/dbeta of the local evidence: -E[g]^2 + (1-alpha) E[g^2].
 
     g is the path integrand and both moments are taken under the normalized
-    intermediate density.  At alpha = 1 the second term is 0 and is not
-    formed, since E[g^2] can overflow there.
+    intermediate density.  They are formed from log |E[g]| and log E[g^2], so
+    a slope beyond the float range reads as the infinity of its sign, never
+    NaN.  At alpha = 1 the second term is 0 and is not formed.
     """
+    if alpha == 1.0:
+        first = quadrature_local_evidence(model, alpha, beta, grid, params)
+        return -first * first
     f, base = _grid_log_densities(model, grid, params)
     spec = PathSpec.holder(float(alpha))
     block = next(path_weights(spec, [beta], f, base))
-    first = float(block.wg.sum())
-    if alpha == 1.0:
-        return -first * first
-    _, log_abs = path_integrand_parts(spec, block, f)
-    return -first * first + (1.0 - alpha) * float(np.sum(np.exp(block.log_w + 2.0 * log_abs)))
+    sign, log_abs = path_integrand_parts(spec, block, f)
+    log_first, _ = logsumexp(block.log_w + log_abs, b=sign, return_sign=True)
+    log_second = logsumexp(block.log_w + 2.0 * log_abs)
+    log_slope, slope_sign = logsumexp(
+        [math.log(abs(1.0 - alpha)) + log_second, 2.0 * log_first],
+        b=[math.copysign(1.0, 1.0 - alpha), -1.0], return_sign=True)
+    with np.errstate(over="ignore"):
+        return float(slope_sign * np.exp(log_slope))
 
 
 def quadrature_rvi(model: LatentModel, alpha: float,

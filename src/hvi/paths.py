@@ -7,10 +7,18 @@ in terms of the two endpoint log densities L0 = log pi_0(z) and L1 = log pi_1(z)
 which is what callers (estimators, quadrature oracles) have cached; the raw
 densities are never exponentiated on their own scale.  Every quantity depends
 on them only through f = L1 - L0 once L0 is split off as a base log weight,
-so the path math below is written once in terms of f.  ``path_weights`` is
-the one kernel behind every local evidence, bound, quadrature oracle and
-gradient: the self-normalized weights of pi_beta and their product with the
-integrand, for a vector of beta.
+so the path math below (``_path_math``: h = log pi_beta - L0 and the
+integrand g for a vector of beta) is written once in terms of f.  Two
+reductions share it:
+
+  path_weights  the self-normalized weights of pi_beta and their product with
+                the integrand, in blocks over beta: std errs, ESS, gradients,
+                and the bound values that training reads from the same
+                blocks as its gradients;
+  path_curve    (and PathCurve) only the local evidence sum w g per beta,
+                reduced online over cache-sized tiles of points without
+                forming the normalized weights: every quadrature curve and
+                log p(x).
 
 Supported families:
 
@@ -48,6 +56,7 @@ __all__ = [
     "path_weights",
     "path_gradient_coeffs",
     "path_integrand_parts",
+    "PathCurve",
     "path_curve",
 ]
 
@@ -243,32 +252,23 @@ def _normalized(h, base):
     return log_w, w
 
 
-def _block(branch: str, param: float, f, base, beta) -> PathBlock:
-    """path_weights at the column of temperatures beta, geometric or perturbed branch."""
-    h = beta * f  # h = log pi_beta - L0
-    if branch == "perturbed":
-        # beta*L1^2 + (1-beta)*L0^2 - U_geo^2 = beta*(1-beta)*f^2
-        h += (0.5 * param) * beta * (1.0 - beta) * (f * f)
-    log_w, w = _normalized(h, base)
-    return PathBlock(beta, h, log_w, w, w * _integrand(branch, param, f, beta))
-
-
-def _holder_near_block(alpha: float, base, terms, beta) -> PathBlock:
-    """path_weights at the column of temperatures beta, near form of _holder_terms."""
+def _holder_near(alpha: float, terms, beta):
+    """(h, g) at the column of temperatures beta, near form of _holder_terms."""
     e, p = terms
     x = beta * e
     g = np.add(x, 1.0)
     np.divide(p, g, out=g)
     h = np.log1p(x, out=x)
     h /= alpha
-    log_w, w = _normalized(h, base)
-    return PathBlock(beta, h, log_w, w, np.multiply(w, g, out=g))
+    return h, g
 
 
-def _holder_far_block(alpha: float, f, base, terms, beta, edges) -> PathBlock:
-    """path_weights at the column of temperatures beta, far form of _holder_terms.
+def _holder_far(alpha: float, f, terms, beta, edges):
+    """(h, g, edges) at the column of temperatures beta, far form of _holder_terms.
 
-    ``edges`` lists the rows whose weighted integrand is formed in log space.
+    ``edges`` lists the rows whose weighted integrand is formed in log space;
+    there g reads 0, and the returned edges pair each such row with the two
+    parts of log |g|, m - alpha h and log |p| (g has the sign of f).
     """
     m, u, v, p = terms
     # only edge rows can divide by zero or overflow below
@@ -285,20 +285,44 @@ def _holder_far_block(alpha: float, f, base, terms, beta, edges) -> PathBlock:
                 a[row] = 0.0
             elif beta[row, 0] == 1.0:
                 np.multiply(alpha, f, out=a[row])
-        # log |g| = log |p| + m - alpha h on the edge rows, completed below
-        log_g = [m - a[row] for row in edges]
-        h = np.divide(a, alpha, out=a)
-        log_w, w = _normalized(h, base)
-        wg = np.multiply(w, g, out=g)
-        if edges:
-            log_abs_p = np.abs(p)
-            np.log(log_abs_p, out=log_abs_p)
-    for row, log_wg in zip(edges, log_g):
-        # in log space, since the integrand may overflow exactly where the weight underflows
-        log_wg += log_w[row]
-        log_wg += log_abs_p
-        np.copysign(np.exp(log_wg, out=log_wg), p, out=wg[row])
-    return PathBlock(beta, h, log_w, w, wg)
+            g[row] = 0.0
+        # log |g| = log |p| + m - alpha h, since g may overflow exactly where w underflows
+        log_abs_p = np.log(np.abs(p)) if edges else None
+        edges = [(row, m - a[row], log_abs_p) for row in edges]
+    return np.divide(a, alpha, out=a), g, edges
+
+
+def _path_math(branch: str, param: float, f, betas, rows: int):
+    """The path math at log ratios f, in chunks of ``rows`` betas: yields (beta, h, g, edges).
+
+    beta is the chunk's column of temperatures, h = log pi_beta - L0 and g the
+    integrand, (len(beta), f.size) or f itself on the geometric branch.
+    ``edges`` lists the rows whose w g is formed in log space, with the parts
+    of their log |g| (g reads 0 there; see _holder_far).  On the power-mean
+    branch the beta-independent terms are formed once, and the near or far
+    form is chosen from this f.
+    """
+    if branch != "holder":
+        for start in range(0, betas.size, rows):
+            beta = betas[start:start + rows, None]
+            h = beta * f  # h = log pi_beta - L0
+            if branch == "perturbed":
+                # beta*L1^2 + (1-beta)*L0^2 - U_geo^2 = beta*(1-beta)*f^2
+                h += (0.5 * param) * beta * (1.0 - beta) * (f * f)
+            yield beta, h, _integrand(branch, param, f, beta), ()
+        return
+    terms = _holder_terms(param, f)
+    if len(terms) == 2:  # the near form
+        for start in range(0, betas.size, rows):
+            beta = betas[start:start + rows, None]
+            yield beta, *_holder_near(param, terms, beta), ()
+        return
+    edges = [k for k, b in enumerate(betas.tolist())
+             if abs(param) * min(b, 1.0 - b) < _EDGE_SCALE]
+    for start in range(0, betas.size, rows):
+        beta = betas[start:start + rows, None]
+        yield beta, *_holder_far(param, f, terms, beta,
+                                 [k - start for k in edges if start <= k < start + rows])
 
 
 def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
@@ -308,7 +332,8 @@ def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
     point: 0 for proposal samples, L0 + log cell weight on a quadrature grid.
     The weights at temperature beta are proportional to exp(base + h); yields
     one PathBlock per pass of at most BLOCK_ELEMENTS elements (and at least one
-    beta), and keeps no reference to a block it has yielded.
+    beta), and keeps no reference to a block it has yielded.  path_curve
+    shares its path math and reduces sum w g alone.
 
     On the power-mean branch the beta-independent terms of _holder_terms are
     formed once per call, so each beta takes one log per element, and the
@@ -322,22 +347,16 @@ def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
     """
     betas = _check_betas(betas)
     f = np.asarray(log_ratio, dtype=float)
-    branch, param = spec.branch()
-    step = max(1, BLOCK_ELEMENTS // max(f.size, 1))
-    if branch != "holder":
-        for start in range(0, betas.size, step):
-            yield _block(branch, param, f, base, betas[start:start + step, None])
-        return
-    terms = _holder_terms(param, f)
-    if len(terms) == 2:  # the near form
-        for start in range(0, betas.size, step):
-            yield _holder_near_block(param, base, terms, betas[start:start + step, None])
-        return
-    edges = [k for k, b in enumerate(betas.tolist())
-             if abs(param) * min(b, 1.0 - b) < _EDGE_SCALE]
-    for start in range(0, betas.size, step):
-        yield _holder_far_block(param, f, base, terms, betas[start:start + step, None],
-                                [k - start for k in edges if start <= k < start + step])
+    rows = max(1, BLOCK_ELEMENTS // max(f.size, 1))
+    for beta, h, g, edges in _path_math(*spec.branch(), f, betas, rows):
+        log_w, w = _normalized(h, base)
+        wg = w * g if g is f else np.multiply(w, g, out=g)
+        for row, log_wg, log_abs_p in edges:
+            # log |w g| = log w + log |g|; w g has the sign of f
+            log_wg += log_w[row]
+            log_wg += log_abs_p
+            np.copysign(np.exp(log_wg, out=log_wg), f, out=wg[row])
+        yield PathBlock(beta, h, log_w, w, wg)
 
 
 def path_gradient_coeffs(spec: PathSpec, block: PathBlock, log_ratio):
@@ -365,8 +384,107 @@ def path_integrand_parts(spec: PathSpec, block: PathBlock, log_ratio):
         return np.sign(g), np.log(np.abs(g))
 
 
+# Elements per tile of PathCurve: its passes over a tile of this many float64
+# (1 MiB) run from a core's 2 MiB L2 instead of main memory.
+_TILE_ELEMENTS = BLOCK_ELEMENTS >> 3
+
+# The lowest float: subtracting it from -inf leaves -inf, where subtracting
+# -inf would give nan.
+_LOWEST = np.finfo(float).min
+
+
+def _tile_sums(log_u, g, edges, f):
+    """(top, total, level, moment) of one tile: per row, sum e^log_u = total e^top
+    and sum e^log_u g = moment e^level.
+
+    ``log_u`` (rows of h + base) is consumed.  Edge rows (see _path_math) form
+    u g in log space, brought to a peak of 0 so that no product overflows;
+    elsewhere level = top.  A row that reads -inf gives sums of 0.
+    """
+    top = log_u.max(axis=1)
+    log_u -= np.maximum(top, _LOWEST)[:, None]
+    level, moment = top.copy(), np.zeros(top.size)
+    for row, log_g, log_abs_p in edges:  # g reads 0 there
+        log_g += log_u[row]
+        log_g += log_abs_p
+        peak = log_g.max()
+        if math.isfinite(peak):
+            log_g -= peak
+            moment[row] = np.copysign(np.exp(log_g, out=log_g), f, out=log_g).sum()
+        level[row] = peak + top[row]  # -inf where every product is 0
+    u = np.exp(log_u, out=log_u)
+    moment += np.einsum("ij,ij->i" if np.ndim(g) == 2 else "ij,j->i", u, g)
+    return top, u.sum(axis=1), level, moment
+
+
+def _merge(level, total, tile_level, tile_total):
+    """Two sums held as total * e^level, merged into one at the larger level."""
+    new = np.maximum(level, tile_level)
+    shift = np.maximum(new, _LOWEST)  # a sum at level -inf is 0 and stays 0
+    return new, total * np.exp(level - shift) + tile_total * np.exp(tile_level - shift)
+
+
+class PathCurve:
+    """The local evidence sum_s w g at each beta, reduced online over tiles of points.
+
+    Feed the points with ``add`` in any split; ``values`` gives the curve and
+    ``log_normalizer`` log sum_s exp(h + base) per beta.  Each tile is at most
+    _TILE_ELEMENTS (beta rows x point columns) and takes the same path math as
+    path_weights, but never forms the normalized weights: per beta it keeps
+    sum u and sum u g with u = exp(h + base - t) at a running top t, rescaled
+    when t grows (the online normalizer of Milakov and Gimelshein,
+    arXiv:1805.02867).  On the rows path_weights forms w g in log space, where
+    u g can overflow, sum u g keeps a scale of its own.  A tile whose log
+    weights all read -inf adds nothing.
+    """
+
+    def __init__(self, spec: PathSpec, betas):
+        self.branch, self.param = spec.branch()
+        self.betas = _check_betas(betas)
+        self.top = np.full(self.betas.size, -np.inf)   # sum exp(h + base) = total e^top
+        self.total = np.zeros(self.betas.size)
+        self.level = np.full(self.betas.size, -np.inf)  # sum exp(h + base) g = moment e^level
+        self.moment = np.zeros(self.betas.size)
+
+    def add(self, log_ratio, base=0.0) -> "PathCurve":
+        """Reduce the points with log ratios ``log_ratio`` and log weights ``base`` (path_weights')."""
+        f = np.asarray(log_ratio, dtype=float).reshape(-1)
+        base = np.asarray(base, dtype=float)
+        cols = max(1, _TILE_ELEMENTS // max(self.betas.size, 1))
+        rows = max(1, _TILE_ELEMENTS // max(min(cols, f.size), 1))
+        for start in range(0, f.size, cols):
+            tile = f[start:start + cols]
+            tile_base = base if base.ndim == 0 else base.reshape(-1)[start:start + cols]
+            first = 0
+            for beta, h, g, edges in _path_math(self.branch, self.param, tile, self.betas, rows):
+                k = slice(first, first + beta.size)
+                first += beta.size
+                h += tile_base
+                top, total, level, moment = _tile_sums(h, g, edges, tile)
+                self.top[k], self.total[k] = _merge(self.top[k], self.total[k], top, total)
+                self.level[k], self.moment[k] = _merge(self.level[k], self.moment[k],
+                                                       level, moment)
+        return self
+
+    def _check(self):
+        if not np.all(np.isfinite(self.top)):
+            raise ValueError("all importance weights vanished; cannot self-normalize")
+
+    def values(self) -> np.ndarray:
+        """sum_s w g at each beta, the weights normalized over every point added."""
+        self._check()
+        return self.moment / self.total * np.exp(self.level - self.top)
+
+    def log_normalizer(self) -> np.ndarray:
+        """log sum_s exp(h + base) at each beta, over every point added."""
+        self._check()
+        return self.top + np.log(self.total)
+
+
 def path_curve(spec: PathSpec, betas, log_ratio, base=0.0) -> np.ndarray:
-    """The local evidence sum_s w g at each beta (path_weights' arguments)."""
-    # map holds no block while the next is built, so one block is alive at a time
-    return np.concatenate([*map(lambda block: block.wg.sum(axis=1),
-                                path_weights(spec, betas, log_ratio, base))])
+    """The local evidence sum_s w g at each beta (path_weights' arguments), values only.
+
+    One PathCurve over all the points: the same path math as path_weights,
+    reduced tile by tile without forming w, log w or w g.
+    """
+    return PathCurve(spec, betas).add(log_ratio, base).values()

@@ -438,6 +438,13 @@ _MALFORMED = [
      "config.training.learning_rate"),
     ("train", {"training": {"steps": True}}, "config.training.steps"),
     ("oracle", {"oracle": {"grid_points": 101.5}}, "config.oracle.grid_points"),
+    # model parameters that the builders coerced
+    ("oracle", {"model": "conjugate_gaussian", "model_params": {"sigma": True, "x_obs": 0.0}},
+     "config.model_params.sigma"),
+    ("oracle", {"model": "conjugate_gaussian", "model_params": {"sigma": 1.0, "x_obs": "0"}},
+     "config.model_params.x_obs"),
+    ("bounds", {"model": "bayes_regression", "model_params": {"n": 20.5}},
+     "config.model_params.n"),
 ]
 
 

@@ -21,6 +21,7 @@ from hvi.models import (
     quadrature_local_evidence,
     quadrature_local_evidence_curve,
     quadrature_log_marginal,
+    quadrature_oracle,
     simulate_bayes_dataset,
 )
 
@@ -280,19 +281,21 @@ def test_grid_log_densities_do_not_depend_on_the_layout(build):
     assert base.tobytes() == (l0 + logw).tobytes()
 
 
-def test_quadrature_curve_keeps_one_beta_block_alive(ring):
-    # traced peak within 13 grid-length float arrays: the beta-independent
-    # terms, f, base and one block of four arrays, with room for temporaries
+def test_quadrature_oracles_stream_the_grid_in_tiles(ring):
+    # traced peak within 6 grid-length float arrays: the grid's points and
+    # cell weights (three), and the tiles of model evaluation and reduction
     betas = np.linspace(0.0, 1.0, 21)
-    limit = 13 * quadrature_grid(ring)[1].nbytes
-    for alpha in (0.5, 0.0):
+    limit = 6 * quadrature_grid(ring)[1].nbytes
+    for call in (lambda: quadrature_local_evidence_curve(ring, 0.5, betas),
+                 lambda: quadrature_local_evidence_curve(ring, 0.0, betas),
+                 lambda: quadrature_oracle(ring, [0.0, 0.5, 1.0], betas)):
         tracemalloc.start()
         try:
-            quadrature_local_evidence_curve(ring, alpha, betas)
+            call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= limit, alpha
+        assert peak <= limit
 
 
 def test_thermodynamic_identity_one_dim_builtins():

@@ -11,7 +11,9 @@ from scipy.special import logsumexp
 from hvi import models, paths
 from hvi.paths import (
     GEOMETRIC_ALPHA_CUTOFF,
+    PathCurve,
     PathSpec,
+    path_curve,
     path_gradient_coeffs,
     path_integrand_parts,
     path_weights,
@@ -388,6 +390,15 @@ def test_slope_at_alpha_one_is_minus_the_squared_evidence(ring):
     assert slope == pytest.approx(-0.44256, rel=1e-4)
 
 
+def test_slope_beyond_the_float_range_is_a_signed_infinity(ring):
+    # on the ring at alpha = -0.5, beta = 0, E = -1.3e214: -E^2 and
+    # (1 - alpha) E[g^2] both overflow, and their sum read nan; for alpha < 0
+    # the slope is at least -alpha E^2 > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert models.quadrature_curve_slope(ring, -0.5, 0.0) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # Gradient coefficients: convexity and geometric limits
 # ---------------------------------------------------------------------------
@@ -489,3 +500,54 @@ def test_no_nan_for_log_ratios_up_to_700(f, spec):
         for name, array in block._asdict().items():
             assert not np.any(np.isnan(array)), (spec, name)
         assert np.all(np.isfinite(block.w)) and np.all(np.isfinite(block.wg))
+
+
+# ---------------------------------------------------------------------------
+# The values-only reduction over tiles of points
+# ---------------------------------------------------------------------------
+
+def _tiled_curve(spec, betas, tiles, bases=None):
+    curve = PathCurve(spec, betas)
+    for k, tile in enumerate(tiles):
+        curve.add(tile, 0.0 if bases is None else bases[k])
+    return curve.values()
+
+
+@given(log_ratios, _specs, st.lists(st.integers(1, 11), max_size=4),
+       st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_any_split_into_tiles_gives_the_one_block_curve(f, spec, cuts, extra):
+    spec, betas = _resolve_spec(spec, f), EDGE_BETAS + extra
+    values, magnitude, _ = _kernel_curve(spec, betas, f)
+    got = _tiled_curve(spec, betas, np.split(f, sorted({c for c in cuts if c < f.size})))
+    np.testing.assert_array_less(np.abs(got - values), 1e-12 * magnitude + 1e-300)
+
+
+@pytest.mark.parametrize("alpha", [0.4, -0.4])
+def test_tiles_may_take_different_holder_forms(alpha):
+    # every |alpha f| <= log 2 in the first tile (near form), not in the second (far form)
+    rng = np.random.default_rng(7)
+    near, far = rng.uniform(-1.5, 1.5, 40), rng.uniform(-600.0, 600.0, 40)
+    assert len(paths._holder_terms(alpha, near)) == 2 and len(paths._holder_terms(alpha, far)) == 4
+    spec, f = PathSpec.holder(alpha), np.concatenate([near, far])
+    base = rng.normal(0.0, 3.0, f.size)
+    blocks = list(path_weights(spec, EDGE_BETAS, f, base))
+    wg = np.concatenate([block.wg for block in blocks])
+    got = _tiled_curve(spec, EDGE_BETAS, [near, far], [base[:40], base[40:]])
+    np.testing.assert_array_less(np.abs(got - wg.sum(axis=1)),
+                                 1e-12 * np.abs(wg).sum(axis=1) + 1e-300)
+
+
+def test_path_curve_with_every_weight_vanished_raises():
+    spec = PathSpec.holder(0.5)
+    curve = PathCurve(spec, EDGE_BETAS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a tile whose log weights all read -inf adds nothing, and no nan
+        curve.add(np.array([1.0, -900.0]), np.full(2, -np.inf))
+        with pytest.raises(ValueError, match="vanished"):
+            curve.values()
+        with pytest.raises(ValueError, match="vanished"):
+            path_curve(spec, EDGE_BETAS, np.array([1.0]), -np.inf)
+        curve.add(np.array([0.5, -3.0]))
+        np.testing.assert_array_equal(curve.values(),
+                                      path_curve(spec, EDGE_BETAS, np.array([0.5, -3.0])))
