@@ -12,6 +12,7 @@ to each output file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import io
 import json
 import sys
@@ -40,7 +41,7 @@ from .models import (
     quadrature_oracle,
 )
 from .paths import PathSpec, _check_betas
-from .tuning import DEFAULT_TEST_BETAS, tune_alpha_bisect, tune_alpha_grid
+from .tuning import DEFAULT_TEST_BETAS, _test_betas, tune_alpha_bisect, tune_alpha_grid
 
 
 class ConfigError(ValueError):
@@ -104,6 +105,16 @@ def _integer(value) -> int:
     raise ValueError(f"must be an integer, got {value!r}")
 
 
+def _at_least(least: int):
+    """A cast to an integer (see _integer) of at least ``least``."""
+    def cast(value) -> int:
+        number = _integer(value)
+        if number < least:
+            raise ValueError(f"must be >= {least}, got {number}")
+        return number
+    return cast
+
+
 def _numbers(value, cast=_real, least=1) -> list:
     """A list of at least ``least`` numbers, each passed through ``cast``."""
     if not isinstance(value, (list, tuple)):
@@ -117,6 +128,17 @@ def _numbers(value, cast=_real, least=1) -> list:
 def _betas(value, least=1) -> list:
     """A list of at least ``least`` temperatures, each checked to lie in [0, 1]."""
     return _check_betas(_numbers(value, least=least)).tolist()
+
+
+def _distinct_keys(values: list) -> list:
+    """``values``, rejected when two of them print as one output key ``f"{v:g}"``."""
+    keys = {}
+    for value in values:
+        key = f"{value:g}"
+        if key in keys:
+            raise ValueError(f"{keys[key]!r} and {value!r} share the output key {key!r}")
+        keys[key] = value
+    return values
 
 
 def _unread(obj: dict, field: str, reason: str):
@@ -157,9 +179,8 @@ class ExperimentConfig:
         self.model_id = data["model"]
         _require(isinstance(data.get("model_params", {}), dict), "model_params",
                  "must be an object")
-        self.sample_size = _read(data, "sample_size", _integer,
+        self.sample_size = _read(data, "sample_size", _at_least(1),
                                  1000 if "sample_size" in keys else None)
-        _require(self.sample_size is None or self.sample_size >= 1, "sample_size", "must be >= 1")
         self.rule = _read(data, "rule", IntegrationRule.parse, "left" if "rule" in keys else None)
         self.out = data.get("out")
 
@@ -272,7 +293,7 @@ def cmd_tune(cfg: ExperimentConfig) -> str:
     method = tuning.get("method", "grid")
     _require(method in tuple(_TUNING_KEYS), "tuning.method", f"unknown method {method!r}")
     _check_keys(tuning, ("method", "betas", *_TUNING_KEYS[method]), "tuning")
-    betas = _read(tuning, "tuning.betas", lambda value: _betas(value, least=2),
+    betas = _read(tuning, "tuning.betas", lambda value: _test_betas(_betas(value, least=2)),
                   DEFAULT_TEST_BETAS)
     if method == "grid":
         candidates = _read(tuning, "tuning.candidates", _numbers, [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -285,15 +306,17 @@ def cmd_tune(cfg: ExperimentConfig) -> str:
             betas=betas,
             sample_size=cfg.sample_size,
             tolerance=_read(tuning, "tuning.tolerance", _real, 0.02),
-            max_iters=_read(tuning, "tuning.max_iters", _integer, 20),
+            max_iters=_read(tuning, "tuning.max_iters", _at_least(1), 20),
             seed=seed,
         )
     return json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
 
 
 # Keys of training.mcmc: the mcmc_reference argument each sets, and its type.
-_MCMC_KEYS = {"chains": _integer, "steps": _integer, "burn_in": _integer,
-              "thin": _integer, "step_size": _real, "seed": _integer}
+_MCMC_KEYS = {"chains": _at_least(1), "steps": _integer, "burn_in": _integer,
+              "thin": _at_least(1), "step_size": _real, "seed": _integer}
+_MCMC_DEFAULTS = {name: parameter.default for name, parameter
+                  in inspect.signature(mcmc_reference).parameters.items()}
 
 
 def cmd_train(cfg: ExperimentConfig) -> str:
@@ -314,13 +337,12 @@ def cmd_train(cfg: ExperimentConfig) -> str:
             training.get("schedule"), "training.schedule", kind))
     else:
         _unread(training, "training.schedule", f"by the single-knot bound {objective.bound!r}")
-    steps = _read(training, "training.steps", _integer, 100)
+    steps = _read(training, "training.steps", _at_least(0), 100)
     learning_rate = _read(training, "training.learning_rate", _real, 1e-3)
     params0 = _read(training, "training.init", lambda init: model._resolve(_numbers(init)))
 
     reference = None
-    mmd_every = _read(training, "training.mmd_every", _integer, 0)
-    _require(mmd_every >= 0, "training.mmd_every", "must be >= 0")
+    mmd_every = _read(training, "training.mmd_every", _at_least(0), 0)
     if not mmd_every:
         for key in ("mcmc", "mmd_sample"):
             _unread(training, f"training.{key}", "unless training.mmd_every is positive")
@@ -329,8 +351,11 @@ def cmd_train(cfg: ExperimentConfig) -> str:
         _check_keys(mcmc_cfg, tuple(_MCMC_KEYS), "training.mcmc")
         mcmc = {key: _read(mcmc_cfg, f"training.mcmc.{key}", cast)
                 for key, cast in _MCMC_KEYS.items() if mcmc_cfg.get(key) is not None}
+        burn_in = mcmc.get("burn_in", _MCMC_DEFAULTS["burn_in"])
+        _require(mcmc.get("steps", _MCMC_DEFAULTS["steps"]) > burn_in, "training.mcmc.steps",
+                 f"must exceed burn_in = {burn_in}")
+        mmd_sample = _read(training, "training.mmd_sample", _at_least(1), 2000)
         reference = mcmc_reference(model, **{"seed": seed, **mcmc}).pooled
-    mmd_sample = _read(training, "training.mmd_sample", _integer, 2000)
 
     trace = train(model, params0, objective, steps, learning_rate, seed)
     names = model.default_params.names
@@ -362,7 +387,7 @@ def cmd_diagnose(cfg: ExperimentConfig) -> str:
     _check_keys(diag, ("path", "betas", "replicates"), "diagnose")
     spec = _read(diag, "diagnose.path", PathSpec.from_json, {"kind": "geometric"})
     betas = _read(diag, "diagnose.betas", _betas, np.linspace(0.0, 1.0, 21).tolist())
-    replicates = _read(diag, "diagnose.replicates", _integer, 50)
+    replicates = _read(diag, "diagnose.replicates", _at_least(2), 50)
     profile = curve_profile(model, spec, betas, cfg.sample_size, replicates, seed)
     rows = [
         [profile.betas[i], profile.means[i], profile.variances[i], profile.mean_ess[i]]
@@ -375,11 +400,12 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
     model = cfg.model()
     oracle = cfg.data.get("oracle", {})
     _check_keys(oracle, ("grid_points", "alphas", "betas"), "oracle")
-    grid = GridSpec(points=_read(oracle, "oracle.grid_points", _integer))
-    alphas = _read(oracle, "oracle.alphas", _numbers)
+    grid = GridSpec(points=_read(oracle, "oracle.grid_points", _at_least(2)))
+    alphas = _read(oracle, "oracle.alphas", lambda value: _distinct_keys(_numbers(value)))
     if alphas is None:
         _unread(oracle, "oracle.betas", "without oracle.alphas")
-    betas = _read(oracle, "oracle.betas", _betas, DEFAULT_TEST_BETAS)
+    betas = _read(oracle, "oracle.betas", lambda value: _distinct_keys(_betas(value)),
+                  DEFAULT_TEST_BETAS)
     log_marginal, curves = quadrature_oracle(model, alphas or (), betas, grid)
     report = {"model": cfg.model_id, "log_marginal": log_marginal}
     if alphas is not None:

@@ -127,7 +127,7 @@ def _block_curve(batch: ImportanceBatch, spec: PathSpec, betas) -> np.ndarray:
     """The local evidence sum_s w g at each beta, summed over the kernel's blocks.
 
     Training reads its values from the same blocks as its gradients, so a
-    bound is this curve, not paths.path_curve (values only), whose sums agree
+    bound is this curve, not a paths.PathCurve (values only), whose sums agree
     with it only to rounding.
     """
     return np.concatenate([block.wg.sum(axis=1)

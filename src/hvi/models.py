@@ -10,8 +10,9 @@ The quadrature helpers integrate on dense trapezoid grids in log space.  For
 the 1-D and 2-D built-ins their error is far below every test tolerance, which
 makes them usable as ground truth for the sample-based estimators.  Each call
 makes one pass over the grid: the model is evaluated on a tile of points at a
-time and every curve reduced tile by tile (``paths.PathCurve``), so memory
-stays at the grid itself plus a few tiles.
+time and every curve (``paths.PathCurve``) and the Renyi bound reduced tile by
+tile, so memory stays at the grid itself plus a few tiles.  The slope oracle
+is the exception: it joins the tiles and takes the whole grid at once.
 
 Built-ins (addressable by string id through ``make_model``):
 
@@ -475,12 +476,6 @@ def _grid_tiles(model, grid, params):
         yield l1 - l0, l0 + logw[tile]
 
 
-def _grid_log_densities(model, grid, params):
-    """Log ratio f and base log weight of every grid point (the tiles of _grid_tiles)."""
-    f, base = zip(*_grid_tiles(model, grid, params))
-    return np.concatenate(f), np.concatenate(base)
-
-
 def _grid_curves(model, curves, grid, params) -> list[PathCurve]:
     """``curves`` (PathCurves) after one pass over the tiles of the grid."""
     for f, base in _grid_tiles(model, grid, params):
@@ -536,7 +531,8 @@ def quadrature_curve_slope(model: LatentModel, alpha: float, beta: float,
     if alpha == 1.0:
         first = quadrature_local_evidence(model, alpha, beta, grid, params)
         return -first * first
-    f, base = _grid_log_densities(model, grid, params)
+    # the one whole-grid reader: its moments take path_weights' normalized log weights
+    f, base = map(np.concatenate, zip(*_grid_tiles(model, grid, params)))
     spec = PathSpec.holder(float(alpha))
     block = next(path_weights(spec, [beta], f, base))
     sign, log_abs = path_integrand_parts(spec, block, f)
@@ -554,5 +550,5 @@ def quadrature_rvi(model: LatentModel, alpha: float,
     """Exact Renyi bound (1/alpha) log int q^(1-alpha) p^alpha for alpha > 0."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    f, base = _grid_log_densities(model, grid, params)
-    return float(logsumexp(alpha * f + base)) / alpha
+    tiles = [logsumexp(alpha * f + base) for f, base in _grid_tiles(model, grid, params)]
+    return float(logsumexp(tiles)) / alpha

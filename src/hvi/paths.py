@@ -15,10 +15,9 @@ reductions share it:
                 the integrand, in blocks over beta: std errs, ESS, gradients,
                 and the bound values that training reads from the same
                 blocks as its gradients;
-  path_curve    (and PathCurve) only the local evidence sum w g per beta,
-                reduced online over cache-sized tiles of points without
-                forming the normalized weights: every quadrature curve and
-                log p(x).
+  PathCurve     only the local evidence sum w g per beta, reduced online
+                over cache-sized tiles of points without forming the
+                normalized weights: every quadrature curve and log p(x).
 
 Supported families:
 
@@ -57,7 +56,6 @@ __all__ = [
     "path_gradient_coeffs",
     "path_integrand_parts",
     "PathCurve",
-    "path_curve",
 ]
 
 # Below this |alpha| the power-mean branch has no working precision left and
@@ -141,9 +139,9 @@ class PathSpec:
         return cls(**{"kind": None, **data})
 
 
-# Elements per pass of path_weights.  Fixed, so memory stays bounded on dense
-# grids (801^2 points take one beta per pass) while sample batches take every
-# beta of a schedule in one vectorized pass.
+# Elements per pass of path_weights.  Fixed, so memory stays bounded when a
+# dense grid comes through (the slope oracle's one beta over 801^2 points)
+# while sample batches take every beta of a schedule in one vectorized pass.
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -332,8 +330,7 @@ def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
     point: 0 for proposal samples, L0 + log cell weight on a quadrature grid.
     The weights at temperature beta are proportional to exp(base + h); yields
     one PathBlock per pass of at most BLOCK_ELEMENTS elements (and at least one
-    beta), and keeps no reference to a block it has yielded.  path_curve
-    shares its path math and reduces sum w g alone.
+    beta), and keeps no reference to a block it has yielded.
 
     On the power-mean branch the beta-independent terms of _holder_terms are
     formed once per call, so each beta takes one log per element, and the
@@ -480,11 +477,3 @@ class PathCurve:
         self._check()
         return self.top + np.log(self.total)
 
-
-def path_curve(spec: PathSpec, betas, log_ratio, base=0.0) -> np.ndarray:
-    """The local evidence sum_s w g at each beta (path_weights' arguments), values only.
-
-    One PathCurve over all the points: the same path math as path_weights,
-    reduced tile by tile without forming w, log w or w g.
-    """
-    return PathCurve(spec, betas).add(log_ratio, base).values()

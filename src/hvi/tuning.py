@@ -92,11 +92,17 @@ def _slope_coef(betas) -> np.ndarray:
     return (b - b.mean()) / np.sum((b - b.mean()) ** 2)
 
 
+def _test_betas(betas) -> tuple[float, ...]:
+    """``betas`` as floats; a least-squares slope needs two distinct ones."""
+    betas = tuple(float(b) for b in betas)
+    if len(set(betas)) < 2:
+        raise ValueError(f"need at least two distinct test betas, got {list(betas)}")
+    return betas
+
+
 def summarize_curve(batch: ImportanceBatch, alpha: float, betas) -> CurveSummary:
     """Local evidence at the test betas for one alpha, from a shared batch."""
-    betas = tuple(float(b) for b in betas)
-    if len(betas) < 2:
-        raise ValueError("need at least two test betas")
+    betas = _test_betas(betas)
     coef = _slope_coef(betas)
     values, std_errs, ess, (slope_std_err,) = _reduce_curve(
         batch, PathSpec.holder(float(alpha)), betas, coef[None, :])
@@ -176,7 +182,7 @@ def tune_alpha_bisect(model: LatentModel, alpha_lo: float = 0.05, alpha_hi: floa
         raise ValueError("tolerance must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    betas = tuple(float(b) for b in betas)
+    betas = _test_betas(betas)
     batch = draw_batch(model, sample_size, seed)
     lo_summary = summarize_curve(batch, alpha_lo, betas)
     hi_summary = summarize_curve(batch, alpha_hi, betas)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,9 @@ from hvi.estimators import PartitionSchedule
 from hvi.gradients import BoundObjective, train
 from hvi.models import make_conjugate_gaussian, make_sin_toy, quadrature_local_evidence
 from hvi.tuning import DEFAULT_TEST_BETAS
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args):
@@ -445,6 +452,27 @@ _MALFORMED = [
      "config.model_params.x_obs"),
     ("bounds", {"model": "bayes_regression", "model_params": {"n": 20.5}},
      "config.model_params.n"),
+    # values whose oracle output keys (f"{v:g}") coincide, which dropped curves
+    ("oracle", {"oracle": {"alphas": [0.5, 0.5000001]}}, "config.oracle.alphas"),
+    ("oracle", {"oracle": {"alphas": [0.5], "betas": [0.1234567, 0.1234568, 1.0]}},
+     "config.oracle.betas"),
+    ("oracle", {"oracle": {"alphas": [0.5], "betas": [0.5, 0.5]}}, "config.oracle.betas"),
+    # test betas with no spread, which wrote a NaN slope
+    ("tune", {"tuning": {"betas": [0.5, 0.5]}}, "config.tuning.betas"),
+    # settings out of range, which failed without a field (mmd_sample only
+    # after the MCMC reference and the training run)
+    ("train", {"training": {"steps": -3}}, "config.training.steps"),
+    ("train", {"training": {"steps": 2, "mmd_every": 1, "mmd_sample": 0}},
+     "config.training.mmd_sample"),
+    ("diagnose", {"diagnose": {"replicates": 1}}, "config.diagnose.replicates"),
+    ("tune", {"tuning": {"method": "bisect", "max_iters": 0}}, "config.tuning.max_iters"),
+    ("oracle", {"oracle": {"grid_points": 1}}, "config.oracle.grid_points"),
+    ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"steps": 100}}},
+     "config.training.mcmc.steps"),
+    ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"steps": 500, "burn_in": 500}}},
+     "config.training.mcmc.steps"),
+    ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"chains": 0}}},
+     "config.training.mcmc.chains"),
 ]
 
 
@@ -685,3 +713,21 @@ def test_seventeen_digit_floats(tmp_path):
     _, rows = read_csv(out)
     assert float(rows[0][1]).hex() == float.fromhex(float(rows[0][1]).hex()).hex()
     assert len(rows[0][1].replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+def test_package_binds_only_its_version_and_cli_imports_every_layer():
+    # every caller imports a module by name; after `import hvi; import hvi.cli`
+    # each layer module is loaded (perfbench's tracer reads them from sys.modules)
+    code = ("import json, sys, hvi; names = sorted(vars(hvi)); import hvi.cli; "
+            "print(json.dumps([hvi.__version__, names, sorted(sys.modules)]))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    version, names, modules = json.loads(proc.stdout)
+    assert version == "0.1.0"
+    assert [name for name in names if not name.startswith("__")] == []
+    assert {f"hvi.{layer}" for layer in ("cli", "diagnostics", "estimators", "gradients",
+                                         "models", "paths", "tuning", "util")} <= set(modules)

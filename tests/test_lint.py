@@ -3,8 +3,7 @@
 Parses each ``hvi`` module, each script and each test module with ``ast``;
 nothing is imported.
 A name counts as used when it is read anywhere in the file, appears in a
-string annotation, or is re-exported through ``__all__``; the package
-``__init__`` re-exports everything it imports from its own modules.
+string annotation, or is re-exported through ``__all__``.
 """
 
 import ast
@@ -17,15 +16,14 @@ FILES = [path for directory in ("src/hvi", "scripts", "tests")
          for path in sorted((ROOT / directory).glob("*.py"))]
 
 
-def _imports(tree: ast.Module, skip_relative: bool = False) -> dict:
+def _imports(tree: ast.Module) -> dict:
     """Bound name -> line, for every import except ``__future__``."""
     names = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 names[alias.asname or alias.name.split(".")[0]] = node.lineno
-        elif (isinstance(node, ast.ImportFrom) and node.module != "__future__"
-              and not (skip_relative and node.level)):
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 names[alias.asname or alias.name] = node.lineno
     return names
@@ -70,7 +68,7 @@ def _defined(tree: ast.Module) -> set:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _read(tree) | set(_all_entries(tree))
-    imports = _imports(tree, skip_relative=path.name == "__init__.py")
+    imports = _imports(tree)
     unused = {name: line for name, line in imports.items() if name not in used}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
 

@@ -22,6 +22,7 @@ from hvi.models import (
     quadrature_local_evidence_curve,
     quadrature_log_marginal,
     quadrature_oracle,
+    quadrature_rvi,
     simulate_bayes_dataset,
 )
 
@@ -273,7 +274,7 @@ def test_quadrature_grid_is_column_major(build):
 @pytest.mark.parametrize("build", ALL_LOW_DIM)
 def test_grid_log_densities_do_not_depend_on_the_layout(build):
     model = build()
-    f, base = models._grid_log_densities(model, None, None)
+    f, base = map(np.concatenate, zip(*models._grid_tiles(model, None, None)))
     pts, logw = quadrature_grid(model)
     c_pts = np.ascontiguousarray(pts)
     l0, l1 = model.log_proposal(c_pts), model.log_target(c_pts)
@@ -288,7 +289,8 @@ def test_quadrature_oracles_stream_the_grid_in_tiles(ring):
     limit = 6 * quadrature_grid(ring)[1].nbytes
     for call in (lambda: quadrature_local_evidence_curve(ring, 0.5, betas),
                  lambda: quadrature_local_evidence_curve(ring, 0.0, betas),
-                 lambda: quadrature_oracle(ring, [0.0, 0.5, 1.0], betas)):
+                 lambda: quadrature_oracle(ring, [0.0, 0.5, 1.0], betas),
+                 lambda: quadrature_rvi(ring, 0.5)):
         tracemalloc.start()
         try:
             call()

@@ -13,7 +13,6 @@ from hvi.paths import (
     GEOMETRIC_ALPHA_CUTOFF,
     PathCurve,
     PathSpec,
-    path_curve,
     path_gradient_coeffs,
     path_integrand_parts,
     path_weights,
@@ -547,7 +546,7 @@ def test_path_curve_with_every_weight_vanished_raises():
         with pytest.raises(ValueError, match="vanished"):
             curve.values()
         with pytest.raises(ValueError, match="vanished"):
-            path_curve(spec, EDGE_BETAS, np.array([1.0]), -np.inf)
+            PathCurve(spec, EDGE_BETAS).add(np.array([1.0]), -np.inf).values()
         curve.add(np.array([0.5, -3.0]))
-        np.testing.assert_array_equal(curve.values(),
-                                      path_curve(spec, EDGE_BETAS, np.array([0.5, -3.0])))
+        np.testing.assert_array_equal(
+            curve.values(), PathCurve(spec, EDGE_BETAS).add(np.array([0.5, -3.0])).values())

@@ -92,6 +92,13 @@ def test_summary_requires_two_betas(sin_toy):
         summarize_curve(batch, 0.5, (0.5,))
 
 
+def test_summary_requires_two_distinct_betas(sin_toy):
+    # equal betas leave the least-squares slope 0 / 0
+    batch = draw_batch(sin_toy, 100, 0)
+    with pytest.raises(ValueError, match="distinct"):
+        summarize_curve(batch, 0.5, (0.5, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # Grid search
 # ---------------------------------------------------------------------------
