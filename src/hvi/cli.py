@@ -115,6 +115,14 @@ def _at_least(least: int):
     return cast
 
 
+def _positive(value) -> float:
+    """A positive JSON number as a float."""
+    number = _real(value)
+    if not number > 0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return number
+
+
 def _numbers(value, cast=_real, least=1) -> list:
     """A list of at least ``least`` numbers, each passed through ``cast``."""
     if not isinstance(value, (list, tuple)):
@@ -299,13 +307,16 @@ def cmd_tune(cfg: ExperimentConfig) -> str:
         candidates = _read(tuning, "tuning.candidates", _numbers, [0.1, 0.3, 0.5, 0.7, 0.9])
         result = tune_alpha_grid(model, candidates, betas, cfg.sample_size, seed)
     else:
+        alpha_lo = _read(tuning, "tuning.alpha_lo", _real, 0.05)
+        alpha_hi = _read(tuning, "tuning.alpha_hi", _real, 0.95)
+        _require(alpha_lo < alpha_hi, "tuning.alpha_hi", f"must exceed alpha_lo = {alpha_lo:g}")
         result = tune_alpha_bisect(
             model,
-            alpha_lo=_read(tuning, "tuning.alpha_lo", _real, 0.05),
-            alpha_hi=_read(tuning, "tuning.alpha_hi", _real, 0.95),
+            alpha_lo=alpha_lo,
+            alpha_hi=alpha_hi,
             betas=betas,
             sample_size=cfg.sample_size,
-            tolerance=_read(tuning, "tuning.tolerance", _real, 0.02),
+            tolerance=_read(tuning, "tuning.tolerance", _positive, 0.02),
             max_iters=_read(tuning, "tuning.max_iters", _at_least(1), 20),
             seed=seed,
         )
@@ -313,8 +324,8 @@ def cmd_tune(cfg: ExperimentConfig) -> str:
 
 
 # Keys of training.mcmc: the mcmc_reference argument each sets, and its type.
-_MCMC_KEYS = {"chains": _at_least(1), "steps": _integer, "burn_in": _integer,
-              "thin": _at_least(1), "step_size": _real, "seed": _integer}
+_MCMC_KEYS = {"chains": _at_least(1), "steps": _integer, "burn_in": _at_least(0),
+              "thin": _at_least(1), "step_size": _positive, "seed": _integer}
 _MCMC_DEFAULTS = {name: parameter.default for name, parameter
                   in inspect.signature(mcmc_reference).parameters.items()}
 

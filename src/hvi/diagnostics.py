@@ -169,8 +169,12 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
     """
     if steps <= burn_in:
         raise ValueError("steps must exceed burn_in")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     if thin < 1 or chains < 1:
         raise ValueError("thin and chains must be >= 1")
+    if not 0.0 < step_size < math.inf:
+        raise ValueError("step_size must be positive and finite")
     lam = model.default_params.values
     rng = np.random.default_rng(seed)
     dim = model.latent_dim

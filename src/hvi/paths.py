@@ -18,6 +18,9 @@ reductions share it:
   PathCurve     only the local evidence sum w g per beta, reduced online
                 over cache-sized tiles of points without forming the
                 normalized weights: every quadrature curve and log p(x).
+                Far from the geometric path its power-mean tiles skip h and
+                g: they reduce the beta-independent terms of _holder_terms
+                at one top per tile, with closed forms at beta in {0, 1}.
 
 Supported families:
 
@@ -309,17 +312,21 @@ def _path_math(branch: str, param: float, f, betas, rows: int):
                 h += (0.5 * param) * beta * (1.0 - beta) * (f * f)
             yield beta, h, _integrand(branch, param, f, beta), ()
         return
-    terms = _holder_terms(param, f)
+    yield from _holder_math(param, f, _holder_terms(param, f), betas, rows)
+
+
+def _holder_math(alpha: float, f, terms, betas, rows: int):
+    """_path_math on the power-mean branch, from the terms of _holder_terms(alpha, f)."""
     if len(terms) == 2:  # the near form
         for start in range(0, betas.size, rows):
             beta = betas[start:start + rows, None]
-            yield beta, *_holder_near(param, terms, beta), ()
+            yield beta, *_holder_near(alpha, terms, beta), ()
         return
     edges = [k for k, b in enumerate(betas.tolist())
-             if abs(param) * min(b, 1.0 - b) < _EDGE_SCALE]
+             if abs(alpha) * min(b, 1.0 - b) < _EDGE_SCALE]
     for start in range(0, betas.size, rows):
         beta = betas[start:start + rows, None]
-        yield beta, *_holder_far(param, f, terms, beta,
+        yield beta, *_holder_far(alpha, f, terms, beta,
                                  [k - start for k in edges if start <= k < start + rows])
 
 
@@ -389,6 +396,13 @@ _TILE_ELEMENTS = BLOCK_ELEMENTS >> 3
 # -inf would give nan.
 _LOWEST = np.finfo(float).min
 
+# Largest gap max(|1/alpha|, |1/alpha - 1|) * |log min(beta, 1 - beta)| at which
+# a far-form row of PathCurve shares its tile's top (about 651): every term it
+# takes then lies within e^(+-gap) of the top, so sums of up to 2^64 terms
+# times |p| <= 1 / GEOMETRIC_ALPHA_CUTOFF stay finite, and the row's largest
+# term stays far above the subnormals.
+_SHARED_GAP = math.log(np.finfo(float).max) - math.log(2.0 ** 64 / GEOMETRIC_ALPHA_CUTOFF)
+
 
 def _tile_sums(log_u, g, edges, f):
     """(top, total, level, moment) of one tile: per row, sum e^log_u = total e^top
@@ -414,6 +428,16 @@ def _tile_sums(log_u, g, edges, f):
     return top, u.sum(axis=1), level, moment
 
 
+def _end_sums(log_u, log_ug, p):
+    """(top, total, level, moment) of an endpoint row of a far-form tile, each
+    sum at its own top: sum e^log_u = total e^top and sum e^log_ug sign(p) =
+    moment e^level.  ``log_ug`` (log |u g|) is consumed."""
+    top, level = log_u.max(), log_ug.max()
+    total = np.exp(log_u - max(top, _LOWEST)).sum()
+    log_ug -= max(level, _LOWEST)
+    return top, total, level, np.copysign(np.exp(log_ug, out=log_ug), p, out=log_ug).sum()
+
+
 def _merge(level, total, tile_level, tile_total):
     """Two sums held as total * e^level, merged into one at the larger level."""
     new = np.maximum(level, tile_level)
@@ -426,13 +450,16 @@ class PathCurve:
 
     Feed the points with ``add`` in any split; ``values`` gives the curve and
     ``log_normalizer`` log sum_s exp(h + base) per beta.  Each tile is at most
-    _TILE_ELEMENTS (beta rows x point columns) and takes the same path math as
-    path_weights, but never forms the normalized weights: per beta it keeps
-    sum u and sum u g with u = exp(h + base - t) at a running top t, rescaled
-    when t grows (the online normalizer of Milakov and Gimelshein,
-    arXiv:1805.02867).  On the rows path_weights forms w g in log space, where
-    u g can overflow, sum u g keeps a scale of its own.  A tile whose log
-    weights all read -inf adds nothing.
+    _TILE_ELEMENTS (beta rows x point columns) and never forms the normalized
+    weights: per beta it keeps sum u and sum u g with u = exp(h + base - t) at
+    a running top t, rescaled when t grows (the online normalizer of Milakov
+    and Gimelshein, arXiv:1805.02867).  The geometric, perturbed and
+    near-geometric power-mean tiles take the path math of path_weights, with
+    a top per row; on the rows path_weights forms w g in log space, where u g
+    can overflow, sum u g keeps a scale of its own.  Far-form power-mean tiles
+    take a reduction of their own (_add_far): one top per tile for every row
+    whose terms stay within the float range of it, and closed forms at
+    beta = 0 and beta = 1.  A tile whose log weights all read -inf adds nothing.
     """
 
     def __init__(self, spec: PathSpec, betas):
@@ -442,6 +469,19 @@ class PathCurve:
         self.total = np.zeros(self.betas.size)
         self.level = np.full(self.betas.size, -np.inf)  # sum exp(h + base) g = moment e^level
         self.moment = np.zeros(self.betas.size)
+        self._rows = np.arange(self.betas.size)
+        if self.branch == "holder":
+            # the far form's rows: those that share their tile's top, the
+            # endpoints, and the rest, which keep tops of their own
+            kappa = 1.0 / self.param
+            with np.errstate(divide="ignore"):
+                gap = -np.log(np.minimum(self.betas, 1.0 - self.betas))
+            gap *= max(abs(kappa), abs(kappa - 1.0))
+            inner = (self.betas > 0.0) & (self.betas < 1.0)
+            self._shared = np.flatnonzero(gap <= _SHARED_GAP)
+            self._ends = np.flatnonzero(~inner)
+            self._apart = np.flatnonzero(inner & (gap > _SHARED_GAP))
+            self._work = None  # the shared rows' (rows x cols) buffer
 
     def add(self, log_ratio, base=0.0) -> "PathCurve":
         """Reduce the points with log ratios ``log_ratio`` and log weights ``base`` (path_weights')."""
@@ -452,16 +492,79 @@ class PathCurve:
         for start in range(0, f.size, cols):
             tile = f[start:start + cols]
             tile_base = base if base.ndim == 0 else base.reshape(-1)[start:start + cols]
-            first = 0
-            for beta, h, g, edges in _path_math(self.branch, self.param, tile, self.betas, rows):
-                k = slice(first, first + beta.size)
-                first += beta.size
-                h += tile_base
-                top, total, level, moment = _tile_sums(h, g, edges, tile)
-                self.top[k], self.total[k] = _merge(self.top[k], self.total[k], top, total)
-                self.level[k], self.moment[k] = _merge(self.level[k], self.moment[k],
-                                                       level, moment)
+            if self.branch != "holder":
+                chunks = _path_math(self.branch, self.param, tile, self.betas, rows)
+                self._add_rows(self._rows, chunks, tile, tile_base)
+                continue
+            terms, k = _holder_terms(self.param, tile), self._rows
+            if len(terms) == 4:  # the far form: the rest take the path math
+                self._add_far(tile, np.broadcast_to(tile_base, tile.shape), terms, rows)
+                k = self._apart
+            chunks = _holder_math(self.param, tile, terms, self.betas[k], rows)
+            self._add_rows(k, chunks, tile, tile_base)
         return self
+
+    def _merge_sums(self, k, top, total, level, moment):
+        self.top[k], self.total[k] = _merge(self.top[k], self.total[k], top, total)
+        self.level[k], self.moment[k] = _merge(self.level[k], self.moment[k], level, moment)
+
+    def _add_rows(self, rows, chunks, f, base):
+        """Reduce the chunks of _path_math over the points f into the rows ``rows``."""
+        first = 0
+        for beta, h, g, edges in chunks:
+            k = rows[first:first + beta.size]
+            first += beta.size
+            h += base
+            self._merge_sums(k, *_tile_sums(h, g, edges, f))
+
+    def _add_far(self, f, base, terms, rows):
+        """Reduce the shared rows and the endpoints over points f on the far form.
+
+        With the terms (m, u, v, p) of _holder_terms, kappa = 1/alpha and
+        d = (1 - beta) u + beta v, h + base = c + kappa log d and g = p / d,
+        where c = base + kappa m does not depend on beta.  The shared rows
+        take the one top t = max c: with y = exp((kappa - 1) log d + c - t),
+        sum u = sum y d = (1 - beta) y @ u + beta y @ v and sum u g = y @ p,
+        so neither g nor a row's own top is formed; at kappa = 1 (the
+        arithmetic mean) y does not depend on beta.  The endpoints are closed
+        forms, each sum at its own top: at beta = 0, h = 0 and g = p e^m; at
+        beta = 1, h = f and g = p e^(m - alpha f).
+        """
+        m, u, v, p = terms
+        kappa = 1.0 / self.param
+        c = kappa * m
+        c += base
+        top = c.max()
+        c -= max(top, _LOWEST)
+        uvp = np.stack((u, v, p))
+        if self._work is None:
+            self._work = np.empty(_TILE_ELEMENTS)
+        for start in range(0, self._shared.size, rows):
+            k = self._shared[start:start + rows]
+            beta = self.betas[k]
+            if kappa == 1.0:
+                y = np.exp(c)
+            else:
+                y = self._work[:k.size * f.size].reshape(k.size, f.size)
+                # d: each entry sums two nonnegative terms, one matrix product
+                np.matmul(np.stack((1.0 - beta, beta), axis=1), uvp[:2], out=y)
+                np.log(y, out=y)
+                y *= kappa - 1.0
+                y += c
+                np.exp(y, out=y)
+            sums = (uvp @ y.T).reshape(3, -1)  # y @ u, y @ v, y @ p per row
+            total = (1.0 - beta) * sums[0] + beta * sums[1]
+            self._merge_sums(k, top, total, top, sums[2])
+        if self._ends.size:
+            with np.errstate(divide="ignore"):
+                log_abs_p = np.log(np.abs(p))
+        for k in self._ends:
+            if self.betas[k] == 0.0:
+                self._merge_sums(k, *_end_sums(base, base + m + log_abs_p, p))
+            else:
+                log_u = base + f
+                log_ug = log_u - np.minimum(self.param * f, 0.0)
+                self._merge_sums(k, *_end_sums(log_u, np.add(log_ug, log_abs_p, out=log_ug), p))
 
     def _check(self):
         if not np.all(np.isfinite(self.top)):
@@ -476,4 +579,3 @@ class PathCurve:
         """log sum_s exp(h + base) at each beta, over every point added."""
         self._check()
         return self.top + np.log(self.total)
-

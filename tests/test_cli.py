@@ -473,6 +473,17 @@ _MALFORMED = [
      "config.training.mcmc.steps"),
     ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"chains": 0}}},
      "config.training.mcmc.chains"),
+    # settings the library rejected without a field (bisect), or ran with: a
+    # negative burn-in ran more sweeps than steps, and step_size 0 failed
+    # only after the whole MCMC reference
+    ("tune", {"tuning": {"method": "bisect", "tolerance": 0}}, "config.tuning.tolerance"),
+    ("tune", {"tuning": {"method": "bisect", "alpha_lo": 0.9, "alpha_hi": 0.1}},
+     "config.tuning.alpha_hi"),
+    ("train", {"training": {"steps": 2, "mmd_every": 1,
+                            "mcmc": {"steps": 300, "burn_in": -100, "chains": 2}}},
+     "config.training.mcmc.burn_in"),
+    ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"step_size": 0}}},
+     "config.training.mcmc.step_size"),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -212,6 +213,19 @@ def test_mcmc_deterministic(ring):
 def test_mcmc_validation(ring):
     with pytest.raises(ValueError):
         mcmc_reference(ring, steps=100, burn_in=100)
+
+
+@pytest.mark.parametrize("setting, message", [({"steps": 300, "burn_in": -100}, "burn_in"),
+                                              ({"step_size": 0.0}, "step_size"),
+                                              ({"step_size": -1.0}, "step_size"),
+                                              ({"step_size": math.inf}, "step_size")])
+def test_mcmc_rejects_settings_before_sampling(ring, setting, message):
+    def never(*args):
+        raise AssertionError("the sampler ran")
+    # a model that fails on any evaluation shows the check comes first
+    silent = dataclasses.replace(ring, _log_target=never, _sample_proposal=never)
+    with pytest.raises(ValueError, match=message):
+        mcmc_reference(silent, **setting)
 
 
 # ---------------------------------------------------------------------------

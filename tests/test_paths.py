@@ -430,9 +430,9 @@ EDGE_BETAS = [0.0, 1e-300, 0.3, 1.0 - 1e-12, 1.0]
 log_ratios = st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=12).map(np.array)
 
 
-def _kernel_curve(spec, betas, f):
+def _kernel_curve(spec, betas, f, base=0.0):
     """Per-beta (local evidence, sum of |w g|, ESS) from path_weights over f."""
-    blocks = list(path_weights(spec, betas, f))
+    blocks = list(path_weights(spec, betas, f, base))
     wg = np.concatenate([block.wg for block in blocks])
     w = np.concatenate([block.w for block in blocks])
     return wg.sum(axis=1), np.abs(wg).sum(axis=1), 1.0 / (f.size * np.sum(w * w, axis=1))
@@ -519,6 +519,43 @@ def test_any_split_into_tiles_gives_the_one_block_curve(f, spec, cuts, extra):
     values, magnitude, _ = _kernel_curve(spec, betas, f)
     got = _tiled_curve(spec, betas, np.split(f, sorted({c for c in cuts if c < f.size})))
     np.testing.assert_array_less(np.abs(got - values), 1e-12 * magnitude + 1e-300)
+
+
+@given(log_ratios, st.sampled_from([-1.0, 1.0]), st.floats(150.0, 700.0),
+       st.floats(1.0, 3.0, exclude_min=True) | st.floats(0.005, 0.05),
+       st.lists(st.integers(1, 12), max_size=4), st.data())
+def test_far_form_tiles_with_any_base_give_the_one_block_curve(f, sign, far, alpha, cuts,
+                                                               data):
+    # the far point puts every tile holding it on the far form; 1e-30 and
+    # 1e-300 take PathCurve's shared top or a top per row, depending on alpha.
+    # Every |alpha f| <= 700, so every w g is representable.
+    f = np.append(f, sign * far) / max(alpha, 1.0)
+    assert np.abs(alpha * f).max() > math.log(2.0)
+    base = np.array(data.draw(st.lists(st.floats(-50.0, 50.0) | st.just(-np.inf),
+                                       min_size=f.size, max_size=f.size)))
+    assume(np.isfinite(base).any())
+    spec, betas = PathSpec.holder(alpha), EDGE_BETAS + [1e-30, 1e-300]
+    values, magnitude, _ = _kernel_curve(spec, betas, f, base)
+    bounds = sorted({c for c in cuts if c < f.size})
+    got = _tiled_curve(spec, betas, np.split(f, bounds), np.split(base, bounds))
+    np.testing.assert_array_less(np.abs(got - values), 1e-12 * magnitude + 1e-300)
+
+
+@pytest.mark.parametrize("alpha", [1.0, -0.5])
+def test_far_tiles_whose_tops_differ_beyond_the_float_range(alpha):
+    # the ring's grid, split into the points near the ring and those far off:
+    # at beta = 1 the two tiles' tops differ by more than 709, and at alpha = 1
+    # the far tile's integrand exceeds e^770 where its weights underflow
+    ring = models.make_ring()
+    f, base = map(np.concatenate, zip(*models._grid_tiles(ring, models.GridSpec(101), None)))
+    far = f + base < -800.0
+    assert (f + base)[~far].max() - (f + base)[far].max() > 709.0
+    spec = PathSpec.holder(alpha)
+    values, magnitude, _ = _kernel_curve(spec, EDGE_BETAS, f, base)
+    tiles = [(f[~far], base[~far]), (f[far], base[far])]
+    for order in (tiles, tiles[::-1]):
+        got = _tiled_curve(spec, EDGE_BETAS, *zip(*order))
+        np.testing.assert_array_less(np.abs(got - values), 1e-12 * magnitude)
 
 
 @pytest.mark.parametrize("alpha", [0.4, -0.4])
