@@ -418,6 +418,11 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
     betas = _read(oracle, "oracle.betas", lambda value: _distinct_keys(_betas(value)),
                   DEFAULT_TEST_BETAS)
     log_marginal, curves = quadrature_oracle(model, alphas or (), betas, grid)
+    for alpha, curve in zip(alphas or (), curves):
+        for beta, value in zip(betas, curve):
+            if not np.isfinite(value):
+                raise ValueError(f"local evidence at alpha = {alpha:g}, beta = {beta:g} "
+                                 f"reads {value}: beyond the float range")
     report = {"model": cfg.model_id, "log_marginal": log_marginal}
     if alphas is not None:
         report["local_evidence"] = {

@@ -8,8 +8,9 @@ which is what callers (estimators, quadrature oracles) have cached; the raw
 densities are never exponentiated on their own scale.  Every quantity depends
 on them only through f = L1 - L0 once L0 is split off as a base log weight,
 so the path math below (``_path_math``: h = log pi_beta - L0 and the
-integrand g for a vector of beta) is written once in terms of f.  Two
-reductions share it:
+integrand g for a vector of beta, or g's parts p and log d on the far form
+of the power-mean branch) is written once in terms of f.  Two reductions
+share it:
 
   path_weights  the self-normalized weights of pi_beta and their product with
                 the integrand, in blocks over beta: std errs, ESS, gradients,
@@ -18,9 +19,10 @@ reductions share it:
   PathCurve     only the local evidence sum w g per beta, reduced online
                 over cache-sized tiles of points without forming the
                 normalized weights: every quadrature curve and log p(x).
-                Far from the geometric path its power-mean tiles skip h and
-                g: they reduce the beta-independent terms of _holder_terms
-                at one top per tile, with closed forms at beta in {0, 1}.
+                Far from the geometric path its power-mean tiles never form
+                g: rows that share the tile's top reduce the
+                beta-independent terms of _holder_terms, and the others
+                reduce in log space with tops of their own.
 
 Supported families:
 
@@ -139,6 +141,9 @@ class PathSpec:
         extra = set(data) - {"kind", "alpha", "delta"}
         if extra:
             raise ValueError(f"unknown path keys: {sorted(extra)}")
+        for name, value in data.items():
+            if name != "kind" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise TypeError(f"path {name} must be a number, got {value!r}")
         return cls(**{"kind": None, **data})
 
 
@@ -202,12 +207,6 @@ class PathBlock(NamedTuple):
     wg: np.ndarray      # w * integrand
 
 
-# On the power-mean branch, a beta with |alpha| * min(beta, 1 - beta) below
-# this forms its weighted integrand in log space: elsewhere the integrand is
-# at most 1 / (|alpha| min(beta, 1 - beta)) <= 2^58 in magnitude, so a weight
-# that underflows leaves w * integrand below 2^58 times the smallest normal.
-_EDGE_SCALE = 2.0 ** -58
-
 # Largest |alpha f| on the near-geometric form of the power-mean branch.
 _NEAR_LIMIT = math.log(2.0)
 
@@ -264,70 +263,53 @@ def _holder_near(alpha: float, terms, beta):
     return h, g
 
 
-def _holder_far(alpha: float, f, terms, beta, edges):
-    """(h, g, edges) at the column of temperatures beta, far form of _holder_terms.
+def _holder_far(alpha: float, f, terms, beta):
+    """(h, p, log d) at the column of temperatures beta, far form of _holder_terms.
 
-    ``edges`` lists the rows whose weighted integrand is formed in log space;
-    there g reads 0, and the returned edges pair each such row with the two
-    parts of log |g|, m - alpha h and log |p| (g has the sign of f).
+    The integrand is g = p / d.  It can overflow exactly where a weight
+    underflows, so callers take its products in log space, through log d.
+    At beta in {0, 1}, where d can underflow, log d is exact: -m and
+    min(alpha f, 0).
     """
     m, u, v, p = terms
-    # only edge rows can divide by zero or overflow below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # d sums two nonnegative terms and d >= min(beta, 1 - beta): no
-        # cancellation, and no underflow off the endpoints
-        d = (1.0 - beta) * u + beta * v
-        g = p / d
-        a = np.log(d, out=d)
-        a += m  # alpha h
-        for row in edges:
-            # the exact endpoints, where d can underflow: alpha h = beta * alpha f
-            if beta[row, 0] == 0.0:
-                a[row] = 0.0
-            elif beta[row, 0] == 1.0:
-                np.multiply(alpha, f, out=a[row])
-            g[row] = 0.0
-        # log |g| = log |p| + m - alpha h, since g may overflow exactly where w underflows
-        log_abs_p = np.log(np.abs(p)) if edges else None
-        edges = [(row, m - a[row], log_abs_p) for row in edges]
-    return np.divide(a, alpha, out=a), g, edges
+    # d sums two nonnegative terms and d >= min(beta, 1 - beta): no
+    # cancellation, and no underflow off the endpoints
+    log_d = (1.0 - beta) * u + beta * v
+    with np.errstate(divide="ignore"):
+        np.log(log_d, out=log_d)
+    for row in np.flatnonzero(beta == 0.0):
+        np.negative(m, out=log_d[row])
+    for row in np.flatnonzero(beta == 1.0):
+        np.minimum(alpha * f, 0.0, out=log_d[row])
+    h = np.add(log_d, m)  # alpha h
+    return np.divide(h, alpha, out=h), p, log_d
 
 
-def _path_math(branch: str, param: float, f, betas, rows: int):
-    """The path math at log ratios f, in chunks of ``rows`` betas: yields (beta, h, g, edges).
+def _path_math(branch: str, param: float, f, betas, rows: int, terms=None):
+    """The path math at log ratios f, in chunks of ``rows`` betas: yields (beta, h, g, log_d).
 
-    beta is the chunk's column of temperatures, h = log pi_beta - L0 and g the
-    integrand, (len(beta), f.size) or f itself on the geometric branch.
-    ``edges`` lists the rows whose w g is formed in log space, with the parts
-    of their log |g| (g reads 0 there; see _holder_far).  On the power-mean
-    branch the beta-independent terms are formed once, and the near or far
-    form is chosen from this f.
+    beta is the chunk's column of temperatures and h = log pi_beta - L0,
+    (len(beta), f.size).  On the far form of the power-mean branch g is the
+    numerator p of the integrand p / d and log_d is log d (see _holder_far);
+    elsewhere g is the integrand, or f itself on the geometric branch, and
+    log_d is None.  On the power-mean branch the beta-independent ``terms``
+    of _holder_terms are formed once unless given, and the near or far form
+    is chosen from this f.
     """
-    if branch != "holder":
-        for start in range(0, betas.size, rows):
-            beta = betas[start:start + rows, None]
+    if branch == "holder" and terms is None:
+        terms = _holder_terms(param, f)
+    for start in range(0, betas.size, rows):
+        beta = betas[start:start + rows, None]
+        if branch == "holder" and len(terms) == 4:
+            yield beta, *_holder_far(param, f, terms, beta)
+        elif branch == "holder":
+            yield beta, *_holder_near(param, terms, beta), None
+        else:
             h = beta * f  # h = log pi_beta - L0
             if branch == "perturbed":
                 # beta*L1^2 + (1-beta)*L0^2 - U_geo^2 = beta*(1-beta)*f^2
                 h += (0.5 * param) * beta * (1.0 - beta) * (f * f)
-            yield beta, h, _integrand(branch, param, f, beta), ()
-        return
-    yield from _holder_math(param, f, _holder_terms(param, f), betas, rows)
-
-
-def _holder_math(alpha: float, f, terms, betas, rows: int):
-    """_path_math on the power-mean branch, from the terms of _holder_terms(alpha, f)."""
-    if len(terms) == 2:  # the near form
-        for start in range(0, betas.size, rows):
-            beta = betas[start:start + rows, None]
-            yield beta, *_holder_near(alpha, terms, beta), ()
-        return
-    edges = [k for k, b in enumerate(betas.tolist())
-             if abs(alpha) * min(b, 1.0 - b) < _EDGE_SCALE]
-    for start in range(0, betas.size, rows):
-        beta = betas[start:start + rows, None]
-        yield beta, *_holder_far(alpha, f, terms, beta,
-                                 [k - start for k in edges if start <= k < start + rows])
+            yield beta, h, _integrand(branch, param, f, beta), None
 
 
 def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
@@ -340,26 +322,24 @@ def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
     beta), and keeps no reference to a block it has yielded.
 
     On the power-mean branch the beta-independent terms of _holder_terms are
-    formed once per call, so each beta takes one log per element, and the
-    weighted integrand is w times a quotient whose divisor cannot cancel.
-    Near the geometric path (every |alpha f| <= log 2) alpha h = log1p(beta
-    expm1(alpha f)).  Otherwise alpha h = m + log d with d = (1 - beta) u +
-    beta v; at beta in {0, 1}, where d can underflow, alpha h is set exactly
-    to beta * alpha f, and there (and within 2^-58 / |alpha| of them) the
-    weighted integrand is formed in log space, since the integrand can
+    formed once per call, so each beta takes one log per element.  Near the
+    geometric path (every |alpha f| <= log 2) alpha h = log1p(beta
+    expm1(alpha f)) and the weighted integrand is w times a quotient whose
+    divisor cannot cancel.  Otherwise alpha h = m + log d with d = (1 - beta)
+    u + beta v, exact at beta in {0, 1} where d can underflow, and the
+    weighted integrand is p e^(log w - log d), since the integrand p / d can
     overflow exactly where the weight underflows.
     """
     betas = _check_betas(betas)
     f = np.asarray(log_ratio, dtype=float)
     rows = max(1, BLOCK_ELEMENTS // max(f.size, 1))
-    for beta, h, g, edges in _path_math(*spec.branch(), f, betas, rows):
+    for beta, h, g, log_d in _path_math(*spec.branch(), f, betas, rows):
         log_w, w = _normalized(h, base)
-        wg = w * g if g is f else np.multiply(w, g, out=g)
-        for row, log_wg, log_abs_p in edges:
-            # log |w g| = log w + log |g|; w g has the sign of f
-            log_wg += log_w[row]
-            log_wg += log_abs_p
-            np.copysign(np.exp(log_wg, out=log_wg), f, out=wg[row])
+        if log_d is None:
+            wg = w * g if g is f else np.multiply(w, g, out=g)
+        else:  # w g = p e^(log w - log d)
+            wg = np.exp(np.subtract(log_w, log_d, out=log_d), out=log_d)
+            wg *= g
         yield PathBlock(beta, h, log_w, w, wg)
 
 
@@ -404,38 +384,28 @@ _LOWEST = np.finfo(float).min
 _SHARED_GAP = math.log(np.finfo(float).max) - math.log(2.0 ** 64 / GEOMETRIC_ALPHA_CUTOFF)
 
 
-def _tile_sums(log_u, g, edges, f):
-    """(top, total, level, moment) of one tile: per row, sum e^log_u = total e^top
-    and sum e^log_u g = moment e^level.
+def _tile_sums(log_u, g):
+    """(top, total, top, moment) of one tile: per row, sum e^log_u = total e^top
+    and sum e^log_u g = moment e^top.
 
-    ``log_u`` (rows of h + base) is consumed.  Edge rows (see _path_math) form
-    u g in log space, brought to a peak of 0 so that no product overflows;
-    elsewhere level = top.  A row that reads -inf gives sums of 0.
+    ``log_u`` (rows of h + base) is consumed.  A row that reads -inf gives
+    sums of 0.
     """
     top = log_u.max(axis=1)
     log_u -= np.maximum(top, _LOWEST)[:, None]
-    level, moment = top.copy(), np.zeros(top.size)
-    for row, log_g, log_abs_p in edges:  # g reads 0 there
-        log_g += log_u[row]
-        log_g += log_abs_p
-        peak = log_g.max()
-        if math.isfinite(peak):
-            log_g -= peak
-            moment[row] = np.copysign(np.exp(log_g, out=log_g), f, out=log_g).sum()
-        level[row] = peak + top[row]  # -inf where every product is 0
     u = np.exp(log_u, out=log_u)
-    moment += np.einsum("ij,ij->i" if np.ndim(g) == 2 else "ij,j->i", u, g)
-    return top, u.sum(axis=1), level, moment
+    moment = np.einsum("ij,ij->i" if np.ndim(g) == 2 else "ij,j->i", u, g)
+    return top, u.sum(axis=1), top, moment
 
 
-def _end_sums(log_u, log_ug, p):
-    """(top, total, level, moment) of an endpoint row of a far-form tile, each
-    sum at its own top: sum e^log_u = total e^top and sum e^log_ug sign(p) =
-    moment e^level.  ``log_ug`` (log |u g|) is consumed."""
+def _row_sums(log_u, log_ug, sign):
+    """(top, total, level, moment) of one far-form row, each sum at its own top:
+    sum e^log_u = total e^top and sum e^log_ug sign = moment e^level.
+    ``log_ug`` (log |u g|) is consumed."""
     top, level = log_u.max(), log_ug.max()
     total = np.exp(log_u - max(top, _LOWEST)).sum()
     log_ug -= max(level, _LOWEST)
-    return top, total, level, np.copysign(np.exp(log_ug, out=log_ug), p, out=log_ug).sum()
+    return top, total, level, np.exp(log_ug, out=log_ug) @ sign
 
 
 def _merge(level, total, tile_level, tile_total):
@@ -455,11 +425,10 @@ class PathCurve:
     a running top t, rescaled when t grows (the online normalizer of Milakov
     and Gimelshein, arXiv:1805.02867).  The geometric, perturbed and
     near-geometric power-mean tiles take the path math of path_weights, with
-    a top per row; on the rows path_weights forms w g in log space, where u g
-    can overflow, sum u g keeps a scale of its own.  Far-form power-mean tiles
-    take a reduction of their own (_add_far): one top per tile for every row
-    whose terms stay within the float range of it, and closed forms at
-    beta = 0 and beta = 1.  A tile whose log weights all read -inf adds nothing.
+    a top per row.  Far-form power-mean tiles take a reduction of their own
+    (_add_far): one top per tile for every row whose terms stay within the
+    float range of it, and for the rest a top per row, with sum u g formed
+    in log space.  A tile whose log weights all read -inf adds nothing.
     """
 
     def __init__(self, spec: PathSpec, betas):
@@ -469,7 +438,6 @@ class PathCurve:
         self.total = np.zeros(self.betas.size)
         self.level = np.full(self.betas.size, -np.inf)  # sum exp(h + base) g = moment e^level
         self.moment = np.zeros(self.betas.size)
-        self._rows = np.arange(self.betas.size)
         if self.branch == "holder":
             # the far form's rows: those that share their tile's top, the
             # endpoints, and the rest, which keep tops of their own
@@ -492,33 +460,22 @@ class PathCurve:
         for start in range(0, f.size, cols):
             tile = f[start:start + cols]
             tile_base = base if base.ndim == 0 else base.reshape(-1)[start:start + cols]
-            if self.branch != "holder":
-                chunks = _path_math(self.branch, self.param, tile, self.betas, rows)
-                self._add_rows(self._rows, chunks, tile, tile_base)
-                continue
-            terms, k = _holder_terms(self.param, tile), self._rows
-            if len(terms) == 4:  # the far form: the rest take the path math
+            terms = _holder_terms(self.param, tile) if self.branch == "holder" else None
+            if terms is not None and len(terms) == 4:
                 self._add_far(tile, np.broadcast_to(tile_base, tile.shape), terms, rows)
-                k = self._apart
-            chunks = _holder_math(self.param, tile, terms, self.betas[k], rows)
-            self._add_rows(k, chunks, tile, tile_base)
+                continue
+            chunks = _path_math(self.branch, self.param, tile, self.betas, rows, terms)
+            for first, (_, h, g, _) in zip(range(0, self.betas.size, rows), chunks):
+                h += tile_base
+                self._merge_sums(slice(first, first + rows), *_tile_sums(h, g))
         return self
 
     def _merge_sums(self, k, top, total, level, moment):
         self.top[k], self.total[k] = _merge(self.top[k], self.total[k], top, total)
         self.level[k], self.moment[k] = _merge(self.level[k], self.moment[k], level, moment)
 
-    def _add_rows(self, rows, chunks, f, base):
-        """Reduce the chunks of _path_math over the points f into the rows ``rows``."""
-        first = 0
-        for beta, h, g, edges in chunks:
-            k = rows[first:first + beta.size]
-            first += beta.size
-            h += base
-            self._merge_sums(k, *_tile_sums(h, g, edges, f))
-
     def _add_far(self, f, base, terms, rows):
-        """Reduce the shared rows and the endpoints over points f on the far form.
+        """Reduce the points f of a far-form tile.
 
         With the terms (m, u, v, p) of _holder_terms, kappa = 1/alpha and
         d = (1 - beta) u + beta v, h + base = c + kappa log d and g = p / d,
@@ -526,9 +483,10 @@ class PathCurve:
         take the one top t = max c: with y = exp((kappa - 1) log d + c - t),
         sum u = sum y d = (1 - beta) y @ u + beta y @ v and sum u g = y @ p,
         so neither g nor a row's own top is formed; at kappa = 1 (the
-        arithmetic mean) y does not depend on beta.  The endpoints are closed
-        forms, each sum at its own top: at beta = 0, h = 0 and g = p e^m; at
-        beta = 1, h = f and g = p e^(m - alpha f).
+        arithmetic mean) y does not depend on beta.  Every other row takes
+        its own tops, with log |u g| = h + base + log |p| - log d; at the
+        endpoints h and log d are closed forms (h = 0 and log d = -m at
+        beta = 0, h = f and log d = min(alpha f, 0) at beta = 1).
         """
         m, u, v, p = terms
         kappa = 1.0 / self.param
@@ -555,25 +513,38 @@ class PathCurve:
             sums = (uvp @ y.T).reshape(3, -1)  # y @ u, y @ v, y @ p per row
             total = (1.0 - beta) * sums[0] + beta * sums[1]
             self._merge_sums(k, top, total, top, sums[2])
-        if self._ends.size:
+        if self._ends.size or self._apart.size:
+            sign = np.sign(p)
             with np.errstate(divide="ignore"):
                 log_abs_p = np.log(np.abs(p))
+        for k, log_u, log_d in self._own_top_rows(f, base, terms, rows):
+            log_ug = log_u + log_abs_p
+            self._merge_sums(k, *_row_sums(log_u, np.subtract(log_ug, log_d, out=log_ug), sign))
+
+    def _own_top_rows(self, f, base, terms, rows):
+        """(row, h + base, log d) of each far-form row that keeps tops of its own."""
         for k in self._ends:
             if self.betas[k] == 0.0:
-                self._merge_sums(k, *_end_sums(base, base + m + log_abs_p, p))
+                yield k, base, -terms[0]
             else:
-                log_u = base + f
-                log_ug = log_u - np.minimum(self.param * f, 0.0)
-                self._merge_sums(k, *_end_sums(log_u, np.add(log_ug, log_abs_p, out=log_ug), p))
+                yield k, base + f, np.minimum(self.param * f, 0.0)
+        for start in range(0, self._apart.size, rows):
+            k = self._apart[start:start + rows]
+            h, _, log_d = _holder_far(self.param, f, terms, self.betas[k, None])
+            yield from zip(k, np.add(h, base, out=h), log_d)
 
     def _check(self):
         if not np.all(np.isfinite(self.top)):
             raise ValueError("all importance weights vanished; cannot self-normalize")
 
     def values(self) -> np.ndarray:
-        """sum_s w g at each beta, the weights normalized over every point added."""
+        """sum_s w g at each beta, the weights normalized over every point added.
+
+        A value beyond the float range reads as the infinity of its sign.
+        """
         self._check()
-        return self.moment / self.total * np.exp(self.level - self.top)
+        with np.errstate(over="ignore"):
+            return self.moment / self.total * np.exp(self.level - self.top)
 
     def log_normalizer(self) -> np.ndarray:
         """log sum_s exp(h + base) at each beta, over every point added."""

@@ -302,6 +302,18 @@ def test_oracle_does_not_require_seed(tmp_path):
     assert run_cli(["oracle", "--model", "sin_toy", "--out", out]) == 0
 
 
+def test_oracle_beyond_the_float_range_is_an_error_not_an_infinity(tmp_path, capsys):
+    # the ring's local evidence at alpha = 3, beta = 1 lies far below -1e308:
+    # written as -Infinity it was JSON that the config loader itself rejects
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "ring", "oracle": {"grid_points": 201, "alphas": [3], "betas": [0.5, 1]}})
+    out = tmp_path / "o.json"
+    assert run_cli(["oracle", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha = 3, beta = 1 " in err
+    assert not out.exists()
+
+
 def test_oracle_evaluates_the_grid_once(tmp_path, monkeypatch):
     from hvi import models
 
@@ -484,6 +496,11 @@ _MALFORMED = [
      "config.training.mcmc.burn_in"),
     ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"step_size": 0}}},
      "config.training.mcmc.step_size"),
+    # path parameters that float() coerced
+    ("curve", {"path": {"kind": "holder", "alpha": "0.5"}}, "config.path"),
+    ("curve", {"path": {"kind": "holder", "alpha": True}}, "config.path"),
+    ("diagnose", {"diagnose": {"path": {"kind": "perturbed", "delta": "0.05"}}},
+     "config.diagnose.path"),
 ]
 
 

@@ -446,11 +446,24 @@ def _holder_spec(form, scale, f):
     top = np.abs(f).max()
     if form == "near":
         alpha = scale * math.log(2.0) / max(top, 1.0)
+        # the quotient can round up so that |alpha f| exceeds log 2 by an ulp
+        while np.abs(alpha * f).max() > math.log(2.0):
+            alpha = float(np.nextafter(alpha, 0.0))
     else:
         assume(top >= 1.5 * math.log(2.0))
         alpha = math.copysign(max(abs(scale), 1.5 * math.log(2.0) / top), scale)
     assert (np.abs(alpha * f).max() <= math.log(2.0)) == (form == "near")
     return PathSpec.holder(alpha)
+
+
+def test_near_form_specs_take_the_near_form():
+    # scale * log 2 / top overshoots log 2 by one ulp of |alpha top| for
+    # about 3% of tops at scale = +-1
+    for top in np.random.default_rng(3).uniform(1.0, 1000.0, 500):
+        for scale in (1.0, -1.0):
+            f = np.array([-top, 0.5 * top])
+            spec = _holder_spec("near", scale, f)
+            assert len(paths._holder_terms(spec.alpha, f)) == 2
 
 
 _specs = st.one_of(
@@ -522,14 +535,15 @@ def test_any_split_into_tiles_gives_the_one_block_curve(f, spec, cuts, extra):
 
 
 @given(log_ratios, st.sampled_from([-1.0, 1.0]), st.floats(150.0, 700.0),
-       st.floats(1.0, 3.0, exclude_min=True) | st.floats(0.005, 0.05),
+       st.floats(1.0, 3.0, exclude_min=True) | st.floats(1e-3, 0.05) | st.floats(-3.0, -1e-3),
        st.lists(st.integers(1, 12), max_size=4), st.data())
 def test_far_form_tiles_with_any_base_give_the_one_block_curve(f, sign, far, alpha, cuts,
                                                                data):
-    # the far point puts every tile holding it on the far form; 1e-30 and
-    # 1e-300 take PathCurve's shared top or a top per row, depending on alpha.
-    # Every |alpha f| <= 700, so every w g is representable.
-    f = np.append(f, sign * far) / max(alpha, 1.0)
+    # the far point, |alpha f| >= 0.7, puts every tile holding it on the far
+    # form; 1e-30 and 1e-300 take PathCurve's shared top or a top per row,
+    # depending on alpha, and near |alpha| = 1e-3 every interior beta takes a
+    # top per row.  Every |alpha f| <= 700, so every w g is representable.
+    f = np.append(f, sign * max(far, 0.7 / abs(alpha))) / max(abs(alpha), 1.0)
     assert np.abs(alpha * f).max() > math.log(2.0)
     base = np.array(data.draw(st.lists(st.floats(-50.0, 50.0) | st.just(-np.inf),
                                        min_size=f.size, max_size=f.size)))
