@@ -243,7 +243,7 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
     diverged = False
     for t in range(steps + 1):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 batch = draw_batch(model, objective.sample_size, int(step_seeds[t]), lam)
                 if t < steps:
                     value, grad = _path_step(model, lam, *objective._form, batch)

@@ -11,8 +11,8 @@ the 1-D and 2-D built-ins their error is far below every test tolerance, which
 makes them usable as ground truth for the sample-based estimators.  Each call
 makes one pass over the grid: the model is evaluated on a tile of points at a
 time and every curve (``paths.PathCurve``) and the Renyi bound reduced tile by
-tile, so memory stays at the grid itself plus a few tiles.  The slope oracle
-is the exception: it joins the tiles and takes the whole grid at once.
+tile (``paths.path_log_moments`` for the slope), so memory stays at the grid
+itself plus a few tiles.
 
 Built-ins (addressable by string id through ``make_model``):
 
@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import logsumexp
 
-from .paths import PathCurve, PathSpec, path_integrand_parts, path_weights
+from .paths import PathCurve, PathSpec, path_log_moments
 
 __all__ = [
     "ModelParameters",
@@ -531,13 +531,8 @@ def quadrature_curve_slope(model: LatentModel, alpha: float, beta: float,
     if alpha == 1.0:
         first = quadrature_local_evidence(model, alpha, beta, grid, params)
         return -first * first
-    # the one whole-grid reader: its moments take path_weights' normalized log weights
-    f, base = map(np.concatenate, zip(*_grid_tiles(model, grid, params)))
-    spec = PathSpec.holder(float(alpha))
-    block = next(path_weights(spec, [beta], f, base))
-    sign, log_abs = path_integrand_parts(spec, block, f)
-    log_first, _ = logsumexp(block.log_w + log_abs, b=sign, return_sign=True)
-    log_second = logsumexp(block.log_w + 2.0 * log_abs)
+    log_first, log_second = path_log_moments(PathSpec.holder(float(alpha)), beta,
+                                             _grid_tiles(model, grid, params))
     log_slope, slope_sign = logsumexp(
         [math.log(abs(1.0 - alpha)) + log_second, 2.0 * log_first],
         b=[math.copysign(1.0, 1.0 - alpha), -1.0], return_sign=True)

@@ -9,7 +9,7 @@ densities are never exponentiated on their own scale.  Every quantity depends
 on them only through f = L1 - L0 once L0 is split off as a base log weight,
 so the path math below (``_path_math``: h = log pi_beta - L0 and the
 integrand g for a vector of beta, or g's parts p and log d on the far form
-of the power-mean branch) is written once in terms of f.  Two reductions
+of the power-mean branch) is written once in terms of f.  Three reductions
 share it:
 
   path_weights  the self-normalized weights of pi_beta and their product with
@@ -22,7 +22,8 @@ share it:
                 Far from the geometric path its power-mean tiles never form
                 g: rows that share the tile's top reduce the
                 beta-independent terms of _holder_terms, and the others
-                reduce in log space with tops of their own.
+                reduce in log space with tops of their own;
+  path_log_moments  log |E g| and log E g^2 at one beta: a curve's slope.
 
 Supported families:
 
@@ -49,8 +50,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .util import log_abs_expm1
-
 __all__ = [
     "GEOMETRIC_ALPHA_CUTOFF",
     "PERTURBATION_GUARD",
@@ -59,8 +58,8 @@ __all__ = [
     "PathBlock",
     "path_weights",
     "path_gradient_coeffs",
-    "path_integrand_parts",
     "PathCurve",
+    "path_log_moments",
 ]
 
 # Below this |alpha| the power-mean branch has no working precision left and
@@ -147,9 +146,9 @@ class PathSpec:
         return cls(**{"kind": None, **data})
 
 
-# Elements per pass of path_weights.  Fixed, so memory stays bounded when a
-# dense grid comes through (the slope oracle's one beta over 801^2 points)
-# while sample batches take every beta of a schedule in one vectorized pass.
+# Elements per pass of path_weights.  Fixed, so memory stays bounded however
+# many points come through, while sample batches take every beta of a
+# schedule in one vectorized pass.
 BLOCK_ELEMENTS = 1 << 20
 
 
@@ -164,19 +163,6 @@ def _check_betas(betas) -> np.ndarray:
 # The path math, written once in terms of the log ratio f = L1 - L0.  beta is
 # a scalar or a column of temperatures broadcasting against f.
 # ---------------------------------------------------------------------------
-
-def _integrand(branch: str, param: float, f, beta):
-    """g = dh/dbeta on the geometric and perturbed branches (never overflows)."""
-    if branch == "geometric":
-        return f
-    return f + (0.5 - beta) * param * (f * f)
-
-
-def _holder_log_scale(alpha: float, f):
-    """log |e^(alpha f) - 1| - log |alpha|, so that log |g| = this - alpha*h."""
-    return (alpha * np.maximum(f, 0.0) + log_abs_expm1(-alpha * np.abs(f))
-            - math.log(abs(alpha)))
-
 
 def _gradient_coeffs(branch: str, param: float, f, beta, h, log_w):
     """(dh/df, w * dg/df) for normalized log weights log_w.
@@ -305,11 +291,12 @@ def _path_math(branch: str, param: float, f, betas, rows: int, terms=None):
         elif branch == "holder":
             yield beta, *_holder_near(param, terms, beta), None
         else:
-            h = beta * f  # h = log pi_beta - L0
+            h, g = beta * f, f  # h = log pi_beta - L0 and g = dh/dbeta
             if branch == "perturbed":
                 # beta*L1^2 + (1-beta)*L0^2 - U_geo^2 = beta*(1-beta)*f^2
                 h += (0.5 * param) * beta * (1.0 - beta) * (f * f)
-            yield beta, h, _integrand(branch, param, f, beta), None
+                g = f + (0.5 - beta) * param * (f * f)
+            yield beta, h, g, None
 
 
 def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
@@ -353,21 +340,6 @@ def path_gradient_coeffs(spec: PathSpec, block: PathBlock, log_ratio):
                             block.betas, block.h, block.log_w)
 
 
-def path_integrand_parts(spec: PathSpec, block: PathBlock, log_ratio):
-    """(sign, log |g|) of the integrand g for one PathBlock of path_weights over ``log_ratio``.
-
-    For moments of g beyond w * g: on the power-mean branch g can overflow
-    exactly where the weight underflows, so pair log |g| with block.log_w.
-    """
-    branch, param = spec.branch()
-    f = np.asarray(log_ratio, dtype=float)
-    if branch == "holder":
-        return np.sign(f), _holder_log_scale(param, f) - param * block.h
-    g = _integrand(branch, param, f, block.betas)
-    with np.errstate(divide="ignore"):
-        return np.sign(g), np.log(np.abs(g))
-
-
 # Elements per tile of PathCurve: its passes over a tile of this many float64
 # (1 MiB) run from a core's 2 MiB L2 instead of main memory.
 _TILE_ELEMENTS = BLOCK_ELEMENTS >> 3
@@ -398,14 +370,13 @@ def _tile_sums(log_u, g):
     return top, u.sum(axis=1), top, moment
 
 
-def _row_sums(log_u, log_ug, sign):
-    """(top, total, level, moment) of one far-form row, each sum at its own top:
-    sum e^log_u = total e^top and sum e^log_ug sign = moment e^level.
-    ``log_ug`` (log |u g|) is consumed."""
-    top, level = log_u.max(), log_ug.max()
-    total = np.exp(log_u - max(top, _LOWEST)).sum()
-    log_ug -= max(level, _LOWEST)
-    return top, total, level, np.exp(log_ug, out=log_ug) @ sign
+def _row_sum(log_x, sign=None):
+    """(level, total) of one row at its top: sum e^log_x (times sign) = total e^level.
+    The signed sum is an einsum: a BLAS dot product's order of summation, and
+    so its bits, would follow the BLAS thread count."""
+    level = log_x.max()
+    x = np.exp(log_x - max(level, _LOWEST))
+    return level, x.sum() if sign is None else np.einsum("i,i->", x, sign)
 
 
 def _merge(level, total, tile_level, tile_total):
@@ -519,7 +490,8 @@ class PathCurve:
                 log_abs_p = np.log(np.abs(p))
         for k, log_u, log_d in self._own_top_rows(f, base, terms, rows):
             log_ug = log_u + log_abs_p
-            self._merge_sums(k, *_row_sums(log_u, np.subtract(log_ug, log_d, out=log_ug), sign))
+            log_ug -= log_d
+            self._merge_sums(k, *_row_sum(log_u), *_row_sum(log_ug, sign))
 
     def _own_top_rows(self, f, base, terms, rows):
         """(row, h + base, log d) of each far-form row that keeps tops of its own."""
@@ -550,3 +522,27 @@ class PathCurve:
         """log sum_s exp(h + base) at each beta, over every point added."""
         self._check()
         return self.top + np.log(self.total)
+
+
+def path_log_moments(spec: PathSpec, beta: float, tiles):
+    """(log |E g|, log E g^2) of the integrand g under the path density at one beta,
+    over ``tiles`` of PathCurve.add's (log_ratio, base): sum u, sum u g and sum u g^2,
+    u = exp(h + base), each kept at its own top.  On the far form log |g| =
+    log |p| - log d, so g, which can overflow where u underflows, is not formed."""
+    betas = _check_betas([beta])
+    sums = [(-np.inf, 0.0)] * 3  # (level, total) of sum u, sum u g, sum u g^2
+    for f, base in tiles:
+        f = np.asarray(f, dtype=float).reshape(-1)
+        ((_, h, g, log_d),) = _path_math(*spec.branch(), f, betas, 1)
+        g = g.reshape(-1)
+        with np.errstate(divide="ignore"):
+            log_g = np.log(np.abs(g)) - (0.0 if log_d is None else log_d[0])
+        log_u = h[0] + base
+        tile = _row_sum(log_u), _row_sum(log_u + log_g, np.sign(g)), _row_sum(log_u + 2.0 * log_g)
+        sums = [_merge(*pair, *tile_pair) for pair, tile_pair in zip(sums, tile)]
+    (top, total), (level, first), (square_level, second) = sums
+    if not np.isfinite(top):
+        raise ValueError("all importance weights vanished; cannot self-normalize")
+    log_total = top + math.log(total)
+    with np.errstate(divide="ignore"):
+        return level + np.log(abs(first)) - log_total, square_level + np.log(second) - log_total

@@ -1,8 +1,9 @@
 """Pointwise path forms for the tests: one read through the kernel, one written out.
 
-``log_density`` and ``integrand`` read ``hvi.paths.path_weights`` and
-``path_integrand_parts`` at one beta, so identities checked through them hold
-for the code every estimator runs.  The ``reference_*`` functions are an
+``log_density`` and ``integrand`` read h = log pi_beta - L0 from
+``hvi.paths.path_weights`` at one beta, so identities checked through them
+hold for the code every estimator runs; ``integrand`` forms g from that h
+through ``path_integrand_parts``.  The ``reference_*`` functions are an
 independent pointwise implementation of the same math, in terms of the
 endpoint log densities (L0, L1): the Hölder branch through ``logaddexp``.
 Only tests that compare two implementations use them.
@@ -12,8 +13,29 @@ import math
 
 import numpy as np
 
-from hvi.paths import PathSpec, path_integrand_parts, path_weights
+from hvi.paths import PathSpec, path_weights
 from hvi.util import log_abs_expm1
+
+
+def _holder_log_scale(alpha: float, f):
+    """log |e^(alpha f) - 1| - log |alpha|, so that log |g| = this - alpha*h."""
+    return (alpha * np.maximum(f, 0.0) + log_abs_expm1(-alpha * np.abs(f))
+            - math.log(abs(alpha)))
+
+
+def path_integrand_parts(spec: PathSpec, block, log_ratio):
+    """(sign, log |g|) of the integrand g for one PathBlock of path_weights over ``log_ratio``.
+
+    On the power-mean branch g can overflow exactly where the weight
+    underflows, so pair log |g| with block.log_w.
+    """
+    branch, param = spec.branch()
+    f = np.asarray(log_ratio, dtype=float)
+    if branch == "holder":
+        return np.sign(f), _holder_log_scale(param, f) - param * block.h
+    g = _plain_integrand(branch, param, f, block.betas)
+    with np.errstate(divide="ignore"):
+        return np.sign(g), np.log(np.abs(g))
 
 
 def _kernel_block(spec: PathSpec, log_proposal, log_target, beta: float):
@@ -62,7 +84,7 @@ def reference_log_density(spec: PathSpec, log_proposal, log_target, beta: float)
     return l0 + h
 
 
-def _plain_integrand(branch: str, param: float, f, beta: float):
+def _plain_integrand(branch: str, param: float, f, beta):
     """The integrand on the geometric and perturbed branches."""
     return f if branch == "geometric" else f + (0.5 - beta) * param * (f * f)
 
@@ -75,9 +97,7 @@ def reference_integrand_parts(spec: PathSpec, log_proposal, log_target, beta: fl
     """
     branch, param, _, f, beta, h = _pointwise(spec, log_proposal, log_target, beta)
     if branch == "holder":
-        log_scale = (param * np.maximum(f, 0.0) + log_abs_expm1(-param * np.abs(f))
-                     - math.log(abs(param)))
-        return np.sign(f), log_scale - param * h
+        return np.sign(f), _holder_log_scale(param, f) - param * h
     g = _plain_integrand(branch, param, f, beta)
     with np.errstate(divide="ignore"):
         return np.sign(g), np.log(np.abs(g))

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def run_python(args, **env_vars):
+    """Python in a subprocess, with this checkout's sources first on the path."""
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def write_config(tmp_path, name, data):
@@ -261,6 +271,21 @@ def test_train_divergence_exits_nonzero_with_marker(tmp_path, capsys):
         "# FAILED: training diverged (non-finite parameters or objective)")
 
 
+@pytest.mark.parametrize("training", [{"bound": "wlbo"}, {"bound": "perturbed_hbo", "delta": 0.05}])
+def test_train_divergence_prints_no_numpy_warning(tmp_path, capsys, training):
+    # both runs drive a proposal std to 0 within 10 steps, where log(std) read
+    # -inf with a RuntimeWarning on stderr before the error line
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "bayes_regression", "sample_size": 100, "seed": 0,
+        "training": {**training, "steps": 10, "learning_rate": 1e-3}})
+    out = tmp_path / "trace.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["train", "--config", cfg, "--out", out]) == 1
+    assert [line.split(":")[0] for line in capsys.readouterr().err.splitlines()] == ["error"]
+    assert out.read_text().splitlines()[-1].startswith("# FAILED: training diverged")
+
+
 def test_diagnose_profile(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "model": "scaled_factor",
@@ -324,6 +349,21 @@ def test_oracle_evaluates_the_grid_once(tmp_path, monkeypatch):
         "model": "ring", "oracle": {"grid_points": 101, "alphas": [0.0, 0.5, 1.0]}})
     assert run_cli(["oracle", "--config", cfg, "--out", tmp_path / "o.json"]) == 0
     assert len(calls) == 1
+
+
+def test_oracle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS splits a long dot product across its threads, so a moment taken
+    # as one changed in its last bits with the thread count (here at beta 0 and 1)
+    cfg = write_config(tmp_path, "cfg.json", {"model": "ring", "oracle": {
+        "alphas": [0.2, 0.5, 0.8, -0.5, 1.5], "betas": [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]}})
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"oracle_{threads}.json"
+        proc = run_python(["-m", "hvi.cli", "oracle", "--config", cfg, "--out", out],
+                          OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 # ---------------------------------------------------------------------------
@@ -748,11 +788,7 @@ def test_package_binds_only_its_version_and_cli_imports_every_layer():
     # each layer module is loaded (perfbench's tracer reads them from sys.modules)
     code = ("import json, sys, hvi; names = sorted(vars(hvi)); import hvi.cli; "
             "print(json.dumps([hvi.__version__, names, sorted(sys.modules)]))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     version, names, modules = json.loads(proc.stdout)
     assert version == "0.1.0"

@@ -17,6 +17,7 @@ from hvi.models import (
     make_ring,
     make_scaled_factor,
     make_sin_toy,
+    quadrature_curve_slope,
     quadrature_grid,
     quadrature_local_evidence,
     quadrature_local_evidence_curve,
@@ -290,6 +291,7 @@ def test_quadrature_oracles_stream_the_grid_in_tiles(ring):
     for call in (lambda: quadrature_local_evidence_curve(ring, 0.5, betas),
                  lambda: quadrature_local_evidence_curve(ring, 0.0, betas),
                  lambda: quadrature_oracle(ring, [0.0, 0.5, 1.0], betas),
+                 lambda: quadrature_curve_slope(ring, 0.5, 0.5),
                  lambda: quadrature_rvi(ring, 0.5)):
         tracemalloc.start()
         try:

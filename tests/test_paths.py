@@ -14,12 +14,12 @@ from hvi.paths import (
     PathCurve,
     PathSpec,
     path_gradient_coeffs,
-    path_integrand_parts,
     path_weights,
 )
 from path_forms import (
     integrand,
     log_density,
+    path_integrand_parts,
     reference_integrand_parts,
     reference_log_density,
 )
@@ -601,3 +601,38 @@ def test_path_curve_with_every_weight_vanished_raises():
         curve.add(np.array([0.5, -3.0]))
         np.testing.assert_array_equal(
             curve.values(), PathCurve(spec, EDGE_BETAS).add(np.array([0.5, -3.0])).values())
+
+
+def _whole_grid_slope(model, grid, alpha, betas):
+    """Per beta, (slope, E[g]^2 + |1 - alpha| E[g^2]) over the whole grid at once,
+    from the pointwise reference forms."""
+    pts, log_cell = models.quadrature_grid(model, grid)
+    l0, l1 = model.log_proposal(pts), model.log_target(pts)
+    spec = PathSpec.holder(alpha)
+    for beta in betas:
+        log_w = reference_log_density(spec, l0, l1, beta) + log_cell
+        log_w -= logsumexp(log_w)
+        sign, log_abs = reference_integrand_parts(spec, l0, l1, beta)
+        log_first = logsumexp(log_w + log_abs, b=sign, return_sign=True)[0]
+        terms = [math.log(abs(1.0 - alpha)) + logsumexp(log_w + 2.0 * log_abs), 2.0 * log_first]
+        log_slope, slope_sign = logsumexp(terms, b=[math.copysign(1.0, 1.0 - alpha), -1.0],
+                                          return_sign=True)
+        with np.errstate(over="ignore"):
+            yield slope_sign * np.exp(log_slope), np.exp(logsumexp(terms))
+
+
+@pytest.mark.parametrize("name, grid", [("sin_toy", None), ("ring", models.GridSpec(401))])
+def test_tiled_slope_matches_a_whole_grid_reference(name, grid):
+    # the slope oracle reduces its three sums tile by tile in the kernel's
+    # forms; the reference takes every grid point at once through logaddexp.
+    # The ring's grid is coarse to keep the reference cheap; it still reaches
+    # slopes beyond the float range (alpha = -0.5 at beta = 0, 1.5 at 1)
+    model = models.make_sin_toy() if name == "sin_toy" else models.make_ring()
+    for alpha in (0.2, 0.5, 0.8, 1.5, -0.5):
+        for beta, (ref, scale) in zip(EDGE_BETAS, _whole_grid_slope(model, grid, alpha,
+                                                                     EDGE_BETAS)):
+            got = models.quadrature_curve_slope(model, alpha, beta, grid)
+            if math.isinf(ref):
+                assert got == ref
+            else:
+                assert abs(got - ref) <= 1e-12 * scale < math.inf
