@@ -271,21 +271,19 @@ def cmd_curve(cfg: ExperimentConfig) -> str:
     schedule = (_schedule_from(cfg.data.get("schedule"), "schedule", "uniform", 20)
                 or PartitionSchedule.uniform(20))
     seed = cfg.seed()
-    batch = draw_batch(model, cfg.sample_size, seed)
     alphas = _read(cfg.data, "alphas", _numbers)
-    rows = []
-    if alphas is not None:
+    if alphas is None:  # one curve on ``path``, rows without an alpha column
+        curves = [((), _read(cfg.data, "path", PathSpec.from_json, {"kind": "geometric"}))]
+    else:
         _unread(cfg.data, "path", "when alphas is given (alphas runs holder paths)")
-        for alpha in alphas:
-            curve = local_evidence_curve(batch, PathSpec.holder(alpha), schedule.betas)
-            for beta, est in zip(schedule.betas, curve):
-                rows.append([alpha, beta, est.value, est.std_err, est.ess])
-        return _csv(["alpha", "beta", "value", "std_err", "ess"], rows)
-    spec = _read(cfg.data, "path", PathSpec.from_json, {"kind": "geometric"})
-    curve = local_evidence_curve(batch, spec, schedule.betas)
-    for beta, est in zip(schedule.betas, curve):
-        rows.append([beta, est.value, est.std_err, est.ess])
-    return _csv(["beta", "value", "std_err", "ess"], rows)
+        curves = [((alpha,), PathSpec.holder(alpha)) for alpha in alphas]
+    batch = draw_batch(model, cfg.sample_size, seed)
+    rows = []
+    for lead, spec in curves:
+        curve = local_evidence_curve(batch, spec, schedule.betas)
+        for beta, est in zip(schedule.betas, curve):
+            rows.append([*lead, beta, est.value, est.std_err, est.ess])
+    return _csv(["alpha"] * (alphas is not None) + ["beta", "value", "std_err", "ess"], rows)
 
 
 # Per tuning method: the keys of the tuning object it reads besides method and betas.
@@ -334,14 +332,12 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     model = cfg.model()
     seed = cfg.seed()
     training = cfg.data.get("training", {})
-    _check_keys(training, ("bound", "alpha", "delta", "schedule", "rule", "steps",
-                           "learning_rate", "init", "mmd_every", "mmd_sample",
-                           "mcmc"), "training")
-    rule = _read(training, "training.rule", IntegrationRule.parse, cfg.rule)
+    _check_keys(training, ("bound", "alpha", "delta", "schedule", "steps", "learning_rate",
+                           "init", "mmd_every", "mmd_sample", "mcmc"), "training")
     params = {key: _read(training, f"training.{key}", _real, 0.0) for key in ("alpha", "delta")}
     # ExperimentConfig checks sample_size, so only the bound and its parameters can fail here
     objective = _read(training, "training.bound", lambda bound: BoundObjective(
-        bound=bound, **params, rule=rule, sample_size=cfg.sample_size), "elbo")
+        bound=bound, **params, rule=cfg.rule, sample_size=cfg.sample_size), "elbo")
     kind = _BOUNDS[objective.bound].knots  # the default schedule's kind, or the one knot
     if isinstance(kind, str):
         objective = replace(objective, schedule=_schedule_from(

@@ -15,7 +15,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -85,8 +85,8 @@ def draw_batch(model: LatentModel, size: int, seed: int, params=None) -> Importa
 
 
 def elbo(batch: ImportanceBatch) -> float:
-    """Monte Carlo evidence lower bound: mean of the log ratios."""
-    return float(np.mean(batch.log_ratio))
+    """Evidence lower bound: the geometric curve at beta = 0, the mean of f up to rounding."""
+    return _form_value(batch, _resolve("elbo"))
 
 
 def iw_elbo(batch: ImportanceBatch) -> float:
@@ -121,17 +121,6 @@ class LocalEvidenceEstimate:
     value: float
     std_err: float
     ess: float
-
-
-def _block_curve(batch: ImportanceBatch, spec: PathSpec, betas) -> np.ndarray:
-    """The local evidence sum_s w g at each beta, summed over the kernel's blocks.
-
-    Training reads its values from the same blocks as its gradients, so a
-    bound is this curve, not a paths.PathCurve (values only), whose sums agree
-    with it only to rounding.
-    """
-    return np.concatenate([block.wg.sum(axis=1)
-                           for block in path_weights(spec, betas, batch.log_ratio)])
 
 
 def _block_influence(block: PathBlock) -> tuple[np.ndarray, np.ndarray]:
@@ -266,8 +255,7 @@ def wasserstein_bounds(batch: ImportanceBatch) -> tuple[float, float]:
     wlbo is the beta = 1 local evidence on the arithmetic path, wubo the
     beta = 0 one (the plain sample mean of e^f - 1).
     """
-    wlbo, wubo = _block_curve(batch, PathSpec.wasserstein(), [1.0, 0.0])
-    return float(wlbo), float(wubo)
+    return _form_value(batch, _resolve("wlbo")), _form_value(batch, _resolve("wubo"))
 
 
 # ---------------------------------------------------------------------------
@@ -284,28 +272,25 @@ class _Bound(NamedTuple):
     """One row of the bound table below."""
 
     param: Optional[str]
-    value: Callable[..., float]
     path: Optional[str] = None
     knots: Union[float, str, None] = None
 
 
-# Per bound: the BoundObjective field that carries its parameter; its
-# value(batch, arg, schedule, rule) through the public estimator, looked up at
-# call time so that wrappers and patches of those functions apply; and its path
-# form, a PathSpec kind (whose field named like the parameter takes the
+# Per bound: the BoundObjective field that carries its parameter, and its path
+# form: a PathSpec kind (whose field named like the parameter takes the
 # argument) with one knot beta or the PartitionSchedule builder of its default
-# schedule.  The closed forms iw_elbo and rvi have no path form.
+# schedule.  A path form is the bound's only value route (_form_value); the
+# closed forms iw_elbo and rvi have none, and both are values of rvi.
 _BOUNDS = {
-    "elbo": _Bound(None, lambda b, a, s, r: elbo(b), "geometric", 0.0),
-    "iw_elbo": _Bound(None, lambda b, a, s, r: iw_elbo(b)),
-    "rvi": _Bound("alpha", lambda b, a, s, r: rvi(b, a)),
-    "eubo": _Bound(None, lambda b, a, s, r: eubo(b), "geometric", 1.0),
-    "wlbo": _Bound(None, lambda b, a, s, r: wasserstein_bounds(b)[0], "wasserstein", 1.0),
-    "wubo": _Bound(None, lambda b, a, s, r: wasserstein_bounds(b)[1], "wasserstein", 0.0),
-    "tvo": _Bound(None, lambda b, a, s, r: tvo(b, s, r), "geometric", "log"),
-    "hbo": _Bound("alpha", lambda b, a, s, r: hbo(b, a, s, r), "holder", "uniform"),
-    "perturbed_hbo": _Bound("delta", lambda b, a, s, r: perturbed_hbo(b, a, s, r),
-                            "perturbed", "uniform"),
+    "elbo": _Bound(None, "geometric", 0.0),
+    "iw_elbo": _Bound(None),
+    "rvi": _Bound("alpha"),
+    "eubo": _Bound(None, "geometric", 1.0),
+    "wlbo": _Bound(None, "wasserstein", 1.0),
+    "wubo": _Bound(None, "wasserstein", 0.0),
+    "tvo": _Bound(None, "geometric", "log"),
+    "hbo": _Bound("alpha", "holder", "uniform"),
+    "perturbed_hbo": _Bound("delta", "perturbed", "uniform"),
 }
 
 # Bounds with a path form: the ones score-function training can ascend.
@@ -338,9 +323,15 @@ def _resolve(name: str, arg: Optional[float] = None,
 
 
 def _form_value(batch: ImportanceBatch, form) -> float:
-    """A bound from its path form (see _resolve)."""
+    """A bound from its path form (see _resolve): weights @ the kernel's curve.
+
+    Training reads its values from the same path_weights blocks as its
+    gradients, so a bound sums those blocks, not a paths.PathCurve (values
+    only), whose sums agree with them only to rounding.
+    """
     spec, betas, weights = form
-    return float(weights @ _block_curve(batch, spec, betas))
+    return float(weights @ np.concatenate(
+        [block.wg.sum(axis=1) for block in path_weights(spec, betas, batch.log_ratio)]))
 
 
 def _split_bound_id(bound_id: str) -> tuple[str, Optional[float]]:
@@ -393,8 +384,8 @@ def bound_report(batch: ImportanceBatch, bounds: Sequence[str],
     rule = IntegrationRule.parse(rule)
     values: dict[str, float] = {}
     for bound_id in bounds:
-        # the estimator resolves the id, so parse_bound_id here would resolve it twice
         name, arg = _split_bound_id(bound_id)
-        row = _BOUNDS[name]
-        values[bound_id] = row.value(batch, arg, schedules.get(row.knots), rule)
+        form = _resolve(name, arg, schedules.get(_BOUNDS[name].knots), rule)
+        # iw_elbo is rvi at alpha = 1 bit for bit: 1.0 * f and / 1.0 are exact
+        values[bound_id] = rvi(batch, arg or 1.0) if form is None else _form_value(batch, form)
     return BoundReport(values=values)

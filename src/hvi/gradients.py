@@ -194,8 +194,7 @@ class BoundObjective:
                                                    self.schedule, self.rule))
 
     def value(self, batch: ImportanceBatch) -> float:
-        return _BOUNDS[self.bound].value(batch, self.alpha or self.delta, self.schedule,
-                                         self.rule)
+        return _form_value(batch, self._form)
 
     def gradient(self, model: LatentModel, params, batch: ImportanceBatch) -> GradientEstimate:
         return _path_step(model, params, *self._form, batch)[1]
@@ -225,11 +224,11 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
 
     Each step takes the objective's value and gradient from one pass of the
     path kernel over its batch (the value is the kernel's weights @ curve,
-    which for the ELBO can differ from ``elbo`` in the last bits).  Per-step
-    batch seeds derive deterministically from ``seed``, so identical calls
-    produce identical traces.  If the parameters or the objective go
-    non-finite, or a step's sampling, densities or gradients fail, the run
-    aborts and returns the rows before that step flagged as diverged.
+    bit for bit the bound's estimator).  Per-step batch seeds derive
+    deterministically from ``seed``, so identical calls produce identical
+    traces.  If the parameters or the objective go non-finite, or a step's
+    sampling, densities or gradients fail, the run aborts and returns the
+    rows before that step flagged as diverged.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")

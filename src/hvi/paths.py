@@ -420,32 +420,33 @@ class PathCurve:
             self._shared = np.flatnonzero(gap <= _SHARED_GAP)
             self._ends = np.flatnonzero(~inner)
             self._apart = np.flatnonzero(inner & (gap > _SHARED_GAP))
-            self._work = None  # the shared rows' (rows x cols) buffer
+            self._work = None  # the shared rows' (betas x tile points) buffer
 
     def add(self, log_ratio, base=0.0) -> "PathCurve":
         """Reduce the points with log ratios ``log_ratio`` and log weights ``base`` (path_weights')."""
         f = np.asarray(log_ratio, dtype=float).reshape(-1)
         base = np.asarray(base, dtype=float)
-        cols = max(1, _TILE_ELEMENTS // max(self.betas.size, 1))
-        rows = max(1, _TILE_ELEMENTS // max(min(cols, f.size), 1))
+        # every beta in one pass per tile: more than _TILE_ELEMENTS betas take
+        # tiles of one point
+        cols = max(1, _TILE_ELEMENTS // self.betas.size)
         for start in range(0, f.size, cols):
             tile = f[start:start + cols]
             tile_base = base if base.ndim == 0 else base.reshape(-1)[start:start + cols]
             terms = _holder_terms(self.param, tile) if self.branch == "holder" else None
             if terms is not None and len(terms) == 4:
-                self._add_far(tile, np.broadcast_to(tile_base, tile.shape), terms, rows)
+                self._add_far(tile, np.broadcast_to(tile_base, tile.shape), terms)
                 continue
-            chunks = _path_math(self.branch, self.param, tile, self.betas, rows, terms)
-            for first, (_, h, g, _) in zip(range(0, self.betas.size, rows), chunks):
-                h += tile_base
-                self._merge_sums(slice(first, first + rows), *_tile_sums(h, g))
+            ((_, h, g, _),) = _path_math(self.branch, self.param, tile, self.betas,
+                                          self.betas.size, terms)
+            h += tile_base
+            self._merge_sums(slice(None), *_tile_sums(h, g))
         return self
 
     def _merge_sums(self, k, top, total, level, moment):
         self.top[k], self.total[k] = _merge(self.top[k], self.total[k], top, total)
         self.level[k], self.moment[k] = _merge(self.level[k], self.moment[k], level, moment)
 
-    def _add_far(self, f, base, terms, rows):
+    def _add_far(self, f, base, terms):
         """Reduce the points f of a far-form tile.
 
         With the terms (m, u, v, p) of _holder_terms, kappa = 1/alpha and
@@ -466,44 +467,41 @@ class PathCurve:
         top = c.max()
         c -= max(top, _LOWEST)
         uvp = np.stack((u, v, p))
-        if self._work is None:
-            self._work = np.empty(_TILE_ELEMENTS)
-        for start in range(0, self._shared.size, rows):
-            k = self._shared[start:start + rows]
-            beta = self.betas[k]
-            if kappa == 1.0:
-                y = np.exp(c)
-            else:
-                y = self._work[:k.size * f.size].reshape(k.size, f.size)
-                # d: each entry sums two nonnegative terms, one matrix product
-                np.matmul(np.stack((1.0 - beta, beta), axis=1), uvp[:2], out=y)
-                np.log(y, out=y)
-                y *= kappa - 1.0
-                y += c
-                np.exp(y, out=y)
-            sums = (uvp @ y.T).reshape(3, -1)  # y @ u, y @ v, y @ p per row
-            total = (1.0 - beta) * sums[0] + beta * sums[1]
-            self._merge_sums(k, top, total, top, sums[2])
+        k = self._shared
+        beta = self.betas[k]
+        if kappa == 1.0:
+            y = np.exp(c)
+        else:
+            if self._work is None:
+                self._work = np.empty(max(_TILE_ELEMENTS, self.betas.size))
+            y = self._work[:k.size * f.size].reshape(k.size, f.size)
+            # d: each entry sums two nonnegative terms, one matrix product
+            np.matmul(np.stack((1.0 - beta, beta), axis=1), uvp[:2], out=y)
+            np.log(y, out=y)
+            y *= kappa - 1.0
+            y += c
+            np.exp(y, out=y)
+        sums = (uvp @ y.T).reshape(3, -1)  # y @ u, y @ v, y @ p per row
+        total = (1.0 - beta) * sums[0] + beta * sums[1]
+        self._merge_sums(k, top, total, top, sums[2])
         if self._ends.size or self._apart.size:
             sign = np.sign(p)
             with np.errstate(divide="ignore"):
                 log_abs_p = np.log(np.abs(p))
-        for k, log_u, log_d in self._own_top_rows(f, base, terms, rows):
+        for k, log_u, log_d in self._own_top_rows(f, base, terms):
             log_ug = log_u + log_abs_p
             log_ug -= log_d
             self._merge_sums(k, *_row_sum(log_u), *_row_sum(log_ug, sign))
 
-    def _own_top_rows(self, f, base, terms, rows):
+    def _own_top_rows(self, f, base, terms):
         """(row, h + base, log d) of each far-form row that keeps tops of its own."""
         for k in self._ends:
             if self.betas[k] == 0.0:
                 yield k, base, -terms[0]
             else:
                 yield k, base + f, np.minimum(self.param * f, 0.0)
-        for start in range(0, self._apart.size, rows):
-            k = self._apart[start:start + rows]
-            h, _, log_d = _holder_far(self.param, f, terms, self.betas[k, None])
-            yield from zip(k, np.add(h, base, out=h), log_d)
+        h, _, log_d = _holder_far(self.param, f, terms, self.betas[self._apart, None])
+        yield from zip(self._apart, np.add(h, base, out=h), log_d)
 
     def _check(self):
         if not np.all(np.isfinite(self.top)):

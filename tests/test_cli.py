@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hvi.cli import main
+from hvi.cli import _COMMANDS, _build_parser, main
 from hvi.estimators import PartitionSchedule
 from hvi.gradients import BoundObjective, train
 from hvi.models import make_conjugate_gaussian, make_sin_toy, quadrature_local_evidence
@@ -172,6 +173,18 @@ def test_curve_alpha_surface(tmp_path):
     assert len(rows) == 2 * 5
 
 
+@pytest.mark.parametrize("data", [{"path": {"kind": "holder", "alpha": "0.5"}},
+                                  {"alphas": [True]}])
+def test_curve_reads_its_whole_config_before_sampling(tmp_path, capsys, monkeypatch, data):
+    drawn = []
+    monkeypatch.setattr("hvi.cli.draw_batch", lambda *args: drawn.append(args))
+    cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", "seed": 1,
+                                              "sample_size": 50, **data})
+    assert run_cli(["curve", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config.{next(iter(data))}: ")
+    assert drawn == []
+
+
 # ---------------------------------------------------------------------------
 # tune / train / diagnose / oracle
 # ---------------------------------------------------------------------------
@@ -235,6 +248,23 @@ def test_train_partial_schedule_takes_the_bound_default_kind(tmp_path):
     trace = train(make_sin_toy(), None, objective, 3, 1e-2, 4)
     assert [[float(v) for v in row[1:]] for row in rows] == [
         [trace.objective[i], *trace.params[i]] for i in range(len(trace))]
+
+
+def test_train_reads_its_rule_only_from_the_top_level(tmp_path, capsys):
+    # a training.rule used to override --rule, whose echo then named a rule that did not run
+    data = {"model": "sin_toy", "sample_size": 50, "seed": 4,
+            "training": {"bound": "tvo", "steps": 2, "learning_rate": 1e-2}}
+    cfg, traces = write_config(tmp_path, "cfg.json", data), []
+    for rule in ("left", "trapezoid"):
+        out = tmp_path / f"{rule}.csv"
+        assert run_cli(["train", "--config", cfg, "--rule", rule, "--out", out]) == 0
+        traces.append(out.read_bytes())
+        assert json.loads((tmp_path / f"{rule}.csv.config.json").read_text())["rule"] == rule
+    assert traces[0] != traces[1]
+    data["training"]["rule"] = "left"
+    cfg = write_config(tmp_path, "cfg.json", data)
+    assert run_cli(["train", "--config", cfg, "--rule", "trapezoid"]) == 1
+    assert capsys.readouterr().err == "error: config.training: unknown keys ['rule']\n"
 
 
 def test_train_with_mmd_column(tmp_path):
@@ -743,6 +773,27 @@ def test_help_lists_exactly_the_flags_the_command_reads(capsys, command, flags):
         run_cli([command, "--help"])
     assert exc.value.code == 0
     assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == flags
+
+
+def _readme_cli_table() -> dict:
+    """README's CLI table: per command, its top-level config keys and its flags."""
+    text = (ROOT / "README.md").read_text()
+    table = re.search(r"^\| command .*\n((?:\|.*\n)+)", text, flags=re.MULTILINE).group(1)
+    rows = re.findall(r"^\| `([a-z]+)` +\|([^|]*)\|[^|]*\|([^|]*)\|$", table, flags=re.MULTILINE)
+    return {command: (set(re.findall(r"`([a-z_]+)`", keys)),
+                      set(re.findall(r"`(--[a-z-]+)`", flags)))
+            for command, keys, flags in rows}
+
+
+def test_readme_cli_table_lists_each_commands_keys_and_flags():
+    subparsers = next(action for action in _build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    table = {}
+    for command, (_, keys) in _COMMANDS.items():
+        flags = {option for action in subparsers.choices[command]._actions
+                 for option in action.option_strings if option.startswith("--")}
+        table[command] = set(keys), flags - _COMMON_FLAGS
+    assert _readme_cli_table() == table
 
 
 @pytest.mark.parametrize("argv", [["oracle", "--seed", 1], ["curve", "--rule", "left"]])

@@ -587,6 +587,17 @@ def test_tiles_may_take_different_holder_forms(alpha):
                                  1e-12 * np.abs(wg).sum(axis=1) + 1e-300)
 
 
+@pytest.mark.parametrize("spec", [PathSpec.holder(0.5), PathSpec.geometric(),
+                                  PathSpec.perturbed(0.05)], ids=lambda spec: spec.kind)
+def test_more_betas_than_a_tile_holds(spec):
+    # past _TILE_ELEMENTS betas a tile is one point wide and takes every beta at once
+    betas = np.linspace(0.0, 1.0, paths._TILE_ELEMENTS + 5)
+    f = np.random.default_rng(11).uniform(-50.0, 50.0, 6)
+    values, magnitude, _ = _kernel_curve(spec, betas, f)
+    got = _tiled_curve(spec, betas, np.split(f, 2))
+    np.testing.assert_array_less(np.abs(got - values), 1e-12 * magnitude + 1e-300)
+
+
 def test_path_curve_with_every_weight_vanished_raises():
     spec = PathSpec.holder(0.5)
     curve = PathCurve(spec, EDGE_BETAS)
