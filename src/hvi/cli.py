@@ -12,6 +12,7 @@ to each output file.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import io
 import json
@@ -443,6 +444,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: nothing mutates it after it is built
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hvi",

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from . import paths
 from .estimators import draw_batch, local_evidence_curve
@@ -37,18 +35,23 @@ __all__ = [
 def ess(log_weights) -> float:
     """Normalized effective sample size (sum w)^2 / (m * sum w^2), in [1/m, 1].
 
-    Computed from unnormalized log weights entirely in log space.  Entries of
-    -inf (zero weight) are allowed as long as one finite weight remains.
+    Computed from unnormalized log weights with w = exp(lw - max lw), so the
+    largest weight is 1 and neither sum overflows.  Entries of -inf (zero
+    weight) are allowed as long as one finite weight remains.  The sum of
+    squares is an einsum: a BLAS dot product's order of summation, and so its
+    bits, would follow the BLAS thread count.
     """
     lw = np.asarray(log_weights, dtype=float).reshape(-1)
     if lw.size == 0:
         raise ValueError("need at least one log weight")
     if np.any(np.isnan(lw)) or np.any(lw == np.inf):
         raise ValueError("log weights must be < inf and not NaN")
-    norm = logsumexp(lw)
-    if not np.isfinite(norm):
+    top = lw.max()
+    if not np.isfinite(top):
         raise ValueError("all weights are zero; ESS undefined")
-    return float(np.exp(2.0 * norm - logsumexp(2.0 * lw) - math.log(lw.size)))
+    w = np.exp(lw - top)
+    total = w.sum()
+    return float(total * total / (lw.size * np.einsum("i,i->", w, w)))
 
 
 @dataclass(frozen=True)
@@ -97,13 +100,27 @@ MMD_BANDWIDTH = 0.5
 def _kernel_mean(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
     """Mean of exp(-gamma |x_i - y_j|^2) over all pairs, summed over row blocks of x.
 
-    Each block holds at most paths.BLOCK_ELEMENTS kernel entries (and at
-    least one row), so memory stays bounded whatever the sample sizes.
+    A block and its work buffer together hold at most paths._TILE_ELEMENTS
+    kernel entries (a block at least one row), so memory stays bounded
+    whatever the sample sizes and a block's passes run from cache.  The
+    squared distances sum (x_k - y_k)^2 over the axes in order, as scipy's
+    cdist(x, y, "sqeuclidean") does.
     """
-    rows = max(1, paths.BLOCK_ELEMENTS // y.shape[0])
+    rows = max(1, paths._TILE_ELEMENTS // (2 * y.shape[0]))
+    x_axes, y_axes = x.T.copy(), y.T.copy()  # one contiguous row per axis
+    block_buffer = np.empty(min(rows, x.shape[0]) * y.shape[0])
+    work_buffer = np.empty_like(block_buffer)
     total = 0.0
     for start in range(0, x.shape[0], rows):
-        block = cdist(x[start:start + rows], y, "sqeuclidean")
+        stop = min(start + rows, x.shape[0])
+        block = block_buffer[:(stop - start) * y.shape[0]].reshape(stop - start, -1)
+        work = work_buffer[:block.size].reshape(block.shape)
+        np.subtract(x_axes[0, start:stop, None], y_axes[0], out=block)
+        np.square(block, out=block)
+        for x_k, y_k in zip(x_axes[1:, start:stop], y_axes[1:]):
+            np.subtract(x_k[:, None], y_k, out=work)
+            np.square(work, out=work)
+            block += work
         block *= -gamma
         np.exp(block, out=block)
         total += block.sum()
@@ -118,7 +135,7 @@ def mmd(sample_a, sample_b) -> float:
     kernel exp(-|x-y|^2 / (2 h^2)), h = MMD_BANDWIDTH.  The V-statistic
     includes diagonal terms, so the squared discrepancy is nonnegative by
     construction; the square root is returned.  The three kernel means are
-    summed over row blocks, so memory is bounded by paths.BLOCK_ELEMENTS
+    summed over row blocks, so memory is bounded by paths._TILE_ELEMENTS
     entries rather than growing with the product of the sample sizes.
     """
     a = np.atleast_2d(np.asarray(sample_a, dtype=float))

@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .paths import PathCurve, PathSpec, path_log_moments
+from .paths import PathCurve, PathSpec, _merge, _row_sum, path_log_moments
 
 __all__ = [
     "ModelParameters",
@@ -533,11 +532,10 @@ def quadrature_curve_slope(model: LatentModel, alpha: float, beta: float,
         return -first * first
     log_first, log_second = path_log_moments(PathSpec.holder(float(alpha)), beta,
                                              _grid_tiles(model, grid, params))
-    log_slope, slope_sign = logsumexp(
-        [math.log(abs(1.0 - alpha)) + log_second, 2.0 * log_first],
-        b=[math.copysign(1.0, 1.0 - alpha), -1.0], return_sign=True)
-    with np.errstate(over="ignore"):
-        return float(slope_sign * np.exp(log_slope))
+    level, total = _row_sum(np.array([math.log(abs(1.0 - alpha)) + log_second, 2.0 * log_first]),
+                            np.array([math.copysign(1.0, 1.0 - alpha), -1.0]))
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(np.sign(total) * np.exp(level + np.log(abs(total))))
 
 
 def quadrature_rvi(model: LatentModel, alpha: float,
@@ -545,5 +543,7 @@ def quadrature_rvi(model: LatentModel, alpha: float,
     """Exact Renyi bound (1/alpha) log int q^(1-alpha) p^alpha for alpha > 0."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    tiles = [logsumexp(alpha * f + base) for f, base in _grid_tiles(model, grid, params)]
-    return float(logsumexp(tiles)) / alpha
+    level, total = -np.inf, 0.0
+    for f, base in _grid_tiles(model, grid, params):
+        level, total = _merge(level, total, *_row_sum(alpha * f + base))
+    return float(level + np.log(total)) / alpha

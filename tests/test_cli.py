@@ -836,7 +836,9 @@ def test_seventeen_digit_floats(tmp_path):
 
 def test_package_binds_only_its_version_and_cli_imports_every_layer():
     # every caller imports a module by name; after `import hvi; import hvi.cli`
-    # each layer module is loaded (perfbench's tracer reads them from sys.modules)
+    # each layer module is loaded (perfbench's tracer reads them from sys.modules),
+    # and no scipy module is: importing scipy.special and scipy.spatial took
+    # about two thirds of a CLI process's start-up
     code = ("import json, sys, hvi; names = sorted(vars(hvi)); import hvi.cli; "
             "print(json.dumps([hvi.__version__, names, sorted(sys.modules)]))")
     proc = run_python(["-c", code])
@@ -846,3 +848,4 @@ def test_package_binds_only_its_version_and_cli_imports_every_layer():
     assert [name for name in names if not name.startswith("__")] == []
     assert {f"hvi.{layer}" for layer in ("cli", "diagnostics", "estimators", "gradients",
                                          "models", "paths", "tuning", "util")} <= set(modules)
+    assert [name for name in modules if name.split(".")[0] == "scipy"] == []

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 from scipy.stats import spearmanr
 
-from hvi import models, paths
+from hvi import diagnostics, models, paths
 from hvi.diagnostics import (
     MMD_BANDWIDTH,
     approx_error,
@@ -48,6 +49,20 @@ def test_ess_validation():
         ess(np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
         ess(np.array([]))
+
+
+@pytest.mark.parametrize("spread", [1.0, 30.0, 300.0, 700.0])
+@pytest.mark.parametrize("shift", [0.0, -700.0, 700.0])
+def test_ess_matches_the_log_space_formula(spread, shift):
+    # exp(2 lse(lw) - lse(2 lw) - log m), the formula ess took before it
+    # summed the weights at their top
+    rng = np.random.default_rng(int(spread))
+    lw = rng.uniform(-spread, spread, 500) + shift
+    with_zeros = lw.copy()
+    with_zeros[::3] = -np.inf
+    for case in (lw, with_zeros):
+        expected = math.exp(2.0 * logsumexp(case) - logsumexp(2.0 * case) - math.log(case.size))
+        assert ess(case) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @settings(max_examples=50)
@@ -132,18 +147,38 @@ def _dense_mmd(a, b):
     return math.sqrt(max(k(a, a) + k(b, b) - 2.0 * k(a, b), 0.0))
 
 
-@pytest.mark.parametrize("block_elements", [100, 10])
+@pytest.mark.parametrize("tile_elements", [100, 10])
 @pytest.mark.parametrize("n, m", [(37, 23), (1, 23), (23, 1)])
-def test_mmd_blocks_match_dense_statistic(monkeypatch, block_elements, n, m):
-    # 100 // 23 = 4 rows per block leaves a ragged last block of 37 rows;
-    # 10 < 23 entries still takes one row per block
+def test_mmd_blocks_match_dense_statistic(monkeypatch, tile_elements, n, m):
+    # a block and its work buffer share one tile: 100 // (2 * 23) = 2 rows per
+    # block leaves a ragged last block of 37 rows; 10 < 23 entries still takes
+    # one row per block
     rng = np.random.default_rng(5)
     x = rng.normal(size=(n, 3))
     y = rng.normal(0.3, 1.2, size=(m, 3))
     expected = _dense_mmd(x, y)
-    monkeypatch.setattr(paths, "BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(paths, "_TILE_ELEMENTS", tile_elements)
     assert mmd(x, y) == pytest.approx(expected, rel=1e-12, abs=0)
     assert mmd(x, x) == 0.0
+
+
+@pytest.mark.parametrize("tile_elements", [100, 10])
+def test_kernel_mean_distances_equal_cdist_bitwise(monkeypatch, tile_elements):
+    # from cdist's squared distances, the kernel mean of each pair and the one
+    # summed over the same ragged blocks (2 or 1 rows of 23 entries) have the
+    # same bits: the distances summed over the axes in order are cdist's
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(37, 3))
+    y = rng.normal(0.3, 1.2, size=(23, 3))
+    monkeypatch.setattr(paths, "_TILE_ELEMENTS", tile_elements)
+    gamma = 0.5 / MMD_BANDWIDTH**2
+    kernel = np.exp(-gamma * cdist(x, y, "sqeuclidean"))
+    pairs = [[diagnostics._kernel_mean(x[i:i + 1], y[j:j + 1], gamma) for j in range(23)]
+             for i in range(37)]
+    assert np.array(pairs).tobytes() == kernel.tobytes()
+    rows = max(1, tile_elements // (2 * y.shape[0]))
+    total = sum(kernel[start:start + rows].sum() for start in range(0, 37, rows))
+    assert diagnostics._kernel_mean(x, y, gamma) == total / kernel.size
 
 
 def test_mmd_memory_is_bounded():

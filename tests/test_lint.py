@@ -1,4 +1,5 @@
-"""Standard-library lint: every import is used and every ``__all__`` entry exists.
+"""Standard-library lint: every import is used, every ``__all__`` entry exists,
+and the package imports no scipy.
 
 Parses each ``hvi`` module, each script and each test module with ``ast``;
 nothing is imported.
@@ -92,3 +93,24 @@ def test_every_private_module_name_is_read():
                     for name in _defined(tree) - set(_imports(tree))
                     if name.startswith("_") and not name.startswith("__") and name not in read)
     assert not unread, f"module-level private names nothing in src/hvi reads: {unread}"
+
+
+def _imported_modules(tree: ast.Module) -> list:
+    """(top-level module, line) of every import anywhere in ``tree``, functions included."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.name.split(".")[0], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.module.split(".")[0], node.lineno))
+    return found
+
+
+def test_the_package_imports_no_scipy():
+    # scipy is a test dependency only: importing scipy.special and scipy.spatial
+    # took about two thirds of a CLI process's start-up, and an import moved
+    # into a function would only move that cost into the first call
+    found = [f"{path.name}:{line}" for path in sorted((ROOT / "src/hvi").glob("*.py"))
+             for module, line in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+             if module == "scipy"]
+    assert not found, f"scipy imports in src/hvi: {found}"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from hvi import models
 from hvi.models import (
@@ -281,6 +282,16 @@ def test_grid_log_densities_do_not_depend_on_the_layout(build):
     l0, l1 = model.log_proposal(c_pts), model.log_target(c_pts)
     assert f.tobytes() == (l1 - l0).tobytes()
     assert base.tobytes() == (l0 + logw).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("name", ["ring", "sin_toy"])
+def test_quadrature_rvi_matches_one_log_sum_exp_over_the_grid(request, name, alpha):
+    # the tile-by-tile reduction against one log-sum-exp over the whole grid
+    model = request.getfixturevalue(name)
+    f, base = map(np.concatenate, zip(*models._grid_tiles(model, None, None)))
+    expected = logsumexp(alpha * f + base) / alpha
+    assert quadrature_rvi(model, alpha) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_quadrature_oracles_stream_the_grid_in_tiles(ring):
