@@ -267,6 +267,15 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
     return _csv(["seed"] + list(bounds), rows)
 
 
+def _check_float_range(betas, values, *alpha):
+    """Reject a local evidence beyond the float range rather than write an infinity."""
+    for beta, value in zip(betas, values):
+        if not np.isfinite(value):
+            where = "".join(f"alpha = {a:g}, " for a in alpha)
+            raise ValueError(f"local evidence at {where}beta = {beta:g} "
+                             f"reads {value}: beyond the float range")
+
+
 def cmd_curve(cfg: ExperimentConfig) -> str:
     model = cfg.model()
     schedule = (_schedule_from(cfg.data.get("schedule"), "schedule", "uniform", 20)
@@ -282,6 +291,7 @@ def cmd_curve(cfg: ExperimentConfig) -> str:
     rows = []
     for lead, spec in curves:
         curve = local_evidence_curve(batch, spec, schedule.betas)
+        _check_float_range(schedule.betas, [est.value for est in curve], *lead)
         for beta, est in zip(schedule.betas, curve):
             rows.append([*lead, beta, est.value, est.std_err, est.ess])
     return _csv(["alpha"] * (alphas is not None) + ["beta", "value", "std_err", "ess"], rows)
@@ -397,6 +407,7 @@ def cmd_diagnose(cfg: ExperimentConfig) -> str:
     betas = _read(diag, "diagnose.betas", _betas, np.linspace(0.0, 1.0, 21).tolist())
     replicates = _read(diag, "diagnose.replicates", _at_least(2), 50)
     profile = curve_profile(model, spec, betas, cfg.sample_size, replicates, seed)
+    _check_float_range(profile.betas, profile.means)
     rows = [
         [profile.betas[i], profile.means[i], profile.variances[i], profile.mean_ess[i]]
         for i in range(profile.betas.size)
@@ -416,10 +427,7 @@ def cmd_oracle(cfg: ExperimentConfig) -> str:
                   DEFAULT_TEST_BETAS)
     log_marginal, curves = quadrature_oracle(model, alphas or (), betas, grid)
     for alpha, curve in zip(alphas or (), curves):
-        for beta, value in zip(betas, curve):
-            if not np.isfinite(value):
-                raise ValueError(f"local evidence at alpha = {alpha:g}, beta = {beta:g} "
-                                 f"reads {value}: beyond the float range")
+        _check_float_range(betas, curve, alpha)
     report = {"model": cfg.model_id, "log_marginal": log_marginal}
     if alphas is not None:
         report["local_evidence"] = {

@@ -84,13 +84,14 @@ def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
         estimates = local_evidence_curve(batch, spec, betas)
         values[r] = [est.value for est in estimates]
         ess_vals[r] = [est.ess for est in estimates]
-    return CurveProfile(
-        betas=betas,
-        means=values.mean(axis=0),
-        variances=values.var(axis=0, ddof=1),
-        mean_ess=ess_vals.mean(axis=0),
-        ess_values=ess_vals,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # values beyond the float range
+        return CurveProfile(
+            betas=betas,
+            means=values.mean(axis=0),
+            variances=values.var(axis=0, ddof=1),
+            mean_ess=ess_vals.mean(axis=0),
+            ess_values=ess_vals,
+        )
 
 
 # Gaussian-kernel bandwidth of mmd, in units of the reference's per-axis std.

@@ -20,8 +20,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .models import LatentModel
-from .paths import PathBlock, PathSpec, path_weights
-from .util import logmeanexp
+from .paths import PathBlock, PathSpec, _row_sum, path_weights
 
 __all__ = [
     "ImportanceBatch",
@@ -91,13 +90,14 @@ def elbo(batch: ImportanceBatch) -> float:
 
 def iw_elbo(batch: ImportanceBatch) -> float:
     """Importance-weighted bound: log mean exp of the log ratios."""
-    return logmeanexp(batch.log_ratio)
+    return rvi(batch, 1.0)
 
 
 def rvi(batch: ImportanceBatch, alpha: float) -> float:
     """Renyi bound (1/alpha) log mean exp(alpha * f); alpha = 1 is iw_elbo."""
     _resolve("rvi", alpha)
-    return logmeanexp(alpha * batch.log_ratio) / alpha
+    level, total = _row_sum(alpha * batch.log_ratio)
+    return float(level + np.log(total / batch.size)) / alpha
 
 
 def eubo(batch: ImportanceBatch) -> float:
@@ -136,17 +136,21 @@ def _reduce_curve(batch: ImportanceBatch, spec: PathSpec, betas, coef=None):
     ch. 9) over one batch: sqrt(sum_s phi_ks^2) per beta and, for each row of
     the matrix ``coef``, sqrt(sum_s ((coef phi)_s)^2), which keeps the
     correlation of betas that reweight the same samples.  None without ``coef``.
+    A value or error beyond the float range reads as an infinity or NaN,
+    without a numpy warning; callers that write values check them.
     """
     parts, combo, start = [], 0.0, 0
-    for block in path_weights(spec, betas, batch.log_ratio):
-        values, phi = _block_influence(block)
-        if coef is not None:
-            combo = combo + coef[:, start:start + values.size] @ phi
-        start += values.size
-        parts.append((values, np.sqrt(np.sum(phi ** 2, axis=1)),
-                      1.0 / (batch.size * np.sum(block.w * block.w, axis=1))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in path_weights(spec, betas, batch.log_ratio):
+            values, phi = _block_influence(block)
+            if coef is not None:
+                combo = combo + coef[:, start:start + values.size] @ phi
+            start += values.size
+            parts.append((values, np.sqrt(np.sum(phi ** 2, axis=1)),
+                          1.0 / (batch.size * np.sum(block.w * block.w, axis=1))))
+        combo = None if coef is None else np.sqrt(np.sum(combo ** 2, axis=1))
     values, std_errs, ess = (np.concatenate(column) for column in zip(*parts))
-    return values, std_errs, ess, None if coef is None else np.sqrt(np.sum(combo ** 2, axis=1))
+    return values, std_errs, ess, combo
 
 
 def local_evidence_curve(batch: ImportanceBatch, spec: PathSpec,

@@ -41,7 +41,7 @@ from .estimators import (
     rule_weights,
 )
 from .models import LatentModel
-from .paths import PathBlock, PathSpec, path_gradient_coeffs, path_weights
+from .paths import PathSpec, path_gradient_coeffs, path_weights
 from .util import derive_seeds
 
 __all__ = [
@@ -72,35 +72,19 @@ class GradientEstimate:
         return self.term_i + self.term_ii
 
 
-def _block_terms(spec: PathSpec, block: PathBlock, log_ratio: np.ndarray,
-                 grad_l0: np.ndarray, grad_f: np.ndarray, weights: np.ndarray):
-    """A kernel block's curve values and weighted sums of terms (i), (ii), influences.
-
-    grad log pi_beta = grad L0 + dh/df grad f and grad g = dg/df grad f, so
-    the per-sample contribution to the covariance identity at each beta is
-    (grad L0 + dh/df grad f) phi + w dg/df grad f with phi = w (g - gbar); the
-    sample's influence subtracts w times that beta's estimate.
-    """
-    dh_df, w_dg_df = path_gradient_coeffs(spec, block, log_ratio)
-    values, phi = _block_influence(block)
-    along_f = dh_df * phi
-    term_i = phi @ grad_l0 + along_f @ grad_f
-    term_ii = w_dg_df @ grad_f
-    influence = (phi[:, :, None] * grad_l0 + (along_f + w_dg_df)[:, :, None] * grad_f
-                 - block.w[:, :, None] * (term_i + term_ii)[:, None, :])
-    return (values, weights @ term_i, weights @ term_ii,
-            np.tensordot(weights, influence, axes=1))
-
-
 def _path_step(model: LatentModel, params, spec: PathSpec, betas, weights,
                batch: ImportanceBatch) -> tuple[float, GradientEstimate]:
-    """(sum_k weights_k E_(spec,betas_k), its gradient over lambda) in one batch pass.
+    """(sum_k c_k E_(spec,betas_k), its gradient over lambda) in one batch pass.
 
     The batch's cached log densities supply the weights, so the model is only
-    asked for its two gradient fields, once per batch.  Knots of zero weight
-    are skipped.  All knots reweight the same samples, so the standard error is
-    the delta-method one of the sum, sqrt(sum_s (sum_k weights_k phi_ks)^2) over
-    the per-sample influences phi_ks.
+    asked for its two gradient fields, once per batch.  Knots of zero weight c_k
+    are skipped.  With grad log pi_beta = grad L0 + dh/df grad f, grad g = dg/df
+    grad f and phi = w (g - gbar), knot k's terms (i) and (ii) are G_i = sum_s
+    phi (grad L0 + dh/df grad f) and G_ii = sum_s w dg/df grad f, and sample s's
+    influence on them is psi_ks = phi (grad L0 + dh/df grad f) + w dg/df grad f
+    - w (G_i + G_ii).  All knots reweight the same samples, so the standard
+    error is the delta-method one of the sum, sqrt(sum_s (sum_k c_k psi_ks)^2),
+    and sum_k c_k psi_ks is formed per sample, one (S, d) array per block.
     """
     weights = np.asarray(weights, dtype=float)
     knots = np.flatnonzero(weights)
@@ -109,15 +93,22 @@ def _path_step(model: LatentModel, params, spec: PathSpec, betas, weights,
     grad_f = model.grad_log_target(batch.z, lam) - grad_l0
     # skipped knots add nothing to the sum, so leaving their curve entries 0
     # keeps the value bitwise the estimators' weights @ curve
-    curve, start, blocks = np.zeros(weights.size), 0, []
+    curve, start = np.zeros(weights.size), 0
+    term_i = term_ii = influence = 0.0
     for block in path_weights(spec, np.asarray(betas, dtype=float)[knots], batch.log_ratio):
         rows = knots[start:start + len(block.betas)]
-        values, *terms = _block_terms(spec, block, batch.log_ratio, grad_l0, grad_f,
-                                      weights[rows])
-        curve[rows] = values
-        blocks.append(terms)
+        c = weights[rows]
+        dh_df, w_dg_df = path_gradient_coeffs(spec, block, batch.log_ratio)
+        curve[rows], phi = _block_influence(block)
+        along_f = dh_df * phi
+        knot_i = phi @ grad_l0 + along_f @ grad_f
+        knot_ii = w_dg_df @ grad_f
+        term_i = term_i + c @ knot_i
+        term_ii = term_ii + c @ knot_ii
+        influence = (influence + (c @ phi)[:, None] * grad_l0
+                     + (c @ along_f + c @ w_dg_df)[:, None] * grad_f
+                     - block.w.T @ (c[:, None] * (knot_i + knot_ii)))
         start += rows.size
-    term_i, term_ii, influence = (sum(parts) for parts in zip(*blocks))
     return float(weights @ curve), GradientEstimate(
         term_i=term_i, term_ii=term_ii, std_err=np.sqrt(np.sum(influence ** 2, axis=0)))
 

@@ -5,15 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def logmeanexp(values: np.ndarray) -> float:
-    """log of the mean of exp(values), stable against overflow."""
-    v = np.asarray(values, dtype=float)
-    m = float(np.max(v))
-    if not np.isfinite(m):
-        return m
-    return m + float(np.log(np.mean(np.exp(v - m))))
-
-
 def log_abs_expm1(x: np.ndarray) -> np.ndarray:
     """log |exp(x) - 1|, elementwise, without overflow for large |x|.
 

@@ -369,6 +369,41 @@ def test_oracle_beyond_the_float_range_is_an_error_not_an_infinity(tmp_path, cap
     assert not out.exists()
 
 
+_BEYOND = {"model": "bayes_regression", "sample_size": 2000, "seed": 5}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("curve", {"alphas": [3], "schedule": {"kind": "uniform", "partitions": 2}}),
+    ("diagnose", {"diagnose": {"path": {"kind": "holder", "alpha": 3}, "betas": [0, 1],
+                               "replicates": 2}}),
+])
+def test_curve_and_diagnose_beyond_the_float_range_are_errors(tmp_path, capsys, command, config):
+    # the local evidence at alpha = 3, beta = 1 reads -inf on this batch: it
+    # was written as -inf with a NaN std err or variance, after numpy warnings
+    cfg = write_config(tmp_path, "cfg.json", {**_BEYOND, **config})
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([command, "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.splitlines()[0]] and err.startswith("error: ")
+    assert "beta = 1 reads -inf: beyond the float range" in err
+    assert not out.exists()
+
+
+def test_curve_with_a_finite_value_and_an_infinite_std_err_writes_it(tmp_path, capsys):
+    # at alpha = 1.5 the value -3.6e154 is finite but its square is not
+    cfg = write_config(tmp_path, "cfg.json", {
+        **_BEYOND, "alphas": [1.5], "schedule": {"kind": "uniform", "partitions": 2}})
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["curve", "--config", cfg, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(out)
+    assert float(rows[-1][2]) < -1e154 and rows[-1][3] == "inf"
+
+
 def test_oracle_evaluates_the_grid_once(tmp_path, monkeypatch):
     from hvi import models
 

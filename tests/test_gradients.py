@@ -1,26 +1,31 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hvi import models
+from hvi import models, paths
 from hvi.estimators import (
     IntegrationRule,
     PartitionSchedule,
+    _block_influence,
     bound_report,
     draw_batch,
     parse_bound_id,
 )
 from hvi.gradients import (
     BoundObjective,
+    _path_step,
     bound_grad,
     finite_difference_grad,
     local_evidence_grad,
     train,
 )
-from hvi.paths import PathSpec
+from hvi.paths import PathSpec, path_gradient_coeffs, path_weights
 from hvi.util import derive_seeds
+
+_BAYES = models.make_bayes_regression(models.simulate_bayes_dataset(0, 20))
 
 SPECS = [PathSpec.geometric(), PathSpec.holder(0.5), PathSpec.holder(-0.4),
          PathSpec.wasserstein(), PathSpec.perturbed(0.05)]
@@ -157,6 +162,61 @@ def test_integrated_gradient_std_err_is_calibrated(sin_toy):
     np.testing.assert_allclose(reported, spread, rtol=0.2)
 
 
+def _influence_by_definition(model, spec, betas, weights, batch):
+    """(term i, term ii, std err) from the explicit (knots, S, d) influence tensor."""
+    lam = model._resolve(None)
+    grad_l0 = model.grad_log_proposal(batch.z, lam)
+    grad_f = model.grad_log_target(batch.z, lam) - grad_l0
+    (block,) = path_weights(spec, betas, batch.log_ratio)
+    dh_df, w_dg_df = path_gradient_coeffs(spec, block, batch.log_ratio)
+    phi = _block_influence(block)[1]
+    per_sample_i = phi[:, :, None] * (grad_l0 + dh_df[:, :, None] * grad_f)
+    per_sample_ii = w_dg_df[:, :, None] * grad_f
+    knot_terms = (per_sample_i + per_sample_ii).sum(axis=1)
+    influence = per_sample_i + per_sample_ii - block.w[:, :, None] * knot_terms[:, None, :]
+    combined = np.tensordot(weights, influence, axes=1)
+    return (weights @ per_sample_i.sum(axis=1), weights @ per_sample_ii.sum(axis=1),
+            np.sqrt(np.sum(combined ** 2, axis=0)))
+
+
+@pytest.mark.parametrize("model", [models.make_sin_toy(), _BAYES], ids=["sin_toy", "bayes"])
+@pytest.mark.parametrize("bound", [{"bound": "tvo"}, {"bound": "hbo", "alpha": 0.3},
+                                   {"bound": "perturbed_hbo", "delta": 0.05}],
+                         ids=["tvo", "hbo", "perturbed_hbo"])
+def test_gradient_std_err_is_the_delta_method_one_across_blocks(monkeypatch, model, bound):
+    # 51 knots in blocks of 7: the per-sample sums over knots carry across
+    # blocks, and must equal the definition's sum over the full tensor
+    objective = BoundObjective(**bound, rule="trapezoid", sample_size=300)
+    spec, betas, weights = objective._form
+    batch = draw_batch(model, objective.sample_size, 4)
+    one_block = objective.gradient(model, None, batch)
+    term_i, term_ii, std_err = _influence_by_definition(model, spec, betas, weights, batch)
+    monkeypatch.setattr(paths, "BLOCK_ELEMENTS", 7 * batch.size)
+    assert len(list(path_weights(spec, betas, batch.log_ratio))) == 8
+    blocked = objective.gradient(model, None, batch)
+    for grad in (one_block, blocked):
+        np.testing.assert_allclose(grad.std_err, std_err, rtol=1e-12, atol=0)
+    for got, expected in ((blocked.term_i, one_block.term_i), (blocked.term_ii, one_block.term_ii),
+                          (one_block.term_i, term_i), (one_block.term_ii, term_ii)):
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_gradient_step_peak_memory_stays_below_twelve_knot_by_sample_arrays():
+    # tvo's 50 weighted knots at S = 1000, d = 6: an influence tensor of
+    # knots x samples x parameters alone would take 6 such arrays
+    objective = BoundObjective(bound="tvo", sample_size=1000)
+    spec, betas, weights = objective._form
+    batch = draw_batch(_BAYES, objective.sample_size, 0)
+    limit = 12 * np.count_nonzero(weights) * batch.size * 8
+    tracemalloc.start()
+    try:
+        _path_step(_BAYES, None, spec, betas, weights, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
+
+
 def test_integrated_gradient_matches_quadrature_fd(sin_toy):
     sched = PartitionSchedule.uniform(5)
     batch = draw_batch(sin_toy, 100_000, 9)
@@ -282,7 +342,6 @@ def test_gradient_failure_gives_flagged_partial_trace(conjugate):
     np.testing.assert_array_equal(trace.objective, full.objective[:3])
 
 
-_BAYES = models.make_bayes_regression(models.simulate_bayes_dataset(0, 20))
 _HBO = BoundObjective(bound="hbo", alpha=0.05, schedule=PartitionSchedule.uniform(5),
                       sample_size=100)
 
