@@ -72,7 +72,11 @@ class CurveProfile:
 
 def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
                   replicates: int, seed: int) -> CurveProfile:
-    """Profile estimator mean/variance/ESS over independent replicate batches."""
+    """Profile estimator mean/variance/ESS over independent replicate batches.
+
+    A value or mean beyond the float range is a ValueError that names its
+    beta; a variance that overflows reads inf.
+    """
     if replicates < 2:
         raise ValueError("need at least two replicates")
     betas = np.asarray(list(betas), dtype=float)
@@ -84,14 +88,10 @@ def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
         estimates = local_evidence_curve(batch, spec, betas)
         values[r] = [est.value for est in estimates]
         ess_vals[r] = [est.ess for est in estimates]
-    with np.errstate(over="ignore", invalid="ignore"):  # values beyond the float range
-        return CurveProfile(
-            betas=betas,
-            means=values.mean(axis=0),
-            variances=values.var(axis=0, ddof=1),
-            mean_ess=ess_vals.mean(axis=0),
-            ess_values=ess_vals,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # a variance may overflow to inf
+        means, variances = values.mean(axis=0), values.var(axis=0, ddof=1)
+    return CurveProfile(betas=betas, means=paths._check_float_range(spec, means, betas),
+                        variances=variances, mean_ess=ess_vals.mean(axis=0), ess_values=ess_vals)
 
 
 # Gaussian-kernel bandwidth of mmd, in units of the reference's per-axis std.

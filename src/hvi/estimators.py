@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .models import LatentModel
-from .paths import PathBlock, PathSpec, _row_sum, path_weights
+from .paths import PathSpec, _check_float_range, _row_sum, path_weights
 
 __all__ = [
     "ImportanceBatch",
@@ -97,7 +97,8 @@ def rvi(batch: ImportanceBatch, alpha: float) -> float:
     """Renyi bound (1/alpha) log mean exp(alpha * f); alpha = 1 is iw_elbo."""
     _resolve("rvi", alpha)
     level, total = _row_sum(alpha * batch.log_ratio)
-    return float(level + np.log(total / batch.size)) / alpha
+    value = float(level + np.log(total / batch.size)) / alpha
+    return float(_check_float_range(PathSpec.holder(alpha), value, quantity="Renyi bound"))
 
 
 def eubo(batch: ImportanceBatch) -> float:
@@ -123,29 +124,33 @@ class LocalEvidenceEstimate:
     ess: float
 
 
-def _block_influence(block: PathBlock) -> tuple[np.ndarray, np.ndarray]:
-    """A kernel block's local evidences E_k and influences phi_ks = w_ks (g_ks - E_k)."""
-    values = block.wg.sum(axis=1)
-    return values, block.wg - values[:, None] * block.w
+def _knot_blocks(batch: ImportanceBatch, spec: PathSpec, betas, weights):
+    """(knot rows, block, local evidences) per path_weights block over the knots of
+    nonzero weight: the one place a sample block is summed, and its local evidences
+    checked to lie in the float range (paths._check_float_range)."""
+    knots, start = np.flatnonzero(weights), 0
+    for block in path_weights(spec, np.asarray(betas, dtype=float)[knots], batch.log_ratio):
+        rows = knots[start:start + len(block.betas)]
+        yield rows, block, _check_float_range(spec, block.wg.sum(axis=1), block.betas)
+        start += rows.size
 
 
 def _reduce_curve(batch: ImportanceBatch, spec: PathSpec, betas, coef=None):
     """(values, std errs, ESS) per beta, and the std errs of ``coef @ values``.
 
     Delta-method errors (Owen, Monte Carlo theory, methods and examples, 2013,
-    ch. 9) over one batch: sqrt(sum_s phi_ks^2) per beta and, for each row of
-    the matrix ``coef``, sqrt(sum_s ((coef phi)_s)^2), which keeps the
-    correlation of betas that reweight the same samples.  None without ``coef``.
-    A value or error beyond the float range reads as an infinity or NaN,
-    without a numpy warning; callers that write values check them.
+    ch. 9) over one batch, with phi_ks = w_ks (g_ks - E_k): sqrt(sum_s phi_ks^2)
+    per beta and, for each row of the matrix ``coef``, sqrt(sum_s ((coef phi)_s)^2),
+    which keeps the correlation of betas that reweight the same samples (None
+    without ``coef``).  A value beyond the float range is a ValueError
+    (_knot_blocks); an error that overflows reads inf, with no numpy warning.
     """
-    parts, combo, start = [], 0.0, 0
+    parts, combo = [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in path_weights(spec, betas, batch.log_ratio):
-            values, phi = _block_influence(block)
+        for rows, block, values in _knot_blocks(batch, spec, betas, np.ones(len(betas))):
+            phi = block.wg - values[:, None] * block.w
             if coef is not None:
-                combo = combo + coef[:, start:start + values.size] @ phi
-            start += values.size
+                combo = combo + coef[:, rows] @ phi
             parts.append((values, np.sqrt(np.sum(phi ** 2, axis=1)),
                           1.0 / (batch.size * np.sum(block.w * block.w, axis=1))))
         combo = None if coef is None else np.sqrt(np.sum(combo ** 2, axis=1))
@@ -331,11 +336,15 @@ def _form_value(batch: ImportanceBatch, form) -> float:
 
     Training reads its values from the same path_weights blocks as its
     gradients, so a bound sums those blocks, not a paths.PathCurve (values
-    only), whose sums agree with them only to rounding.
+    only), whose sums agree with them only to rounding.  Knots of weight 0
+    are not formed: a beta that adds nothing cannot turn the bound into NaN.
     """
     spec, betas, weights = form
-    return float(weights @ np.concatenate(
-        [block.wg.sum(axis=1) for block in path_weights(spec, betas, batch.log_ratio)]))
+    curve = np.zeros(weights.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, _, values in _knot_blocks(batch, spec, betas, weights):
+            curve[rows] = values
+    return float(weights @ curve)
 
 
 def _split_bound_id(bound_id: str) -> tuple[str, Optional[float]]:
@@ -365,11 +374,6 @@ class BoundReport:
     """Named bound values from one batch, in request order."""
 
     values: dict[str, float]
-
-    def __post_init__(self):
-        bad = [k for k, v in self.values.items() if not np.isfinite(v)]
-        if bad:
-            raise ValueError(f"non-finite bound values for {bad}")
 
     def csv_row(self) -> list[float]:
         """One value per bound id, in request order (pairs with list(values))."""

@@ -34,14 +34,14 @@ from .estimators import (
     ImportanceBatch,
     IntegrationRule,
     PartitionSchedule,
-    _block_influence,
     _form_value,
+    _knot_blocks,
     _resolve,
     draw_batch,
     rule_weights,
 )
 from .models import LatentModel
-from .paths import PathSpec, path_gradient_coeffs, path_weights
+from .paths import PathSpec, _check_float_range, path_gradient_coeffs
 from .util import derive_seeds
 
 __all__ = [
@@ -85,32 +85,34 @@ def _path_step(model: LatentModel, params, spec: PathSpec, betas, weights,
     - w (G_i + G_ii).  All knots reweight the same samples, so the standard
     error is the delta-method one of the sum, sqrt(sum_s (sum_k c_k psi_ks)^2),
     and sum_k c_k psi_ks is formed per sample, one (S, d) array per block.
+    A local evidence or G_i + G_ii beyond the float range is a ValueError that
+    names its beta; a std err that overflows reads inf, with no numpy warning.
     """
     weights = np.asarray(weights, dtype=float)
-    knots = np.flatnonzero(weights)
     lam = model._resolve(params)
     grad_l0 = model.grad_log_proposal(batch.z, lam)
     grad_f = model.grad_log_target(batch.z, lam) - grad_l0
     # skipped knots add nothing to the sum, so leaving their curve entries 0
     # keeps the value bitwise the estimators' weights @ curve
-    curve, start = np.zeros(weights.size), 0
+    curve = np.zeros(weights.size)
     term_i = term_ii = influence = 0.0
-    for block in path_weights(spec, np.asarray(betas, dtype=float)[knots], batch.log_ratio):
-        rows = knots[start:start + len(block.betas)]
-        c = weights[rows]
-        dh_df, w_dg_df = path_gradient_coeffs(spec, block, batch.log_ratio)
-        curve[rows], phi = _block_influence(block)
-        along_f = dh_df * phi
-        knot_i = phi @ grad_l0 + along_f @ grad_f
-        knot_ii = w_dg_df @ grad_f
-        term_i = term_i + c @ knot_i
-        term_ii = term_ii + c @ knot_ii
-        influence = (influence + (c @ phi)[:, None] * grad_l0
-                     + (c @ along_f + c @ w_dg_df)[:, None] * grad_f
-                     - block.w.T @ (c[:, None] * (knot_i + knot_ii)))
-        start += rows.size
-    return float(weights @ curve), GradientEstimate(
-        term_i=term_i, term_ii=term_ii, std_err=np.sqrt(np.sum(influence ** 2, axis=0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, block, values in _knot_blocks(batch, spec, betas, weights):
+            curve[rows], c = values, weights[rows]
+            dh_df, w_dg_df = path_gradient_coeffs(spec, block, batch.log_ratio)
+            phi = block.wg - values[:, None] * block.w
+            along_f = dh_df * phi
+            knot_i = phi @ grad_l0 + along_f @ grad_f
+            knot_ii = w_dg_df @ grad_f
+            knot = _check_float_range(spec, knot_i + knot_ii, block.betas,
+                                      "gradient of the local evidence")
+            term_i = term_i + c @ knot_i
+            term_ii = term_ii + c @ knot_ii
+            influence = (influence + (c @ phi)[:, None] * grad_l0
+                         + (c @ along_f + c @ w_dg_df)[:, None] * grad_f
+                         - block.w.T @ (c[:, None] * knot))
+        return float(weights @ curve), GradientEstimate(
+            term_i=term_i, term_ii=term_ii, std_err=np.sqrt(np.sum(influence ** 2, axis=0)))
 
 
 def local_evidence_grad(model: LatentModel, params, spec: PathSpec, beta: float,
@@ -120,7 +122,8 @@ def local_evidence_grad(model: LatentModel, params, spec: PathSpec, beta: float,
     Log densities come from the batch cache and their gradients are evaluated
     at ``params`` on the batch's sample points, so the batch must have been
     drawn from the proposal at this very parameter vector for the weights to
-    be valid.
+    be valid.  A local evidence or gradient beyond the float range is a
+    ValueError (_path_step); a std err that overflows reads inf.
     """
     return _path_step(model, params, spec, [beta], [1.0], batch)[1]
 
@@ -217,9 +220,9 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
     path kernel over its batch (the value is the kernel's weights @ curve,
     bit for bit the bound's estimator).  Per-step batch seeds derive
     deterministically from ``seed``, so identical calls produce identical
-    traces.  If the parameters or the objective go non-finite, or a step's
-    sampling, densities or gradients fail, the run aborts and returns the
-    rows before that step flagged as diverged.
+    traces.  If the parameters go non-finite, or a step's sampling, densities,
+    value or gradient fail (beyond the float range among them, see _path_step),
+    the run aborts and returns the rows before that step flagged as diverged.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -229,8 +232,7 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
         raise ValueError(f"model {model.model_id!r} does not provide gradients")
     lam = model._resolve(params0).copy()
     step_seeds = derive_seeds(seed, steps + 1)
-    rows_step, rows_lam, rows_val = [], [], []
-    diverged = False
+    rows_lam, rows_val = [], []
     for t in range(steps + 1):
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -240,25 +242,20 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
                 else:  # the last batch only scores the final parameters
                     value = _form_value(batch, objective._form)
         except (ValueError, FloatingPointError):
-            # lambda drove the proposal, densities or gradients non-finite
-            diverged = True
+            # lambda drove the proposal, densities, values or gradients
+            # non-finite or beyond the float range
             break
-        rows_step.append(t)
         rows_lam.append(lam.copy())
         rows_val.append(value)
-        if not np.isfinite(value):
-            diverged = True
-            break
         if t == steps:
             break
         lam = lam + learning_rate * grad.total
         if not np.all(np.isfinite(lam)):
-            diverged = True
             break
-    return TrainingTrace(
-        steps=np.asarray(rows_step, dtype=int),
+    return TrainingTrace(  # a full run has a row per step and one for its last batch
+        steps=np.arange(len(rows_val)),
         params=np.asarray(rows_lam, dtype=float),
         objective=np.asarray(rows_val, dtype=float),
         config={"objective": {"bound": objective.bound}},
-        diverged=diverged,
+        diverged=len(rows_val) <= steps,
     )

@@ -159,6 +159,21 @@ def _check_betas(betas) -> np.ndarray:
     return betas
 
 
+def _check_float_range(spec: PathSpec, values, betas=None, quantity="local evidence"):
+    """``values`` (a row per beta of ``betas``, or one row), rejected beyond the float
+    range with a ValueError that names the path parameter and the first such beta."""
+    values = np.asarray(values)
+    if np.count_nonzero(np.isfinite(values)) < values.size:  # half the call cost of all()
+        i = np.flatnonzero(~np.isfinite(values))[0]
+        name = _KINDS[spec.kind]
+        where = [] if name is None else [f"{name} = {getattr(spec, name):g}"]
+        if betas is not None:  # entry i lies in row i // (values.size / len(betas))
+            where.append(f"beta = {np.ravel(betas)[i * np.size(betas) // values.size]:g}")
+        raise ValueError(f"{quantity} at {', '.join(where)} reads {values.flat[i]}: "
+                         "beyond the float range")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # The path math, written once in terms of the log ratio f = L1 - L0.  beta is
 # a scalar or a column of temperatures broadcasting against f.
@@ -403,6 +418,7 @@ class PathCurve:
     """
 
     def __init__(self, spec: PathSpec, betas):
+        self.spec = spec
         self.branch, self.param = spec.branch()
         self.betas = _check_betas(betas)
         self.top = np.full(self.betas.size, -np.inf)   # sum exp(h + base) = total e^top
@@ -510,11 +526,12 @@ class PathCurve:
     def values(self) -> np.ndarray:
         """sum_s w g at each beta, the weights normalized over every point added.
 
-        A value beyond the float range reads as the infinity of its sign.
+        A value beyond the float range is a ValueError (_check_float_range).
         """
         self._check()
-        with np.errstate(over="ignore"):
-            return self.moment / self.total * np.exp(self.level - self.top)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.moment / self.total * np.exp(self.level - self.top)
+        return _check_float_range(self.spec, values, self.betas)
 
     def log_normalizer(self) -> np.ndarray:
         """log sum_s exp(h + base) at each beta, over every point added."""

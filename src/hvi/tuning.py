@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import ImportanceBatch, _reduce_curve, draw_batch
 from .models import LatentModel
-from .paths import PathSpec
+from .paths import PathSpec, _check_float_range
 
 __all__ = [
     "DEFAULT_TEST_BETAS",
@@ -104,13 +104,16 @@ def summarize_curve(batch: ImportanceBatch, alpha: float, betas) -> CurveSummary
     """Local evidence at the test betas for one alpha, from a shared batch."""
     betas = _test_betas(betas)
     coef = _slope_coef(betas)
-    values, std_errs, ess, (slope_std_err,) = _reduce_curve(
-        batch, PathSpec.holder(float(alpha)), betas, coef[None, :])
+    spec = PathSpec.holder(float(alpha))
+    values, std_errs, ess, slope_std_err = _reduce_curve(batch, spec, betas, coef[None, :])
+    # beyond the float range, a std err would make any slope "flat" (is_flat)
+    _check_float_range(spec, std_errs, betas, "std err of the local evidence")
+    _check_float_range(spec, slope_std_err, quantity="std err of the curve slope")
     # coef sums to zero only up to rounding; the shift makes the slope of an
     # exactly constant curve exactly zero rather than rounding noise
     return CurveSummary(alpha=float(alpha), betas=betas, values=values, std_errs=std_errs,
                         ess=ess, slope=float(coef @ (values - values[0])),
-                        slope_std_err=float(slope_std_err))
+                        slope_std_err=float(slope_std_err[0]))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,154 @@
+"""The one float-range rule: a local evidence (or its gradient, or a tuning
+std err) beyond the float range is a ValueError that names the path parameter
+and beta, raised where the value is formed (``paths._check_float_range``), and
+never a numpy warning.  Every command and library route inherits it."""
+
+import json
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from hvi import models, paths
+from hvi.cli import main
+from hvi.estimators import PartitionSchedule, draw_batch
+from hvi.gradients import BoundObjective, local_evidence_grad, train
+from hvi.paths import PathSpec
+from hvi.tuning import tune_alpha_grid
+
+# bayes_regression at S = 2000, seed 5: the alpha = 3 local evidence reads
+# -inf at beta = 1, and at alpha = 1.5 its std err overflows
+_BEYOND = {"model": "bayes_regression", "sample_size": 2000, "seed": 5}
+
+_MODEL_PARAMS = {"bayes_regression": {}, "conjugate_gaussian": {"sigma": 1.0, "x_obs": 0.0},
+                 "ring": {}, "scaled_factor": {"scale": 2.0}, "sin_toy": {}}
+
+
+@pytest.fixture
+def bayes_batch():
+    model = models.make_model("bayes_regression")
+    return model, draw_batch(model, 500, 11)
+
+
+def _run(tmp_path, capsys, config, *flags, command="bounds"):
+    """(exit code, stdout, stderr) of one command under warnings-as-errors."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(cfg), *map(str, flags)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("spec, values, betas, where", [
+    (PathSpec.geometric(), [1.0, np.inf], [0.2, 0.7], "beta = 0.7 reads inf"),
+    (PathSpec.perturbed(0.05), [[1.0, 2.0], [3.0, 4.0], [-np.inf, np.nan]], [0.0, 0.5, 1.0],
+     "delta = 0.05, beta = 1 reads -inf"),
+    (PathSpec.holder(1.5), [np.nan], None, "alpha = 1.5 reads nan"),
+])
+def test_the_rule_names_the_path_parameter_and_beta(spec, values, betas, where):
+    # one row of values per beta; a finite array passes through as it is
+    with pytest.raises(ValueError, match=f"^local evidence at {re.escape(where)}: "
+                                         "beyond the float range$"):
+        paths._check_float_range(spec, np.array(values), betas)
+    finite = np.nan_to_num(np.array(values))
+    assert paths._check_float_range(spec, finite, betas) is finite
+
+
+def test_tune_beyond_the_float_range_is_an_error_and_writes_no_json(tmp_path, capsys):
+    out = tmp_path / "tune.json"
+    code, _, err = _run(tmp_path, capsys, {**_BEYOND, "tuning": {"candidates": [0.5, 3]}},
+                        "--out", out, command="tune")
+    assert code == 1
+    assert err == ("error: local evidence at alpha = 3, beta = 1 reads -inf: "
+                   "beyond the float range\n")
+    assert not out.exists()
+
+
+def test_an_overflowed_std_err_does_not_make_a_curve_flat():
+    # the slope, -2.85e154, is finite, but its std err reads inf, and
+    # |slope| <= 3 inf called the curve flat
+    with pytest.raises(ValueError, match=r"at alpha = 1\.5, .*beyond the float range"):
+        tune_alpha_grid(models.make_model("bayes_regression"), [1.5], sample_size=2000, seed=5)
+
+
+def test_gradient_beyond_the_float_range_is_a_named_error(bayes_batch):
+    model, batch = bayes_batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^local evidence at alpha = 3, beta = 1 reads "
+                                             r"-inf: beyond the float range$"):
+            local_evidence_grad(model, None, PathSpec.holder(3.0), 1.0, batch)
+
+
+def test_gradient_with_an_overflowed_std_err_keeps_finite_terms(bayes_batch):
+    # the terms are about 1e165, so their squares overflow: the std err reads
+    # inf, and "overflow encountered in square" reached the caller
+    model, batch = bayes_batch
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = local_evidence_grad(model, None, PathSpec.holder(-0.5), 0.0, batch)
+    assert np.all(np.isfinite(grad.term_i)) and np.all(np.isfinite(grad.term_ii))
+    assert np.all(grad.std_err == np.inf)
+
+
+def test_bounds_reads_only_the_knots_its_rule_weights(tmp_path, capsys):
+    # uniform(2) has knots 0, 0.5 and 1; the left rule gives beta = 1 weight 0,
+    # and 0 * -inf read nan there
+    config = {**_BEYOND, "bounds": ["hbo[3]"], "schedule": {"kind": "uniform", "partitions": 2}}
+    code, out, _ = _run(tmp_path, capsys, config)
+    assert code == 0
+    objective = BoundObjective(bound="hbo", alpha=3, schedule=PartitionSchedule.uniform(2))
+    batch = draw_batch(models.make_model("bayes_regression"), 2000, 5)
+    assert float(out.splitlines()[1].split(",")[1]) == objective.value(batch)
+    code, out, err = _run(tmp_path, capsys, config, "--rule", "right")
+    assert (code, out) == (1, "")
+    assert err.endswith("at alpha = 3, beta = 1 reads -inf: beyond the float range\n")
+
+
+def test_train_writes_no_row_beyond_the_float_range():
+    # the first step's value reads -inf; that row was kept before the run stopped
+    objective = BoundObjective(bound="hbo", alpha=3.0, schedule=PartitionSchedule.uniform(2),
+                               rule="right", sample_size=2000)
+    trace = train(models.make_model("bayes_regression"), None, objective, 10, 1e-3, 0)
+    assert trace.diverged and len(trace) == 0
+
+
+_SWEEP_BOUNDS = ["elbo", "iw_elbo", "rvi[3]", "eubo", "wlbo", "wubo", "tvo", "hbo[3]",
+                 "hbo[-0.5]", "perturbed_hbo[0.05]"]
+_SWEEP_SPECS = [PathSpec.holder(3.0), PathSpec.holder(-0.5), PathSpec.holder(1.5),
+                PathSpec.perturbed(0.05)]
+
+
+def test_every_bound_and_gradient_is_finite_or_a_named_error(tmp_path, capsys):
+    # every built-in model: each bound under both rules, and each gradient at
+    # both ends and the middle of the path, either is finite or names the rule
+    errors = []
+    for model_id, params in _MODEL_PARAMS.items():
+        for bound in _SWEEP_BOUNDS:
+            config = {**_BEYOND, "model": model_id, "model_params": params, "bounds": [bound]}
+            for rule in ("left", "right"):
+                code, out, err = _run(tmp_path, capsys, config, "--rule", rule)
+                if code == 0:
+                    assert math.isfinite(float(out.splitlines()[1].split(",")[1]))
+                else:
+                    assert code == 1 and "beyond the float range" in err, err
+                    errors.append((model_id, bound, rule))
+        model = models.make_model(model_id, params)
+        batch = draw_batch(model, 500, 11)
+        for spec in _SWEEP_SPECS:
+            for beta in (0.0, 0.5, 1.0):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        grad = local_evidence_grad(model, None, spec, beta, batch)
+                except ValueError as exc:
+                    assert "beyond the float range" in str(exc), exc
+                    errors.append((model_id, spec, beta))
+                else:
+                    assert np.all(np.isfinite(grad.total)), (model_id, spec, beta)
+    assert ("bayes_regression", "hbo[3]", "right") in errors
+    assert ("bayes_regression", PathSpec.holder(3.0), 1.0) in errors

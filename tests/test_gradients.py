@@ -9,7 +9,6 @@ from hvi import models, paths
 from hvi.estimators import (
     IntegrationRule,
     PartitionSchedule,
-    _block_influence,
     bound_report,
     draw_batch,
     parse_bound_id,
@@ -169,7 +168,7 @@ def _influence_by_definition(model, spec, betas, weights, batch):
     grad_f = model.grad_log_target(batch.z, lam) - grad_l0
     (block,) = path_weights(spec, betas, batch.log_ratio)
     dh_df, w_dg_df = path_gradient_coeffs(spec, block, batch.log_ratio)
-    phi = _block_influence(block)[1]
+    phi = block.wg - block.wg.sum(axis=1)[:, None] * block.w
     per_sample_i = phi[:, :, None] * (grad_l0 + dh_df[:, :, None] * grad_f)
     per_sample_ii = w_dg_df[:, :, None] * grad_f
     knot_terms = (per_sample_i + per_sample_ii).sum(axis=1)

@@ -1,5 +1,5 @@
 """Standard-library lint: every import is used, every ``__all__`` entry exists,
-and the package imports no scipy.
+the package imports no scipy, and every JSON writer in it passes allow_nan=False.
 
 Parses each ``hvi`` module, each script and each test module with ``ast``;
 nothing is imported.
@@ -114,3 +114,23 @@ def test_the_package_imports_no_scipy():
              for module, line in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
              if module == "scipy"]
     assert not found, f"scipy imports in src/hvi: {found}"
+
+
+def _json_writes(tree: ast.Module) -> list:
+    """Every ``json.dump(...)`` and ``json.dumps(...)`` call in ``tree``."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"]
+
+
+def test_every_json_writer_rejects_non_finite_numbers():
+    # json writes nan and inf as NaN and Infinity tokens, which are not JSON,
+    # unless it is given allow_nan=False
+    calls = {f"{path.name}:{call.lineno}": call for path in sorted((ROOT / "src/hvi").glob("*.py"))
+             for call in _json_writes(ast.parse(path.read_text(), filename=str(path)))}
+    assert calls
+    lax = sorted(where for where, call in calls.items()
+                 if not any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
+                            and kw.value.value is False for kw in call.keywords))
+    assert not lax, f"json writers without allow_nan=False: {lax}"
