@@ -379,9 +379,9 @@ def cmd_train(cfg: ExperimentConfig) -> str:
         rows.append(row)
     text = _csv(header, rows)
     if trace.diverged:
-        text += "# FAILED: training diverged (non-finite parameters or objective)\n"
-        raise ComputationFailure("training diverged; partial trace written with "
-                                 "a failure marker", text)
+        cause = f"training diverged at step {len(trace)}: {trace.failure}"
+        raise ComputationFailure(f"{cause}; partial trace written with a failure marker",
+                                 text + f"# FAILED: {cause}\n")
     return text
 
 

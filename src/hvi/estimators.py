@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .models import LatentModel
-from .paths import PathSpec, _check_float_range, _row_sum, path_weights
+from .paths import PathSpec, _check_float_range, path_weights
 
 __all__ = [
     "ImportanceBatch",
@@ -94,10 +94,13 @@ def iw_elbo(batch: ImportanceBatch) -> float:
 
 
 def rvi(batch: ImportanceBatch, alpha: float) -> float:
-    """Renyi bound (1/alpha) log mean exp(alpha * f); alpha = 1 is iw_elbo."""
+    """Renyi bound (1/alpha) log mean exp(alpha * f), alpha = 1 being iw_elbo, as max f +
+    (1/alpha) log mean exp(alpha (f - max f)): a gap that overflows reads -inf."""
     _resolve("rvi", alpha)
-    level, total = _row_sum(alpha * batch.log_ratio)
-    value = float(level + np.log(total / batch.size)) / alpha
+    top = batch.log_ratio.max()
+    with np.errstate(over="ignore"):
+        gaps = alpha * (batch.log_ratio - top)
+    value = top + float(np.log(np.exp(gaps).sum() / batch.size)) / alpha
     return float(_check_float_range(PathSpec.holder(alpha), value, quantity="Renyi bound"))
 
 

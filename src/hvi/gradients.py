@@ -196,16 +196,21 @@ class BoundObjective:
 
 @dataclass
 class TrainingTrace:
-    """(step, lambda, objective) sequence from one gradient-ascent run."""
+    """(step, lambda, objective) sequence from one gradient-ascent run; ``failure`` is
+    the cause that stopped it at step len(trace), None for a full run."""
 
     steps: np.ndarray
     params: np.ndarray
     objective: np.ndarray
     config: dict
-    diverged: bool = False
+    failure: Optional[str] = None
 
     def __len__(self) -> int:
         return self.steps.size
+
+    @property
+    def diverged(self) -> bool:
+        return self.failure is not None
 
     @property
     def final_params(self) -> np.ndarray:
@@ -220,9 +225,9 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
     path kernel over its batch (the value is the kernel's weights @ curve,
     bit for bit the bound's estimator).  Per-step batch seeds derive
     deterministically from ``seed``, so identical calls produce identical
-    traces.  If the parameters go non-finite, or a step's sampling, densities,
-    value or gradient fail (beyond the float range among them, see _path_step),
-    the run aborts and returns the rows before that step flagged as diverged.
+    traces.  If a step's sampling, densities, weights, value or gradient fail
+    (beyond the float range among them, see _path_step), or its update is not
+    finite, the run keeps the rows before that step and the failure's message.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -232,30 +237,30 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
         raise ValueError(f"model {model.model_id!r} does not provide gradients")
     lam = model._resolve(params0).copy()
     step_seeds = derive_seeds(seed, steps + 1)
-    rows_lam, rows_val = [], []
-    for t in range(steps + 1):
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    rows_lam, rows_val, failure = [], [], None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(steps + 1):
+            try:
                 batch = draw_batch(model, objective.sample_size, int(step_seeds[t]), lam)
                 if t < steps:
                     value, grad = _path_step(model, lam, *objective._form, batch)
                 else:  # the last batch only scores the final parameters
                     value = _form_value(batch, objective._form)
-        except (ValueError, FloatingPointError):
-            # lambda drove the proposal, densities, values or gradients
-            # non-finite or beyond the float range
-            break
-        rows_lam.append(lam.copy())
-        rows_val.append(value)
-        if t == steps:
-            break
-        lam = lam + learning_rate * grad.total
-        if not np.all(np.isfinite(lam)):
-            break
+            except ValueError as exc:
+                failure = str(exc)
+                break
+            rows_lam.append(lam.copy())
+            rows_val.append(value)
+            if t == steps:
+                break
+            lam = lam + learning_rate * grad.total
+            if not np.all(np.isfinite(lam)):
+                failure = "non-finite parameters"
+                break
     return TrainingTrace(  # a full run has a row per step and one for its last batch
         steps=np.arange(len(rows_val)),
         params=np.asarray(rows_lam, dtype=float),
         objective=np.asarray(rows_val, dtype=float),
         config={"objective": {"bound": objective.bound}},
-        diverged=len(rows_val) <= steps,
+        failure=failure,
     )

@@ -10,9 +10,9 @@ The quadrature helpers integrate on dense trapezoid grids in log space.  For
 the 1-D and 2-D built-ins their error is far below every test tolerance, which
 makes them usable as ground truth for the sample-based estimators.  Each call
 makes one pass over the grid: the model is evaluated on a tile of points at a
-time and every curve (``paths.PathCurve``) and the Renyi bound reduced tile by
+time and every curve (``paths.PathCurve``) and the Renyi sum reduced tile by
 tile (``paths.path_log_moments`` for the slope), so memory stays at the grid
-itself plus a few tiles.
+itself plus a few tiles.  log p(x) is the Renyi sum at alpha = 1.
 
 Built-ins (addressable by string id through ``make_model``):
 
@@ -475,40 +475,42 @@ def _grid_tiles(model, grid, params):
         yield l1 - l0, l0 + logw[tile]
 
 
-def _grid_curves(model, curves, grid, params) -> list[PathCurve]:
-    """``curves`` (PathCurves) after one pass over the tiles of the grid."""
+def _grid_sum(model, grid, params, alpha=1.0, curves=()) -> float:
+    """log int q^(1 - alpha) p^alpha, the grid's log sum of e^(alpha f + base): log p(x)
+    at alpha = 1.  Each tile is summed at its top and the sums merged as in
+    path_log_moments; ``curves`` (PathCurves) take the same tiles, in the same pass."""
+    level, total = -np.inf, 0.0
     for f, base in _grid_tiles(model, grid, params):
+        level, total = _merge(level, total, *_row_sum(alpha * f + base))
         for curve in curves:
             curve.add(f, base)
-    return curves
+    return float(level + np.log(total))
 
 
 def quadrature_oracle(model: LatentModel, alphas=(), betas=(),
                       grid: Optional[GridSpec] = None, params=None):
     """log p(x) and the exact local-evidence curve of each alpha at ``betas``.
 
-    One pass over the grid serves all of them; log p(x) is the log normalizer
-    of the geometric path at beta = 1.
+    One pass over the grid serves all of them; log p(x) is the Renyi sum at
+    alpha = 1, taken beside the curves (_grid_sum).
     """
-    log_p, *curves = _grid_curves(
-        model, [PathCurve(PathSpec.geometric(), [1.0]),
-                *(PathCurve(PathSpec.holder(float(alpha)), betas) for alpha in alphas)],
-        grid, params)
-    return float(log_p.log_normalizer()[0]), [curve.values() for curve in curves]
+    curves = [PathCurve(PathSpec.holder(float(alpha)), betas) for alpha in alphas]
+    return _grid_sum(model, grid, params, curves=curves), [curve.values() for curve in curves]
 
 
 def quadrature_log_marginal(model: LatentModel, grid: Optional[GridSpec] = None,
                             params=None) -> float:
     """log integral of exp(log_target): the ground-truth log p(x)."""
-    return quadrature_oracle(model, grid=grid, params=params)[0]
+    return _grid_sum(model, grid, params)
 
 
 def quadrature_local_evidence_curve(model: LatentModel, alpha: float, betas,
                                     grid: Optional[GridSpec] = None,
                                     params=None) -> np.ndarray:
     """Exact local evidence E_(alpha,beta) at several beta, one grid pass."""
-    (curve,) = _grid_curves(model, [PathCurve(PathSpec.holder(float(alpha)), betas)],
-                            grid, params)
+    curve = PathCurve(PathSpec.holder(float(alpha)), betas)
+    for f, base in _grid_tiles(model, grid, params):
+        curve.add(f, base)
     return curve.values()
 
 
@@ -543,7 +545,4 @@ def quadrature_rvi(model: LatentModel, alpha: float,
     """Exact Renyi bound (1/alpha) log int q^(1-alpha) p^alpha for alpha > 0."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    level, total = -np.inf, 0.0
-    for f, base in _grid_tiles(model, grid, params):
-        level, total = _merge(level, total, *_row_sum(alpha * f + base))
-    return float(level + np.log(total)) / alpha
+    return _grid_sum(model, grid, params, alpha) / alpha

@@ -18,7 +18,7 @@ share it:
                 blocks as its gradients;
   PathCurve     only the local evidence sum w g per beta, reduced online
                 over cache-sized tiles of points without forming the
-                normalized weights: every quadrature curve and log p(x).
+                normalized weights: every quadrature curve.
                 Far from the geometric path its power-mean tiles never form
                 g: rows that share the tile's top reduce the
                 beta-independent terms of _holder_terms, and the others
@@ -174,29 +174,17 @@ def _check_float_range(spec: PathSpec, values, betas=None, quantity="local evide
     return values
 
 
+def _check_normalizable(top):
+    """``top``, the largest log weight of each row, rejected where every weight vanished."""
+    if not np.all(np.isfinite(top)):
+        raise ValueError("all importance weights vanished; cannot self-normalize")
+    return top
+
+
 # ---------------------------------------------------------------------------
 # The path math, written once in terms of the log ratio f = L1 - L0.  beta is
 # a scalar or a column of temperatures broadcasting against f.
 # ---------------------------------------------------------------------------
-
-def _gradient_coeffs(branch: str, param: float, f, beta, h, log_w):
-    """(dh/df, w * dg/df) for normalized log weights log_w.
-
-    grad log pi_beta = grad L0 + dh/df * grad f and grad g = dg/df * grad f.
-    On the holder branch, with A = alpha*h = log(beta e^(alpha f) + 1 - beta),
-    dh/df = beta e^(alpha f - A) and dg/df = e^(alpha f - 2A); the product
-    with w is formed in log space, since e^(-2A) overflows where w underflows.
-    """
-    if branch == "geometric":
-        return np.broadcast_to(beta, np.shape(h)), np.exp(log_w)
-    if branch == "perturbed":
-        return (beta * (1.0 + param * (1.0 - beta) * f),
-                np.exp(log_w) * (1.0 + param * (1.0 - 2.0 * beta) * f))
-    a_h = param * h
-    with np.errstate(divide="ignore"):
-        return (np.exp(np.log(beta) + param * f - a_h),
-                np.exp(log_w + param * f - 2.0 * a_h))
-
 
 class PathBlock(NamedTuple):
     """One pass of path_weights; arrays are (len(betas), N)."""
@@ -242,10 +230,7 @@ def _holder_terms(alpha: float, f):
 def _normalized(h, base):
     """(log_w, w): self-normalized log weights and weights proportional to exp(h + base)."""
     log_w = h + base
-    top = log_w.max(axis=1, keepdims=True)
-    if not np.all(np.isfinite(top)):
-        raise ValueError("all importance weights vanished; cannot self-normalize")
-    log_w -= top
+    log_w -= _check_normalizable(log_w.max(axis=1, keepdims=True))
     w = np.exp(log_w)
     total = w.sum(axis=1, keepdims=True)
     w /= total
@@ -349,10 +334,22 @@ def path_gradient_coeffs(spec: PathSpec, block: PathBlock, log_ratio):
     """(dh/df, w * dg/df) for one PathBlock of path_weights over ``log_ratio``.
 
     With these, grad log pi_beta = grad L0 + dh/df * grad f and
-    w * grad g = w * dg/df * grad f, where f = L1 - L0.
+    w * grad g = w * dg/df * grad f, where f = L1 - L0.  On the holder branch,
+    with A = alpha*h = log(beta e^(alpha f) + 1 - beta), dh/df = beta e^(alpha f - A)
+    and dg/df = e^(alpha f - 2A); the product with w is formed in log space,
+    since e^(-2A) overflows where w underflows.
     """
-    return _gradient_coeffs(*spec.branch(), np.asarray(log_ratio, dtype=float),
-                            block.betas, block.h, block.log_w)
+    branch, param = spec.branch()
+    f, beta, h, log_w = np.asarray(log_ratio, dtype=float), block.betas, block.h, block.log_w
+    if branch == "geometric":
+        return np.broadcast_to(beta, np.shape(h)), np.exp(log_w)
+    if branch == "perturbed":
+        return (beta * (1.0 + param * (1.0 - beta) * f),
+                np.exp(log_w) * (1.0 + param * (1.0 - 2.0 * beta) * f))
+    a_h = param * h
+    with np.errstate(divide="ignore"):
+        return (np.exp(np.log(beta) + param * f - a_h),
+                np.exp(log_w + param * f - 2.0 * a_h))
 
 
 # Elements per tile of PathCurve: its passes over a tile of this many float64
@@ -404,12 +401,11 @@ def _merge(level, total, tile_level, tile_total):
 class PathCurve:
     """The local evidence sum_s w g at each beta, reduced online over tiles of points.
 
-    Feed the points with ``add`` in any split; ``values`` gives the curve and
-    ``log_normalizer`` log sum_s exp(h + base) per beta.  Each tile is at most
-    _TILE_ELEMENTS (beta rows x point columns) and never forms the normalized
-    weights: per beta it keeps sum u and sum u g with u = exp(h + base - t) at
-    a running top t, rescaled when t grows (the online normalizer of Milakov
-    and Gimelshein, arXiv:1805.02867).  The geometric, perturbed and
+    Feed the points with ``add`` in any split; ``values`` gives the curve.  Each
+    tile is at most _TILE_ELEMENTS (beta rows x point columns) and never forms
+    the normalized weights: per beta it keeps sum u and sum u g with
+    u = exp(h + base - t) at a running top t, rescaled when t grows (the online
+    normalizer of Milakov and Gimelshein, arXiv:1805.02867).  The geometric, perturbed and
     near-geometric power-mean tiles take the path math of path_weights, with
     a top per row.  Far-form power-mean tiles take a reduction of their own
     (_add_far): one top per tile for every row whose terms stay within the
@@ -519,24 +515,15 @@ class PathCurve:
         h, _, log_d = _holder_far(self.param, f, terms, self.betas[self._apart, None])
         yield from zip(self._apart, np.add(h, base, out=h), log_d)
 
-    def _check(self):
-        if not np.all(np.isfinite(self.top)):
-            raise ValueError("all importance weights vanished; cannot self-normalize")
-
     def values(self) -> np.ndarray:
         """sum_s w g at each beta, the weights normalized over every point added.
 
         A value beyond the float range is a ValueError (_check_float_range).
         """
-        self._check()
+        _check_normalizable(self.top)
         with np.errstate(over="ignore", invalid="ignore"):
             values = self.moment / self.total * np.exp(self.level - self.top)
         return _check_float_range(self.spec, values, self.betas)
-
-    def log_normalizer(self) -> np.ndarray:
-        """log sum_s exp(h + base) at each beta, over every point added."""
-        self._check()
-        return self.top + np.log(self.total)
 
 
 def path_log_moments(spec: PathSpec, beta: float, tiles):
@@ -556,8 +543,6 @@ def path_log_moments(spec: PathSpec, beta: float, tiles):
         tile = _row_sum(log_u), _row_sum(log_u + log_g, np.sign(g)), _row_sum(log_u + 2.0 * log_g)
         sums = [_merge(*pair, *tile_pair) for pair, tile_pair in zip(sums, tile)]
     (top, total), (level, first), (square_level, second) = sums
-    if not np.isfinite(top):
-        raise ValueError("all importance weights vanished; cannot self-normalize")
-    log_total = top + math.log(total)
+    log_total = _check_normalizable(top) + math.log(total)
     with np.errstate(divide="ignore"):
         return level + np.log(abs(first)) - log_total, square_level + np.log(second) - log_total

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hvi.cli import _COMMANDS, _build_parser, main
-from hvi.estimators import PartitionSchedule
+from hvi.estimators import PartitionSchedule, draw_batch, hbo, tvo
 from hvi.gradients import BoundObjective, train
 from hvi.models import make_conjugate_gaussian, make_sin_toy, quadrature_local_evidence
 from hvi.tuning import DEFAULT_TEST_BETAS
@@ -105,6 +105,28 @@ def test_seed_flag_replaces_config_seeds(tmp_path):
     assert [row[0] for row in rows] == ["9"]
     echo = json.loads((tmp_path / "b.csv.config.json").read_text())
     assert echo["seed"] == 9 and "seeds" not in echo
+
+
+def test_bounds_schedule_given_by_betas_runs_on_those_knots(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "sin_toy", "sample_size": 200, "seed": 3, "bounds": ["hbo[0.5]", "tvo"],
+        "schedule": {"betas": [0.0, 0.3, 1.0]}, "tvo_schedule": {"betas": [0.0, 0.6, 1.0]}})
+    out = tmp_path / "bounds.csv"
+    assert run_cli(["bounds", "--config", cfg, "--out", out]) == 0
+    _, rows = read_csv(out)
+    batch = draw_batch(make_sin_toy(), 200, 3)
+    assert [float(v) for v in rows[0][1:]] == [
+        hbo(batch, 0.5, PartitionSchedule([0.0, 0.3, 1.0])),
+        tvo(batch, PartitionSchedule([0.0, 0.6, 1.0]))]
+
+
+def test_config_that_is_not_json_is_a_named_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": "sin_toy", "seed": 1,}')
+    out = tmp_path / "bounds.csv"
+    assert run_cli(["bounds", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: config: invalid JSON (")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +318,26 @@ def test_train_divergence_exits_nonzero_with_marker(tmp_path, capsys):
     })
     out = tmp_path / "diverged.csv"
     assert run_cli(["train", "--config", cfg, "--out", out]) == 1
-    assert "diverged" in capsys.readouterr().err
-    assert out.read_text().rstrip().endswith(
-        "# FAILED: training diverged (non-finite parameters or objective)")
+    # the marker and the error line name the step and the cause
+    cause = "training diverged at step 1: log_ratio must be finite with one entry per sample"
+    assert capsys.readouterr().err == f"error: {cause}; partial trace written with a failure marker\n"
+    assert out.read_text().rstrip().endswith(f"# FAILED: {cause}")
+
+
+def test_train_parameters_that_overflow_are_a_named_cause(tmp_path, capsys):
+    # the second update overflows lambda = log c; the update ran outside the
+    # trainer's errstate and printed "overflow encountered in add"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "scaled_factor", "model_params": {"scale": 2.0}, "sample_size": 10, "seed": 0,
+        "training": {"bound": "elbo", "steps": 5, "learning_rate": 1e308}})
+    out = tmp_path / "trace.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["train", "--config", cfg, "--out", out]) == 1
+    cause = "training diverged at step 2: non-finite parameters"
+    assert capsys.readouterr().err == f"error: {cause}; partial trace written with a failure marker\n"
+    _, rows = read_csv(out)
+    assert len(rows) == 2 and out.read_text().splitlines()[-1] == f"# FAILED: {cause}"
 
 
 @pytest.mark.parametrize("training", [{"bound": "wlbo"}, {"bound": "perturbed_hbo", "delta": 0.05}])

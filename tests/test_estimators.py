@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ def test_all_simple_bounds_exact_on_scaled_factor(scaled_two):
 def test_rvi_alpha_one_is_iw_elbo_bitwise(sin_toy):
     batch = draw_batch(sin_toy, 500, 4)
     assert rvi(batch, 1.0) == iw_elbo(batch)
+
+
+@pytest.mark.parametrize("model_id", ["bayes_regression", "sin_toy"])
+def test_rvi_at_a_huge_alpha_is_max_f(model_id):
+    # the bound tends to max f as alpha grows; alpha f overflowed, which read
+    # -inf on bayes_regression and warned on sin_toy
+    batch = draw_batch(models.make_model(model_id), 1000, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = rvi(batch, 1e308)
+    assert value == pytest.approx(batch.log_ratio.max(), rel=1e-15, abs=0.0)
 
 
 def test_rvi_rejects_nonpositive_alpha(sin_toy):
@@ -349,6 +361,12 @@ def test_parse_bound_ids():
     for bad in ("hbo", "elbo[1]", "nope", "hbo[x]"):
         with pytest.raises(ValueError):
             parse_bound_id(bad)
+
+
+@pytest.mark.parametrize("bound_id", ["hbo[0.5", "hbo[]", "HBO", "hbo [1]", ""])
+def test_malformed_bound_id_is_named(bound_id):
+    with pytest.raises(ValueError, match="^malformed bound id "):
+        parse_bound_id(bound_id)
 
 
 @pytest.mark.parametrize("bound_id, message", [

@@ -1,7 +1,8 @@
 """The one float-range rule: a local evidence (or its gradient, or a tuning
 std err) beyond the float range is a ValueError that names the path parameter
 and beta, raised where the value is formed (``paths._check_float_range``), and
-never a numpy warning.  Every command and library route inherits it."""
+never a numpy warning.  Every command and library route inherits it, and a
+training run it stops names the step and the cause."""
 
 import json
 import math
@@ -152,3 +153,38 @@ def test_every_bound_and_gradient_is_finite_or_a_named_error(tmp_path, capsys):
                     assert np.all(np.isfinite(grad.total)), (model_id, spec, beta)
     assert ("bayes_regression", "hbo[3]", "right") in errors
     assert ("bayes_regression", PathSpec.holder(3.0), 1.0) in errors
+
+
+# Every cause that may stop a training run, as the run names it.
+_CAUSES = re.compile(r"training diverged at step \d+: (non-finite parameters"
+                     r"|log_ratio must be finite with one entry per sample"
+                     r"|all importance weights vanished; cannot self-normalize"
+                     r"|.* reads \S+: beyond the float range)")
+
+_TRAINING_BOUNDS = [{"bound": "elbo"}, {"bound": "eubo"}, {"bound": "wlbo"}, {"bound": "wubo"},
+                    {"bound": "tvo"}, {"bound": "hbo", "alpha": 3.0},
+                    {"bound": "hbo", "alpha": -0.5}, {"bound": "perturbed_hbo", "delta": 0.05}]
+
+
+@pytest.mark.parametrize("learning_rate", [1e-3, 1e2])
+def test_every_training_run_finishes_or_names_its_cause(tmp_path, capsys, learning_rate):
+    # every built-in model and path bound, a few steps each: a run that stops
+    # says at which step and why, in its marker and its error line alike
+    causes = {}
+    for model_id, params in _MODEL_PARAMS.items():
+        for training in _TRAINING_BOUNDS:
+            out = tmp_path / "trace.csv"
+            config = {"model": model_id, "model_params": params, "sample_size": 200, "seed": 5,
+                      "training": {**training, "steps": 3, "learning_rate": learning_rate}}
+            code, _, err = _run(tmp_path, capsys, config, "--out", out, command="train")
+            marker = out.read_text().splitlines()[-1]
+            if code == 0:
+                assert not err and not marker.startswith("#")
+                continue
+            assert code == 1 and marker.startswith("# FAILED: ")
+            cause = marker[len("# FAILED: "):]
+            assert _CAUSES.fullmatch(cause), cause
+            assert err == f"error: {cause}; partial trace written with a failure marker\n"
+            causes[model_id, training["bound"], training.get("alpha")] = cause
+    # the arithmetic-mean lower bound cannot take a step on this model
+    assert ("bayes_regression", "wlbo", None) in causes

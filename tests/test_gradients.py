@@ -334,9 +334,10 @@ def test_gradient_failure_gives_flagged_partial_trace(conjugate):
     objective = BoundObjective(bound="elbo", sample_size=20)
     trace = train(model, None, objective, steps=10, learning_rate=0.01, seed=0)
     full = train(conjugate, None, objective, steps=10, learning_rate=0.01, seed=0)
-    assert trace.diverged and not full.diverged
-    # the fourth step's gradient fails: the three steps before it are kept
-    assert len(trace) == 3
+    assert trace.diverged and not full.diverged and full.failure is None
+    # the fourth step's gradient fails: the three steps before it are kept,
+    # with the failure's message
+    assert len(trace) == 3 and trace.failure == "gradient failed"
     np.testing.assert_array_equal(trace.params, full.params[:3])
     np.testing.assert_array_equal(trace.objective, full.objective[:3])
 

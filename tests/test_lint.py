@@ -1,5 +1,6 @@
 """Standard-library lint: every import is used, every ``__all__`` entry exists,
-the package imports no scipy, and every JSON writer in it passes allow_nan=False.
+the package imports no scipy, every JSON writer in it passes allow_nan=False,
+and every code name the README gives still exists.
 
 Parses each ``hvi`` module, each script and each test module with ``ast``;
 nothing is imported.
@@ -8,6 +9,7 @@ string annotation, or is re-exported through ``__all__``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -134,3 +136,22 @@ def test_every_json_writer_rejects_non_finite_numbers():
                  if not any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
                             and kw.value.value is False for kw in call.keywords))
     assert not lax, f"json writers without allow_nan=False: {lax}"
+
+
+def _readme_names() -> set:
+    """Backticked README tokens that name code: a Python identifier with an
+    underscore, or a dotted name under ``hvi.``; fenced code blocks are skipped."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    return {token for token in re.findall(r"`([^`]+)`", text)
+            if re.fullmatch(r"hvi(\.\w+)+|[A-Za-z_]\w*", token)
+            and (token.startswith("hvi.") or "_" in token)}
+
+
+def test_every_code_name_in_the_readme_exists():
+    # the README must not name code that has been deleted or renamed
+    names = _readme_names()
+    assert names
+    code = "\n".join(path.read_text() for directory in ("src/hvi", "tests")
+                     for path in sorted((ROOT / directory).glob("*.py")))
+    missing = sorted(name for name in names if not re.search(rf"\b{re.escape(name)}\b", code))
+    assert not missing, f"README names that occur nowhere in src/hvi or tests: {missing}"

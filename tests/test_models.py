@@ -294,6 +294,15 @@ def test_quadrature_rvi_matches_one_log_sum_exp_over_the_grid(request, name, alp
     assert quadrature_rvi(model, alpha) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("build", ALL_LOW_DIM)
+def test_log_marginal_is_the_renyi_sum_at_alpha_one(build):
+    # one grid sum serves both, and the oracle's log p beside its curves
+    model = build()
+    log_p = quadrature_log_marginal(model)
+    assert quadrature_rvi(model, 1.0) == log_p
+    assert quadrature_oracle(model, [0.5], [0.0, 1.0])[0] == log_p
+
+
 def test_quadrature_oracles_stream_the_grid_in_tiles(ring):
     # traced peak within 6 grid-length float arrays: the grid's points and
     # cell weights (three), and the tiles of model evaluation and reduction

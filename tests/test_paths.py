@@ -614,6 +614,25 @@ def test_path_curve_with_every_weight_vanished_raises():
             curve.values(), PathCurve(spec, EDGE_BETAS).add(np.array([0.5, -3.0])).values())
 
 
+_VANISHED = "^all importance weights vanished; cannot self-normalize$"
+
+
+@pytest.mark.parametrize("reduce", [
+    lambda spec, f, base: next(paths.path_weights(spec, EDGE_BETAS, f, base)),
+    lambda spec, f, base: PathCurve(spec, EDGE_BETAS).add(f, base).values(),
+    lambda spec, f, base: paths.path_log_moments(spec, 0.5, [(f, base)]),
+], ids=["path_weights", "PathCurve", "path_log_moments"])
+@pytest.mark.parametrize("spec", [PathSpec.geometric(), PathSpec.holder(0.5),
+                                  PathSpec.holder(-3.0), PathSpec.perturbed(0.05)],
+                         ids=lambda spec: f"{spec.kind}{spec.alpha or spec.delta or ''}")
+def test_every_reduction_rejects_weights_that_all_vanished(reduce, spec):
+    # every point's base log weight reads -inf: nothing is left to normalize by
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=_VANISHED):
+            reduce(spec, np.array([1.0, -900.0, 3.0]), np.full(3, -np.inf))
+
+
 def _whole_grid_slope(model, grid, alpha, betas):
     """Per beta, (slope, E[g]^2 + |1 - alpha| E[g^2]) over the whole grid at once,
     from the pointwise reference forms."""

@@ -181,6 +181,21 @@ def test_bisect_flags_budget_exhaustion(sin_toy):
     assert result.alpha == pytest.approx(0.5)
 
 
+def test_bisect_stops_once_the_bracket_is_narrower_than_tolerance(sin_toy):
+    # the first midpoint's slope is significant, and halving the bracket once
+    # leaves it 0.45 wide, below the tolerance
+    result = tune_alpha_bisect(sin_toy, 0.05, 0.95, INTERIOR_BETAS, 10_000,
+                               tolerance=0.5, seed=3)
+    assert result.converged and not result.summary.is_flat()
+    assert [summary.alpha for summary in result.table] == [0.05, 0.95, 0.5]
+
+
+def test_bisect_rejects_a_bracket_that_does_not_fall_at_alpha_hi(sin_toy):
+    # the curve still rises at alpha = 0.1, as it does at 0.05
+    with pytest.raises(BracketError, match="alpha_hi=0.1 is not significantly negative"):
+        tune_alpha_bisect(sin_toy, 0.05, 0.1, INTERIOR_BETAS, 2000, seed=3)
+
+
 def test_bisect_rejects_flat_bracket(scaled_two):
     # scaled-factor geometric curve is exactly flat: no significant slopes
     with pytest.raises(BracketError):
