@@ -12,6 +12,7 @@ to each output file.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import inspect
 import io
@@ -492,7 +493,24 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(data, _COMMANDS[args.command][1])
 
 
+@functools.cache  # once per process: the policy is process-wide
+def _keep_freed_memory():
+    """Make glibc keep freed heap memory rather than unmap or trim it.
+
+    Each path pass's (K, S) temporaries exceed glibc's 128 KiB mmap threshold,
+    so the next pass faulted them in again: about half of an ``hvi bounds`` call.
+    Set both thresholds: either alone switches off glibc's dynamic threshold.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD, at its 64-bit maximum
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _keep_freed_memory()
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)

@@ -50,6 +50,14 @@ __all__ = [
 LOG_PARTITION_BETA1 = 10.0 ** (-1.09)
 
 
+def _check_finite(name: str, values: np.ndarray):
+    """Reject ``values`` unless finite, naming the first bad value and how many there are."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = values[~finite]
+        raise ValueError(f"{name} reads {bad[0]:g} at {bad.size} of {values.size} samples")
+
+
 @dataclass(frozen=True)
 class ImportanceBatch:
     """Proposal samples with their cached log ratios, reused across all bounds.
@@ -64,8 +72,9 @@ class ImportanceBatch:
     def __post_init__(self):
         if self.z.ndim != 2 or self.z.shape[0] < 1:
             raise ValueError("batch needs at least one sample")
-        if self.log_ratio.shape != (self.z.shape[0],) or not np.all(np.isfinite(self.log_ratio)):
-            raise ValueError("log_ratio must be finite with one entry per sample")
+        if self.log_ratio.shape != (self.z.shape[0],):
+            raise ValueError("log_ratio must have one entry per sample")
+        _check_finite("log_ratio", self.log_ratio)
 
     @property
     def size(self) -> int:
@@ -80,7 +89,13 @@ def draw_batch(model: LatentModel, size: int, seed: int, params=None) -> Importa
     rng = np.random.default_rng(seed)
     z = model.sample_proposal(rng, size, lam)
     l0 = model.log_proposal(z, lam)
-    return ImportanceBatch(z=z, log_ratio=model.log_target(z, lam) - l0)
+    l1 = model.log_target(z, lam)
+    try:
+        return ImportanceBatch(z=z, log_ratio=l1 - l0)
+    except ValueError:  # name the density at fault, if one is
+        _check_finite("log_proposal", l0)
+        _check_finite("log_target", l1)
+        raise
 
 
 def elbo(batch: ImportanceBatch) -> float:

@@ -157,7 +157,7 @@ def test_every_bound_and_gradient_is_finite_or_a_named_error(tmp_path, capsys):
 
 # Every cause that may stop a training run, as the run names it.
 _CAUSES = re.compile(r"training diverged at step \d+: (non-finite parameters"
-                     r"|log_ratio must be finite with one entry per sample"
+                     r"|log_(proposal|target|ratio) reads (nan|-?inf) at \d+ of 200 samples"
                      r"|all importance weights vanished; cannot self-normalize"
                      r"|.* reads \S+: beyond the float range)")
 

@@ -1,6 +1,7 @@
 """Standard-library lint: every import is used, every ``__all__`` entry exists,
-the package imports no scipy, every JSON writer in it passes allow_nan=False,
-and every code name the README gives still exists.
+the package imports no scipy, only the CLI sets the allocator policy, every
+JSON writer in it passes allow_nan=False, and every code name the README gives
+still exists.
 
 Parses each ``hvi`` module, each script and each test module with ``ast``;
 nothing is imported.
@@ -116,6 +117,15 @@ def test_the_package_imports_no_scipy():
              for module, line in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
              if module == "scipy"]
     assert not found, f"scipy imports in src/hvi: {found}"
+
+
+def test_only_the_cli_sets_the_allocator_policy():
+    # glibc's allocator policy is process-wide, so only the application entry
+    # point sets it, and importing any other hvi module changes no process setting
+    setters = sorted(path.name for path in (ROOT / "src/hvi").glob("*.py")
+                     if re.search(r"\bmallopt\b", path.read_text())
+                     or "ctypes" in dict(_imported_modules(ast.parse(path.read_text()))))
+    assert setters == ["cli.py"]
 
 
 def _json_writes(tree: ast.Module) -> list:
