@@ -87,8 +87,6 @@ def _read(obj: dict, field: str, cast, default=None):
         return None
     try:
         return cast(value)
-    except ConfigError:
-        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config.{field}: {exc}") from None
 
@@ -149,6 +147,17 @@ def _distinct_keys(values: list) -> list:
             raise ValueError(f"{keys[key]!r} and {value!r} share the output key {key!r}")
         keys[key] = value
     return values
+
+
+def _given(obj: dict, field: str, casts: dict) -> dict:
+    """Each key of ``casts`` that ``obj`` (at ``field``) gives, cast; null stands for absent."""
+    return {key: _read(obj, f"{field}.{key}", cast)
+            for key, cast in casts.items() if obj.get(key) is not None}
+
+
+def _defaults(fn) -> dict:
+    """The default of each argument of ``fn``, by name: what a key left out of a table takes."""
+    return {name: arg.default for name, arg in inspect.signature(fn).parameters.items()}
 
 
 def _unread(obj: dict, field: str, reason: str):
@@ -285,9 +294,11 @@ def cmd_curve(cfg: ExperimentConfig) -> str:
     return _csv(["alpha"] * (alphas is not None) + ["beta", "value", "std_err", "ess"], rows)
 
 
-# Per tuning method: the keys of the tuning object it reads besides method and betas.
-_TUNING_KEYS = {"grid": ("candidates",),
-                "bisect": ("alpha_lo", "alpha_hi", "tolerance", "max_iters")}
+# Per tuning method: the keys of the tuning object it reads besides method and
+# betas, and their casts; a bisect key sets the tune_alpha_bisect argument of its name.
+_TUNING_KEYS = {"grid": {"candidates": _numbers},
+                "bisect": {"alpha_lo": _real, "alpha_hi": _real, "tolerance": _positive,
+                           "max_iters": _at_least(1)}}
 
 
 def cmd_tune(cfg: ExperimentConfig) -> str:
@@ -304,27 +315,18 @@ def cmd_tune(cfg: ExperimentConfig) -> str:
         candidates = _read(tuning, "tuning.candidates", _numbers, [0.1, 0.3, 0.5, 0.7, 0.9])
         result = tune_alpha_grid(model, candidates, betas, cfg.sample_size, seed)
     else:
-        alpha_lo = _read(tuning, "tuning.alpha_lo", _real, 0.05)
-        alpha_hi = _read(tuning, "tuning.alpha_hi", _real, 0.95)
-        _require(alpha_lo < alpha_hi, "tuning.alpha_hi", f"must exceed alpha_lo = {alpha_lo:g}")
-        result = tune_alpha_bisect(
-            model,
-            alpha_lo=alpha_lo,
-            alpha_hi=alpha_hi,
-            betas=betas,
-            sample_size=cfg.sample_size,
-            tolerance=_read(tuning, "tuning.tolerance", _positive, 0.02),
-            max_iters=_read(tuning, "tuning.max_iters", _at_least(1), 20),
-            seed=seed,
-        )
+        bisect = _given(tuning, "tuning", _TUNING_KEYS["bisect"])
+        bracket = {**_defaults(tune_alpha_bisect), **bisect}
+        _require(bracket["alpha_lo"] < bracket["alpha_hi"], "tuning.alpha_hi",
+                 f"must exceed alpha_lo = {bracket['alpha_lo']:g}")
+        result = tune_alpha_bisect(model, betas=betas, sample_size=cfg.sample_size, seed=seed,
+                                   **bisect)
     return json.dumps(result.to_json(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # Keys of training.mcmc: the mcmc_reference argument each sets, and its type.
 _MCMC_KEYS = {"chains": _at_least(1), "steps": _integer, "burn_in": _at_least(0),
               "thin": _at_least(1), "step_size": _positive, "seed": _integer}
-_MCMC_DEFAULTS = {name: parameter.default for name, parameter
-                  in inspect.signature(mcmc_reference).parameters.items()}
 
 
 def cmd_train(cfg: ExperimentConfig) -> str:
@@ -355,11 +357,10 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     else:
         mcmc_cfg = training.get("mcmc", {})
         _check_keys(mcmc_cfg, tuple(_MCMC_KEYS), "training.mcmc")
-        mcmc = {key: _read(mcmc_cfg, f"training.mcmc.{key}", cast)
-                for key, cast in _MCMC_KEYS.items() if mcmc_cfg.get(key) is not None}
-        burn_in = mcmc.get("burn_in", _MCMC_DEFAULTS["burn_in"])
-        _require(mcmc.get("steps", _MCMC_DEFAULTS["steps"]) > burn_in, "training.mcmc.steps",
-                 f"must exceed burn_in = {burn_in}")
+        mcmc = _given(mcmc_cfg, "training.mcmc", _MCMC_KEYS)
+        sweeps = {**_defaults(mcmc_reference), **mcmc}
+        _require(sweeps["steps"] > sweeps["burn_in"], "training.mcmc.steps",
+                 f"must exceed burn_in = {sweeps['burn_in']}")
         mmd_sample = _read(training, "training.mmd_sample", _at_least(1), 2000)
         reference = mcmc_reference(model, **{"seed": seed, **mcmc}).pooled
 

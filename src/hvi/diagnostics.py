@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import paths
-from .estimators import draw_batch, local_evidence_curve
+from .estimators import _reduce_curve, draw_batch
 from .models import LatentModel, quadrature_log_marginal
 from .paths import PathSpec
 from .util import derive_seeds, log_abs_expm1
@@ -33,25 +33,18 @@ __all__ = [
 
 
 def ess(log_weights) -> float:
-    """Normalized effective sample size (sum w)^2 / (m * sum w^2), in [1/m, 1].
-
-    Computed from unnormalized log weights with w = exp(lw - max lw), so the
-    largest weight is 1 and neither sum overflows.  Entries of -inf (zero
-    weight) are allowed as long as one finite weight remains.  The sum of
-    squares is an einsum: a BLAS dot product's order of summation, and so its
-    bits, would follow the BLAS thread count.
-    """
+    """Normalized effective sample size (sum w)^2 / (m * sum w^2), in [1/m, 1], of log
+    weights lw (-inf for a zero weight; one must be finite), both sums taken at the top."""
     lw = np.asarray(log_weights, dtype=float).reshape(-1)
     if lw.size == 0:
         raise ValueError("need at least one log weight")
     if np.any(np.isnan(lw)) or np.any(lw == np.inf):
         raise ValueError("log weights must be < inf and not NaN")
-    top = lw.max()
+    top, total = paths._row_sum(lw)
     if not np.isfinite(top):
         raise ValueError("all weights are zero; ESS undefined")
-    w = np.exp(lw - top)
-    total = w.sum()
-    return float(total * total / (lw.size * np.einsum("i,i->", w, w)))
+    _, squares = paths._row_sum(2.0 * (lw - top))
+    return float(total * total / (lw.size * squares))
 
 
 @dataclass(frozen=True)
@@ -85,9 +78,7 @@ def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
     ess_vals = np.empty((replicates, betas.size))
     for r in range(replicates):
         batch = draw_batch(model, sample_size, int(seeds[r]))
-        estimates = local_evidence_curve(batch, spec, betas)
-        values[r] = [est.value for est in estimates]
-        ess_vals[r] = [est.ess for est in estimates]
+        values[r], _, ess_vals[r], _ = _reduce_curve(batch, spec, betas)
     with np.errstate(over="ignore", invalid="ignore"):  # a variance may overflow to inf
         means, variances = values.mean(axis=0), values.var(axis=0, ddof=1)
     return CurveProfile(betas=betas, means=paths._check_float_range(spec, means, betas),

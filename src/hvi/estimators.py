@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .models import LatentModel
-from .paths import PathSpec, _check_float_range, path_weights
+from .paths import PathSpec, _check_finite, _check_float_range, _renyi_sum, path_weights
 
 __all__ = [
     "ImportanceBatch",
@@ -48,14 +48,6 @@ __all__ = [
 
 # First interior knot of the log partition, 10^(-1.09).
 LOG_PARTITION_BETA1 = 10.0 ** (-1.09)
-
-
-def _check_finite(name: str, values: np.ndarray):
-    """Reject ``values`` unless finite, naming the first bad value and how many there are."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = values[~finite]
-        raise ValueError(f"{name} reads {bad[0]:g} at {bad.size} of {values.size} samples")
 
 
 @dataclass(frozen=True)
@@ -109,13 +101,9 @@ def iw_elbo(batch: ImportanceBatch) -> float:
 
 
 def rvi(batch: ImportanceBatch, alpha: float) -> float:
-    """Renyi bound (1/alpha) log mean exp(alpha * f), alpha = 1 being iw_elbo, as max f +
-    (1/alpha) log mean exp(alpha (f - max f)): a gap that overflows reads -inf."""
+    """Renyi bound (1/alpha) log mean e^(alpha f), iw_elbo at alpha = 1 (paths._renyi_sum)."""
     _resolve("rvi", alpha)
-    top = batch.log_ratio.max()
-    with np.errstate(over="ignore"):
-        gaps = alpha * (batch.log_ratio - top)
-    value = top + float(np.log(np.exp(gaps).sum() / batch.size)) / alpha
+    value = _renyi_sum(alpha, batch.log_ratio, count=batch.size)
     return float(_check_float_range(PathSpec.holder(alpha), value, quantity="Renyi bound"))
 
 
@@ -154,11 +142,11 @@ def _knot_blocks(batch: ImportanceBatch, spec: PathSpec, betas, weights):
 
 
 def _reduce_curve(batch: ImportanceBatch, spec: PathSpec, betas, coef=None):
-    """(values, std errs, ESS) per beta, and the std errs of ``coef @ values``.
+    """(values, std errs, ESS) per beta, and the std err of ``coef @ values``.
 
     Delta-method errors (Owen, Monte Carlo theory, methods and examples, 2013,
     ch. 9) over one batch, with phi_ks = w_ks (g_ks - E_k): sqrt(sum_s phi_ks^2)
-    per beta and, for each row of the matrix ``coef``, sqrt(sum_s ((coef phi)_s)^2),
+    per beta and, for the row of coefficients ``coef``, sqrt(sum_s ((coef phi)_s)^2),
     which keeps the correlation of betas that reweight the same samples (None
     without ``coef``).  A value beyond the float range is a ValueError
     (_knot_blocks); an error that overflows reads inf, with no numpy warning.
@@ -168,10 +156,10 @@ def _reduce_curve(batch: ImportanceBatch, spec: PathSpec, betas, coef=None):
         for rows, block, values in _knot_blocks(batch, spec, betas, np.ones(len(betas))):
             phi = block.wg - values[:, None] * block.w
             if coef is not None:
-                combo = combo + coef[:, rows] @ phi
+                combo = combo + coef[rows] @ phi
             parts.append((values, np.sqrt(np.sum(phi ** 2, axis=1)),
                           1.0 / (batch.size * np.sum(block.w * block.w, axis=1))))
-        combo = None if coef is None else np.sqrt(np.sum(combo ** 2, axis=1))
+        combo = None if coef is None else np.sqrt(np.sum(combo ** 2))
     values, std_errs, ess = (np.concatenate(column) for column in zip(*parts))
     return values, std_errs, ess, combo
 

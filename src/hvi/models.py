@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .paths import PathCurve, PathSpec, _merge, _row_sum, path_log_moments
+from .paths import PathCurve, PathSpec, _check_finite, _renyi_sum, _row_sum, path_log_moments
 
 __all__ = [
     "ModelParameters",
@@ -466,25 +466,23 @@ _GRID_TILE = 1 << 15
 def _grid_tiles(model, grid, params):
     """Per tile of grid points: (log ratio f = L1 - L0, base log weight L0 + log cell weight)."""
     pts, logw = quadrature_grid(model, grid)
+    unit = "points of a grid tile"
     for start in range(0, logw.size, _GRID_TILE):
         tile = slice(start, start + _GRID_TILE)
-        l0 = model.log_proposal(pts[tile], params)
-        l1 = model.log_target(pts[tile], params)
-        if not (np.all(np.isfinite(l0)) and np.all(np.isfinite(l1))):
-            raise ValueError("non-finite log density on the quadrature grid")
+        l0 = _check_finite("log_proposal", model.log_proposal(pts[tile], params), unit)
+        l1 = _check_finite("log_target", model.log_target(pts[tile], params), unit)
         yield l1 - l0, l0 + logw[tile]
 
 
 def _grid_sum(model, grid, params, alpha=1.0, curves=()) -> float:
-    """log int q^(1 - alpha) p^alpha, the grid's log sum of e^(alpha f + base): log p(x)
-    at alpha = 1.  Each tile is summed at its top and the sums merged as in
-    path_log_moments; ``curves`` (PathCurves) take the same tiles, in the same pass."""
-    level, total = -np.inf, 0.0
+    """(1/alpha) log int q^(1 - alpha) p^alpha, log p(x) at alpha = 1: paths._renyi_sum of
+    each tile, then of the tiles' values.  ``curves`` (PathCurves) take the same tiles."""
+    sums = []
     for f, base in _grid_tiles(model, grid, params):
-        level, total = _merge(level, total, *_row_sum(alpha * f + base))
+        sums.append(_renyi_sum(alpha, f, base))
         for curve in curves:
             curve.add(f, base)
-    return float(level + np.log(total))
+    return float(_renyi_sum(alpha, np.array(sums)))
 
 
 def quadrature_oracle(model: LatentModel, alphas=(), betas=(),
@@ -545,4 +543,4 @@ def quadrature_rvi(model: LatentModel, alpha: float,
     """Exact Renyi bound (1/alpha) log int q^(1-alpha) p^alpha for alpha > 0."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    return _grid_sum(model, grid, params, alpha) / alpha
+    return _grid_sum(model, grid, params, alpha)

@@ -174,6 +174,15 @@ def _check_float_range(spec: PathSpec, values, betas=None, quantity="local evide
     return values
 
 
+def _check_finite(name: str, values: np.ndarray, unit: str = "samples"):
+    """``values`` of ``name`` if finite, else a ValueError naming a bad value and its count."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = values[~finite]
+        raise ValueError(f"{name} reads {bad[0]:g} at {bad.size} of {values.size} {unit}")
+    return values
+
+
 def _check_normalizable(top):
     """``top``, the largest log weight of each row, rejected where every weight vanished."""
     if not np.all(np.isfinite(top)):
@@ -396,6 +405,15 @@ def _merge(level, total, tile_level, tile_total):
     new = np.maximum(level, tile_level)
     shift = np.maximum(new, _LOWEST)  # a sum at level -inf is 0 and stays 0
     return new, total * np.exp(level - shift) + tile_total * np.exp(tile_level - shift)
+
+
+def _renyi_sum(alpha: float, f, base=0.0, count=1) -> float:
+    """(1/alpha) log (sum e^(alpha f + base) / count), alpha > 0, as max f + (1/alpha) log
+    (sum e^(alpha (f - max f) + base) / count): a gap that overflows reads -inf."""
+    top = f.max()
+    with np.errstate(over="ignore"):
+        level, total = _row_sum(alpha * (f - top) + base)
+        return top + (level + np.log(total / count)) / alpha
 
 
 class PathCurve:

@@ -105,7 +105,7 @@ def summarize_curve(batch: ImportanceBatch, alpha: float, betas) -> CurveSummary
     betas = _test_betas(betas)
     coef = _slope_coef(betas)
     spec = PathSpec.holder(float(alpha))
-    values, std_errs, ess, slope_std_err = _reduce_curve(batch, spec, betas, coef[None, :])
+    values, std_errs, ess, slope_std_err = _reduce_curve(batch, spec, betas, coef)
     # beyond the float range, a std err would make any slope "flat" (is_flat)
     _check_float_range(spec, std_errs, betas, "std err of the local evidence")
     _check_float_range(spec, slope_std_err, quantity="std err of the curve slope")
@@ -113,7 +113,7 @@ def summarize_curve(batch: ImportanceBatch, alpha: float, betas) -> CurveSummary
     # exactly constant curve exactly zero rather than rounding noise
     return CurveSummary(alpha=float(alpha), betas=betas, values=values, std_errs=std_errs,
                         ess=ess, slope=float(coef @ (values - values[0])),
-                        slope_std_err=float(slope_std_err[0]))
+                        slope_std_err=float(slope_std_err))
 
 
 @dataclass(frozen=True)
@@ -154,13 +154,14 @@ def tune_alpha_grid(model: LatentModel, candidates: Sequence[float],
     candidates = [float(a) for a in candidates]
     if not candidates:
         raise ValueError("need at least one candidate alpha")
+    betas = _test_betas(betas)
     batch = draw_batch(model, sample_size, seed)
     table = tuple(summarize_curve(batch, alpha, betas) for alpha in sorted(candidates))
     best = min(table, key=lambda summary: summary.value_range)
     return AlphaSearchResult(
         alpha=best.alpha,
         method="grid",
-        evaluations=len(candidates) * len(tuple(betas)),
+        evaluations=len(candidates) * len(betas),
         summary=best,
         table=table,
     )

@@ -460,15 +460,31 @@ def test_oracle_evaluates_the_grid_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_oracle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+# Per command: a config whose output goes through products that BLAS could
+# split across its threads.  The oracle's moments are einsums; tune takes the
+# slope's std err as coef @ phi over the samples, and train the gradient as
+# phi @ grad L0 and its kin, each a BLAS product.
+_BLAS_CONFIGS = {
+    "oracle": {"model": "ring", "oracle": {
+        "alphas": [0.2, 0.5, 0.8, -0.5, 1.5], "betas": [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]}},
+    "tune": {"model": "sin_toy", "seed": 1, "sample_size": 10_000, "tuning": {"method": "grid"}},
+    "train": {"model": "ring", "seed": 1, "sample_size": 2000, "training": {
+        "bound": "hbo", "alpha": 0.5, "schedule": {"partitions": 20}, "steps": 10,
+        "learning_rate": 0.01}},
+}
+
+
+@pytest.mark.parametrize("command", list(_BLAS_CONFIGS))
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command):
     # OpenBLAS splits a long dot product across its threads, so a moment taken
-    # as one changed in its last bits with the thread count (here at beta 0 and 1)
-    cfg = write_config(tmp_path, "cfg.json", {"model": "ring", "oracle": {
-        "alphas": [0.2, 0.5, 0.8, -0.5, 1.5], "betas": [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]}})
+    # as one changed in its last bits with the thread count (the oracle's at
+    # beta 0 and 1).  train matches at this S; at S = 50 000 its bytes still
+    # differ between 1 and 2 threads, since BLAS splits the gradient's sums over samples
+    cfg = write_config(tmp_path, "cfg.json", _BLAS_CONFIGS[command])
     written = []
     for threads in ("1", "2"):
-        out = tmp_path / f"oracle_{threads}.json"
-        proc = run_python(["-m", "hvi.cli", "oracle", "--config", cfg, "--out", out],
+        out = tmp_path / f"{command}_{threads}.out"
+        proc = run_python(["-m", "hvi.cli", command, "--config", cfg, "--out", out],
                           OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
         written.append(out.read_bytes())

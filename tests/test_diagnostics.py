@@ -13,6 +13,7 @@ from scipy.stats import spearmanr
 from hvi import diagnostics, models, paths
 from hvi.diagnostics import (
     MMD_BANDWIDTH,
+    McmcReference,
     approx_error,
     curve_profile,
     ess,
@@ -253,7 +254,9 @@ def test_mcmc_validation(ring):
 @pytest.mark.parametrize("setting, message", [({"steps": 300, "burn_in": -100}, "burn_in"),
                                               ({"step_size": 0.0}, "step_size"),
                                               ({"step_size": -1.0}, "step_size"),
-                                              ({"step_size": math.inf}, "step_size")])
+                                              ({"step_size": math.inf}, "step_size"),
+                                              ({"thin": 0}, "thin and chains"),
+                                              ({"chains": 0}, "thin and chains")])
 def test_mcmc_rejects_settings_before_sampling(ring, setting, message):
     def never(*args):
         raise AssertionError("the sampler ran")
@@ -261,6 +264,23 @@ def test_mcmc_rejects_settings_before_sampling(ring, setting, message):
     silent = dataclasses.replace(ring, _log_target=never, _sample_proposal=never)
     with pytest.raises(ValueError, match=message):
         mcmc_reference(silent, **setting)
+
+
+def test_mcmc_reports_a_run_that_accepts_nothing(ring):
+    # every chain starts at the origin, the one point of finite target
+    def log_target(pts, lam):
+        return np.where(np.all(pts == 0.0, axis=1), 0.0, -1e300)
+
+    stuck = dataclasses.replace(ring, _log_target=log_target,
+                                _sample_proposal=lambda rng, lam, n: np.zeros((n, 2)))
+    with pytest.raises(RuntimeError, match="accepted no proposals"):
+        mcmc_reference(stuck, chains=1, steps=20, burn_in=10, thin=1)
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0, 1.5])
+def test_mcmc_reference_checks_its_acceptance_rate(rate):
+    with pytest.raises(ValueError, match="acceptance rate"):
+        McmcReference(samples=np.zeros((1, 2, 1)), acceptance_rate=rate)
 
 
 # ---------------------------------------------------------------------------

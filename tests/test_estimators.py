@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from scipy.integrate import simpson
 
 from hvi import models
 from hvi.estimators import (
+    ImportanceBatch,
     IntegrationRule,
     LOG_PARTITION_BETA1,
     PartitionSchedule,
@@ -74,6 +76,27 @@ def test_conjugate_batch_mean_ratio_estimates_marginal(conjugate):
 def test_draw_batch_validates_size(sin_toy):
     with pytest.raises(ValueError):
         draw_batch(sin_toy, 0, 1)
+
+
+@pytest.mark.parametrize("z, log_ratio, message", [
+    (np.zeros((0, 1)), np.zeros(0), "at least one sample"),
+    (np.zeros(3), np.zeros(3), "at least one sample"),
+    (np.zeros((3, 1)), np.zeros(2), "one entry per sample"),
+    (np.zeros((3, 1)), np.zeros((3, 1)), "one entry per sample"),
+])
+def test_importance_batch_checks_its_shapes(z, log_ratio, message):
+    with pytest.raises(ValueError, match=message):
+        ImportanceBatch(z=z, log_ratio=log_ratio)
+
+
+def test_draw_batch_names_a_log_ratio_that_overflows(sin_toy):
+    # both densities are finite, so neither is named: f = 1e308 - (-1e308) is not
+    extreme = dataclasses.replace(sin_toy,
+                                  _log_target=lambda pts, lam: np.full(len(pts), 1e308),
+                                  _log_proposal=lambda pts, lam: np.full(len(pts), -1e308))
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="^log_ratio reads inf at 5 of 5 samples$"):
+        draw_batch(extreme, 5, 1)
 
 
 # ---------------------------------------------------------------------------

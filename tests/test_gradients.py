@@ -460,6 +460,11 @@ def test_train_rejects_a_non_finite_learning_rate(conjugate, learning_rate):
         train(conjugate, None, BoundObjective(), steps=2, learning_rate=learning_rate, seed=0)
 
 
+def test_train_rejects_a_negative_step_count(conjugate):
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        train(conjugate, None, BoundObjective(), steps=-1, learning_rate=0.01, seed=0)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"bound": "hbo", "delta": 0.3}, "takes no delta"),
     ({"bound": "perturbed_hbo", "alpha": 0.5}, "takes no alpha"),

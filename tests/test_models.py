@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +47,22 @@ def test_parameter_validation():
         ModelParameters(("a",), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         ModelParameters(("a", "a"), np.array([1.0, 2.0]))
+
+
+def test_evaluators_reject_a_wrong_parameter_count(ring):
+    with pytest.raises(ValueError, match="expected 4 parameters, got 3"):
+        ring.log_target(np.zeros(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("z, message", [
+    (0.5, "scalar z given but latent_dim = 2"),
+    (np.zeros(3), "1-d z of length 3 does not match latent_dim 2"),
+    (np.zeros((4, 3)), r"z with shape \(4, 3\) does not match latent_dim 2"),
+    (np.zeros((1, 2, 1)), r"z with shape \(1, 2, 1\) does not match latent_dim 2"),
+])
+def test_evaluators_reject_points_of_the_wrong_shape(ring, z, message):
+    with pytest.raises(ValueError, match=message):
+        ring.log_proposal(z)
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +190,50 @@ def test_sin_toy_marginal_insensitive_to_domain_choice(sin_toy):
 
 
 def test_quadrature_signals_nonfinite_grid_values(sin_toy):
-    import dataclasses
-
+    # a target with truncated support: -inf on every other point of the
+    # 20001-point grid, which is one tile; each oracle names the density
     def log_target(pts, lam):
         out = np.full(pts.shape[0], -math.inf)
         out[::2] = 0.0
         return out
 
     broken = dataclasses.replace(sin_toy, _log_target=log_target)
-    with pytest.raises(ValueError):
+    message = "^log_target reads -inf at 10000 of 20001 points of a grid tile$"
+    for oracle in (quadrature_log_marginal, lambda model: quadrature_rvi(model, 0.5),
+                   lambda model: quadrature_local_evidence_curve(model, 0.5, [0.0, 1.0]),
+                   lambda model: quadrature_curve_slope(model, 0.5, 0.5)):
+        with pytest.raises(ValueError, match=message):
+            oracle(broken)
+
+
+def test_quadrature_names_a_nonfinite_proposal_in_its_tile(ring):
+    # the ring's 801^2 grid takes 32768 points per tile; the first tile that
+    # reads a NaN is named, with its count
+    def log_proposal(pts, lam):
+        return np.where(pts[:, 0] < -3.95, math.nan, 0.0)
+
+    broken = dataclasses.replace(ring, _log_proposal=log_proposal)
+    with pytest.raises(ValueError, match=r"^log_proposal reads nan at \d+ of 32768 points "
+                                         "of a grid tile$"):
         quadrature_log_marginal(broken)
+
+
+@pytest.mark.parametrize("name", ["ring", "sin_toy"])
+def test_quadrature_rvi_at_a_huge_alpha_is_the_grids_max_f(request, name):
+    # the grid's Renyi sum takes max f out before it scales by alpha, as the
+    # sampled bound does, so alpha f is never formed and cannot overflow
+    model = request.getfixturevalue(name)
+    top = max(f.max() for f, _ in models._grid_tiles(model, None, None))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = quadrature_rvi(model, 1e308)
+    assert value == pytest.approx(top, rel=1e-15, abs=0.0)
+
+
+def test_sin_toy_rejects_a_nonpositive_proposal_std():
+    for std in (0.0, -1.5):
+        with pytest.raises(ValueError, match="proposal_std must be positive"):
+            make_sin_toy(proposal_std=std)
 
 
 def test_sin_toy_proposal_default_is_overridable():
@@ -238,6 +290,12 @@ def test_bayes_regression_prior_vanishes_at_zero_slope():
     assert model.log_target(z) == pytest.approx(loglik, rel=1e-12)
 
 
+@pytest.mark.parametrize("x, y", [(np.zeros(3), np.zeros(2)), (np.zeros((2, 2)), np.zeros((2, 2)))])
+def test_bayes_dataset_checks_its_shapes(x, y):
+    with pytest.raises(ValueError, match="equal-length 1-d arrays"):
+        models.BayesRegressionDataset(x=x, y=y)
+
+
 def test_bayes_regression_rejects_empty():
     empty = models.BayesRegressionDataset(x=np.array([]), y=np.array([]))
     with pytest.raises(ValueError):
@@ -252,6 +310,19 @@ def test_quadrature_rejects_high_dim():
     model = make_bayes_regression(simulate_bayes_dataset(0))
     with pytest.raises(ValueError):
         quadrature_log_marginal(model)
+
+
+def test_quadrature_grid_checks_its_points_and_domain(sin_toy):
+    with pytest.raises(ValueError, match="at least 2 points per axis"):
+        quadrature_grid(sin_toy, GridSpec(points=1))
+    with pytest.raises(ValueError, match="empty quadrature interval"):
+        quadrature_grid(dataclasses.replace(sin_toy, quadrature_domain=((1.0, 1.0),)))
+
+
+def test_quadrature_rvi_rejects_a_nonpositive_alpha(sin_toy):
+    for alpha in (0.0, -0.5):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            quadrature_rvi(sin_toy, alpha)
 
 
 def test_quadrature_grid_weights_integrate_constants(sin_toy):

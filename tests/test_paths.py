@@ -62,6 +62,14 @@ def test_constructor_rejects_a_parameter_its_kind_does_not_take():
     assert PathSpec("holder", alpha=0.5, delta=0.0) == PathSpec.holder(0.5)
 
 
+@pytest.mark.parametrize("kind, name, value", [("holder", "alpha", math.nan),
+                                               ("holder", "alpha", -math.inf),
+                                               ("perturbed", "delta", math.inf)])
+def test_constructor_rejects_a_non_finite_parameter(kind, name, value):
+    with pytest.raises(ValueError, match="path parameters must be finite"):
+        PathSpec(kind, **{name: value})
+
+
 def test_perturbed_guard_warns():
     with pytest.warns(UserWarning):
         PathSpec.perturbed(0.5)

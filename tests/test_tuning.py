@@ -146,6 +146,15 @@ def test_grid_tuner_rejects_empty(sin_toy):
         tune_alpha_grid(sin_toy, [], DEFAULT_TEST_BETAS, 100, seed=0)
 
 
+def test_grid_tuner_takes_an_iterator_of_betas(sin_toy):
+    # the betas are read once, on entry: every candidate's curve and the
+    # evaluation count see all of a generator
+    betas = (0.0, 0.5, 1.0)
+    from_iterator = tune_alpha_grid(sin_toy, [0.3, 0.5], (b for b in betas), 200, 1)
+    assert from_iterator.to_json() == tune_alpha_grid(sin_toy, [0.3, 0.5], betas, 200, 1).to_json()
+    assert from_iterator.evaluations == 6
+
+
 # ---------------------------------------------------------------------------
 # Bisection
 # ---------------------------------------------------------------------------
@@ -210,6 +219,12 @@ def test_bisect_validates_bracket_order(sin_toy):
 def test_bisect_rejects_zero_iterations(sin_toy):
     with pytest.raises(ValueError, match="max_iters"):
         tune_alpha_bisect(sin_toy, 0.05, 0.95, INTERIOR_BETAS, 100, max_iters=0, seed=3)
+
+
+def test_bisect_rejects_a_nonpositive_tolerance(sin_toy):
+    for tolerance in (0.0, -0.01):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            tune_alpha_bisect(sin_toy, 0.05, 0.95, INTERIOR_BETAS, 100, tolerance=tolerance)
 
 
 def test_bisect_deterministic(sin_toy):
