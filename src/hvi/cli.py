@@ -39,6 +39,7 @@ from .gradients import BoundObjective, train
 from .models import (
     MODEL_IDS,
     GridSpec,
+    LatentModel,
     make_model,
     quadrature_oracle,
 )
@@ -48,14 +49,6 @@ from .tuning import DEFAULT_TEST_BETAS, _test_betas, tune_alpha_bisect, tune_alp
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message carries the field path."""
-
-
-class ComputationFailure(RuntimeError):
-    """A command produced flagged output; carries the marker-bearing text."""
-
-    def __init__(self, message: str, text: str):
-        super().__init__(message)
-        self.text = text
 
 
 def _fmt(value) -> str:
@@ -217,8 +210,8 @@ class ExperimentConfig:
         _require("seed" not in data or "seeds" not in data, "seeds",
                  "give seed or seeds, not both")
         if "seeds" in data:
-            return _read(data, "seeds", lambda value: _numbers(value, _integer))
-        seed = _read(data, "seed", _integer)
+            return _read(data, "seeds", lambda value: _numbers(value, _at_least(0)))
+        seed = _read(data, "seed", _at_least(0))
         _require(seed is not None, "seed", "estimator commands require an explicit seed "
                  "(pass --seed or set seed/seeds in the config)")
         return [seed]
@@ -259,8 +252,7 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def cmd_bounds(cfg: ExperimentConfig) -> str:
-    model = cfg.model()
+def cmd_bounds(cfg: ExperimentConfig, model: LatentModel) -> str:
     bounds = cfg.data.get("bounds", ["elbo", "iw_elbo", "eubo", "wlbo", "wubo", "tvo"])
     _require(isinstance(bounds, list) and bounds and all(isinstance(b, str) for b in bounds),
              "bounds", "must be a non-empty list of bound ids")
@@ -277,8 +269,7 @@ def cmd_bounds(cfg: ExperimentConfig) -> str:
     return _csv(["seed"] + list(bounds), rows)
 
 
-def cmd_curve(cfg: ExperimentConfig) -> str:
-    model = cfg.model()
+def cmd_curve(cfg: ExperimentConfig, model: LatentModel) -> str:
     schedule = (_schedule_from(cfg.data.get("schedule"), "schedule", "uniform", 20)
                 or PartitionSchedule.uniform(20))
     seed = cfg.seed()
@@ -301,8 +292,7 @@ _TUNING_KEYS = {"grid": {"candidates": _numbers},
                            "max_iters": _at_least(1)}}
 
 
-def cmd_tune(cfg: ExperimentConfig) -> str:
-    model = cfg.model()
+def cmd_tune(cfg: ExperimentConfig, model: LatentModel) -> str:
     seed = cfg.seed()
     tuning = cfg.data.get("tuning", {})
     _require(isinstance(tuning, dict), "tuning", "must be an object")
@@ -326,11 +316,10 @@ def cmd_tune(cfg: ExperimentConfig) -> str:
 
 # Keys of training.mcmc: the mcmc_reference argument each sets, and its type.
 _MCMC_KEYS = {"chains": _at_least(1), "steps": _integer, "burn_in": _at_least(0),
-              "thin": _at_least(1), "step_size": _positive, "seed": _integer}
+              "thin": _at_least(1), "step_size": _positive, "seed": _at_least(0)}
 
 
-def cmd_train(cfg: ExperimentConfig) -> str:
-    model = cfg.model()
+def cmd_train(cfg: ExperimentConfig, model: LatentModel) -> str:
     seed = cfg.seed()
     training = cfg.data.get("training", {})
     _check_keys(training, ("bound", "alpha", "delta", "schedule", "steps", "learning_rate",
@@ -382,13 +371,12 @@ def cmd_train(cfg: ExperimentConfig) -> str:
     text = _csv(header, rows)
     if trace.diverged:
         cause = f"training diverged at step {len(trace)}: {trace.failure}"
-        raise ComputationFailure(f"{cause}; partial trace written with a failure marker",
-                                 text + f"# FAILED: {cause}\n")
+        _write_output(cfg.out, text + f"# FAILED: {cause}\n", cfg.echo())
+        raise ValueError(f"{cause}; partial trace written with a failure marker")
     return text
 
 
-def cmd_diagnose(cfg: ExperimentConfig) -> str:
-    model = cfg.model()
+def cmd_diagnose(cfg: ExperimentConfig, model: LatentModel) -> str:
     seed = cfg.seed()
     diag = cfg.data.get("diagnose", {})
     _check_keys(diag, ("path", "betas", "replicates"), "diagnose")
@@ -400,8 +388,7 @@ def cmd_diagnose(cfg: ExperimentConfig) -> str:
     return _csv(["beta", "mean", "variance", "mean_ess"], rows)
 
 
-def cmd_oracle(cfg: ExperimentConfig) -> str:
-    model = cfg.model()
+def cmd_oracle(cfg: ExperimentConfig, model: LatentModel) -> str:
     oracle = cfg.data.get("oracle", {})
     _check_keys(oracle, ("grid_points", "alphas", "betas"), "oracle")
     grid = GridSpec(points=_read(oracle, "oracle.grid_points", _at_least(2)))
@@ -515,13 +502,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        text = _COMMANDS[args.command][0](cfg)
+        text = _COMMANDS[args.command][0](cfg, cfg.model())
         _write_output(cfg.out, text, cfg.echo())
-    except ComputationFailure as exc:
-        # flagged output is still delivered, marker included
-        _write_output(cfg.out, exc.text, cfg.echo())
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -157,7 +157,8 @@ class McmcReference:
 
     def __post_init__(self):
         if not 0.0 < self.acceptance_rate < 1.0:
-            raise ValueError("acceptance rate must lie strictly in (0, 1)")
+            raise ValueError("acceptance rate must lie strictly in (0, 1), "
+                             f"got {self.acceptance_rate:g}; check step_size")
 
     @property
     def pooled(self) -> np.ndarray:
@@ -222,8 +223,6 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
         total += thin
         kept.append(state.copy())
     accepted_rate = accepted / ((burn_in + total) * chains)
-    if accepted_rate == 0.0:
-        raise RuntimeError("sampler accepted no proposals; check step size")
     samples = np.stack(kept, axis=1)  # (chains, draws, dim)
     return McmcReference(samples=samples, acceptance_rate=float(accepted_rate))
 

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .models import LatentModel
-from .paths import PathSpec, _check_finite, _check_float_range, _renyi_sum, path_weights
+from .paths import PathSpec, _check_finite, _check_float_range, _log_ratio, _renyi_sum, path_weights
 
 __all__ = [
     "ImportanceBatch",
@@ -80,14 +80,7 @@ def draw_batch(model: LatentModel, size: int, seed: int, params=None) -> Importa
     lam = model._resolve(params)
     rng = np.random.default_rng(seed)
     z = model.sample_proposal(rng, size, lam)
-    l0 = model.log_proposal(z, lam)
-    l1 = model.log_target(z, lam)
-    try:
-        return ImportanceBatch(z=z, log_ratio=l1 - l0)
-    except ValueError:  # name the density at fault, if one is
-        _check_finite("log_proposal", l0)
-        _check_finite("log_target", l1)
-        raise
+    return ImportanceBatch(z, _log_ratio(model.log_proposal(z, lam), model.log_target(z, lam)))
 
 
 def elbo(batch: ImportanceBatch) -> float:

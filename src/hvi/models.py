@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .paths import PathCurve, PathSpec, _check_finite, _renyi_sum, _row_sum, path_log_moments
+from .paths import PathCurve, PathSpec, _log_ratio, _renyi_sum, _row_sum, path_log_moments
 
 __all__ = [
     "ModelParameters",
@@ -466,12 +466,11 @@ _GRID_TILE = 1 << 15
 def _grid_tiles(model, grid, params):
     """Per tile of grid points: (log ratio f = L1 - L0, base log weight L0 + log cell weight)."""
     pts, logw = quadrature_grid(model, grid)
-    unit = "points of a grid tile"
     for start in range(0, logw.size, _GRID_TILE):
         tile = slice(start, start + _GRID_TILE)
-        l0 = _check_finite("log_proposal", model.log_proposal(pts[tile], params), unit)
-        l1 = _check_finite("log_target", model.log_target(pts[tile], params), unit)
-        yield l1 - l0, l0 + logw[tile]
+        l0 = model.log_proposal(pts[tile], params)
+        f = _log_ratio(l0, model.log_target(pts[tile], params), "points of a grid tile")
+        yield f, l0 + logw[tile]
 
 
 def _grid_sum(model, grid, params, alpha=1.0, curves=()) -> float:

@@ -183,6 +183,17 @@ def _check_finite(name: str, values: np.ndarray, unit: str = "samples"):
     return values
 
 
+def _log_ratio(l0, l1, unit: str = "samples"):
+    """f = L1 - L0 at log_proposal ``l0`` and log_target ``l1``: a non-finite f is a ValueError
+    (_check_finite) naming the first of log_proposal, log_target and log_ratio not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = l1 - l0
+    if not np.isfinite(f).all():
+        for name, values in (("log_proposal", l0), ("log_target", l1), ("log_ratio", f)):
+            _check_finite(name, values, unit)
+    return f
+
+
 def _check_normalizable(top):
     """``top``, the largest log weight of each row, rejected where every weight vanished."""
     if not np.all(np.isfinite(top)):
@@ -450,7 +461,6 @@ class PathCurve:
             self._shared = np.flatnonzero(gap <= _SHARED_GAP)
             self._ends = np.flatnonzero(~inner)
             self._apart = np.flatnonzero(inner & (gap > _SHARED_GAP))
-            self._work = None  # the shared rows' (betas x tile points) buffer
 
     def add(self, log_ratio, base=0.0) -> "PathCurve":
         """Reduce the points with log ratios ``log_ratio`` and log weights ``base`` (path_weights')."""
@@ -502,11 +512,8 @@ class PathCurve:
         if kappa == 1.0:
             y = np.exp(c)
         else:
-            if self._work is None:
-                self._work = np.empty(max(_TILE_ELEMENTS, self.betas.size))
-            y = self._work[:k.size * f.size].reshape(k.size, f.size)
             # d: each entry sums two nonnegative terms, one matrix product
-            np.matmul(np.stack((1.0 - beta, beta), axis=1), uvp[:2], out=y)
+            y = np.stack((1.0 - beta, beta), axis=1) @ uvp[:2]
             np.log(y, out=y)
             y *= kappa - 1.0
             y += c

@@ -360,6 +360,21 @@ def test_train_divergence_prints_no_numpy_warning(tmp_path, capsys, training):
     assert out.read_text().splitlines()[-1].startswith("# FAILED: training diverged")
 
 
+def test_train_with_an_mcmc_reference_that_accepts_nothing_is_an_error(tmp_path, capsys):
+    # a step this wide proposes z ~ 1e147, where sin_toy's log target is about
+    # -1e294, so nothing is accepted; a second acceptance check in the sampler
+    # raised a RuntimeError there, which escaped as a traceback
+    cfg = write_config(tmp_path, "cfg.json", {
+        "model": "sin_toy", "seed": 3,
+        "training": {"steps": 2, "mmd_every": 1, "mmd_sample": 5,
+                     "mcmc": {"steps": 300, "burn_in": 100, "step_size": 1e150, "chains": 1}}})
+    out = tmp_path / "trace.csv"
+    assert run_cli(["train", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == ("error: acceptance rate must lie strictly in (0, 1), "
+                                       "got 0; check step_size\n")
+    assert not out.exists()
+
+
 def test_diagnose_profile(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {
         "model": "scaled_factor",
@@ -666,6 +681,11 @@ _MALFORMED = [
     ("curve", {"path": {"kind": "holder", "alpha": True}}, "config.path"),
     ("diagnose", {"diagnose": {"path": {"kind": "perturbed", "delta": "0.05"}}},
      "config.diagnose.path"),
+    # negative seeds, which numpy rejected under no field
+    ("bounds", {"seed": -1}, "config.seed"),
+    ("bounds", {"seeds": [1, -2]}, "config.seeds"),
+    ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"seed": -5}}},
+     "config.training.mcmc.seed"),
 ]
 
 

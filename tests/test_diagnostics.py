@@ -273,7 +273,7 @@ def test_mcmc_reports_a_run_that_accepts_nothing(ring):
 
     stuck = dataclasses.replace(ring, _log_target=log_target,
                                 _sample_proposal=lambda rng, lam, n: np.zeros((n, 2)))
-    with pytest.raises(RuntimeError, match="accepted no proposals"):
+    with pytest.raises(ValueError, match=r"^acceptance rate .* got 0; check step_size$"):
         mcmc_reference(stuck, chains=1, steps=20, burn_in=10, thin=1)
 
 

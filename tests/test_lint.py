@@ -1,7 +1,7 @@
 """Standard-library lint: every import is used, every ``__all__`` entry exists,
 the package imports no scipy, only the CLI sets the allocator policy, every
-JSON writer in it passes allow_nan=False, and every code name the README gives
-still exists.
+JSON writer in it passes allow_nan=False, every exception it raises is one
+the CLI reports, and every code name the README gives still exists.
 
 Parses each ``hvi`` module, each script and each test module with ``ast``;
 nothing is imported.
@@ -146,6 +146,33 @@ def test_every_json_writer_rejects_non_finite_numbers():
                  if not any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
                             and kw.value.value is False for kw in call.keywords))
     assert not lax, f"json writers without allow_nan=False: {lax}"
+
+
+def _raised(tree: ast.Module) -> list:
+    """(exception class name, line) of every ``raise`` in ``tree``; a bare raise names None."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.append((exc.id if isinstance(exc, ast.Name) else None, node.lineno))
+    return found
+
+
+def test_every_raise_is_an_error_the_cli_reports():
+    # hvi.cli.main prints a ValueError or TypeError as one "error:" line; any
+    # other exception type would reach the user as a traceback
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src/hvi").glob("*.py"))}
+    bases = {node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+
+    def reported(name):
+        return name in ("ValueError", "TypeError") or any(map(reported, bases.get(name, ())))
+
+    stray = sorted(f"{file}:{line} ({name})" for file, tree in trees.items()
+                   for name, line in _raised(tree) if not reported(name))
+    assert not stray, f"raises of types hvi.cli.main does not report: {stray}"
 
 
 def _readme_names() -> set:

@@ -190,20 +190,28 @@ def test_sin_toy_marginal_insensitive_to_domain_choice(sin_toy):
 
 
 def test_quadrature_signals_nonfinite_grid_values(sin_toy):
-    # a target with truncated support: -inf on every other point of the
-    # 20001-point grid, which is one tile; each oracle names the density
-    def log_target(pts, lam):
+    def truncated(pts, lam):
         out = np.full(pts.shape[0], -math.inf)
         out[::2] = 0.0
         return out
 
-    broken = dataclasses.replace(sin_toy, _log_target=log_target)
-    message = "^log_target reads -inf at 10000 of 20001 points of a grid tile$"
-    for oracle in (quadrature_log_marginal, lambda model: quadrature_rvi(model, 0.5),
-                   lambda model: quadrature_local_evidence_curve(model, 0.5, [0.0, 1.0]),
-                   lambda model: quadrature_curve_slope(model, 0.5, 0.5)):
-        with pytest.raises(ValueError, match=message):
-            oracle(broken)
+    cases = [
+        # a target with truncated support: -inf on every other point of the
+        # 20001-point grid, which is one tile; each oracle names the density
+        ({"_log_target": truncated}, "log_target reads -inf at 10000 of 20001"),
+        # both densities finite, f = 1e308 - (-1e308) not: it read as a nan
+        # log p(x) with two numpy warnings
+        ({"_log_target": lambda pts, lam: np.full(len(pts), 1e308),
+          "_log_proposal": lambda pts, lam: np.full(len(pts), -1e308)},
+         "log_ratio reads inf at 20001 of 20001"),
+    ]
+    for densities, message in cases:
+        broken = dataclasses.replace(sin_toy, **densities)
+        for oracle in (quadrature_log_marginal, lambda model: quadrature_rvi(model, 0.5),
+                       lambda model: quadrature_local_evidence_curve(model, 0.5, [0.0, 1.0]),
+                       lambda model: quadrature_curve_slope(model, 0.5, 0.5)):
+            with pytest.raises(ValueError, match=f"^{message} points of a grid tile$"):
+                oracle(broken)
 
 
 def test_quadrature_names_a_nonfinite_proposal_in_its_tile(ring):
