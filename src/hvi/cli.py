@@ -199,8 +199,8 @@ class ExperimentConfig:
     def model(self):
         params = self.data.get("model_params", {})
         # every builder parameter is a real number but a dataset's seed and size
-        typed = {name: _read(params, f"model_params.{name}",
-                             _integer if name in ("seed", "n") else _real)
+        casts = {"seed": _at_least(0), "n": _at_least(3)}
+        typed = {name: _read(params, f"model_params.{name}", casts.get(name, _real))
                  for name in params if params[name] is not None}
         return _read(self.data, "model_params", lambda _: make_model(self.model_id, typed), {})
 

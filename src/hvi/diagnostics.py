@@ -188,10 +188,14 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
     lam = model.default_params.values
     rng = np.random.default_rng(seed)
     dim = model.latent_dim
-    scales = model.sample_proposal(rng, 256, lam).std(axis=0)
-    scales = np.where(scales > 0, scales, 1.0)
-    state = model.sample_proposal(rng, chains, lam)
-    log_p = model.log_target(state, lam)
+    # a spread or start density beyond the float range reads as its infinity,
+    # and a start density that is not finite is named here: otherwise a target
+    # that reads -inf everywhere accepts nothing, which blames step_size
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = model.sample_proposal(rng, 256, lam).std(axis=0)
+        scales = np.where(scales > 0, scales, 1.0)
+        state = model.sample_proposal(rng, chains, lam)
+        log_p = paths._check_finite("log_target", model.log_target(state, lam), "chains")
 
     def sweep(n: int, step: float) -> int:
         nonlocal state, log_p

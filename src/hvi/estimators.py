@@ -80,7 +80,7 @@ def draw_batch(model: LatentModel, size: int, seed: int, params=None) -> Importa
     lam = model._resolve(params)
     rng = np.random.default_rng(seed)
     z = model.sample_proposal(rng, size, lam)
-    return ImportanceBatch(z, _log_ratio(model.log_proposal(z, lam), model.log_target(z, lam)))
+    return ImportanceBatch(z, _log_ratio(model, z, lam)[1])
 
 
 def elbo(batch: ImportanceBatch) -> float:

@@ -24,7 +24,7 @@ proposals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "GradientEstimate",
     "local_evidence_grad",
     "bound_grad",
-    "finite_difference_grad",
     "BoundObjective",
     "TrainingTrace",
     "train",
@@ -134,26 +133,6 @@ def bound_grad(model: LatentModel, params, spec: PathSpec,
     """Gradient of the Riemann-integrated bound: rule-weighted sum over the schedule."""
     return _path_step(model, params, spec, schedule.betas,
                       rule_weights(schedule.betas, rule), batch)[1]
-
-
-def finite_difference_grad(model: LatentModel, params,
-                           objective: Callable[[LatentModel, np.ndarray], float],
-                           step: float = 1e-4) -> np.ndarray:
-    """Central finite differences of a (quadrature) functional of lambda.
-
-    The oracle counterpart of the sampled gradients: ``objective`` is expected
-    to be deterministic in (model, lambda), e.g. a quadrature local evidence.
-    """
-    lam = model._resolve(params)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    out = np.empty(lam.size)
-    for j, bump in enumerate(step * np.eye(lam.size)):
-        hi, lo = objective(model, lam + bump), objective(model, lam - bump)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError("objective returned a non-finite value")
-        out[j] = (hi - lo) / (2.0 * step)
-    return out
 
 
 @dataclass(frozen=True)

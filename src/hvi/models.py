@@ -11,8 +11,8 @@ the 1-D and 2-D built-ins their error is far below every test tolerance, which
 makes them usable as ground truth for the sample-based estimators.  Each call
 makes one pass over the grid: the model is evaluated on a tile of points at a
 time and every curve (``paths.PathCurve``) and the Renyi sum reduced tile by
-tile (``paths.path_log_moments`` for the slope), so memory stays at the grid
-itself plus a few tiles.  log p(x) is the Renyi sum at alpha = 1.
+tile, so memory stays at the grid itself plus a few tiles.  log p(x) is the
+Renyi sum at alpha = 1.
 
 Built-ins (addressable by string id through ``make_model``):
 
@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .paths import PathCurve, PathSpec, _log_ratio, _renyi_sum, _row_sum, path_log_moments
+from .paths import PathCurve, PathSpec, _log_ratio, _renyi_sum
 
 __all__ = [
     "ModelParameters",
@@ -55,9 +55,7 @@ __all__ = [
     "quadrature_grid",
     "quadrature_oracle",
     "quadrature_log_marginal",
-    "quadrature_local_evidence",
     "quadrature_local_evidence_curve",
-    "quadrature_curve_slope",
     "quadrature_rvi",
 ]
 
@@ -358,18 +356,18 @@ def make_bayes_regression(data: BayesRegressionDataset) -> LatentModel:
     log p(D, z) = -(3/2) log(1 + b^2) + sum_i log N(y_i; a + b x_i, s^2); the
     1/s prior is flat in the log s coordinate.  The proposal is a diagonal
     Gaussian over (a, b, log s) whose default means come from the OLS fit,
-    with deliberately overdispersed default spreads.
+    with deliberately overdispersed default spreads.  Two points fit the OLS
+    line exactly and leave no residual spread, so it takes at least three.
     """
-    if data.n == 0:
-        raise ValueError("dataset must be non-empty")
+    if data.n < 3:
+        raise ValueError(f"dataset needs at least 3 points, got {data.n}")
     x, y = data.x, data.y
     xc = x - x.mean()
     sxx = float(xc @ xc)
     slope = float(xc @ (y - y.mean()) / sxx) if sxx > 0 else 0.0
     intercept = float(y.mean() - slope * x.mean())
     resid = y - intercept - slope * x
-    dof = max(data.n - 2, 1)
-    resid_std = float(np.sqrt(resid @ resid / dof))
+    resid_std = float(np.sqrt(resid @ resid / (data.n - 2)))
 
     def log_target(pts, lam):
         a = pts[:, 0:1]
@@ -468,8 +466,7 @@ def _grid_tiles(model, grid, params):
     pts, logw = quadrature_grid(model, grid)
     for start in range(0, logw.size, _GRID_TILE):
         tile = slice(start, start + _GRID_TILE)
-        l0 = model.log_proposal(pts[tile], params)
-        f = _log_ratio(l0, model.log_target(pts[tile], params), "points of a grid tile")
+        l0, f = _log_ratio(model, pts[tile], params, "points of a grid tile")
         yield f, l0 + logw[tile]
 
 
@@ -509,32 +506,6 @@ def quadrature_local_evidence_curve(model: LatentModel, alpha: float, betas,
     for f, base in _grid_tiles(model, grid, params):
         curve.add(f, base)
     return curve.values()
-
-
-def quadrature_local_evidence(model: LatentModel, alpha: float, beta: float,
-                              grid: Optional[GridSpec] = None, params=None) -> float:
-    """Exact local evidence: expectation of the path integrand under pi_(alpha,beta)."""
-    return float(quadrature_local_evidence_curve(model, alpha, [beta], grid, params)[0])
-
-
-def quadrature_curve_slope(model: LatentModel, alpha: float, beta: float,
-                           grid: Optional[GridSpec] = None, params=None) -> float:
-    """Analytic d/dbeta of the local evidence: -E[g]^2 + (1-alpha) E[g^2].
-
-    g is the path integrand and both moments are taken under the normalized
-    intermediate density.  They are formed from log |E[g]| and log E[g^2], so
-    a slope beyond the float range reads as the infinity of its sign, never
-    NaN.  At alpha = 1 the second term is 0 and is not formed.
-    """
-    if alpha == 1.0:
-        first = quadrature_local_evidence(model, alpha, beta, grid, params)
-        return -first * first
-    log_first, log_second = path_log_moments(PathSpec.holder(float(alpha)), beta,
-                                             _grid_tiles(model, grid, params))
-    level, total = _row_sum(np.array([math.log(abs(1.0 - alpha)) + log_second, 2.0 * log_first]),
-                            np.array([math.copysign(1.0, 1.0 - alpha), -1.0]))
-    with np.errstate(over="ignore", divide="ignore"):
-        return float(np.sign(total) * np.exp(level + np.log(abs(total))))
 
 
 def quadrature_rvi(model: LatentModel, alpha: float,

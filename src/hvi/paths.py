@@ -9,7 +9,7 @@ densities are never exponentiated on their own scale.  Every quantity depends
 on them only through f = L1 - L0 once L0 is split off as a base log weight,
 so the path math below (``_path_math``: h = log pi_beta - L0 and the
 integrand g for a vector of beta, or g's parts p and log d on the far form
-of the power-mean branch) is written once in terms of f.  Three reductions
+of the power-mean branch) is written once in terms of f.  Two reductions
 share it:
 
   path_weights  the self-normalized weights of pi_beta and their product with
@@ -22,8 +22,7 @@ share it:
                 Far from the geometric path its power-mean tiles never form
                 g: rows that share the tile's top reduce the
                 beta-independent terms of _holder_terms, and the others
-                reduce in log space with tops of their own;
-  path_log_moments  log |E g| and log E g^2 at one beta: a curve's slope.
+                reduce in log space with tops of their own.
 
 Supported families:
 
@@ -59,7 +58,6 @@ __all__ = [
     "path_weights",
     "path_gradient_coeffs",
     "PathCurve",
-    "path_log_moments",
 ]
 
 # Below this |alpha| the power-mean branch has no working precision left and
@@ -183,15 +181,21 @@ def _check_finite(name: str, values: np.ndarray, unit: str = "samples"):
     return values
 
 
-def _log_ratio(l0, l1, unit: str = "samples"):
-    """f = L1 - L0 at log_proposal ``l0`` and log_target ``l1``: a non-finite f is a ValueError
-    (_check_finite) naming the first of log_proposal, log_target and log_ratio not finite."""
+def _log_ratio(model, points, params, unit: str = "samples"):
+    """(L0, f = L1 - L0) at ``points``, from the model's log_proposal L0 and log_target L1.
+
+    Both densities and f are formed with numpy's overflow warnings off, so a
+    density beyond the float range reads as its infinity; a non-finite f is a
+    ValueError (_check_finite) naming the first of log_proposal, log_target
+    and log_ratio not finite.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
+        l0, l1 = model.log_proposal(points, params), model.log_target(points, params)
         f = l1 - l0
     if not np.isfinite(f).all():
         for name, values in (("log_proposal", l0), ("log_target", l1), ("log_ratio", f)):
             _check_finite(name, values, unit)
-    return f
+    return l0, f
 
 
 def _check_normalizable(top):
@@ -549,25 +553,3 @@ class PathCurve:
         with np.errstate(over="ignore", invalid="ignore"):
             values = self.moment / self.total * np.exp(self.level - self.top)
         return _check_float_range(self.spec, values, self.betas)
-
-
-def path_log_moments(spec: PathSpec, beta: float, tiles):
-    """(log |E g|, log E g^2) of the integrand g under the path density at one beta,
-    over ``tiles`` of PathCurve.add's (log_ratio, base): sum u, sum u g and sum u g^2,
-    u = exp(h + base), each kept at its own top.  On the far form log |g| =
-    log |p| - log d, so g, which can overflow where u underflows, is not formed."""
-    betas = _check_betas([beta])
-    sums = [(-np.inf, 0.0)] * 3  # (level, total) of sum u, sum u g, sum u g^2
-    for f, base in tiles:
-        f = np.asarray(f, dtype=float).reshape(-1)
-        ((_, h, g, log_d),) = _path_math(*spec.branch(), f, betas, 1)
-        g = g.reshape(-1)
-        with np.errstate(divide="ignore"):
-            log_g = np.log(np.abs(g)) - (0.0 if log_d is None else log_d[0])
-        log_u = h[0] + base
-        tile = _row_sum(log_u), _row_sum(log_u + log_g, np.sign(g)), _row_sum(log_u + 2.0 * log_g)
-        sums = [_merge(*pair, *tile_pair) for pair, tile_pair in zip(sums, tile)]
-    (top, total), (level, first), (square_level, second) = sums
-    log_total = _check_normalizable(top) + math.log(total)
-    with np.errstate(divide="ignore"):
-        return level + np.log(abs(first)) - log_total, square_level + np.log(second) - log_total

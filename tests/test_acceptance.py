@@ -33,13 +33,13 @@ from hvi.estimators import (
 )
 from hvi.gradients import (
     BoundObjective,
-    finite_difference_grad,
     local_evidence_grad,
     train,
 )
 from hvi.paths import PathSpec
 from hvi.tuning import tune_alpha_grid
 from hvi.util import derive_seeds
+from oracles import finite_difference_grad, quadrature_curve_slope, quadrature_local_evidence
 from path_forms import integrand, log_density
 
 
@@ -136,9 +136,9 @@ def test_criterion_05_monotonicity_and_slope_identity():
     worst = 0.0
     for alpha in (0.0, 0.3, 1.0):
         for beta in (0.25, 0.5, 0.75):
-            fd = (models.quadrature_local_evidence(sin, alpha, beta + step)
-                  - models.quadrature_local_evidence(sin, alpha, beta - step)) / (2 * step)
-            analytic = models.quadrature_curve_slope(sin, alpha, beta)
+            fd = (quadrature_local_evidence(sin, alpha, beta + step)
+                  - quadrature_local_evidence(sin, alpha, beta - step)) / (2 * step)
+            analytic = quadrature_curve_slope(sin, alpha, beta)
             worst = max(worst, abs(fd - analytic) / abs(analytic))
     assert worst < 1e-3
     _pass(5, started, 60.0, f"curves monotone on 4 built-ins; slope identity rel err {worst:.1e}")
@@ -152,10 +152,10 @@ def test_criterion_06_wasserstein_inequalities():
         model = models.make_sin_toy(x_obs=x)
         log_p = models.quadrature_log_marginal(model)
         p = math.exp(log_p)
-        elbo_q = models.quadrature_local_evidence(model, 0.0, 0.0)
-        eubo_q = models.quadrature_local_evidence(model, 0.0, 1.0)
-        wlbo_q = models.quadrature_local_evidence(model, 1.0, 1.0)
-        wubo_q = models.quadrature_local_evidence(model, 1.0, 0.0)
+        elbo_q = quadrature_local_evidence(model, 0.0, 0.0)
+        eubo_q = quadrature_local_evidence(model, 0.0, 1.0)
+        wlbo_q = quadrature_local_evidence(model, 1.0, 1.0)
+        wubo_q = quadrature_local_evidence(model, 1.0, 0.0)
         margins.append(min(wlbo_q - elbo_q / p, log_p - wlbo_q,
                            wubo_q - log_p, eubo_q - wubo_q))
     assert min(margins) > 1e-6
@@ -200,7 +200,7 @@ def test_criterion_08_gradient_correctness():
     for beta in (0.0, 0.5, 1.0):
         oracle = finite_difference_grad(
             sin, None,
-            lambda m, lam, b=beta: models.quadrature_local_evidence(m, 0.0, b, params=lam),
+            lambda m, lam, b=beta: quadrature_local_evidence(m, 0.0, b, params=lam),
             step=1e-4)
         estimates = np.array([
             local_evidence_grad(sin, None, PathSpec.geometric(), beta,

@@ -19,8 +19,9 @@ from hvi import cli
 from hvi.cli import _COMMANDS, _build_parser, main
 from hvi.estimators import PartitionSchedule, draw_batch, hbo, tvo
 from hvi.gradients import BoundObjective, train
-from hvi.models import make_conjugate_gaussian, make_sin_toy, quadrature_local_evidence
+from hvi.models import make_conjugate_gaussian, make_sin_toy
 from hvi.tuning import DEFAULT_TEST_BETAS
+from oracles import quadrature_local_evidence
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -686,6 +687,14 @@ _MALFORMED = [
     ("bounds", {"seeds": [1, -2]}, "config.seeds"),
     ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"seed": -5}}},
      "config.training.mcmc.seed"),
+    # a dataset's seed and size, which numpy or math.log rejected under no field
+    # (two points fit the OLS line exactly)
+    ("bounds", {"model": "bayes_regression", "model_params": {"seed": -3}},
+     "config.model_params.seed"),
+    ("bounds", {"model": "bayes_regression", "model_params": {"n": -4}},
+     "config.model_params.n"),
+    ("bounds", {"model": "bayes_regression", "model_params": {"n": 2}},
+     "config.model_params.n"),
 ]
 
 

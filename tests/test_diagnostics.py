@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,17 @@ def test_mcmc_reports_a_run_that_accepts_nothing(ring):
                                 _sample_proposal=lambda rng, lam, n: np.zeros((n, 2)))
     with pytest.raises(ValueError, match=r"^acceptance rate .* got 0; check step_size$"):
         mcmc_reference(stuck, chains=1, steps=20, burn_in=10, thin=1)
+
+
+def test_mcmc_names_a_start_density_that_is_not_finite():
+    # the ring's likelihood at y = 1e300 overflows to -inf everywhere: the
+    # pilot and start warned, and every acceptance test read nan, which was
+    # reported as a step_size that accepts nothing
+    far = models.make_ring(y_obs=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^log_target reads -inf at 2 of 2 chains$"):
+            mcmc_reference(far, chains=2, steps=20, burn_in=10)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0, 1.5])

@@ -4,6 +4,7 @@ and beta, raised where the value is formed (``paths._check_float_range``), and
 never a numpy warning.  Every command and library route inherits it, and a
 training run it stops names the step and the cause."""
 
+import inspect
 import json
 import math
 import re
@@ -188,3 +189,49 @@ def test_every_training_run_finishes_or_names_its_cause(tmp_path, capsys, learni
             causes[model_id, training["bound"], training.get("alpha")] = cause
     # the arithmetic-mean lower bound cannot take a step on this model
     assert ("bayes_regression", "wlbo", None) in causes
+
+
+# The model-parameter sweep's runs, by command (its first word): settings at tiny sizes.
+_COMMAND_CONFIGS = {
+    "bounds": {"seed": 1, "sample_size": 20},
+    "curve": {"seed": 1, "sample_size": 20, "schedule": {"partitions": 2}},
+    "tune": {"seed": 1, "sample_size": 20, "tuning": {"candidates": [0.5]}},
+    "train": {"seed": 1, "sample_size": 20, "training": {"steps": 2}},
+    "train with mmd": {"seed": 1, "sample_size": 20,
+                       "training": {"steps": 2, "mmd_every": 1, "mmd_sample": 10,
+                                    "mcmc": {"chains": 2, "steps": 150, "burn_in": 50}}},
+    "diagnose": {"seed": 1, "sample_size": 20,
+                 "diagnose": {"betas": [0.0, 1.0], "replicates": 2}},
+    "oracle": {"oracle": {"grid_points": 11}},
+}
+
+
+def _extreme_values(default):
+    """Values past a model parameter's usual range: a dataset's seed and size take small
+    integers and a non-integer (a large size would allocate a dataset), the rest reals."""
+    return (-1, 0, 2.5) if isinstance(default, int) else (1e300, -1e300, 1e-300)
+
+
+def test_every_extreme_model_parameter_is_a_run_or_one_error_line(tmp_path, capsys):
+    # each parameter of each built-in model at extreme values, through every
+    # command: a numpy warning (an error here) or a traceback fails the case
+    assert sorted(models._BUILDERS) == sorted(_MODEL_PARAMS)
+    failures = []
+    for model_id, builder in models._BUILDERS.items():
+        for name, param in inspect.signature(builder).parameters.items():
+            default = _MODEL_PARAMS[model_id].get(name, param.default)
+            for value in _extreme_values(default):
+                params = {**_MODEL_PARAMS[model_id], name: value}
+                for run, settings in _COMMAND_CONFIGS.items():
+                    case = (model_id, name, value, run)
+                    config = {"model": model_id, "model_params": params, **settings}
+                    try:
+                        code, _, err = _run(tmp_path, capsys, config, command=run.split()[0])
+                    except Exception as exc:  # a warning or traceback fails the case
+                        capsys.readouterr()
+                        failures.append((*case, repr(exc)))
+                        continue
+                    if not (code == 0 and not err
+                            or code == 1 and err.startswith("error: ") and err.count("\n") == 1):
+                        failures.append((*case, code, err))
+    assert not failures, f"{len(failures)} cases: {failures}"

@@ -17,12 +17,12 @@ from hvi.gradients import (
     BoundObjective,
     _path_step,
     bound_grad,
-    finite_difference_grad,
     local_evidence_grad,
     train,
 )
 from hvi.paths import PathSpec, path_gradient_coeffs, path_weights
 from hvi.util import derive_seeds
+from oracles import finite_difference_grad, quadrature_local_evidence
 
 _BAYES = models.make_bayes_regression(models.simulate_bayes_dataset(0, 20))
 
@@ -32,7 +32,7 @@ SPECS = [PathSpec.geometric(), PathSpec.holder(0.5), PathSpec.holder(-0.4),
 
 def quad_local_evidence_objective(alpha, beta):
     def objective(model, lam):
-        return models.quadrature_local_evidence(model, alpha, beta, params=lam)
+        return quadrature_local_evidence(model, alpha, beta, params=lam)
     return objective
 
 
@@ -266,7 +266,7 @@ def test_fd_error_scales_quadratically_on_elbo(sin_toy):
     reference = score.T @ (q * (l1 - l0))
 
     def objective(model, lam):
-        return models.quadrature_local_evidence(model, 0.0, 0.0, params=lam)
+        return quadrature_local_evidence(model, 0.0, 0.0, params=lam)
 
     errs = []
     for step in (0.2, 0.1):
@@ -274,16 +274,6 @@ def test_fd_error_scales_quadratically_on_elbo(sin_toy):
         errs.append(np.linalg.norm(got - reference))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0
-
-
-def test_fd_rejects_nonpositive_step(sin_toy):
-    with pytest.raises(ValueError):
-        finite_difference_grad(sin_toy, None, lambda m, lam: 0.0, step=0.0)
-
-
-def test_fd_signals_nonfinite_objective(sin_toy):
-    with pytest.raises(ValueError):
-        finite_difference_grad(sin_toy, None, lambda m, lam: float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Standard-library lint: every import is used, every ``__all__`` entry exists,
 the package imports no scipy, only the CLI sets the allocator policy, every
 JSON writer in it passes allow_nan=False, every exception it raises is one
-the CLI reports, and every code name the README gives still exists.
+the CLI reports, every code name the README gives still exists, and the
+README's API table names only package code.
 
 Parses each ``hvi`` module, each script and each test module with ``ast``;
 nothing is imported.
@@ -192,3 +193,30 @@ def test_every_code_name_in_the_readme_exists():
                      for path in sorted((ROOT / directory).glob("*.py")))
     missing = sorted(name for name in names if not re.search(rf"\b{re.escape(name)}\b", code))
     assert not missing, f"README names that occur nowhere in src/hvi or tests: {missing}"
+
+
+def _api_table_names() -> list:
+    """Backticked code names in the rows of the README's "What's in the box" table: an
+    identifier, or a dotted name such as ``hvi.paths`` or ``paths._TILE_ELEMENTS``."""
+    section = (ROOT / "README.md").read_text().split("## What's in the box", 1)[1].split("\n## ")[0]
+    rows = "\n".join(line for line in section.splitlines() if line.startswith("| `"))
+    return [token for token in re.findall(r"`([^`]+)`", rows)
+            if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)*", token)]
+
+
+def test_the_readme_api_table_names_only_package_code():
+    # the table advertises the library: a name that only the tests define (an
+    # oracle in tests/oracles.py, say) does not belong in it
+    sources = {path.stem: path.read_text() for path in sorted((ROOT / "src/hvi").glob("*.py"))}
+    names = _api_table_names()
+    assert "hvi.paths" in names and "PathCurve" in names
+
+    def found(name):
+        *module, last = name.removeprefix("hvi.").split(".")
+        if name.startswith("hvi.") and not module:
+            return last in sources
+        text = sources.get(module[0], "") if module else "\n".join(sources.values())
+        return re.search(rf"\b{re.escape(last)}\b", text) is not None
+
+    missing = sorted({name for name in names if not found(name)})
+    assert not missing, f"README API table names that occur nowhere in src/hvi: {missing}"

@@ -20,15 +20,14 @@ from hvi.models import (
     make_ring,
     make_scaled_factor,
     make_sin_toy,
-    quadrature_curve_slope,
     quadrature_grid,
-    quadrature_local_evidence,
     quadrature_local_evidence_curve,
     quadrature_log_marginal,
     quadrature_oracle,
     quadrature_rvi,
     simulate_bayes_dataset,
 )
+from oracles import quadrature_local_evidence
 
 ALL_LOW_DIM = [
     lambda: make_scaled_factor(2.0),
@@ -208,8 +207,7 @@ def test_quadrature_signals_nonfinite_grid_values(sin_toy):
     for densities, message in cases:
         broken = dataclasses.replace(sin_toy, **densities)
         for oracle in (quadrature_log_marginal, lambda model: quadrature_rvi(model, 0.5),
-                       lambda model: quadrature_local_evidence_curve(model, 0.5, [0.0, 1.0]),
-                       lambda model: quadrature_curve_slope(model, 0.5, 0.5)):
+                       lambda model: quadrature_local_evidence_curve(model, 0.5, [0.0, 1.0])):
             with pytest.raises(ValueError, match=f"^{message} points of a grid tile$"):
                 oracle(broken)
 
@@ -308,6 +306,9 @@ def test_bayes_regression_rejects_empty():
     empty = models.BayesRegressionDataset(x=np.array([]), y=np.array([]))
     with pytest.raises(ValueError):
         make_bayes_regression(empty)
+    # two points fit the OLS line exactly: no residual spread to take a log of
+    with pytest.raises(ValueError, match="^dataset needs at least 3 points, got 2$"):
+        make_bayes_regression(simulate_bayes_dataset(0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +391,6 @@ def test_quadrature_oracles_stream_the_grid_in_tiles(ring):
     for call in (lambda: quadrature_local_evidence_curve(ring, 0.5, betas),
                  lambda: quadrature_local_evidence_curve(ring, 0.0, betas),
                  lambda: quadrature_oracle(ring, [0.0, 0.5, 1.0], betas),
-                 lambda: quadrature_curve_slope(ring, 0.5, 0.5),
                  lambda: quadrature_rvi(ring, 0.5)):
         tracemalloc.start()
         try:

@@ -16,6 +16,7 @@ from hvi.paths import (
     path_gradient_coeffs,
     path_weights,
 )
+from oracles import quadrature_curve_slope, quadrature_local_evidence
 from path_forms import (
     integrand,
     log_density,
@@ -380,9 +381,9 @@ def test_slope_identity_matches_finite_differences(sin_toy):
     step = 1e-4
     for alpha in (0.0, 0.3, 1.0):
         for beta in (0.25, 0.5, 0.75):
-            fd = (models.quadrature_local_evidence(sin_toy, alpha, beta + step)
-                  - models.quadrature_local_evidence(sin_toy, alpha, beta - step)) / (2 * step)
-            analytic = models.quadrature_curve_slope(sin_toy, alpha, beta)
+            fd = (quadrature_local_evidence(sin_toy, alpha, beta + step)
+                  - quadrature_local_evidence(sin_toy, alpha, beta - step)) / (2 * step)
+            analytic = quadrature_curve_slope(sin_toy, alpha, beta)
             assert fd == pytest.approx(analytic, rel=1e-3)
 
 
@@ -391,8 +392,8 @@ def test_slope_at_alpha_one_is_minus_the_squared_evidence(ring):
     # grid; forming it gave 0 * inf = nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        slope = models.quadrature_curve_slope(ring, 1.0, 1.0)
-    evidence = models.quadrature_local_evidence(ring, 1.0, 1.0)
+        slope = quadrature_curve_slope(ring, 1.0, 1.0)
+    evidence = quadrature_local_evidence(ring, 1.0, 1.0)
     assert slope == -evidence * evidence
     assert slope == pytest.approx(-0.44256, rel=1e-4)
 
@@ -403,7 +404,7 @@ def test_slope_beyond_the_float_range_is_a_signed_infinity(ring):
     # the slope is at least -alpha E^2 > 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert models.quadrature_curve_slope(ring, -0.5, 0.0) == math.inf
+        assert quadrature_curve_slope(ring, -0.5, 0.0) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +629,7 @@ _VANISHED = "^all importance weights vanished; cannot self-normalize$"
 @pytest.mark.parametrize("reduce", [
     lambda spec, f, base: next(paths.path_weights(spec, EDGE_BETAS, f, base)),
     lambda spec, f, base: PathCurve(spec, EDGE_BETAS).add(f, base).values(),
-    lambda spec, f, base: paths.path_log_moments(spec, 0.5, [(f, base)]),
-], ids=["path_weights", "PathCurve", "path_log_moments"])
+], ids=["path_weights", "PathCurve"])
 @pytest.mark.parametrize("spec", [PathSpec.geometric(), PathSpec.holder(0.5),
                                   PathSpec.holder(-3.0), PathSpec.perturbed(0.05)],
                          ids=lambda spec: f"{spec.kind}{spec.alpha or spec.delta or ''}")
@@ -640,37 +640,3 @@ def test_every_reduction_rejects_weights_that_all_vanished(reduce, spec):
         with pytest.raises(ValueError, match=_VANISHED):
             reduce(spec, np.array([1.0, -900.0, 3.0]), np.full(3, -np.inf))
 
-
-def _whole_grid_slope(model, grid, alpha, betas):
-    """Per beta, (slope, E[g]^2 + |1 - alpha| E[g^2]) over the whole grid at once,
-    from the pointwise reference forms."""
-    pts, log_cell = models.quadrature_grid(model, grid)
-    l0, l1 = model.log_proposal(pts), model.log_target(pts)
-    spec = PathSpec.holder(alpha)
-    for beta in betas:
-        log_w = reference_log_density(spec, l0, l1, beta) + log_cell
-        log_w -= logsumexp(log_w)
-        sign, log_abs = reference_integrand_parts(spec, l0, l1, beta)
-        log_first = logsumexp(log_w + log_abs, b=sign, return_sign=True)[0]
-        terms = [math.log(abs(1.0 - alpha)) + logsumexp(log_w + 2.0 * log_abs), 2.0 * log_first]
-        log_slope, slope_sign = logsumexp(terms, b=[math.copysign(1.0, 1.0 - alpha), -1.0],
-                                          return_sign=True)
-        with np.errstate(over="ignore"):
-            yield slope_sign * np.exp(log_slope), np.exp(logsumexp(terms))
-
-
-@pytest.mark.parametrize("name, grid", [("sin_toy", None), ("ring", models.GridSpec(401))])
-def test_tiled_slope_matches_a_whole_grid_reference(name, grid):
-    # the slope oracle reduces its three sums tile by tile in the kernel's
-    # forms; the reference takes every grid point at once through logaddexp.
-    # The ring's grid is coarse to keep the reference cheap; it still reaches
-    # slopes beyond the float range (alpha = -0.5 at beta = 0, 1.5 at 1)
-    model = models.make_sin_toy() if name == "sin_toy" else models.make_ring()
-    for alpha in (0.2, 0.5, 0.8, 1.5, -0.5):
-        for beta, (ref, scale) in zip(EDGE_BETAS, _whole_grid_slope(model, grid, alpha,
-                                                                     EDGE_BETAS)):
-            got = models.quadrature_curve_slope(model, alpha, beta, grid)
-            if math.isinf(ref):
-                assert got == ref
-            else:
-                assert abs(got - ref) <= 1e-12 * scale < math.inf

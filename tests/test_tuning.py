@@ -13,6 +13,7 @@ from hvi.tuning import (
     tune_alpha_grid,
 )
 from hvi.util import derive_seeds
+from oracles import quadrature_curve_slope
 from path_forms import reference_integrand, reference_log_density
 
 INTERIOR_BETAS = (0.0, 0.25, 0.5, 0.75)
@@ -124,8 +125,8 @@ def test_grid_tuner_finds_flattening_alpha(sin_toy):
     assert result.summary.value_range < range_geo
     assert result.summary.value_range < range_one
     # qualitative shape: exact slope positive at alpha=0 and negative at alpha=1
-    assert models.quadrature_curve_slope(sin_toy, 0.0, 0.5) > 0
-    assert models.quadrature_curve_slope(sin_toy, 1.0, 0.5) < 0
+    assert quadrature_curve_slope(sin_toy, 0.0, 0.5) > 0
+    assert quadrature_curve_slope(sin_toy, 1.0, 0.5) < 0
 
 
 def test_grid_tuner_ties_break_toward_smaller_alpha(conjugate):
