@@ -41,7 +41,7 @@ def main():
         for seed in seeds:
             batch = draw_batch(model, args.batch_size, int(seed))
             report = bound_report(batch, bounds, schedule, schedule, IntegrationRule.LEFT)
-            sums += np.exp(report.csv_row())
+            sums += np.exp(list(report.values()))
         rows.append([x, p_true, *(sums / args.replicates)])
 
     with open(args.out, "w", newline="") as fh:

@@ -34,7 +34,7 @@ def main():
         profile = curve_profile(model, spec, betas, args.batch_size,
                                 args.replicates, args.seed)
         rows.extend(
-            [label, profile.betas[i], profile.means[i], profile.variances[i],
+            [label, betas[i], profile.means[i], profile.variances[i],
              profile.mean_ess[i]]
             for i in range(betas.size))
 

@@ -46,11 +46,9 @@ def main():
     for label, objective in objectives.items():
         trace = train(model, init, objective, args.steps, args.learning_rate, args.seed)
         for i in range(0, len(trace), args.mmd_every):
-            draws = model.sample_proposal(
-                np.random.default_rng(args.seed + int(trace.steps[i])), 2000,
-                trace.params[i])
-            rows.append([label, int(trace.steps[i]), trace.objective[i],
-                         mmd(draws, reference)])
+            draws = model.sample_proposal(np.random.default_rng(args.seed + i), 2000,
+                                          trace.params[i])  # row i holds step i
+            rows.append([label, i, trace.objective[i], mmd(draws, reference)])
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -6,7 +6,8 @@ only the config keys and offers only the flags it reads, and every estimator
 command requires an explicit seed (no wall-clock seeding anywhere).  Outputs
 are deterministic byte-for-byte given the same resolved configuration: floats
 are written with 17 significant digits and a sorted-key config echo lands next
-to each output file.
+to each output file.  This is the one module that writes CSV or JSON: library
+results are plain data.
 """
 
 from __future__ import annotations
@@ -244,6 +245,12 @@ def _write_output(out: Optional[str], text: str, config_echo: dict):
         fh.write("\n")
 
 
+def _fields(result):
+    """A result as JSON data (json's ``default``): a dataclass as its fields, an array a list."""
+    # a shallow walk: dataclasses.asdict would deep-copy every array
+    return result.tolist() if isinstance(result, np.ndarray) else vars(result)
+
+
 def _csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
@@ -264,8 +271,8 @@ def cmd_bounds(cfg: ExperimentConfig, model: LatentModel) -> str:
     rows = []
     for seed in cfg.seeds():
         batch = draw_batch(model, cfg.sample_size, seed)
-        report = bound_report(batch, bounds, tvo_schedule, hbo_schedule, cfg.rule)
-        rows.append([seed] + report.csv_row())
+        rows.append([seed, *bound_report(batch, bounds, tvo_schedule, hbo_schedule,
+                                         cfg.rule).values()])
     return _csv(["seed"] + list(bounds), rows)
 
 
@@ -311,7 +318,7 @@ def cmd_tune(cfg: ExperimentConfig, model: LatentModel) -> str:
                  f"must exceed alpha_lo = {bracket['alpha_lo']:g}")
         result = tune_alpha_bisect(model, betas=betas, sample_size=cfg.sample_size, seed=seed,
                                    **bisect)
-    return json.dumps(result.to_json(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(result, default=_fields, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # Keys of training.mcmc: the mcmc_reference argument each sets, and its type.
@@ -358,12 +365,11 @@ def cmd_train(cfg: ExperimentConfig, model: LatentModel) -> str:
     header = ["step", "objective", *names] + (["mmd"] if reference is not None else [])
     rows = []
     for i in range(len(trace)):
-        row = [int(trace.steps[i]), trace.objective[i], *trace.params[i]]
+        row = [i, trace.objective[i], *trace.params[i]]  # row i holds step i
         if reference is not None:
-            if trace.steps[i] % mmd_every == 0 or i == len(trace) - 1:
-                draws = model.sample_proposal(
-                    np.random.default_rng(seed + 7919 * int(trace.steps[i])),
-                    mmd_sample, trace.params[i])
+            if i % mmd_every == 0 or i == len(trace) - 1:
+                draws = model.sample_proposal(np.random.default_rng(seed + 7919 * i),
+                                              mmd_sample, trace.params[i])
                 row.append(mmd(draws, reference))
             else:
                 row.append("")
@@ -384,7 +390,7 @@ def cmd_diagnose(cfg: ExperimentConfig, model: LatentModel) -> str:
     betas = _read(diag, "diagnose.betas", _betas, np.linspace(0.0, 1.0, 21).tolist())
     replicates = _read(diag, "diagnose.replicates", _at_least(2), 50)
     profile = curve_profile(model, spec, betas, cfg.sample_size, replicates, seed)
-    rows = np.column_stack([profile.betas, profile.means, profile.variances, profile.mean_ess])
+    rows = np.column_stack([betas, profile.means, profile.variances, profile.mean_ess])
     return _csv(["beta", "mean", "variance", "mean_ess"], rows)
 
 

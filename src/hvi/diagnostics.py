@@ -51,12 +51,11 @@ def ess(log_weights) -> float:
 class CurveProfile:
     """Replicate spread of local-evidence estimates along the curve.
 
-    Per beta: mean and variance of the estimate across independent replicate
-    batches, and the mean ESS.  ``ess_values`` keeps the full (replicate, beta)
-    ESS matrix for trend tests.
+    Per beta of the caller's, in its order: mean and variance of the estimate
+    across independent replicate batches, and the mean ESS.  ``ess_values``
+    keeps the full (replicate, beta) ESS matrix for trend tests.
     """
 
-    betas: np.ndarray
     means: np.ndarray
     variances: np.ndarray
     mean_ess: np.ndarray
@@ -81,7 +80,7 @@ def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
         values[r], _, ess_vals[r], _ = _reduce_curve(batch, spec, betas)
     with np.errstate(over="ignore", invalid="ignore"):  # a variance may overflow to inf
         means, variances = values.mean(axis=0), values.var(axis=0, ddof=1)
-    return CurveProfile(betas=betas, means=paths._check_float_range(spec, means, betas),
+    return CurveProfile(means=paths._check_float_range(spec, means, betas),
                         variances=variances, mean_ess=ess_vals.mean(axis=0), ess_values=ess_vals)
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "hbo",
     "perturbed_hbo",
     "wasserstein_bounds",
-    "BoundReport",
     "bound_report",
     "parse_bound_id",
     "DEFAULT_PARTITIONS",
@@ -48,6 +47,9 @@ __all__ = [
 
 # First interior knot of the log partition, 10^(-1.09).
 LOG_PARTITION_BETA1 = 10.0 ** (-1.09)
+
+# The smallest normal float: the least alpha rvi takes.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -310,16 +312,18 @@ def _resolve(name: str, arg: Optional[float] = None,
              rule: IntegrationRule = IntegrationRule.LEFT):
     """Check a bound's inputs; its path form (PathSpec, betas, rule weights), or None.
 
-    The parameter must be finite (and positive for rvi), the rule known, and a
-    single-knot bound takes no schedule.  None stands for a closed form; else
-    bound = weights @ curve(betas), on the bound's one knot with weight 1 or on
-    ``schedule`` (its default when None) with the rule's weights.
+    The parameter must be finite (and a positive normal float for rvi), the
+    rule known, and a single-knot bound takes no schedule.  None stands for a
+    closed form; else bound = weights @ curve(betas), on the bound's one knot
+    with weight 1 or on ``schedule`` (its default when None) with the rule's weights.
     """
     row, rule = _BOUNDS[name], IntegrationRule.parse(rule)
     if arg is not None and not math.isfinite(arg):
         raise ValueError(f"bound {name!r} needs a finite parameter, got {arg}")
     if name == "rvi" and not arg > 0:
         raise ValueError("rvi requires alpha > 0; use elbo for the alpha -> 0 limit")
+    if name == "rvi" and arg < _TINY:  # a subnormal alpha (f - max f) loses the gaps
+        raise ValueError(f"rvi requires a normal alpha >= {_TINY:.3g}, got {arg:g}")
     if not isinstance(row.knots, str):
         if schedule is not None:
             raise ValueError(f"bound {name!r} has a single knot and takes no schedule")
@@ -368,22 +372,11 @@ def parse_bound_id(bound_id: str) -> tuple[str, Optional[float]]:
     return name, arg
 
 
-@dataclass
-class BoundReport:
-    """Named bound values from one batch, in request order."""
-
-    values: dict[str, float]
-
-    def csv_row(self) -> list[float]:
-        """One value per bound id, in request order (pairs with list(values))."""
-        return [self.values[k] for k in self.values]
-
-
 def bound_report(batch: ImportanceBatch, bounds: Sequence[str],
                  tvo_schedule: Optional[PartitionSchedule] = None,
                  hbo_schedule: Optional[PartitionSchedule] = None,
-                 rule: IntegrationRule = IntegrationRule.LEFT) -> BoundReport:
-    """Evaluate the requested bound ids on one shared batch.
+                 rule: IntegrationRule = IntegrationRule.LEFT) -> dict[str, float]:
+    """The value of each requested bound id on one shared batch, by id in request order.
 
     ``tvo_schedule`` replaces the default log schedule, ``hbo_schedule`` the uniform one.
     """
@@ -395,4 +388,4 @@ def bound_report(batch: ImportanceBatch, bounds: Sequence[str],
         form = _resolve(name, arg, schedules.get(_BOUNDS[name].knots), rule)
         # iw_elbo is rvi at alpha = 1 bit for bit: 1.0 * f and / 1.0 are exact
         values[bound_id] = rvi(batch, arg or 1.0) if form is None else _form_value(batch, form)
-    return BoundReport(values=values)
+    return values

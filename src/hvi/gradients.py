@@ -175,17 +175,16 @@ class BoundObjective:
 
 @dataclass
 class TrainingTrace:
-    """(step, lambda, objective) sequence from one gradient-ascent run; ``failure`` is
-    the cause that stopped it at step len(trace), None for a full run."""
+    """(lambda, objective) per step of one gradient-ascent run, row i at step i;
+    ``failure`` is the cause that stopped it at step len(trace), None for a full run."""
 
-    steps: np.ndarray
     params: np.ndarray
     objective: np.ndarray
     config: dict
     failure: Optional[str] = None
 
     def __len__(self) -> int:
-        return self.steps.size
+        return self.objective.size
 
     @property
     def diverged(self) -> bool:
@@ -237,7 +236,6 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
                 failure = "non-finite parameters"
                 break
     return TrainingTrace(  # a full run has a row per step and one for its last batch
-        steps=np.arange(len(rows_val)),
         params=np.asarray(rows_lam, dtype=float),
         objective=np.asarray(rows_val, dtype=float),
         config={"objective": {"bound": objective.bound}},

@@ -247,9 +247,23 @@ def make_scaled_factor(scale: float) -> LatentModel:
     )
 
 
+# The conjugate model's sigma, where sigma**2 is a normal float: beyond it
+# sigma**2 overflows, and below it a subnormal one skews the posterior proposal.
+_SIGMA_RANGE = (math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max))
+
+
+def _check_sigma(sigma) -> float:
+    """``sigma`` as a float, rejected outside _SIGMA_RANGE."""
+    sigma = float(sigma)
+    if not _SIGMA_RANGE[0] <= sigma <= _SIGMA_RANGE[1]:
+        raise ValueError("sigma must lie in [1.5e-154, 1.3e154] so that sigma**2 is a normal "
+                         f"float, got {sigma:g}")
+    return sigma
+
+
 def conjugate_exact_log_marginal(sigma: float, x_obs: float) -> float:
     """Closed-form log p(x) = log N(x; 0, 1 + sigma^2) for the conjugate model."""
-    return float(_norm_logpdf(x_obs, 0.0, math.sqrt(1.0 + sigma**2)))
+    return float(_norm_logpdf(x_obs, 0.0, math.sqrt(1.0 + _check_sigma(sigma)**2)))
 
 
 def make_conjugate_gaussian(sigma: float, x_obs: float) -> LatentModel:
@@ -259,9 +273,7 @@ def make_conjugate_gaussian(sigma: float, x_obs: float) -> LatentModel:
     proposal is the exact posterior N(x/(1+sigma^2), sigma^2/(1+sigma^2)),
     exposed through lambda = (mean, log std) so it can be perturbed and trained.
     """
-    sigma = float(sigma)
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    sigma = _check_sigma(sigma)
     x_obs = float(x_obs)
     post_mean = x_obs / (1.0 + sigma**2)
     post_var = sigma**2 / (1.0 + sigma**2)

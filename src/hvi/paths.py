@@ -424,10 +424,15 @@ def _merge(level, total, tile_level, tile_total):
 
 def _renyi_sum(alpha: float, f, base=0.0, count=1) -> float:
     """(1/alpha) log (sum e^(alpha f + base) / count), alpha > 0, as max f + (1/alpha) log
-    (sum e^(alpha (f - max f) + base) / count): a gap that overflows reads -inf."""
+    (sum e^s / count) with s = alpha (f - max f) + base: a gap that overflows reads -inf.
+    A mean (count = f.size) whose every s >= -log 2 takes the near form max f + (1/alpha)
+    log1p(sum expm1(s) / count): e^s rounds a tiny s to 1, so the sum would read max f."""
     top = f.max()
     with np.errstate(over="ignore"):
-        level, total = _row_sum(alpha * (f - top) + base)
+        s = alpha * (f - top) + base
+        if count == s.size and s.min() >= -_NEAR_LIMIT:
+            return top + np.log1p(np.expm1(s).sum() / count) / alpha
+        level, total = _row_sum(s)
         return top + (level + np.log(total / count)) / alpha
 
 
@@ -473,17 +478,19 @@ class PathCurve:
         # every beta in one pass per tile: more than _TILE_ELEMENTS betas take
         # tiles of one point
         cols = max(1, _TILE_ELEMENTS // self.betas.size)
-        for start in range(0, f.size, cols):
-            tile = f[start:start + cols]
-            tile_base = base if base.ndim == 0 else base.reshape(-1)[start:start + cols]
-            terms = _holder_terms(self.param, tile) if self.branch == "holder" else None
-            if terms is not None and len(terms) == 4:
-                self._add_far(tile, np.broadcast_to(tile_base, tile.shape), terms)
-                continue
-            ((_, h, g, _),) = _path_math(self.branch, self.param, tile, self.betas,
-                                          self.betas.size, terms)
-            h += tile_base
-            self._merge_sums(slice(None), *_tile_sums(h, g))
+        # a term beyond the float range reads as its infinity, and values() names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, f.size, cols):
+                tile = f[start:start + cols]
+                tile_base = base if base.ndim == 0 else base.reshape(-1)[start:start + cols]
+                terms = _holder_terms(self.param, tile) if self.branch == "holder" else None
+                if terms is not None and len(terms) == 4:
+                    self._add_far(tile, np.broadcast_to(tile_base, tile.shape), terms)
+                    continue
+                ((_, h, g, _),) = _path_math(self.branch, self.param, tile, self.betas,
+                                              self.betas.size, terms)
+                h += tile_base
+                self._merge_sums(slice(None), *_tile_sums(h, g))
         return self
 
     def _merge_sums(self, k, top, total, level, moment):

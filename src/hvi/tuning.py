@@ -48,10 +48,10 @@ class BracketError(ValueError):
 class CurveSummary:
     """Per-beta local evidence for one alpha, with flatness statistics.
 
-    ``value_range`` is max - min of the estimates; ``slope`` the least-squares
-    slope of value against beta.  All betas reweight one batch, so
-    ``std_errs`` and ``slope_std_err`` are delta-method errors over the
-    per-sample influences of that batch, correlations across beta included.
+    ``range`` is max - min of the estimates, the grid tuner's score; ``slope``
+    the least-squares slope of value against beta.  All betas reweight one
+    batch, so ``std_errs`` and ``slope_std_err`` are delta-method errors over
+    the per-sample influences of that batch, correlations across beta included.
     """
 
     alpha: float
@@ -59,12 +59,9 @@ class CurveSummary:
     values: np.ndarray
     std_errs: np.ndarray
     ess: np.ndarray
+    range: float
     slope: float
     slope_std_err: float
-
-    @property
-    def value_range(self) -> float:
-        return float(np.max(self.values) - np.min(self.values))
 
     def is_flat(self) -> bool:
         """|slope| within SLOPE_SIGNIFICANCE std errs or within the rounding
@@ -72,18 +69,6 @@ class CurveSummary:
         floor = float(SLOPE_ROUNDING * np.finfo(float).eps * np.max(np.abs(self.values))
                       * np.sum(np.abs(_slope_coef(self.betas))))
         return abs(self.slope) <= max(SLOPE_SIGNIFICANCE * self.slope_std_err, floor)
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "betas": list(self.betas),
-            "values": self.values.tolist(),
-            "std_errs": self.std_errs.tolist(),
-            "ess": self.ess.tolist(),
-            "range": self.value_range,
-            "slope": self.slope,
-            "slope_std_err": self.slope_std_err,
-        }
 
 
 def _slope_coef(betas) -> np.ndarray:
@@ -112,7 +97,8 @@ def summarize_curve(batch: ImportanceBatch, alpha: float, betas) -> CurveSummary
     # coef sums to zero only up to rounding; the shift makes the slope of an
     # exactly constant curve exactly zero rather than rounding noise
     return CurveSummary(alpha=float(alpha), betas=betas, values=values, std_errs=std_errs,
-                        ess=ess, slope=float(coef @ (values - values[0])),
+                        ess=ess, range=float(np.max(values) - np.min(values)),
+                        slope=float(coef @ (values - values[0])),
                         slope_std_err=float(slope_std_err))
 
 
@@ -132,16 +118,6 @@ class AlphaSearchResult:
     table: tuple[CurveSummary, ...]
     converged: bool = True
 
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "method": self.method,
-            "evaluations": self.evaluations,
-            "converged": self.converged,
-            "summary": self.summary.to_json(),
-            "table": [s.to_json() for s in self.table],
-        }
-
 
 def tune_alpha_grid(model: LatentModel, candidates: Sequence[float],
                     betas=DEFAULT_TEST_BETAS, sample_size: int = 1000,
@@ -157,7 +133,7 @@ def tune_alpha_grid(model: LatentModel, candidates: Sequence[float],
     betas = _test_betas(betas)
     batch = draw_batch(model, sample_size, seed)
     table = tuple(summarize_curve(batch, alpha, betas) for alpha in sorted(candidates))
-    best = min(table, key=lambda summary: summary.value_range)
+    best = min(table, key=lambda summary: summary.range)
     return AlphaSearchResult(
         alpha=best.alpha,
         method="grid",

@@ -228,10 +228,10 @@ def test_criterion_09_flattening_and_budget_error():
     tune_betas = (0.0, 0.25, 0.5, 0.75)
     candidates = [round(a, 1) for a in np.arange(0.1, 1.0, 0.1)]
     result = tune_alpha_grid(sin, candidates, tune_betas, 10_000, seed=3)
-    range_geo = tune_alpha_grid(sin, [0.0], tune_betas, 10_000, seed=3).summary.value_range
-    range_one = tune_alpha_grid(sin, [1.0], tune_betas, 10_000, seed=3).summary.value_range
-    assert result.summary.value_range < range_geo
-    assert result.summary.value_range < range_one
+    range_geo = tune_alpha_grid(sin, [0.0], tune_betas, 10_000, seed=3).summary.range
+    range_one = tune_alpha_grid(sin, [1.0], tune_betas, 10_000, seed=3).summary.range
+    assert result.summary.range < range_geo
+    assert result.summary.range < range_one
     alpha_hat = result.alpha
 
     x_grid = np.linspace(-2.5, 2.5, 101)
@@ -247,7 +247,7 @@ def test_criterion_09_flattening_and_budget_error():
         assert err_hbo < err_tvo
         gaps.append(err_tvo / err_hbo)
     _pass(9, started, 300.0,
-          f"alpha_hat={alpha_hat:g} flattens (range {result.summary.value_range:.2f} vs "
+          f"alpha_hat={alpha_hat:g} flattens (range {result.summary.range:.2f} vs "
           f"{range_geo:.1f}/{range_one:.2f}); tvo/hbo error ratios "
           + ", ".join(f"{g:.1f}" for g in gaps))
 

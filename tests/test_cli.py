@@ -1,5 +1,6 @@
 import argparse
 import ctypes
+import dataclasses
 import functools
 import json
 import math
@@ -20,7 +21,7 @@ from hvi.cli import _COMMANDS, _build_parser, main
 from hvi.estimators import PartitionSchedule, draw_batch, hbo, tvo
 from hvi.gradients import BoundObjective, train
 from hvi.models import make_conjugate_gaussian, make_sin_toy
-from hvi.tuning import DEFAULT_TEST_BETAS
+from hvi.tuning import DEFAULT_TEST_BETAS, tune_alpha_bisect, tune_alpha_grid
 from oracles import quadrature_local_evidence
 
 
@@ -241,6 +242,30 @@ def test_tune_emits_result_json(tmp_path):
     assert result["method"] == "grid"
     assert result["alpha"] in (0.2, 0.5, 0.8)
     assert len(result["table"]) == 3
+
+
+_BETAS = [0.0, 0.25, 0.5, 0.75]
+
+
+@pytest.mark.parametrize("tuning, tune", [
+    ({"candidates": [0.2, 0.8]},
+     lambda model: tune_alpha_grid(model, [0.2, 0.8], sample_size=10_000, seed=3)),
+    ({"method": "bisect", "betas": _BETAS, "max_iters": 3},
+     lambda model: tune_alpha_bisect(model, betas=_BETAS, sample_size=10_000, max_iters=3,
+                                     seed=3)),
+])
+def test_tune_json_holds_each_result_field(tmp_path, tuning, tune):
+    # hvi tune writes the result dataclasses' own fields, arrays as lists: the
+    # library keeps no serializer of its own
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"model": "sin_toy", "sample_size": 10_000, "seed": 3, "tuning": tuning})
+    out = tmp_path / "tune.json"
+    assert run_cli(["tune", "--config", cfg, "--out", out]) == 0
+    written = json.loads(out.read_text())
+    fields = dataclasses.asdict(tune(make_sin_toy()))
+    assert written == json.loads(json.dumps(fields, default=np.ndarray.tolist))
+    for summary in (written["summary"], *written["table"]):
+        assert summary["range"] == max(summary["values"]) - min(summary["values"])
 
 
 def test_train_flat_trace_with_zero_learning_rate(tmp_path):

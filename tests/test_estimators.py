@@ -133,6 +133,18 @@ def test_rvi_rejects_nonpositive_alpha(sin_toy):
             rvi(batch, alpha)
 
 
+@pytest.mark.parametrize("model_id", ["bayes_regression", "ring", "sin_toy"])
+@pytest.mark.parametrize("alpha", [1e-10, 1e-12, 1e-16, 1e-300])
+def test_rvi_at_a_small_alpha_reads_its_series(model_id, alpha):
+    # (1/alpha) log mean e^(alpha f) = mean f + (alpha / 2) var f + O(alpha^2);
+    # e^(alpha (f - max f)) rounded a tiny gap to 1, and sin_toy read max f,
+    # 1.79, above log p, at alpha = 1e-300
+    batch = draw_batch(models.make_model(model_id), 1000, 1)
+    f = batch.log_ratio
+    assert rvi(batch, alpha) == pytest.approx(f.mean() + 0.5 * alpha * f.var(),
+                                              rel=1e-13, abs=0.0)
+
+
 def test_bound_ordering_across_seeds(sin_toy, sin_log_marginal):
     # elbo <= iw_elbo holds per batch by Jensen; iw_elbo is a lower bound only
     # in expectation, so the upper link is asserted at 3 delta-method std errs
@@ -395,6 +407,9 @@ def test_malformed_bound_id_is_named(bound_id):
 @pytest.mark.parametrize("bound_id, message", [
     ("hbo[nan]", "finite"), ("hbo[inf]", "finite"), ("perturbed_hbo[-inf]", "finite"),
     ("rvi[inf]", "finite"), ("rvi[0]", "alpha > 0"), ("rvi[-1]", "alpha > 0"),
+    # a subnormal alpha loses the gaps in alpha (f - max f): 5e-324 read -23.21
+    # on sin_toy, against an elbo of -23.506
+    ("rvi[5e-324]", r"^rvi requires a normal alpha >= 2\.23e-308, got 4\.94066e-324$"),
 ])
 def test_parse_bound_id_checks_the_parameter(bound_id, message):
     with pytest.raises(ValueError, match=message):
@@ -413,13 +428,5 @@ def test_bound_report_values_in_request_order(scaled_two):
     batch = draw_batch(scaled_two, 128, 11)
     ids = ["elbo", "iw_elbo", "rvi[0.5]", "eubo", "wlbo", "wubo", "tvo", "hbo[1]"]
     report = bound_report(batch, ids)
-    assert list(report.values) == ids
-    assert report.values["wlbo"] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_bound_report_serializes(scaled_two):
-    # csv_row is the report's serialized form: one value per id, in request order
-    batch = draw_batch(scaled_two, 32, 0)
-    report = bound_report(batch, ["wubo", "elbo"])
-    assert report.csv_row() == [report.values["wubo"], report.values["elbo"]]
-    assert report.csv_row()[1] == pytest.approx(math.log(2.0), abs=1e-12)
+    assert list(report) == ids
+    assert report["wlbo"] == pytest.approx(0.5, abs=1e-12)

@@ -235,3 +235,84 @@ def test_every_extreme_model_parameter_is_a_run_or_one_error_line(tmp_path, caps
                             or code == 1 and err.startswith("error: ") and err.count("\n") == 1):
                         failures.append((*case, code, err))
     assert not failures, f"{len(failures)} cases: {failures}"
+
+
+# Path parameters past their usual range: their largest and smallest magnitudes
+# of either sign, and the least subnormal.
+_EXTREME_PARAMETERS = (1e308, -1e308, 1e-300, -1e-300, 5e-324)
+
+
+def _path_parameter_runs(value):
+    """(command, settings) of each run that reads ``value`` as a path parameter: rvi
+    takes only a positive one, and a perturbed path one within its guard."""
+    holder, perturbed = {"kind": "holder", "alpha": value}, {"kind": "perturbed", "delta": value}
+    diagnose = {"betas": [0.0, 1.0], "replicates": 2}
+    runs = [("bounds", {"bounds": [f"hbo[{value!r}]"]}),
+            ("curve", {"alphas": [value], "schedule": {"partitions": 2}}),
+            ("tune", {"tuning": {"candidates": [value]}}),
+            ("diagnose", {"diagnose": {"path": holder, **diagnose}}),
+            ("oracle", {"oracle": {"alphas": [value], "grid_points": 11}}),
+            ("train", {"training": {"bound": "hbo", "alpha": value, "steps": 2}})]
+    if value > 0:
+        runs.append(("bounds", {"bounds": [f"rvi[{value!r}]"]}))
+    if abs(value) <= paths.PERTURBATION_GUARD:
+        runs += [("bounds", {"bounds": [f"perturbed_hbo[{value!r}]"]}),
+                 ("diagnose", {"diagnose": {"path": perturbed, **diagnose}}),
+                 ("train", {"training": {"bound": "perturbed_hbo", "delta": value, "steps": 2}})]
+    return runs
+
+
+def test_every_extreme_path_parameter_is_a_run_or_one_error_line(tmp_path, capsys):
+    # each built-in model with every command that takes a path parameter: a
+    # numpy warning (an error here) or a traceback fails the case, and so does
+    # an rvi at a tiny alpha that does not read mean f + (alpha / 2) var f
+    failures = []
+    for model_id, params in _MODEL_PARAMS.items():
+        batch = draw_batch(models.make_model(model_id, params), 20, 1)
+        series = batch.log_ratio.mean(), 0.5 * batch.log_ratio.var()
+        for value in _EXTREME_PARAMETERS:
+            for command, settings in _path_parameter_runs(value):
+                case = (model_id, command, settings)
+                sampling = {} if command == "oracle" else {"seed": 1, "sample_size": 20}
+                config = {"model": model_id, "model_params": params, **sampling, **settings}
+                try:
+                    code, out, err = _run(tmp_path, capsys, config, command=command)
+                except Exception as exc:  # a warning or traceback fails the case
+                    capsys.readouterr()
+                    failures.append((*case, repr(exc)))
+                    continue
+                if not (code == 0 and not err
+                        or code == 1 and err.startswith("error: ") and err.count("\n") == 1):
+                    failures.append((*case, code, err))
+                elif code == 0 and value <= 1e-10 and settings.get("bounds") == [f"rvi[{value!r}]"]:
+                    rvi = float(out.splitlines()[1].split(",")[1])
+                    if not math.isclose(rvi, series[0] + value * series[1], rel_tol=1e-13):
+                        failures.append((*case, rvi, series))
+    assert not failures, f"{len(failures)} cases: {failures}"
+
+
+@pytest.mark.parametrize("sigma", [1e300, 1e160, 1e-160, 1e-300, 0.0])
+def test_conjugate_sigma_names_its_range(tmp_path, capsys, sigma):
+    # sigma**2 overflowed at 1e160 in Python's words, "(34, 'Numerical result out
+    # of range')", 1e-300 gave "math domain error", and at 1e-160 a subnormal
+    # sigma**2 skewed the proposal: the elbo read -1.04394410 against -1.04393853
+    message = ("sigma must lie in [1.5e-154, 1.3e154] so that sigma**2 is a normal float, "
+               f"got {sigma:g}")
+    params = {"sigma": sigma, "x_obs": 0.0}
+    for run, settings in _COMMAND_CONFIGS.items():
+        config = {"model": "conjugate_gaussian", "model_params": params, **settings}
+        code, out, err = _run(tmp_path, capsys, config, command=run.split()[0])
+        assert (code, out, err) == (1, "", f"error: config.model_params: {message}\n"), run
+    with pytest.raises(ValueError, match=re.escape(message)):
+        models.conjugate_exact_log_marginal(sigma, 0.0)
+
+
+def test_conjugate_sigma_at_the_ends_of_its_range_is_exact(tmp_path, capsys):
+    # the proposal is the exact posterior, so the elbo reads log p
+    for sigma in models._SIGMA_RANGE:
+        config = {"model": "conjugate_gaussian", "model_params": {"sigma": sigma, "x_obs": 0.5},
+                  "seed": 1, "sample_size": 100, "bounds": ["elbo"]}
+        code, out, err = _run(tmp_path, capsys, config)
+        assert (code, err) == (0, "")
+        assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(
+            models.conjugate_exact_log_marginal(sigma, 0.5), rel=1e-13, abs=0.0)

@@ -417,7 +417,7 @@ def test_objective_follows_its_bound(conjugate, bound_id, spec, knots):
                                rule="trapezoid", sample_size=200)
     batch = draw_batch(conjugate, objective.sample_size, 3)
     report = bound_report(batch, [bound_id], rule="trapezoid")
-    assert objective.value(batch) == report.values[bound_id]
+    assert objective.value(batch) == report[bound_id]
     if isinstance(knots, PartitionSchedule):
         expected = bound_grad(conjugate, None, spec, knots, "trapezoid", batch)
     else:

@@ -1,6 +1,6 @@
 """Standard-library lint: every import is used, every ``__all__`` entry exists,
-the package imports no scipy, only the CLI sets the allocator policy, every
-JSON writer in it passes allow_nan=False, every exception it raises is one
+the package imports no scipy, only the CLI sets the allocator policy and
+writes CSV or JSON, every JSON writer in it passes allow_nan=False, every exception it raises is one
 the CLI reports, every code name the README gives still exists, and the
 README's API table names only package code.
 
@@ -127,6 +127,23 @@ def test_only_the_cli_sets_the_allocator_policy():
                      if re.search(r"\bmallopt\b", path.read_text())
                      or "ctypes" in dict(_imported_modules(ast.parse(path.read_text()))))
     assert setters == ["cli.py"]
+
+
+def test_only_the_cli_serializes():
+    # the output format has one home: library results are plain data, and only
+    # hvi.cli lays them out as CSV or JSON
+    found = {}
+    for path in sorted((ROOT / "src/hvi").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found[path.name] = sorted(
+            [f"{line}: imports {module}" for module, line in _imported_modules(tree)
+             if module in ("json", "csv")]
+            + [f"{node.lineno}: defines {node.name}" for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name in ("to_json", "csv_row")])
+    assert found.pop("cli.py")
+    stray = {name: where for name, where in found.items() if where}
+    assert not stray, f"serialization outside hvi.cli: {stray}"
 
 
 def _json_writes(tree: ast.Module) -> list:
