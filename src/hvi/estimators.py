@@ -79,10 +79,9 @@ def draw_batch(model: LatentModel, size: int, seed: int, params=None) -> Importa
     """Draw ``size`` proposal samples and cache their log ratios."""
     if size < 1:
         raise ValueError("size must be >= 1")
-    lam = model._resolve(params)
     rng = np.random.default_rng(seed)
-    z = model.sample_proposal(rng, size, lam)
-    return ImportanceBatch(z, _log_ratio(model, z, lam)[1])
+    z = model.sample_proposal(rng, size, params)
+    return ImportanceBatch(z, _log_ratio(model, z, params)[1])
 
 
 def elbo(batch: ImportanceBatch) -> float:

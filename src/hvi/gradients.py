@@ -88,9 +88,8 @@ def _path_step(model: LatentModel, params, spec: PathSpec, betas, weights,
     names its beta; a std err that overflows reads inf, with no numpy warning.
     """
     weights = np.asarray(weights, dtype=float)
-    lam = model._resolve(params)
-    grad_l0 = model.grad_log_proposal(batch.z, lam)
-    grad_f = model.grad_log_target(batch.z, lam) - grad_l0
+    grad_l0 = model.grad_log_proposal(batch.z, params)
+    grad_f = model.grad_log_target(batch.z, params) - grad_l0
     # skipped knots add nothing to the sum, so leaving their curve entries 0
     # keeps the value bitwise the estimators' weights @ curve
     curve = np.zeros(weights.size)
@@ -211,8 +210,6 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
         raise ValueError("steps must be >= 0")
     if not np.isfinite(learning_rate):
         raise ValueError(f"learning_rate must be finite, got {learning_rate}")
-    if steps and not model.has_gradients:
-        raise ValueError(f"model {model.model_id!r} does not provide gradients")
     lam = model._resolve(params0).copy()
     step_seeds = derive_seeds(seed, steps + 1)
     rows_lam, rows_val, failure = [], [], None

@@ -1,18 +1,20 @@
 """Latent-variable test models and dense-grid quadrature oracles.
 
 Each built-in bundles an unnormalized target log density log p(x, z), a
-normalized proposal log q(z|x), a proposal sampler, and log-density gradients
-with respect to one flat parameter vector lambda, which training updates as a
-whole.  Evaluators are pure functions of (z, lambda); all randomness lives in
-the sampler, which takes a caller-owned Generator.
+normalized proposal log q(z|x), a proposal sampler, and the gradients of both
+log densities with respect to one flat parameter vector lambda, which training
+updates as a whole.  Evaluators are pure functions of (z, lambda): z is an
+(n, latent_dim) array of points, and they give (n,) log densities or
+(n, lambda size) gradients.  All randomness lives in the sampler, which takes
+a caller-owned Generator.
 
 The quadrature helpers integrate on dense trapezoid grids in log space.  For
 the 1-D and 2-D built-ins their error is far below every test tolerance, which
 makes them usable as ground truth for the sample-based estimators.  Each call
 makes one pass over the grid: the model is evaluated on a tile of points at a
-time and every curve (``paths.PathCurve``) and the Renyi sum reduced tile by
-tile, so memory stays at the grid itself plus a few tiles.  log p(x) is the
-Renyi sum at alpha = 1.
+time and every curve (``paths.PathCurve``) and log p(x), the Renyi sum at
+alpha = 1, reduced tile by tile, so memory stays at the grid itself plus a
+few tiles.
 
 Built-ins (addressable by string id through ``make_model``):
 
@@ -56,7 +58,6 @@ __all__ = [
     "quadrature_oracle",
     "quadrature_log_marginal",
     "quadrature_local_evidence_curve",
-    "quadrature_rvi",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -94,32 +95,15 @@ class ModelParameters:
         return self.values.size
 
 
-def _as_points(z, dim: int) -> tuple[np.ndarray, bool]:
-    """Canonicalize latent input to shape (n, dim); flag single-point input."""
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim == 0:
-        if dim != 1:
-            raise ValueError(f"scalar z given but latent_dim = {dim}")
-        return arr.reshape(1, 1), True
-    if arr.ndim == 1:
-        if dim == 1:
-            return arr.reshape(-1, 1), False
-        if arr.shape[0] == dim:
-            return arr.reshape(1, dim), True
-        raise ValueError(f"1-d z of length {arr.shape[0]} does not match latent_dim {dim}")
-    if arr.ndim == 2 and arr.shape[1] == dim:
-        return arr, False
-    raise ValueError(f"z with shape {arr.shape} does not match latent_dim {dim}")
-
-
 @dataclass(frozen=True)
 class LatentModel:
     """A latent-variable model: target and proposal log densities plus sampler.
 
     ``log_target`` is unnormalized in z (log p(x, z)); ``log_proposal`` is a
-    normalized density (log q(z|x)).  Gradients, when provided, are with
-    respect to the full flat parameter vector and have shape (n, size).
-    Evaluators are pure; the model carries no mutable state.
+    normalized density (log q(z|x)).  Each evaluator takes an (n, latent_dim)
+    array of points and gives (n,) log densities or (n, size) gradients with
+    respect to the full flat parameter vector.  Evaluators are pure; the model
+    carries no mutable state.
     """
 
     model_id: str
@@ -129,8 +113,8 @@ class LatentModel:
     _log_target: Callable
     _log_proposal: Callable
     _sample_proposal: Callable
-    _grad_log_target: Optional[Callable] = None
-    _grad_log_proposal: Optional[Callable] = None
+    _grad_log_target: Callable
+    _grad_log_proposal: Callable
 
     def _resolve(self, params) -> np.ndarray:
         if params is None:
@@ -141,19 +125,12 @@ class LatentModel:
                 f"expected {self.default_params.size} parameters, got {lam.size}")
         return lam
 
-    @property
-    def has_gradients(self) -> bool:
-        return self._grad_log_target is not None and self._grad_log_proposal is not None
-
-    def _evaluate(self, fn: Optional[Callable], z, params):
-        """fn at canonicalized points and resolved lambda; one point gives one row."""
-        if fn is None:
-            raise ValueError(f"model {self.model_id!r} does not provide gradients")
-        pts, single = _as_points(z, self.latent_dim)
-        out = fn(pts, self._resolve(params))
-        if not single:
-            return out
-        return float(out[0]) if out.ndim == 1 else out[0]
+    def _evaluate(self, fn: Callable, z, params):
+        """fn at an (n, latent_dim) array of points and resolved lambda."""
+        shape = np.shape(z)
+        if len(shape) != 2 or shape[1] != self.latent_dim:
+            raise ValueError(f"z with shape {shape} does not match latent_dim {self.latent_dim}")
+        return fn(z, self._resolve(params))
 
     def log_target(self, z, params=None):
         return self._evaluate(self._log_target, z, params)
@@ -282,9 +259,10 @@ def make_conjugate_gaussian(sigma: float, x_obs: float) -> LatentModel:
         z = pts[:, 0]
         return _norm_logpdf(z, 0.0, 1.0) + _norm_logpdf(x_obs, z, sigma)
 
+    half_width = 8.0 * math.sqrt(post_var)
     return _gaussian_proposal_model(
         "conjugate_gaussian", ("",), (post_mean,), (0.5 * math.log(post_var),),
-        ((post_mean - 8.0, post_mean + 8.0),), log_target)
+        ((post_mean - half_width, post_mean + half_width),), log_target)
 
 
 def make_sin_toy(x_obs: float = 0.0, proposal_mean: float = 0.0,
@@ -433,6 +411,12 @@ def make_model(model_id: str, params: Optional[dict] = None) -> LatentModel:
 
 DEFAULT_GRID_POINTS = {1: 20001, 2: 801}
 
+# Fewest ulps of an axis's largest |end| that one grid cell may span.  Finer
+# cells round the points onto few distinct floats: on conjugate_gaussian at
+# x = 0.5, cells of 7.2e3 and 0.7 ulps put log p off by 6.8e-11 and 4.7e-8
+# relative, and cells of 7.2e6 ulps within 2e-14.
+_MIN_CELL_ULPS = 2**20
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -454,10 +438,11 @@ def quadrature_grid(model: LatentModel, grid: Optional[GridSpec] = None):
         raise ValueError("grid needs at least 2 points per axis")
     axes, log_ws = [], []
     for lo, hi in model.quadrature_domain:
-        if not hi > lo:
-            raise ValueError("empty quadrature interval")
-        axis = np.linspace(lo, hi, points)
         h = (hi - lo) / (points - 1)
+        if not h >= _MIN_CELL_ULPS * np.spacing(max(abs(lo), abs(hi))):
+            raise ValueError(f"quadrature interval [{lo:.17g}, {hi:.17g}] is too narrow or not "
+                             f"finite for {points} points: a cell must span 2^20 ulps of its ends")
+        axis = np.linspace(lo, hi, points)
         w = np.full(points, h)
         w[0] = w[-1] = 0.5 * h
         axes.append(axis)
@@ -482,15 +467,15 @@ def _grid_tiles(model, grid, params):
         yield f, l0 + logw[tile]
 
 
-def _grid_sum(model, grid, params, alpha=1.0, curves=()) -> float:
-    """(1/alpha) log int q^(1 - alpha) p^alpha, log p(x) at alpha = 1: paths._renyi_sum of
-    each tile, then of the tiles' values.  ``curves`` (PathCurves) take the same tiles."""
+def _grid_sum(model, grid, params, curves=()) -> float:
+    """log p(x) = log int p: paths._renyi_sum at alpha = 1 of each tile, then of the
+    tiles' values.  ``curves`` (PathCurves) take the same tiles."""
     sums = []
     for f, base in _grid_tiles(model, grid, params):
-        sums.append(_renyi_sum(alpha, f, base))
+        sums.append(_renyi_sum(1.0, f, base))
         for curve in curves:
             curve.add(f, base)
-    return float(_renyi_sum(alpha, np.array(sums)))
+    return float(_renyi_sum(1.0, np.array(sums)))
 
 
 def quadrature_oracle(model: LatentModel, alphas=(), betas=(),
@@ -518,11 +503,3 @@ def quadrature_local_evidence_curve(model: LatentModel, alpha: float, betas,
     for f, base in _grid_tiles(model, grid, params):
         curve.add(f, base)
     return curve.values()
-
-
-def quadrature_rvi(model: LatentModel, alpha: float,
-                   grid: Optional[GridSpec] = None, params=None) -> float:
-    """Exact Renyi bound (1/alpha) log int q^(1-alpha) p^alpha for alpha > 0."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    return _grid_sum(model, grid, params, alpha)

@@ -251,10 +251,16 @@ def _holder_terms(alpha: float, f):
     return m, u, v, np.copysign(p, f, out=p)
 
 
-def _normalized(h, base):
-    """(log_w, w): self-normalized log weights and weights proportional to exp(h + base)."""
+def _normalized(spec: PathSpec, beta, h, base):
+    """(log_w, w): self-normalized log weights and weights proportional to exp(h + base).
+    A row top of +inf or nan, where the path math overflowed, names the path parameter
+    and beta (_check_float_range); a top of -inf, where every weight vanished, does not."""
     log_w = h + base
-    log_w -= _check_normalizable(log_w.max(axis=1, keepdims=True))
+    top = log_w.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(top)):
+        _check_float_range(spec, np.where(top == -np.inf, 0.0, top), beta, "largest log weight")
+        _check_normalizable(top)
+    log_w -= top
     w = np.exp(log_w)
     total = w.sum(axis=1, keepdims=True)
     w /= total
@@ -345,7 +351,7 @@ def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
     f = np.asarray(log_ratio, dtype=float)
     rows = max(1, BLOCK_ELEMENTS // max(f.size, 1))
     for beta, h, g, log_d in _path_math(*spec.branch(), f, betas, rows):
-        log_w, w = _normalized(h, base)
+        log_w, w = _normalized(spec, beta, h, base)
         if log_d is None:
             wg = w * g if g is f else np.multiply(w, g, out=g)
         else:  # w g = p e^(log w - log d)

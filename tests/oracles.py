@@ -1,10 +1,11 @@
 """Quadrature and finite-difference oracles that only the tests read.
 
 ``quadrature_local_evidence`` is one point of the library's tiled curve.
-``quadrature_curve_slope`` takes the whole grid at once through the pointwise
-reference forms of ``path_forms`` and scipy's ``logsumexp``, so it shares no
-reduction with the library.  ``finite_difference_grad`` differentiates any
-deterministic functional of lambda.
+``quadrature_rvi`` and ``quadrature_curve_slope`` take the whole grid at once
+through scipy's ``logsumexp`` (the slope through the pointwise reference forms
+of ``path_forms``), so they share no reduction with the library.
+``finite_difference_grad`` differentiates any deterministic functional of
+lambda.
 """
 
 import math
@@ -20,6 +21,13 @@ from path_forms import reference_integrand_parts, reference_log_density
 def quadrature_local_evidence(model, alpha, beta, grid=None, params=None) -> float:
     """Exact local evidence: the expectation of the path integrand under pi_(alpha,beta)."""
     return float(models.quadrature_local_evidence_curve(model, alpha, [beta], grid, params)[0])
+
+
+def quadrature_rvi(model, alpha, grid=None, params=None) -> float:
+    """Exact Renyi bound (1/alpha) log int q^(1 - alpha) p^alpha: one log-sum-exp over the grid."""
+    pts, log_cell = models.quadrature_grid(model, grid)
+    l0, l1 = model.log_proposal(pts, params), model.log_target(pts, params)
+    return float(logsumexp(alpha * (l1 - l0) + l0 + log_cell) / alpha)
 
 
 def quadrature_curve_slope(model, alpha, beta, grid=None, params=None) -> float:

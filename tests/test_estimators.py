@@ -30,7 +30,7 @@ from hvi.estimators import (
     wasserstein_bounds,
 )
 from hvi.paths import PathSpec, path_weights
-from oracles import quadrature_local_evidence
+from oracles import quadrature_local_evidence, quadrature_rvi
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def test_partial_integral_matches_quadrature_rvi(sin_toy, alpha):
     betas = np.linspace(0.0, alpha, 401)
     curve = models.quadrature_local_evidence_curve(sin_toy, 0.0, betas)
     partial = simpson(curve, x=betas) / alpha
-    assert abs(partial - models.quadrature_rvi(sin_toy, alpha)) < 1e-4
+    assert abs(partial - quadrature_rvi(sin_toy, alpha)) < 1e-4
 
 
 # ---------------------------------------------------------------------------

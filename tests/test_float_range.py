@@ -15,7 +15,7 @@ import pytest
 
 from hvi import models, paths
 from hvi.cli import main
-from hvi.estimators import PartitionSchedule, draw_batch
+from hvi.estimators import PartitionSchedule, bound_report, draw_batch
 from hvi.gradients import BoundObjective, local_evidence_grad, train
 from hvi.paths import PathSpec
 from hvi.tuning import tune_alpha_grid
@@ -68,6 +68,20 @@ def test_tune_beyond_the_float_range_is_an_error_and_writes_no_json(tmp_path, ca
     assert err == ("error: local evidence at alpha = 3, beta = 1 reads -inf: "
                    "beyond the float range\n")
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:perturbed path")
+@pytest.mark.parametrize("bound, where", [
+    ("hbo[-1e308]", "alpha = -1e+308, beta = 0 reads nan"),
+    ("perturbed_hbo[1e308]", "delta = 1e+308, beta = 0.02 reads inf"),
+])
+def test_an_overflowed_path_names_its_parameter_and_beta(bound, where):
+    # alpha f (or delta f^2) beyond the float range leaves a row of weights
+    # with no finite top: the path math overflowed, no weight vanished
+    batch = draw_batch(models.make_sin_toy(), 1000, 1)
+    with pytest.raises(ValueError, match=f"^largest log weight at {re.escape(where)}: "
+                                         "beyond the float range$"):
+        bound_report(batch, [bound])
 
 
 def test_an_overflowed_std_err_does_not_make_a_curve_flat():
@@ -305,6 +319,16 @@ def test_conjugate_sigma_names_its_range(tmp_path, capsys, sigma):
         assert (code, out, err) == (1, "", f"error: config.model_params: {message}\n"), run
     with pytest.raises(ValueError, match=re.escape(message)):
         models.conjugate_exact_log_marginal(sigma, 0.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 1.5e-154])
+def test_a_grid_finer_than_its_floats_is_one_error_line(tmp_path, capsys, sigma):
+    # cells of a few ulps of post_mean put log p off by up to 4.7e-8 relative
+    config = {"model": "conjugate_gaussian", "model_params": {"sigma": sigma, "x_obs": 0.5}}
+    code, out, err = _run(tmp_path, capsys, config, command="oracle")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: quadrature interval \[\S+, \S+\] is too narrow or not finite "
+                        r"for 20001 points: a cell must span 2\^20 ulps of its ends\n", err), err
 
 
 def test_conjugate_sigma_at_the_ends_of_its_range_is_exact(tmp_path, capsys):

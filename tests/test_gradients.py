@@ -64,21 +64,6 @@ def test_scaled_factor_scale_gradient_is_one(scaled_two):
         assert abs(grad.term_i[0]) < 1e-12
 
 
-def test_missing_gradients_signaled(sin_toy):
-    stripped = models.LatentModel(
-        model_id="stripped",
-        latent_dim=sin_toy.latent_dim,
-        default_params=sin_toy.default_params,
-        quadrature_domain=sin_toy.quadrature_domain,
-        _log_target=sin_toy._log_target,
-        _log_proposal=sin_toy._log_proposal,
-        _sample_proposal=sin_toy._sample_proposal,
-    )
-    batch = draw_batch(stripped, 16, 0)
-    with pytest.raises(ValueError):
-        local_evidence_grad(stripped, None, PathSpec.geometric(), 0.5, batch)
-
-
 # ---------------------------------------------------------------------------
 # Stationarity and FD agreement
 # ---------------------------------------------------------------------------
@@ -365,12 +350,6 @@ def test_train_matches_separate_value_and_gradient(sin_toy, model, objective):
     assert not trace.diverged
     np.testing.assert_array_equal(trace.params, params)
     np.testing.assert_array_equal(trace.objective, values)
-
-
-def test_train_without_gradients_raises(sin_toy):
-    stripped = dataclasses.replace(sin_toy, _grad_log_target=None)
-    with pytest.raises(ValueError):
-        train(stripped, None, BoundObjective(), steps=3, learning_rate=0.01, seed=0)
 
 
 @pytest.mark.parametrize("objective", [

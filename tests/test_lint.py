@@ -1,11 +1,12 @@
 """Standard-library lint: every import is used, every ``__all__`` entry exists,
 the package imports no scipy, only the CLI sets the allocator policy and
 writes CSV or JSON, every JSON writer in it passes allow_nan=False, every exception it raises is one
-the CLI reports, every code name the README gives still exists, and the
-README's API table names only package code.
+the CLI reports, every code name the README gives still exists, the
+README's API table names only package code, and every package name the
+benchmark (``perfbench``) reads exists.
 
-Parses each ``hvi`` module, each script and each test module with ``ast``;
-nothing is imported.
+Parses each ``hvi`` module, each script, each test module and the
+benchmark's workloads and tracer with ``ast``; nothing is imported.
 A name counts as used when it is read anywhere in the file, appears in a
 string annotation, or is re-exported through ``__all__``.
 """
@@ -237,3 +238,60 @@ def test_the_readme_api_table_names_only_package_code():
 
     missing = sorted({name for name in names if not found(name)})
     assert not missing, f"README API table names that occur nowhere in src/hvi: {missing}"
+
+
+def _hvi_root(node) -> bool:
+    """Whether ``node`` is ``hvi`` or ``self.hvi``, the package as the benchmark holds it."""
+    return (isinstance(node, ast.Name) and node.id == "hvi"
+            or isinstance(node, ast.Attribute) and node.attr == "hvi"
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _hvi_attributes(tree: ast.Module) -> set:
+    """(module, name) of every ``hvi.<module>.<name>`` that ``tree`` reads or rebinds,
+    through ``hvi``, ``self.hvi`` or a variable bound to ``hvi.<module>``."""
+    aliases = {node.targets[0].id: node.value.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+               and isinstance(node.value, ast.Attribute) and _hvi_root(node.value.value)}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            if _hvi_root(node.value.value):
+                found.add((node.value.attr, node.attr))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                found.add((aliases[node.value.id], node.attr))
+    return found
+
+
+def _literal(tree: ast.Module, name: str):
+    """The literal value bound to ``name`` at the top level of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise KeyError(name)
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    # perfbench drives the package from outside and does not change with it, so
+    # a name it reads that the package deletes or renames fails every benchmark run
+    bench = {name: ast.parse((ROOT / "perfbench" / name).read_text(), filename=name)
+             for name in ("workloads.py", "tracer.py")}
+    package = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted((ROOT / "src/hvi").glob("*.py"))}
+    read = set().union(*map(_hvi_attributes, bench.values()))
+    layers = _literal(bench["tracer.py"], "LAYERS")
+    missing = sorted(f"hvi.{module}" for module in layers if module not in package)
+    missing += sorted(f"hvi.{module}.{name}" for module, name in read
+                      if module not in package or name not in _defined(package[module]))
+    # the train workload rebinds gradients.draw_batch to time train's steps
+    assert ("gradients", "draw_batch") in read
+    # the tracer wraps each evaluator and the sampler on the class itself
+    model_class = next(node for node in package["models"].body
+                       if isinstance(node, ast.ClassDef) and node.name == "LatentModel")
+    methods = {node.name for node in model_class.body if isinstance(node, ast.FunctionDef)}
+    missing += [f"LatentModel.{method}" for method in (
+        *_literal(bench["tracer.py"], "MODEL_EVALUATORS"), "sample_proposal")
+        if method not in methods]
+    assert not missing, f"package names the benchmark reads that do not exist: {missing}"

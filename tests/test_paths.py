@@ -112,9 +112,8 @@ def test_holder_one_equals_wasserstein_everywhere():
 
 def test_holder_matches_direct_power_mean(sin_toy):
     # direct evaluation is safe at moderate densities; log-domain must agree
-    z, beta, alpha = 0.3, 0.4, 0.5
-    l0 = sin_toy.log_proposal(z)
-    l1 = sin_toy.log_target(z)
+    beta, alpha = 0.4, 0.5
+    (l0,), (l1,) = _endpoints(sin_toy, 0.3)
     direct = (beta * math.exp(l1) ** alpha + (1 - beta) * math.exp(l0) ** alpha) ** (1 / alpha)
     got = log_density(PathSpec.holder(alpha), l0, l1, beta)
     assert got == pytest.approx(math.log(direct), abs=1e-12)
@@ -136,7 +135,9 @@ def test_integrand_matches_its_definition(l0, l1, beta, alpha):
 
 
 def _endpoints(model, z):
-    return model.log_proposal(z), model.log_target(z)
+    """(L0, L1) of a one-dimensional model at the latent values z."""
+    points = np.reshape(z, (-1, 1))
+    return model.log_proposal(points), model.log_target(points)
 
 
 def test_geometric_integrand_is_constant_for_scaled_factor(scaled_two):
@@ -160,7 +161,7 @@ def test_perturbed_zero_collapses_to_geometric(sin_toy):
 
 
 def test_beta_out_of_range_rejected(sin_toy):
-    l0, l1 = _endpoints(sin_toy, 0.0)
+    (l0,), (l1,) = _endpoints(sin_toy, 0.0)
     for beta in (-0.1, 1.1):
         with pytest.raises(ValueError):
             log_density(PathSpec.geometric(), l0, l1, beta)
@@ -319,8 +320,7 @@ def test_limit_consistency_small_alpha(sin_toy):
     # mass (posterior bands around sin z = 0), not in far proposal tails.
     z = np.concatenate([center + np.linspace(-0.35, 0.35, 30)
                         for center in (0.0, math.pi, -math.pi)])
-    l0 = sin_toy.log_proposal(z)
-    l1 = sin_toy.log_target(z)
+    l0, l1 = _endpoints(sin_toy, z)
     for alpha in (1e-4, -1e-4):
         spec = PathSpec.holder(alpha)
         for beta in (0.1, 0.5, 0.9):
@@ -334,9 +334,7 @@ def test_limit_consistency_small_alpha(sin_toy):
 
 def _max_errors(sin_toy, delta):
     rng = np.random.default_rng(0)
-    z = rng.uniform(-6, 6, 400)
-    l0 = sin_toy.log_proposal(z)
-    l1 = sin_toy.log_target(z)
+    l0, l1 = _endpoints(sin_toy, rng.uniform(-6, 6, 400))
     worst_u = worst_g = 0.0
     for beta in (0.1, 0.3, 0.5, 0.7, 0.9):
         exact = PathSpec.holder(delta)
