@@ -12,7 +12,7 @@ import csv
 import numpy as np
 
 from hvi import models
-from hvi.diagnostics import mcmc_reference, mmd
+from hvi.diagnostics import MmdReference, mcmc_reference, mmd
 from hvi.estimators import PartitionSchedule
 from hvi.gradients import BoundObjective, train
 
@@ -30,8 +30,8 @@ def main():
     args = parser.parse_args()
 
     model = models.make_bayes_regression(models.simulate_bayes_dataset(args.data_seed))
-    reference = mcmc_reference(model, chains=4, steps=17500, burn_in=5000,
-                               thin=10, seed=42).pooled
+    reference = MmdReference.of(mcmc_reference(model, chains=4, steps=17500, burn_in=5000,
+                                               thin=10, seed=42).pooled)
     init = model.default_params.values + np.array([1.5, -0.04, 0.5, 0.0, 0.0, 0.0])
     schedule = PartitionSchedule.uniform(5)
     objectives = {

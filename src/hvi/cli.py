@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .diagnostics import curve_profile, mcmc_reference, mmd
+from .diagnostics import MmdReference, curve_profile, mcmc_reference, mmd
 from .estimators import (
     _BOUNDS,
     DEFAULT_PARTITIONS,
@@ -358,7 +358,7 @@ def cmd_train(cfg: ExperimentConfig, model: LatentModel) -> str:
         _require(sweeps["steps"] > sweeps["burn_in"], "training.mcmc.steps",
                  f"must exceed burn_in = {sweeps['burn_in']}")
         mmd_sample = _read(training, "training.mmd_sample", _at_least(1), 2000)
-        reference = mcmc_reference(model, **{"seed": seed, **mcmc}).pooled
+        reference = MmdReference.of(mcmc_reference(model, **{"seed": seed, **mcmc}).pooled)
 
     trace = train(model, params0, objective, steps, learning_rate, seed)
     names = model.default_params.names

@@ -25,6 +25,7 @@ __all__ = [
     "CurveProfile",
     "curve_profile",
     "MMD_BANDWIDTH",
+    "MmdReference",
     "mmd",
     "McmcReference",
     "mcmc_reference",
@@ -118,33 +119,60 @@ def _kernel_mean(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
     return total / (x.shape[0] * y.shape[0])
 
 
-def mmd(sample_a, sample_b) -> float:
-    """Biased (V-statistic) Gaussian-kernel MMD between two samples.
+@dataclass(frozen=True)
+class MmdReference:
+    """A reference sample prepared once for mmd.
+
+    ``center`` and ``scale`` are the reference's per-axis mean and standard
+    deviation (an axis of zero spread scales by 1), ``points`` the reference
+    normalized by them, and ``k_bb`` its kernel self-term.  Build it with
+    ``MmdReference.of(sample)`` when many samples meet one reference.
+    """
+
+    center: np.ndarray
+    scale: np.ndarray
+    points: np.ndarray
+    k_bb: float
+
+    @classmethod
+    def of(cls, sample) -> MmdReference:
+        b = np.atleast_2d(np.asarray(sample, dtype=float))
+        if b.ndim != 2:
+            raise ValueError("samples must be 2-d with matching dimension")
+        if b.shape[0] == 0:
+            raise ValueError("samples must be non-empty")
+        center = b.mean(axis=0)
+        scale = b.std(axis=0)
+        scale = np.where(scale > 0, scale, 1.0)
+        points = (b - center) / scale
+        return cls(center, scale, points, _kernel_mean(points, points, 0.5 / MMD_BANDWIDTH**2))
+
+
+def mmd(sample_a, reference) -> float:
+    """Biased (V-statistic) Gaussian-kernel MMD between a sample and a reference.
 
     Both samples are first normalized by the mean and standard deviation of
-    ``sample_b`` (the reference, e.g. MCMC ground truth), then compared with
-    kernel exp(-|x-y|^2 / (2 h^2)), h = MMD_BANDWIDTH.  The V-statistic
-    includes diagonal terms, so the squared discrepancy is nonnegative by
-    construction; the square root is returned.  The three kernel means are
-    summed over row blocks, so memory is bounded by paths._TILE_ELEMENTS
-    entries rather than growing with the product of the sample sizes.
+    the reference (e.g. MCMC ground truth), then compared with kernel
+    exp(-|x-y|^2 / (2 h^2)), h = MMD_BANDWIDTH.  ``reference`` is a sample or
+    an ``MmdReference`` built from one, which gives the same value without
+    redoing the reference's own terms.  The V-statistic includes diagonal
+    terms, so the squared discrepancy is nonnegative by construction; the
+    square root is returned.  The kernel means are summed over row blocks,
+    so memory is bounded by paths._TILE_ELEMENTS entries rather than growing
+    with the product of the sample sizes.
     """
+    if not isinstance(reference, MmdReference):
+        reference = MmdReference.of(reference)
     a = np.atleast_2d(np.asarray(sample_a, dtype=float))
-    b = np.atleast_2d(np.asarray(sample_b, dtype=float))
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+    if a.ndim != 2 or a.shape[1] != reference.points.shape[1]:
         raise ValueError("samples must be 2-d with matching dimension")
-    if a.shape[0] == 0 or b.shape[0] == 0:
+    if a.shape[0] == 0:
         raise ValueError("samples must be non-empty")
-    center = b.mean(axis=0)
-    scale = b.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    a = (a - center) / scale
-    b = (b - center) / scale
+    a = (a - reference.center) / reference.scale
     gamma = 0.5 / MMD_BANDWIDTH**2
     k_aa = _kernel_mean(a, a, gamma)
-    k_bb = _kernel_mean(b, b, gamma)
-    k_ab = _kernel_mean(a, b, gamma)
-    return float(math.sqrt(max(k_aa + k_bb - 2.0 * k_ab, 0.0)))
+    k_ab = _kernel_mean(a, reference.points, gamma)
+    return float(math.sqrt(max(k_aa + reference.k_bb - 2.0 * k_ab, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -164,6 +192,11 @@ class McmcReference:
         return self.samples.reshape(-1, self.samples.shape[-1])
 
 
+# Tree points one log_target call scores: the prefetch depth is the largest
+# k <= 6 with chains * (2^k - 1) points within this budget, and at least 1.
+_PREFETCH_POINTS = 64
+
+
 def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
                    burn_in: int = 5000, thin: int = 10, step_size: float = 1.0,
                    seed: int = 0) -> McmcReference:
@@ -173,8 +206,22 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
     posterior).  Proposal increments are scaled per dimension by the spread of
     a pilot draw from the model's proposal, so targets with very different
     coordinate scales still mix evenly; a short pilot then adjusts the global
-    step multiplier into the 20-50% acceptance band.  Everything runs off one seeded generator, so results are
-    deterministic given the seed.
+    step multiplier into the 20-50% acceptance band.  Everything runs off one
+    seeded generator, so results are deterministic given the seed.
+
+    The chains advance in blocks of k steps, prefetched (Brockwell 2006).  A
+    step's normal increments and uniform draw do not depend on the chain's
+    state, so a block first draws its k steps' randoms in the serial order.
+    Each chain then grows a proposal tree: node 0 is its state, and node
+    2^j + i is step j's proposal from node i < 2^j.  One log_target call
+    scores every node but the roots, and the accept tests then run in step
+    order down each chain's tree.  Every float operation is one the serial
+    chain makes, so the samples and the acceptance rate are bit for bit
+    those of one step at a time.  The tree holds points the chain never
+    visits, so it is scored with numpy's float warnings off; a density of
+    -inf or NaN is still a rejection.  k is not a setting: it is the largest
+    depth <= 6 whose chains * (2^k - 1) tree points fit in _PREFETCH_POINTS,
+    so 4 chains take k = 4, and 22 or more take k = 1, one step per call.
     """
     if steps <= burn_in:
         raise ValueError("steps must exceed burn_in")
@@ -196,21 +243,67 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
         state = model.sample_proposal(rng, chains, lam)
         log_p = paths._check_finite("log_target", model.log_target(state, lam), "chains")
 
-    def sweep(n: int, step: float) -> int:
+    def serial_sweep(n: int, step: float, keep_every: int = 0) -> tuple[int, list]:
+        """Accepts over n steps of every chain, and the states after each keep_every-th."""
         nonlocal state, log_p
-        accepted = 0
-        for _ in range(n):
+        accepted, kept = 0, []
+        for i in range(1, n + 1):
             prop = state + step * scales * rng.standard_normal((chains, dim))
             log_p_prop = model.log_target(prop, lam)
             accept = np.log(rng.uniform(size=chains)) < log_p_prop - log_p
             state = np.where(accept[:, None], prop, state)
             log_p = np.where(accept, log_p_prop, log_p)
             accepted += int(accept.sum())
-        return accepted
+            if keep_every and i % keep_every == 0:
+                kept.append(state)
+        return accepted, kept
 
+    depth = max(1, min(6, (_PREFETCH_POINTS // chains + 1).bit_length() - 1))
+    tree = np.empty((1 << depth, chains, dim))  # node-major, so a level is one slice
+    score = np.empty((1 << depth, chains))  # log_target at each node
+    score[0] = log_p
+    noise = np.empty((depth, chains, dim))
+    uniforms = np.empty((depth, chains))
+    rows = np.arange(chains)
+
+    def prefetched_sweep(n: int, step: float, keep_every: int = 0) -> tuple[int, list]:
+        """serial_sweep, k steps per log_target call."""
+        nonlocal state
+        accepted, kept = 0, []
+        for done in range(0, n, depth):
+            k = min(depth, n - done)
+            for j in range(k):  # the serial draw order: one step's normals, then its uniforms
+                rng.standard_normal(out=noise[j])
+                rng.random(out=uniforms[j])
+            np.multiply(step * scales, noise[:k], out=noise[:k])
+            tree[0] = state
+            for j in range(k):
+                np.add(tree[:1 << j], noise[j], out=tree[1 << j:2 << j])
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                score[1:1 << k] = model.log_target(tree[1:1 << k].reshape(-1, dim),
+                                                   lam).reshape(-1, chains)
+                log_u = np.log(uniforms[:k]).T.tolist()
+            ends = []
+            for lus, scores in zip(log_u, score[:1 << k].T.tolist()):
+                node = 0
+                for j, lu in enumerate(lus):
+                    child = node + (1 << j)
+                    if lu < scores[child] - scores[node]:
+                        node = child
+                        accepted += 1
+                ends.append(node)
+            ends = np.array(ends)  # bit j of a chain's end node is step j's accept
+            if keep_every:
+                kept.extend(tree[ends & ((2 << j) - 1), rows]
+                            for j in range((-done - 1) % keep_every, k, keep_every))
+            state = tree[ends, rows]
+            score[0] = score[ends, rows]
+        return accepted, kept
+
+    sweep = serial_sweep if depth == 1 else prefetched_sweep  # at k = 1 a tree only adds work
     step = float(step_size)
     for _ in range(15):
-        rate = sweep(100, step) / (100 * chains)
+        rate = sweep(100, step)[0] / (100 * chains)
         if rate < 0.2:
             step *= 0.7
         elif rate > 0.5:
@@ -218,14 +311,10 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
         else:
             break
 
-    accepted = sweep(burn_in, step)
-    kept = []
-    total = 0
-    for _ in range((steps - burn_in) // thin):
-        accepted += sweep(thin, step)
-        total += thin
-        kept.append(state.copy())
-    accepted_rate = accepted / ((burn_in + total) * chains)
+    accepted = sweep(burn_in, step)[0]
+    draws = (steps - burn_in) // thin
+    sampled, kept = sweep(draws * thin, step, thin)
+    accepted_rate = (accepted + sampled) / ((burn_in + draws * thin) * chains)
     samples = np.stack(kept, axis=1)  # (chains, draws, dim)
     return McmcReference(samples=samples, acceptance_rate=float(accepted_rate))
 

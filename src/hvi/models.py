@@ -103,7 +103,10 @@ class LatentModel:
     normalized density (log q(z|x)).  Each evaluator takes an (n, latent_dim)
     array of points and gives (n,) log densities or (n, size) gradients with
     respect to the full flat parameter vector.  Evaluators are pure; the model
-    carries no mutable state.
+    carries no mutable state.  Each row's log density is the one it reads
+    alone: on a stacked array, bit for bit, it equals its value on any slice
+    of the rows or on a strided view, which ``diagnostics.mcmc_reference``
+    needs to score many chains' proposals in one call.
     """
 
     model_id: str

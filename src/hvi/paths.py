@@ -100,7 +100,7 @@ class PathSpec:
             warnings.warn(
                 f"perturbed path with |delta| = {abs(self.delta):g} > {PERTURBATION_GUARD}; "
                 "the first-order expansion is only trustworthy for small delta",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to its caller
             )
 
     @classmethod

@@ -5,7 +5,9 @@
 through scipy's ``logsumexp`` (the slope through the pointwise reference forms
 of ``path_forms``), so they share no reduction with the library.
 ``finite_difference_grad`` differentiates any deterministic functional of
-lambda.
+lambda.  ``serial_mcmc_reference`` is the random-walk Metropolis sampler one
+step at a time, against which the prefetched ``diagnostics.mcmc_reference``
+is checked.
 """
 
 import math
@@ -13,7 +15,8 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from hvi import models
+from hvi import models, paths
+from hvi.diagnostics import McmcReference
 from hvi.paths import PathSpec
 from path_forms import reference_integrand_parts, reference_log_density
 
@@ -59,3 +62,62 @@ def finite_difference_grad(model, params, objective, step=1e-4) -> np.ndarray:
     for j, bump in enumerate(step * np.eye(lam.size)):
         out[j] = (objective(model, lam + bump) - objective(model, lam - bump)) / (2.0 * step)
     return out
+
+
+def serial_mcmc_reference(model, chains: int = 4, steps: int = 20000,
+                          burn_in: int = 5000, thin: int = 10, step_size: float = 1.0,
+                          seed: int = 0) -> McmcReference:
+    """The serial random-walk Metropolis sampler: one log_target call per step
+    of all chains.  ``diagnostics.mcmc_reference`` must equal it bit for bit."""
+    if steps <= burn_in:
+        raise ValueError("steps must exceed burn_in")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    if thin < 1 or chains < 1:
+        raise ValueError("thin and chains must be >= 1")
+    if not 0.0 < step_size < math.inf:
+        raise ValueError("step_size must be positive and finite")
+    lam = model.default_params.values
+    rng = np.random.default_rng(seed)
+    dim = model.latent_dim
+    # a spread or start density beyond the float range reads as its infinity,
+    # and a start density that is not finite is named here: otherwise a target
+    # that reads -inf everywhere accepts nothing, which blames step_size
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = model.sample_proposal(rng, 256, lam).std(axis=0)
+        scales = np.where(scales > 0, scales, 1.0)
+        state = model.sample_proposal(rng, chains, lam)
+        log_p = paths._check_finite("log_target", model.log_target(state, lam), "chains")
+
+    def sweep(n: int, step: float) -> int:
+        nonlocal state, log_p
+        accepted = 0
+        for _ in range(n):
+            prop = state + step * scales * rng.standard_normal((chains, dim))
+            log_p_prop = model.log_target(prop, lam)
+            accept = np.log(rng.uniform(size=chains)) < log_p_prop - log_p
+            state = np.where(accept[:, None], prop, state)
+            log_p = np.where(accept, log_p_prop, log_p)
+            accepted += int(accept.sum())
+        return accepted
+
+    step = float(step_size)
+    for _ in range(15):
+        rate = sweep(100, step) / (100 * chains)
+        if rate < 0.2:
+            step *= 0.7
+        elif rate > 0.5:
+            step *= 1.4
+        else:
+            break
+
+    accepted = sweep(burn_in, step)
+    kept = []
+    total = 0
+    for _ in range((steps - burn_in) // thin):
+        accepted += sweep(thin, step)
+        total += thin
+        kept.append(state.copy())
+    accepted_rate = accepted / ((burn_in + total) * chains)
+    samples = np.stack(kept, axis=1)  # (chains, draws, dim)
+    return McmcReference(samples=samples, acceptance_rate=float(accepted_rate))

@@ -17,7 +17,7 @@ from scipy.stats import spearmanr
 
 from hvi import models
 from hvi.cli import main as cli_main
-from hvi.diagnostics import curve_profile, approx_error, mcmc_reference, mmd
+from hvi.diagnostics import MmdReference, curve_profile, approx_error, mcmc_reference, mmd
 from hvi.estimators import (
     IntegrationRule,
     PartitionSchedule,
@@ -278,8 +278,8 @@ def test_criterion_11_bayes_regression_training():
     started = time.time()
     data = models.simulate_bayes_dataset(0)
     model = models.make_bayes_regression(data)
-    reference = mcmc_reference(model, chains=4, steps=17500, burn_in=5000,
-                               thin=10, seed=42).pooled  # 5000 draws
+    reference = MmdReference.of(mcmc_reference(model, chains=4, steps=17500, burn_in=5000,
+                                               thin=10, seed=42).pooled)  # 5000 draws
     init = model.default_params.values.copy()
     init += np.array([1.5, -0.04, 0.5, 0.0, 0.0, 0.0])
 

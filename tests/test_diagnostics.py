@@ -15,6 +15,7 @@ from hvi import diagnostics, models, paths
 from hvi.diagnostics import (
     MMD_BANDWIDTH,
     McmcReference,
+    MmdReference,
     approx_error,
     curve_profile,
     ess,
@@ -23,6 +24,7 @@ from hvi.diagnostics import (
 )
 from hvi.estimators import IntegrationRule, PartitionSchedule, draw_batch, tvo
 from hvi.paths import PathSpec
+from oracles import serial_mcmc_reference
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +200,21 @@ def test_mmd_memory_is_bounded():
     assert peak < 40e6
 
 
+def test_mmd_reference_gives_the_value_of_its_sample():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((300, 3))
+    y = rng.standard_normal((500, 3)) * 2.0 + 0.3
+    y[:, 2] = 0.5
+    reference = MmdReference.of(y)
+    assert reference.scale[2] == 1.0  # an axis of zero spread is not rescaled
+    assert mmd(x, reference) == mmd(x, y)
+    assert mmd(y, reference) == 0.0
+    with pytest.raises(ValueError, match="matching dimension"):
+        mmd(np.zeros((5, 2)), reference)
+    with pytest.raises(ValueError, match="non-empty"):
+        MmdReference.of(np.zeros((0, 3)))
+
+
 def test_mmd_dimension_mismatch():
     with pytest.raises(ValueError):
         mmd(np.zeros((5, 2)), np.zeros((5, 3)))
@@ -265,6 +282,42 @@ def test_mcmc_rejects_settings_before_sampling(ring, setting, message):
     silent = dataclasses.replace(ring, _log_target=never, _sample_proposal=never)
     with pytest.raises(ValueError, match=message):
         mcmc_reference(silent, **setting)
+
+
+_BAYES = ("bayes_regression", {"seed": 0})
+
+
+@pytest.mark.parametrize("model, settings", [
+    (_BAYES, dict(chains=4, steps=17500, burn_in=5000, thin=10, seed=42)),  # criterion 11
+    (_BAYES, dict(chains=2, steps=2000, burn_in=500, thin=10, seed=0)),  # golden train_hbo
+    (_BAYES, dict(chains=3, steps=600, burn_in=100, thin=1, seed=1)),
+    (_BAYES, dict(chains=1, steps=1500, burn_in=500, thin=7, seed=2)),
+    (_BAYES, dict(chains=64, steps=700, burn_in=200, thin=10, seed=3)),
+    (_BAYES, dict(chains=21, steps=700, burn_in=200, thin=10, seed=3)),  # the last k = 2
+    (_BAYES, dict(chains=22, steps=700, burn_in=200, thin=10, seed=3)),  # the first k = 1
+    (_BAYES, dict(chains=4, steps=1500, burn_in=500, thin=10, step_size=20.0, seed=4)),
+    (_BAYES, dict(chains=4, steps=1500, burn_in=500, thin=10, step_size=0.01, seed=5)),
+    (("ring", {}), dict(chains=4, steps=1500, burn_in=500, thin=3, seed=6)),
+    (("sin_toy", {}), dict(chains=5, steps=1500, burn_in=500, thin=5, seed=7)),
+    (("conjugate_gaussian", {"sigma": 0.5, "x_obs": 1.0}),
+     dict(chains=2, steps=1500, burn_in=0, thin=4, seed=8)),
+    (("scaled_factor", {"scale": 2.0}), dict(chains=7, steps=1500, burn_in=501, thin=3, seed=9)),
+], ids=lambda value: value[0] if isinstance(value, tuple) else
+    "-".join(f"{key}={v:g}" for key, v in value.items()))
+def test_mcmc_reference_is_the_serial_chain_bit_for_bit(model, settings):
+    model = models.make_model(*model)
+    prefetched = mcmc_reference(model, **settings)
+    serial = serial_mcmc_reference(model, **settings)
+    assert prefetched.samples.tobytes() == serial.samples.tobytes()
+    assert prefetched.acceptance_rate == serial.acceptance_rate
+
+
+def test_mcmc_pilot_brings_a_far_step_size_into_the_acceptance_band():
+    # so the step_size 20 and 0.01 configs above compare the pilot's adjusted steps
+    model = models.make_model(*_BAYES)
+    for step_size in (20.0, 0.01):
+        moved = mcmc_reference(model, chains=4, steps=600, burn_in=100, step_size=step_size)
+        assert 0.2 <= moved.acceptance_rate <= 0.5
 
 
 def test_mcmc_reports_a_run_that_accepts_nothing(ring):

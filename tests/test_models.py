@@ -80,6 +80,26 @@ def test_evaluators_take_only_a_batch_of_points(model_id, n):
                 evaluator(bad)
 
 
+@pytest.mark.parametrize("model_id", models.MODEL_IDS)
+def test_log_densities_give_each_row_its_value_alone(model_id):
+    # diagnostics.mcmc_reference scores many chains' proposal trees in one
+    # log_target call and must read what the serial chain's small call reads
+    model = make_model(model_id, PINNED_DEFAULTS[model_id][0])
+    rng = np.random.default_rng(3)
+    z = model.sample_proposal(rng, 420)
+    z[::2] = 4.0 * z[::2] - 3.0 * z[::2].mean(axis=0)  # half the rows far out in the tails
+    wide = np.empty((z.shape[0], 2 * model.latent_dim))
+    wide[:, ::2] = z
+    for name in ("log_target", "log_proposal"):
+        evaluator = getattr(model, name)
+        whole = evaluator(z)
+        for rows in (1, 2, 3, 4, 7):
+            parts = [evaluator(z[i:i + rows]) for i in range(0, z.shape[0], rows)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), (name, rows)
+        assert evaluator(wide[:, ::2]).tobytes() == whole.tobytes(), name
+        assert evaluator(z[::3]).tobytes() == whole[::3].tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # Proposal normalization, finiteness, gradients vs finite differences
 # ---------------------------------------------------------------------------

@@ -76,6 +76,13 @@ def test_perturbed_guard_warns():
         PathSpec.perturbed(0.5)
 
 
+def test_perturbed_guard_warning_names_the_callers_line():
+    # at stacklevel 2 it named the dataclass-generated __init__, "<string>"
+    with pytest.warns(UserWarning, match="perturbed path") as record:
+        PathSpec("perturbed", delta=1.0)
+    assert record[0].filename == __file__
+
+
 def test_tiny_alpha_routes_to_geometric():
     spec = PathSpec.holder(GEOMETRIC_ALPHA_CUTOFF / 10)
     assert spec.branch() == ("geometric", 0.0)
