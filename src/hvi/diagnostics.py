@@ -193,7 +193,7 @@ class McmcReference:
 
 
 # Tree points one log_target call scores: the prefetch depth is the largest
-# k <= 6 with chains * (2^k - 1) points within this budget, and at least 1.
+# k with chains * (2^k - 1) points within this budget, and at least 1.
 _PREFETCH_POINTS = 64
 
 
@@ -220,8 +220,8 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
     those of one step at a time.  The tree holds points the chain never
     visits, so it is scored with numpy's float warnings off; a density of
     -inf or NaN is still a rejection.  k is not a setting: it is the largest
-    depth <= 6 whose chains * (2^k - 1) tree points fit in _PREFETCH_POINTS,
-    so 4 chains take k = 4, and 22 or more take k = 1, one step per call.
+    depth whose chains * (2^k - 1) tree points fit in _PREFETCH_POINTS, so
+    4 chains take k = 4, and 22 or more take k = 1, one step per call.
     """
     if steps <= burn_in:
         raise ValueError("steps must exceed burn_in")
@@ -243,22 +243,7 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
         state = model.sample_proposal(rng, chains, lam)
         log_p = paths._check_finite("log_target", model.log_target(state, lam), "chains")
 
-    def serial_sweep(n: int, step: float, keep_every: int = 0) -> tuple[int, list]:
-        """Accepts over n steps of every chain, and the states after each keep_every-th."""
-        nonlocal state, log_p
-        accepted, kept = 0, []
-        for i in range(1, n + 1):
-            prop = state + step * scales * rng.standard_normal((chains, dim))
-            log_p_prop = model.log_target(prop, lam)
-            accept = np.log(rng.uniform(size=chains)) < log_p_prop - log_p
-            state = np.where(accept[:, None], prop, state)
-            log_p = np.where(accept, log_p_prop, log_p)
-            accepted += int(accept.sum())
-            if keep_every and i % keep_every == 0:
-                kept.append(state)
-        return accepted, kept
-
-    depth = max(1, min(6, (_PREFETCH_POINTS // chains + 1).bit_length() - 1))
+    depth = max(1, (_PREFETCH_POINTS // chains + 1).bit_length() - 1)
     tree = np.empty((1 << depth, chains, dim))  # node-major, so a level is one slice
     score = np.empty((1 << depth, chains))  # log_target at each node
     score[0] = log_p
@@ -266,8 +251,8 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
     uniforms = np.empty((depth, chains))
     rows = np.arange(chains)
 
-    def prefetched_sweep(n: int, step: float, keep_every: int = 0) -> tuple[int, list]:
-        """serial_sweep, k steps per log_target call."""
+    def sweep(n: int, step: float, keep_every: int = 0) -> tuple[int, list]:
+        """Accepts over n steps of every chain, and the states after each keep_every-th."""
         nonlocal state
         accepted, kept = 0, []
         for done in range(0, n, depth):
@@ -300,7 +285,6 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
             score[0] = score[ends, rows]
         return accepted, kept
 
-    sweep = serial_sweep if depth == 1 else prefetched_sweep  # at k = 1 a tree only adds work
     step = float(step_size)
     for _ in range(15):
         rate = sweep(100, step)[0] / (100 * chains)

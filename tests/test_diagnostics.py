@@ -342,6 +342,22 @@ def test_mcmc_names_a_start_density_that_is_not_finite():
             mcmc_reference(far, chains=2, steps=20, burn_in=10)
 
 
+@pytest.mark.parametrize("chains", [1, 64])
+def test_mcmc_rejects_a_proposal_of_nan_density_silently(ring, chains):
+    # the unit disk's log density is nan outside it; the serial chain warns
+    # there, the prefetched one scores its tree with float warnings off
+    disk = dataclasses.replace(
+        ring, _log_target=lambda pts, lam: np.log(1.0 - np.sum(pts**2, axis=1)),
+        _sample_proposal=lambda rng, lam, n: rng.uniform(-0.5, 0.5, (n, 2)))
+    setting = dict(chains=chains, steps=300, burn_in=100, thin=5, step_size=4.0)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        serial = serial_mcmc_reference(disk, **setting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prefetched = mcmc_reference(disk, **setting)
+    assert prefetched.samples.tobytes() == serial.samples.tobytes()
+
+
 @pytest.mark.parametrize("rate", [0.0, 1.0, 1.5])
 def test_mcmc_reference_checks_its_acceptance_rate(rate):
     with pytest.raises(ValueError, match="acceptance rate"):
