@@ -13,7 +13,7 @@ import numpy as np
 
 from hvi import models
 from hvi.diagnostics import approx_error
-from hvi.estimators import IntegrationRule, PartitionSchedule, draw_batch, hbo, tvo
+from hvi.estimators import IntegrationRule, PartitionSchedule, bound_report, draw_batch
 
 
 def main():
@@ -27,14 +27,18 @@ def main():
 
     x_grid = np.linspace(-2.5, 2.5, 101)
     family = lambda x: models.make_sin_toy(x_obs=x)
+
+    def estimate(bound_id, schedule):
+        """Model -> the bound on its seeded batch, with ``schedule`` and the left rule."""
+        return lambda m: bound_report(
+            draw_batch(m, args.batch_size, args.seed), [bound_id], tvo_schedule=schedule,
+            hbo_schedule=schedule, rule=IntegrationRule.LEFT)[bound_id]
+
     rows = []
     for partitions in args.budgets:
         schedule = PartitionSchedule.uniform(partitions)
-        err_tvo = approx_error(family, x_grid, lambda m: tvo(
-            draw_batch(m, args.batch_size, args.seed), schedule, IntegrationRule.LEFT))
-        err_hbo = approx_error(family, x_grid, lambda m: hbo(
-            draw_batch(m, args.batch_size, args.seed), args.alpha, schedule,
-            IntegrationRule.LEFT))
+        err_tvo = approx_error(family, x_grid, estimate("tvo", schedule))
+        err_hbo = approx_error(family, x_grid, estimate(f"hbo[{args.alpha!r}]", schedule))
         rows.append([partitions, err_tvo, err_hbo])
 
     with open(args.out, "w", newline="") as fh:

@@ -168,6 +168,8 @@ def _schedule_from(obj: Optional[dict], field: str, kind: str,
     _check_keys(obj, ("kind", "partitions", "betas"), field)
     custom = _read(obj, f"{field}.betas", lambda betas: PartitionSchedule(_numbers(betas)))
     if custom is not None:
+        for key in ("kind", "partitions"):
+            _unread(obj, f"{field}.{key}", f"when {field}.betas is given")
         return custom
     kind = obj.get("kind", kind)
     _require(kind in ("uniform", "log"), f"{field}.kind", f"unknown schedule kind {kind!r}")

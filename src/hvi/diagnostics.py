@@ -1,4 +1,4 @@
-"""Estimator diagnostics: ESS, replicate variance profiles, MMD, MCMC reference.
+"""Estimator diagnostics: replicate variance and ESS profiles, MMD, MCMC reference.
 
 These tools quantify what the bound values alone hide: how many samples
 actually contribute at each temperature, how much the per-beta estimates
@@ -21,7 +21,6 @@ from .paths import PathSpec
 from .util import derive_seeds, log_abs_expm1
 
 __all__ = [
-    "ess",
     "CurveProfile",
     "curve_profile",
     "MMD_BANDWIDTH",
@@ -31,21 +30,6 @@ __all__ = [
     "mcmc_reference",
     "approx_error",
 ]
-
-
-def ess(log_weights) -> float:
-    """Normalized effective sample size (sum w)^2 / (m * sum w^2), in [1/m, 1], of log
-    weights lw (-inf for a zero weight; one must be finite), both sums taken at the top."""
-    lw = np.asarray(log_weights, dtype=float).reshape(-1)
-    if lw.size == 0:
-        raise ValueError("need at least one log weight")
-    if np.any(np.isnan(lw)) or np.any(lw == np.inf):
-        raise ValueError("log weights must be < inf and not NaN")
-    top, total = paths._row_sum(lw)
-    if not np.isfinite(top):
-        raise ValueError("all weights are zero; ESS undefined")
-    _, squares = paths._row_sum(2.0 * (lw - top))
-    return float(total * total / (lw.size * squares))
 
 
 @dataclass(frozen=True)
@@ -205,9 +189,13 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
     Chains start from proposal draws (overdispersed relative to the
     posterior).  Proposal increments are scaled per dimension by the spread of
     a pilot draw from the model's proposal, so targets with very different
-    coordinate scales still mix evenly; a short pilot then adjusts the global
-    step multiplier into the 20-50% acceptance band.  Everything runs off one
-    seeded generator, so results are deterministic given the seed.
+    coordinate scales still mix evenly.  A pilot then tunes the global step
+    multiplier over windows of 100 steps per chain: after a window whose
+    acceptance is below 20% it shrinks the step by 0.7, above 50% it grows it
+    by 1.4, and it keeps the step of the first window inside 20-50%, or the
+    step after 15 windows.  The pilot's windows are not part of the output, so
+    the final acceptance rate can still lie outside that band.  Everything runs
+    off one seeded generator, so results are deterministic given the seed.
 
     The chains advance in blocks of k steps, prefetched (Brockwell 2006).  A
     step's normal increments and uniform draw do not depend on the chain's

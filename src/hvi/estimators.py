@@ -1,12 +1,12 @@
 """Sample-based bound estimators built on one shared importance batch.
 
 A single batch of proposal samples, with cached endpoint log densities, feeds
-every estimator: ELBO, IW-ELBO, Renyi bounds, EUBO, the Wasserstein pair, and
-the thermodynamic integrals (left/right/trapezoid Riemann sums of the local
-evidence along a partition of [0, 1]).  Reweighting the same samples across
-beta is what the thermodynamic estimators do by construction, so per-beta
-values from one batch are correlated; replicate-based spread lives in
-``diagnostics``.
+every bound of ``bound_report``: ELBO, IW-ELBO, Renyi bounds, EUBO, the
+Wasserstein pair, and the thermodynamic integrals (left/right/trapezoid
+Riemann sums of the local evidence along a partition of [0, 1]).  Reweighting
+the same samples across beta is what the thermodynamic estimators do by
+construction, so per-beta values from one batch are correlated;
+replicate-based spread lives in ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -25,20 +25,11 @@ from .paths import PathSpec, _check_finite, _check_float_range, _log_ratio, _ren
 __all__ = [
     "ImportanceBatch",
     "draw_batch",
-    "elbo",
-    "iw_elbo",
-    "rvi",
-    "eubo",
     "LocalEvidenceEstimate",
-    "local_evidence",
     "local_evidence_curve",
     "PartitionSchedule",
     "IntegrationRule",
     "rule_weights",
-    "tvo",
-    "hbo",
-    "perturbed_hbo",
-    "wasserstein_bounds",
     "bound_report",
     "parse_bound_id",
     "DEFAULT_PARTITIONS",
@@ -82,32 +73,6 @@ def draw_batch(model: LatentModel, size: int, seed: int, params=None) -> Importa
     rng = np.random.default_rng(seed)
     z = model.sample_proposal(rng, size, params)
     return ImportanceBatch(z, _log_ratio(model, z, params)[1])
-
-
-def elbo(batch: ImportanceBatch) -> float:
-    """Evidence lower bound: the geometric curve at beta = 0, the mean of f up to rounding."""
-    return _form_value(batch, _resolve("elbo"))
-
-
-def iw_elbo(batch: ImportanceBatch) -> float:
-    """Importance-weighted bound: log mean exp of the log ratios."""
-    return rvi(batch, 1.0)
-
-
-def rvi(batch: ImportanceBatch, alpha: float) -> float:
-    """Renyi bound (1/alpha) log mean e^(alpha f), iw_elbo at alpha = 1 (paths._renyi_sum)."""
-    _resolve("rvi", alpha)
-    value = _renyi_sum(alpha, batch.log_ratio, count=batch.size)
-    return float(_check_float_range(PathSpec.holder(alpha), value, quantity="Renyi bound"))
-
-
-def eubo(batch: ImportanceBatch) -> float:
-    """Self-normalized estimate of the evidence upper bound (beta = 1 reweighting).
-
-    Biased for finite batch size, like every self-normalized estimate at
-    beta > 0; there is no unbiased sample-based EUBO available here.
-    """
-    return _form_value(batch, _resolve("eubo"))
 
 
 @dataclass(frozen=True)
@@ -164,11 +129,6 @@ def local_evidence_curve(batch: ImportanceBatch, spec: PathSpec,
     values, std_errs, ess, _ = _reduce_curve(batch, spec, betas)
     return [LocalEvidenceEstimate(value=float(v), std_err=float(se), ess=float(e))
             for v, se, e in zip(values, std_errs, ess)]
-
-
-def local_evidence(batch: ImportanceBatch, spec: PathSpec, beta: float) -> LocalEvidenceEstimate:
-    """Estimate E_(spec,beta) by reweighting the batch to the path density."""
-    return local_evidence_curve(batch, spec, [beta])[0]
 
 
 class IntegrationRule(enum.Enum):
@@ -238,35 +198,6 @@ def rule_weights(betas: np.ndarray, rule: IntegrationRule) -> np.ndarray:
     return w
 
 
-def tvo(batch: ImportanceBatch, schedule: Optional[PartitionSchedule] = None,
-        rule: IntegrationRule = IntegrationRule.LEFT) -> float:
-    """Thermodynamic bound on the geometric path (default: log partition, K=50)."""
-    return _form_value(batch, _resolve("tvo", None, schedule, rule))
-
-
-def hbo(batch: ImportanceBatch, alpha: float,
-        schedule: Optional[PartitionSchedule] = None,
-        rule: IntegrationRule = IntegrationRule.LEFT) -> float:
-    """Holder bound of order alpha (default: uniform partition, K=50)."""
-    return _form_value(batch, _resolve("hbo", alpha, schedule, rule))
-
-
-def perturbed_hbo(batch: ImportanceBatch, delta: float,
-                  schedule: Optional[PartitionSchedule] = None,
-                  rule: IntegrationRule = IntegrationRule.LEFT) -> float:
-    """First-order-in-delta surrogate of hbo(delta) (default: uniform, K=50)."""
-    return _form_value(batch, _resolve("perturbed_hbo", delta, schedule, rule))
-
-
-def wasserstein_bounds(batch: ImportanceBatch) -> tuple[float, float]:
-    """(wlbo, wubo): endpoints of the arithmetic-mean thermodynamic curve.
-
-    wlbo is the beta = 1 local evidence on the arithmetic path, wubo the
-    beta = 0 one (the plain sample mean of e^f - 1).
-    """
-    return _form_value(batch, _resolve("wlbo")), _form_value(batch, _resolve("wubo"))
-
-
 # ---------------------------------------------------------------------------
 # Bound reports
 # ---------------------------------------------------------------------------
@@ -289,7 +220,7 @@ class _Bound(NamedTuple):
 # form: a PathSpec kind (whose field named like the parameter takes the
 # argument) with one knot beta or the PartitionSchedule builder of its default
 # schedule.  A path form is the bound's only value route (_form_value); the
-# closed forms iw_elbo and rvi have none, and both are values of rvi.
+# closed forms iw_elbo and rvi have none: both are Renyi sums (bound_report).
 _BOUNDS = {
     "elbo": _Bound(None, "geometric", 0.0),
     "iw_elbo": _Bound(None),
@@ -378,6 +309,7 @@ def bound_report(batch: ImportanceBatch, bounds: Sequence[str],
     """The value of each requested bound id on one shared batch, by id in request order.
 
     ``tvo_schedule`` replaces the default log schedule, ``hbo_schedule`` the uniform one.
+    The closed forms rvi[a] and iw_elbo (a = 1) are paths._renyi_sum's (1/a) log mean e^(a f).
     """
     schedules = {"log": tvo_schedule, "uniform": hbo_schedule}
     rule = IntegrationRule.parse(rule)
@@ -385,6 +317,11 @@ def bound_report(batch: ImportanceBatch, bounds: Sequence[str],
     for bound_id in bounds:
         name, arg = _split_bound_id(bound_id)
         form = _resolve(name, arg, schedules.get(_BOUNDS[name].knots), rule)
-        # iw_elbo is rvi at alpha = 1 bit for bit: 1.0 * f and / 1.0 are exact
-        values[bound_id] = rvi(batch, arg or 1.0) if form is None else _form_value(batch, form)
+        if form is None:  # iw_elbo is rvi at alpha = 1 bit for bit: 1.0 * f and / 1.0 are exact
+            alpha = arg or 1.0
+            value = _check_float_range(PathSpec.holder(alpha), _renyi_sum(
+                alpha, batch.log_ratio, count=batch.size), quantity="Renyi bound")
+        else:
+            value = _form_value(batch, form)
+        values[bound_id] = float(value)
     return values

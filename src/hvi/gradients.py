@@ -38,7 +38,6 @@ from .estimators import (
     _knot_blocks,
     _resolve,
     draw_batch,
-    rule_weights,
 )
 from .models import LatentModel
 from .paths import PathSpec, _check_float_range, path_gradient_coeffs
@@ -46,8 +45,6 @@ from .util import derive_seeds
 
 __all__ = [
     "GradientEstimate",
-    "local_evidence_grad",
-    "bound_grad",
     "BoundObjective",
     "TrainingTrace",
     "train",
@@ -113,27 +110,6 @@ def _path_step(model: LatentModel, params, spec: PathSpec, betas, weights,
             term_i=term_i, term_ii=term_ii, std_err=np.sqrt(np.sum(influence ** 2, axis=0)))
 
 
-def local_evidence_grad(model: LatentModel, params, spec: PathSpec, beta: float,
-                        batch: ImportanceBatch) -> GradientEstimate:
-    """Estimate grad_lambda E_(spec,beta) from a batch drawn at the same lambda.
-
-    Log densities come from the batch cache and their gradients are evaluated
-    at ``params`` on the batch's sample points, so the batch must have been
-    drawn from the proposal at this very parameter vector for the weights to
-    be valid.  A local evidence or gradient beyond the float range is a
-    ValueError (_path_step); a std err that overflows reads inf.
-    """
-    return _path_step(model, params, spec, [beta], [1.0], batch)[1]
-
-
-def bound_grad(model: LatentModel, params, spec: PathSpec,
-               schedule: PartitionSchedule, rule: IntegrationRule,
-               batch: ImportanceBatch) -> GradientEstimate:
-    """Gradient of the Riemann-integrated bound: rule-weighted sum over the schedule."""
-    return _path_step(model, params, spec, schedule.betas,
-                      rule_weights(schedule.betas, rule), batch)[1]
-
-
 @dataclass(frozen=True)
 class BoundObjective:
     """Which bound to ascend, and the estimator budget per step.
@@ -141,7 +117,7 @@ class BoundObjective:
     Only the bound's own parameter field (``alpha`` for hbo, ``delta`` for
     perturbed_hbo) may be nonzero, and only a bound with a default schedule
     takes a ``schedule``; anything else is rejected rather than ignored.  The
-    bound is resolved once, here, into its path form.
+    bound is resolved once, here, into the path form ``_form`` that ``train`` steps on.
     """
 
     bound: str = "elbo"
@@ -164,12 +140,6 @@ class BoundObjective:
         # only the bound's own parameter field can be nonzero, so alpha or delta is it
         object.__setattr__(self, "_form", _resolve(self.bound, self.alpha or self.delta,
                                                    self.schedule, self.rule))
-
-    def value(self, batch: ImportanceBatch) -> float:
-        return _form_value(batch, self._form)
-
-    def gradient(self, model: LatentModel, params, batch: ImportanceBatch) -> GradientEstimate:
-        return _path_step(model, params, *self._form, batch)[1]
 
 
 @dataclass

@@ -46,7 +46,6 @@ __all__ = [
     "BayesRegressionDataset",
     "make_scaled_factor",
     "make_conjugate_gaussian",
-    "conjugate_exact_log_marginal",
     "make_sin_toy",
     "make_ring",
     "simulate_bayes_dataset",
@@ -239,11 +238,6 @@ def _check_sigma(sigma) -> float:
         raise ValueError("sigma must lie in [1.5e-154, 1.3e154] so that sigma**2 is a normal "
                          f"float, got {sigma:g}")
     return sigma
-
-
-def conjugate_exact_log_marginal(sigma: float, x_obs: float) -> float:
-    """Closed-form log p(x) = log N(x; 0, 1 + sigma^2) for the conjugate model."""
-    return float(_norm_logpdf(x_obs, 0.0, math.sqrt(1.0 + _check_sigma(sigma)**2)))
 
 
 def make_conjugate_gaussian(sigma: float, x_obs: float) -> LatentModel:

@@ -43,6 +43,7 @@ Supported families:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -70,6 +71,15 @@ PERTURBATION_GUARD = 0.2
 
 # Per path kind: the PathSpec field that carries its parameter, if any.
 _KINDS = {"geometric": None, "holder": "alpha", "wasserstein": None, "perturbed": "delta"}
+
+
+def _outside_caller() -> int:
+    """The stacklevel at which a warn in the caller names the first frame outside hvi (a
+    dataclass __init__ runs with hvi globals); warn's skip_file_prefixes needs Python 3.12."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == "hvi":
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,7 @@ class PathSpec:
             warnings.warn(
                 f"perturbed path with |delta| = {abs(self.delta):g} > {PERTURBATION_GUARD}; "
                 "the first-order expansion is only trustworthy for small delta",
-                stacklevel=3,  # past the dataclass __init__, to its caller
+                stacklevel=_outside_caller(),
             )
 
     @classmethod

@@ -5,7 +5,8 @@
 through scipy's ``logsumexp`` (the slope through the pointwise reference forms
 of ``path_forms``), so they share no reduction with the library.
 ``finite_difference_grad`` differentiates any deterministic functional of
-lambda.  ``serial_mcmc_reference`` is the random-walk Metropolis sampler one
+lambda.  ``conjugate_exact_log_marginal`` is the conjugate Gaussian model's
+closed form.  ``serial_mcmc_reference`` is the random-walk Metropolis sampler one
 step at a time, against which the prefetched ``diagnostics.mcmc_reference``
 is checked.
 """
@@ -19,6 +20,11 @@ from hvi import models, paths
 from hvi.diagnostics import McmcReference
 from hvi.paths import PathSpec
 from path_forms import reference_integrand_parts, reference_log_density
+
+
+def conjugate_exact_log_marginal(sigma: float, x_obs: float) -> float:
+    """Closed-form log p(x) = log N(x; 0, 1 + sigma^2) for the conjugate model."""
+    return float(models._norm_logpdf(x_obs, 0.0, math.sqrt(1.0 + sigma**2)))
 
 
 def quadrature_local_evidence(model, alpha, beta, grid=None, params=None) -> float:

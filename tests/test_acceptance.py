@@ -21,19 +21,13 @@ from hvi.diagnostics import MmdReference, curve_profile, approx_error, mcmc_refe
 from hvi.estimators import (
     IntegrationRule,
     PartitionSchedule,
+    bound_report,
     draw_batch,
-    elbo,
-    eubo,
-    hbo,
-    iw_elbo,
-    local_evidence,
-    rvi,
-    tvo,
-    wasserstein_bounds,
+    local_evidence_curve,
 )
 from hvi.gradients import (
     BoundObjective,
-    local_evidence_grad,
+    _path_step,
     train,
 )
 from hvi.paths import PathSpec
@@ -61,13 +55,15 @@ def test_criterion_01_scaled_factor_exactness():
         target = math.log(c)
         for size, seed in ((1, 0), (97, 3), (1024, 11)):
             batch = draw_batch(model, size, seed)
-            for value in (elbo(batch), iw_elbo(batch), rvi(batch, 0.3),
-                          rvi(batch, 1.7), eubo(batch)):
-                assert value == pytest.approx(target, abs=1e-12)
+            report = bound_report(batch, ["elbo", "iw_elbo", "rvi[0.3]", "rvi[1.7]", "eubo",
+                                          "wlbo", "wubo"])
+            for bound_id in ("elbo", "iw_elbo", "rvi[0.3]", "rvi[1.7]", "eubo"):
+                assert report[bound_id] == pytest.approx(target, abs=1e-12)
             for sched in (PartitionSchedule.uniform(3), PartitionSchedule.log(21)):
                 for rule in IntegrationRule:
-                    assert tvo(batch, sched, rule) == pytest.approx(target, abs=1e-12)
-            wlbo, wubo = wasserstein_bounds(batch)
+                    assert bound_report(batch, ["tvo"], tvo_schedule=sched, rule=rule)[
+                        "tvo"] == pytest.approx(target, abs=1e-12)
+            wlbo, wubo = report["wlbo"], report["wubo"]
             assert wlbo == pytest.approx(1.0 - 1.0 / c, abs=1e-12)
             assert wubo == pytest.approx(c - 1.0, abs=1e-12)
     _pass(1, started, 1.0, "elbo=iw=rvi=tvo=log c, wlbo=1-1/c, wubo=c-1 for c in {0.5,2,10}")
@@ -82,12 +78,13 @@ def test_criterion_02_holder_closed_form():
     for alpha in (-0.5, 0.25, 0.5, 0.75, 1.0):
         for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
             expected = (c**alpha - 1.0) / (alpha * (beta * c**alpha + 1.0 - beta))
-            got = local_evidence(batch, PathSpec.holder(alpha), beta).value
+            got = local_evidence_curve(batch, PathSpec.holder(alpha), [beta])[0].value
             worst = max(worst, abs(got - expected))
     assert worst < 1e-12
     for cc in (0.5, 2.0, 10.0):
         b = draw_batch(models.make_scaled_factor(cc), 64, 1)
-        got = hbo(b, 1.0, PartitionSchedule.uniform(2000), IntegrationRule.TRAPEZOID)
+        got = bound_report(b, ["hbo[1]"], hbo_schedule=PartitionSchedule.uniform(2000),
+                           rule=IntegrationRule.TRAPEZOID)["hbo[1]"]
         assert abs(got - math.log(cc)) < 1e-4
     _pass(2, started, 5.0, f"5x5 closed-form grid max err {worst:.2e}; K=2000 trapezoid -> log c")
 
@@ -208,8 +205,8 @@ def test_criterion_08_gradient_correctness():
             lambda m, lam, b=beta: quadrature_local_evidence(m, 0.0, b, params=lam),
             step=1e-4)
         estimates = np.array([
-            local_evidence_grad(sin, None, PathSpec.geometric(), beta,
-                                draw_batch(sin, 100, int(s))).total
+            _path_step(sin, None, PathSpec.geometric(), [beta], [1.0],
+                       draw_batch(sin, 100, int(s)))[1].total
             for s in seeds])
         mean = estimates.mean(axis=0)
         std_err = estimates.std(axis=0, ddof=1) / math.sqrt(len(seeds))
@@ -219,7 +216,7 @@ def test_criterion_08_gradient_correctness():
     conjugate = models.make_conjugate_gaussian(1.0, 0.0)
     batch = draw_batch(conjugate, 100_000, 3)
     for beta in (0.0, 0.5, 1.0):
-        grad = local_evidence_grad(conjugate, None, PathSpec.geometric(), beta, batch)
+        grad = _path_step(conjugate, None, PathSpec.geometric(), [beta], [1.0], batch)[1]
         assert np.all(np.abs(grad.total) < 3 * grad.std_err + 1e-12)
     _pass(8, started, 300.0,
           f"500-seed mean within {worst_z:.2f} std errs of quadrature FD; "
@@ -238,6 +235,7 @@ def test_criterion_09_flattening_and_budget_error():
     assert result.summary.range < range_geo
     assert result.summary.range < range_one
     alpha_hat = result.alpha
+    hbo_id = f"hbo[{alpha_hat!r}]"
 
     x_grid = np.linspace(-2.5, 2.5, 101)
     gaps = []
@@ -245,10 +243,12 @@ def test_criterion_09_flattening_and_budget_error():
         sched = PartitionSchedule.uniform(partitions)
         err_tvo = approx_error(
             lambda x: models.make_sin_toy(x_obs=x), x_grid,
-            lambda m: tvo(draw_batch(m, 250, 77), sched, IntegrationRule.LEFT))
+            lambda m: bound_report(draw_batch(m, 250, 77), ["tvo"], tvo_schedule=sched,
+                                   rule=IntegrationRule.LEFT)["tvo"])
         err_hbo = approx_error(
             lambda x: models.make_sin_toy(x_obs=x), x_grid,
-            lambda m: hbo(draw_batch(m, 250, 77), alpha_hat, sched, IntegrationRule.LEFT))
+            lambda m: bound_report(draw_batch(m, 250, 77), [hbo_id], hbo_schedule=sched,
+                                   rule=IntegrationRule.LEFT)[hbo_id])
         assert err_hbo < err_tvo
         gaps.append(err_tvo / err_hbo)
     _pass(9, started, 300.0,

@@ -18,7 +18,7 @@ import pytest
 
 from hvi import cli
 from hvi.cli import _COMMANDS, _build_parser, main
-from hvi.estimators import PartitionSchedule, draw_batch, hbo, tvo
+from hvi.estimators import PartitionSchedule, bound_report, draw_batch
 from hvi.gradients import BoundObjective, train
 from hvi.models import make_conjugate_gaussian, make_sin_toy
 from hvi.tuning import DEFAULT_TEST_BETAS, tune_alpha_bisect, tune_alpha_grid
@@ -122,9 +122,9 @@ def test_bounds_schedule_given_by_betas_runs_on_those_knots(tmp_path):
     assert run_cli(["bounds", "--config", cfg, "--out", out]) == 0
     _, rows = read_csv(out)
     batch = draw_batch(make_sin_toy(), 200, 3)
-    assert [float(v) for v in rows[0][1:]] == [
-        hbo(batch, 0.5, PartitionSchedule([0.0, 0.3, 1.0])),
-        tvo(batch, PartitionSchedule([0.0, 0.6, 1.0]))]
+    assert [float(v) for v in rows[0][1:]] == list(bound_report(
+        batch, ["hbo[0.5]", "tvo"], hbo_schedule=PartitionSchedule([0.0, 0.3, 1.0]),
+        tvo_schedule=PartitionSchedule([0.0, 0.6, 1.0])).values())
 
 
 def test_config_that_is_not_json_is_a_named_error(tmp_path, capsys):
@@ -826,6 +826,12 @@ _CONDITIONAL_KEYS = [
     ("train", {"training": {"steps": 2, "mmd_every": 0, "mmd_sample": 100}},
      "config.training.mmd_sample"),
     ("oracle", {"oracle": {"betas": [0.5]}}, "config.oracle.betas"),
+    ("bounds", {"bounds": ["hbo[0.5]"],
+                "schedule": {"kind": "log", "partitions": 7, "betas": [0, 0.5, 1]}},
+     "config.schedule.kind"),
+    ("train", {"training": {"bound": "tvo", "steps": 2,
+                            "schedule": {"partitions": 7, "betas": [0, 0.5, 1]}}},
+     "config.training.schedule.partitions"),
 ]
 
 

@@ -16,21 +16,18 @@ from hvi.estimators import (
     PartitionSchedule,
     bound_report,
     draw_batch,
-    elbo,
-    eubo,
-    hbo,
-    iw_elbo,
-    local_evidence,
     local_evidence_curve,
     parse_bound_id,
-    perturbed_hbo,
     rule_weights,
-    rvi,
-    tvo,
-    wasserstein_bounds,
 )
 from hvi.paths import PathSpec, path_weights
-from oracles import quadrature_local_evidence, quadrature_rvi
+from oracles import conjugate_exact_log_marginal, quadrature_local_evidence, quadrature_rvi
+from path_forms import reference_log_density
+
+
+def bound(batch, bound_id, **schedules):
+    """One bound's value through bound_report, the library's one value route."""
+    return bound_report(batch, [bound_id], **schedules)[bound_id]
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +56,10 @@ def test_scaled_factor_batch_ratio_constant(scaled_two):
 
 
 def test_conjugate_batch_mean_ratio_estimates_marginal(conjugate):
-    exact = models.conjugate_exact_log_marginal(1.0, 0.0)
+    exact = conjugate_exact_log_marginal(1.0, 0.0)
     # exact-posterior proposal: f is constant at log p(x)
     batch = draw_batch(conjugate, 100_000, 21)
-    assert abs(elbo(batch) - exact) < 1e-10
+    assert abs(bound(batch, "elbo") - exact) < 1e-10
     # shifted proposal: mean of f targets log p(x) - KL(q || posterior)
     shift = 0.05
     post_var = 0.5
@@ -70,8 +67,8 @@ def test_conjugate_batch_mean_ratio_estimates_marginal(conjugate):
     batch = draw_batch(conjugate, 100_000, 21, lam)
     se = batch.log_ratio.std(ddof=1) / math.sqrt(batch.size)
     kl = shift**2 / (2 * post_var)
-    assert abs(elbo(batch) - (exact - kl)) < 3 * se
-    assert abs(iw_elbo(batch) - exact) < 1e-3
+    assert abs(bound(batch, "elbo") - (exact - kl)) < 3 * se
+    assert abs(bound(batch, "iw_elbo") - exact) < 1e-3
 
 
 def test_draw_batch_validates_size(sin_toy):
@@ -106,13 +103,14 @@ def test_draw_batch_names_a_log_ratio_that_overflows(sin_toy):
 def test_all_simple_bounds_exact_on_scaled_factor(scaled_two):
     batch = draw_batch(scaled_two, 333, 3)
     target = math.log(2.0)
-    for value in (elbo(batch), iw_elbo(batch), rvi(batch, 0.5), rvi(batch, 2.0), eubo(batch)):
+    for value in bound_report(batch, ["elbo", "iw_elbo", "rvi[0.5]", "rvi[2]", "eubo"]).values():
         assert value == pytest.approx(target, abs=1e-12)
 
 
 def test_rvi_alpha_one_is_iw_elbo_bitwise(sin_toy):
     batch = draw_batch(sin_toy, 500, 4)
-    assert rvi(batch, 1.0) == iw_elbo(batch)
+    report = bound_report(batch, ["rvi[1]", "iw_elbo"])
+    assert report["rvi[1]"] == report["iw_elbo"]
 
 
 @pytest.mark.parametrize("model_id", ["bayes_regression", "sin_toy"])
@@ -122,7 +120,7 @@ def test_rvi_at_a_huge_alpha_is_max_f(model_id):
     batch = draw_batch(models.make_model(model_id), 1000, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = rvi(batch, 1e308)
+        value = bound(batch, "rvi[1e308]")
     assert value == pytest.approx(batch.log_ratio.max(), rel=1e-15, abs=0.0)
 
 
@@ -130,7 +128,7 @@ def test_rvi_rejects_nonpositive_alpha(sin_toy):
     batch = draw_batch(sin_toy, 10, 0)
     for alpha in (0.0, -0.5):
         with pytest.raises(ValueError):
-            rvi(batch, alpha)
+            bound(batch, f"rvi[{alpha!r}]")
 
 
 @pytest.mark.parametrize("model_id", ["bayes_regression", "ring", "sin_toy"])
@@ -141,8 +139,8 @@ def test_rvi_at_a_small_alpha_reads_its_series(model_id, alpha):
     # 1.79, above log p, at alpha = 1e-300
     batch = draw_batch(models.make_model(model_id), 1000, 1)
     f = batch.log_ratio
-    assert rvi(batch, alpha) == pytest.approx(f.mean() + 0.5 * alpha * f.var(),
-                                              rel=1e-13, abs=0.0)
+    assert bound(batch, f"rvi[{alpha!r}]") == pytest.approx(f.mean() + 0.5 * alpha * f.var(),
+                                                            rel=1e-13, abs=0.0)
 
 
 def test_bound_ordering_across_seeds(sin_toy, sin_log_marginal):
@@ -151,8 +149,9 @@ def test_bound_ordering_across_seeds(sin_toy, sin_log_marginal):
     hits = 0
     for seed in range(100):
         batch = draw_batch(sin_toy, 10_000, seed)
-        iw = iw_elbo(batch)
-        assert elbo(batch) <= iw
+        report = bound_report(batch, ["elbo", "iw_elbo"])
+        iw = report["iw_elbo"]
+        assert report["elbo"] <= iw
         w = np.exp(batch.log_ratio - batch.log_ratio.max())
         se = w.std(ddof=1) / (w.mean() * math.sqrt(batch.size))
         hits += iw <= sin_log_marginal + 3 * se
@@ -164,10 +163,10 @@ def test_rvi_limit_and_monotonicity(conjugate, sin_toy):
     # small so the alpha * var/2 gap sits below the 1e-6 budget
     lam = conjugate.default_params.values + np.array([0.02, 0.01])
     batch = draw_batch(conjugate, 5000, 8, lam)
-    assert abs(rvi(batch, 1e-6) - elbo(batch)) < 1e-6
+    assert abs(bound(batch, "rvi[1e-6]") - bound(batch, "elbo")) < 1e-6
     # non-decreasing in alpha on any fixed batch
     for b in (batch, draw_batch(sin_toy, 2000, 8)):
-        values = [rvi(b, a) for a in (1e-6, 0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 2.0)]
+        values = [bound(b, f"rvi[{a}]") for a in (1e-6, 0.1, 0.3, 0.5, 0.8, 1.0, 1.5, 2.0)]
         assert np.all(np.diff(values) >= -1e-12)
 
 
@@ -178,20 +177,20 @@ def test_rvi_limit_and_monotonicity(conjugate, sin_toy):
 def test_local_evidence_scaled_factor_geometric(scaled_two):
     batch = draw_batch(scaled_two, 256, 0)
     for beta in (0.0, 0.25, 1.0):
-        est = local_evidence(batch, PathSpec.geometric(), beta)
+        est = local_evidence_curve(batch, PathSpec.geometric(), [beta])[0]
         assert est.value == pytest.approx(math.log(2.0), abs=1e-12)
         assert est.ess == pytest.approx(1.0, abs=1e-12)
 
 
 def test_local_evidence_scaled_factor_holder_closed_form(scaled_two):
     batch = draw_batch(scaled_two, 256, 0)
-    est = local_evidence(batch, PathSpec.holder(1.0), 0.5)
+    est = local_evidence_curve(batch, PathSpec.holder(1.0), [0.5])[0]
     assert est.value == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_local_evidence_matches_quadrature(sin_toy):
     batch = draw_batch(sin_toy, 100_000, 12)
-    est = local_evidence(batch, PathSpec.holder(0.8), 0.5)
+    est = local_evidence_curve(batch, PathSpec.holder(0.8), [0.5])[0]
     exact = quadrature_local_evidence(sin_toy, 0.8, 0.5)
     assert abs(est.value - exact) < 3 * est.std_err
 
@@ -199,12 +198,12 @@ def test_local_evidence_matches_quadrature(sin_toy):
 def test_local_evidence_beta_validation(sin_toy):
     batch = draw_batch(sin_toy, 16, 0)
     with pytest.raises(ValueError):
-        local_evidence(batch, PathSpec.geometric(), 1.5)
+        local_evidence_curve(batch, PathSpec.geometric(), [1.5])
 
 
 def test_local_evidence_degenerate_single_sample(sin_toy):
     batch = draw_batch(sin_toy, 1, 0)
-    est = local_evidence(batch, PathSpec.geometric(), 0.5)
+    est = local_evidence_curve(batch, PathSpec.geometric(), [0.5])[0]
     assert est.std_err == 0.0 and est.ess == pytest.approx(1.0)
 
 
@@ -225,17 +224,30 @@ def test_self_normalized_weights_sum_to_one(beta, spec, seed):
 def test_ess_always_in_bounds(beta, alpha, seed):
     model = models.make_sin_toy()
     batch = draw_batch(model, 50, seed)
-    est = local_evidence(batch, PathSpec.holder(alpha), beta)
+    est = local_evidence_curve(batch, PathSpec.holder(alpha), [beta])[0]
     assert 1.0 / batch.size - 1e-12 <= est.ess <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("spec", [PathSpec.geometric(), PathSpec.holder(0.8),
+                                  PathSpec.wasserstein(), PathSpec.perturbed(0.05)])
+def test_ess_is_the_normalized_effective_sample_size(sin_toy, spec):
+    # (sum w)^2 / (S sum w^2) of the path weights, at interior betas where they are uneven
+    batch = draw_batch(sin_toy, 500, 3)
+    betas = [0.25, 0.5, 0.75]
+    for beta, est in zip(betas, local_evidence_curve(batch, spec, betas)):
+        log_w = reference_log_density(spec, np.zeros(batch.size), batch.log_ratio, beta)
+        w = np.exp(log_w - log_w.max())
+        ess = w.sum() ** 2 / (batch.size * np.sum(w * w))
+        assert ess < 0.9
+        assert est.ess == pytest.approx(ess, rel=1e-12, abs=0.0)
 
 
 def test_batch_reuse_equals_recomputation(sin_toy):
     batch = draw_batch(sin_toy, 400, 99)
-    first = [elbo(batch), iw_elbo(batch), tvo(batch), hbo(batch, 0.8),
-             wasserstein_bounds(batch)]
+    ids = ["elbo", "iw_elbo", "tvo", "hbo[0.8]", "wlbo", "wubo"]
+    first = bound_report(batch, ids)
     batch2 = draw_batch(sin_toy, 400, 99)
-    second = [elbo(batch2), iw_elbo(batch2), tvo(batch2), hbo(batch2, 0.8),
-              wasserstein_bounds(batch2)]
+    second = bound_report(batch2, ids)
     assert first == second
 
 
@@ -311,29 +323,31 @@ def test_tvo_exact_on_scaled_factor(scaled_two):
     batch = draw_batch(scaled_two, 100, 0)
     for sched in (PartitionSchedule.uniform(7), PartitionSchedule.log(13)):
         for rule in IntegrationRule:
-            assert tvo(batch, sched, rule) == pytest.approx(math.log(2.0), abs=1e-12)
+            assert bound(batch, "tvo", tvo_schedule=sched, rule=rule) == pytest.approx(
+                math.log(2.0), abs=1e-12)
 
 
 def test_hbo_trapezoid_converges_on_scaled_factor(scaled_two):
     # exact curve 1/(1+beta) integrates to log 2
     batch = draw_batch(scaled_two, 64, 1)
-    got = hbo(batch, 1.0, PartitionSchedule.uniform(2000), IntegrationRule.TRAPEZOID)
+    got = bound(batch, "hbo[1]", hbo_schedule=PartitionSchedule.uniform(2000),
+                rule=IntegrationRule.TRAPEZOID)
     assert abs(got - math.log(2.0)) < 1e-4
 
 
 def test_perturbed_hbo_zero_delta_equals_tvo(sin_toy):
     batch = draw_batch(sin_toy, 500, 2)
     sched = PartitionSchedule.uniform(10)
-    assert perturbed_hbo(batch, 0.0, sched) == pytest.approx(
-        tvo(batch, sched), abs=1e-12)
+    assert bound(batch, "perturbed_hbo[0]", hbo_schedule=sched) == pytest.approx(
+        bound(batch, "tvo", tvo_schedule=sched), abs=1e-12)
 
 
 def test_left_sum_below_right_sum_on_rising_curve(sin_toy):
     batch = draw_batch(sin_toy, 2000, 6)
     sched = PartitionSchedule.log(50)
     curve = local_evidence_curve(batch, PathSpec.geometric(), sched.betas)
-    left = tvo(batch, sched, IntegrationRule.LEFT)
-    right = tvo(batch, sched, IntegrationRule.RIGHT)
+    left = bound(batch, "tvo", tvo_schedule=sched, rule=IntegrationRule.LEFT)
+    right = bound(batch, "tvo", tvo_schedule=sched, rule=IntegrationRule.RIGHT)
     slack = 3 * math.sqrt(curve[0].std_err ** 2 + curve[-1].std_err ** 2)
     assert left <= right + slack
 
@@ -344,8 +358,8 @@ def test_expected_bound_ordering_elbo_tvo_logp(sin_toy, sin_log_marginal):
     sched = PartitionSchedule.log(50)
     for seed in range(200):
         batch = draw_batch(sin_toy, 100, seed)
-        elbos.append(elbo(batch))
-        tvos.append(tvo(batch, sched, IntegrationRule.LEFT))
+        elbos.append(bound(batch, "elbo"))
+        tvos.append(bound(batch, "tvo", tvo_schedule=sched, rule=IntegrationRule.LEFT))
     elbos, tvos = np.array(elbos), np.array(tvos)
     se = math.sqrt(elbos.var(ddof=1) / 200 + tvos.var(ddof=1) / 200)
     assert tvos.mean() - elbos.mean() > 3 * se
@@ -358,7 +372,7 @@ def test_expected_bound_ordering_elbo_tvo_logp(sin_toy, sin_log_marginal):
 
 def test_wasserstein_bounds_closed_forms(scaled_two):
     batch = draw_batch(scaled_two, 512, 7)
-    wlbo, wubo = wasserstein_bounds(batch)
+    wlbo, wubo = bound_report(batch, ["wlbo", "wubo"]).values()
     assert wlbo == pytest.approx(0.5, abs=1e-12)
     assert wubo == pytest.approx(1.0, abs=1e-12)
     assert wlbo <= math.log(2.0) <= wubo
@@ -418,10 +432,9 @@ def test_parse_bound_id_checks_the_parameter(bound_id, message):
 
 def test_estimators_reject_a_non_finite_parameter(sin_toy):
     batch = draw_batch(sin_toy, 32, 0)
-    for estimate in (lambda: rvi(batch, math.inf), lambda: hbo(batch, math.nan),
-                     lambda: perturbed_hbo(batch, math.inf)):
+    for bound_id in ("rvi[inf]", "hbo[nan]", "perturbed_hbo[inf]"):
         with pytest.raises(ValueError, match="finite"):
-            estimate()
+            bound(batch, bound_id)
 
 
 def test_bound_report_values_in_request_order(scaled_two):

@@ -9,15 +9,15 @@ from hvi import models, paths
 from hvi.estimators import (
     IntegrationRule,
     PartitionSchedule,
+    _form_value,
     bound_report,
     draw_batch,
     parse_bound_id,
+    rule_weights,
 )
 from hvi.gradients import (
     BoundObjective,
     _path_step,
-    bound_grad,
-    local_evidence_grad,
     train,
 )
 from hvi.paths import PathSpec, path_gradient_coeffs, path_weights
@@ -43,13 +43,13 @@ def quad_local_evidence_objective(alpha, beta):
 @pytest.mark.parametrize("spec", SPECS)
 def test_terms_sum_to_total(sin_toy, spec):
     batch = draw_batch(sin_toy, 200, 0)
-    grad = local_evidence_grad(sin_toy, None, spec, 0.4, batch)
+    grad = _path_step(sin_toy, None, spec, [0.4], [1.0], batch)[1]
     np.testing.assert_allclose(grad.total, grad.term_i + grad.term_ii, atol=1e-15)
 
 
 def test_beta_zero_pathwise_term_is_elbo_gradient(sin_toy):
     batch = draw_batch(sin_toy, 500, 1)
-    grad = local_evidence_grad(sin_toy, None, PathSpec.geometric(), 0.0, batch)
+    grad = _path_step(sin_toy, None, PathSpec.geometric(), [0.0], [1.0], batch)[1]
     grad_f = sin_toy.grad_log_target(batch.z) - sin_toy.grad_log_proposal(batch.z)
     np.testing.assert_allclose(grad.term_ii, grad_f.mean(axis=0), atol=1e-12)
 
@@ -58,8 +58,9 @@ def test_scaled_factor_scale_gradient_is_one(scaled_two):
     # f is constant, so term (i) vanishes and d f / d log c = 1 at every beta
     batch = draw_batch(scaled_two, 64, 3)
     for rule in IntegrationRule:
-        grad = bound_grad(scaled_two, None, PathSpec.geometric(),
-                          PartitionSchedule.uniform(4), rule, batch)
+        betas = PartitionSchedule.uniform(4).betas
+        grad = _path_step(scaled_two, None, PathSpec.geometric(), betas,
+                          rule_weights(betas, rule), batch)[1]
         assert grad.total[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(grad.term_i[0]) < 1e-12
 
@@ -71,7 +72,7 @@ def test_scaled_factor_scale_gradient_is_one(scaled_two):
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
 def test_zero_gradient_at_conjugate_posterior(conjugate, beta):
     batch = draw_batch(conjugate, 100_000, 3)
-    grad = local_evidence_grad(conjugate, None, PathSpec.geometric(), beta, batch)
+    grad = _path_step(conjugate, None, PathSpec.geometric(), [beta], [1.0], batch)[1]
     assert np.all(np.abs(grad.total) < 3 * grad.std_err + 1e-12)
 
 
@@ -82,7 +83,7 @@ def test_zero_gradient_at_conjugate_posterior(conjugate, beta):
 ])
 def test_single_batch_gradient_matches_quadrature_fd(sin_toy, spec, alpha):
     batch = draw_batch(sin_toy, 100_000, 7)
-    grad = local_evidence_grad(sin_toy, None, spec, 0.5, batch)
+    grad = _path_step(sin_toy, None, spec, [0.5], [1.0], batch)[1]
     oracle = finite_difference_grad(sin_toy, None, quad_local_evidence_objective(alpha, 0.5))
     assert np.all(np.abs(grad.total - oracle) < 3 * grad.std_err)
 
@@ -105,7 +106,7 @@ def test_perturbed_gradient_matches_quadrature_fd(sin_toy):
         return float(np.sum(sign * np.exp(log_mass + log_abs)))
 
     batch = draw_batch(sin_toy, 100_000, 8)
-    grad = local_evidence_grad(sin_toy, None, spec, beta, batch)
+    grad = _path_step(sin_toy, None, spec, [beta], [1.0], batch)[1]
     oracle = finite_difference_grad(sin_toy, None, objective)
     assert np.all(np.abs(grad.total - oracle) < 3 * grad.std_err)
 
@@ -113,10 +114,11 @@ def test_perturbed_gradient_matches_quadrature_fd(sin_toy):
 def test_bound_grad_k1_trapezoid_averages_endpoints(sin_toy):
     batch = draw_batch(sin_toy, 300, 5)
     spec = PathSpec.geometric()
-    lo = local_evidence_grad(sin_toy, None, spec, 0.0, batch)
-    hi = local_evidence_grad(sin_toy, None, spec, 1.0, batch)
-    both = bound_grad(sin_toy, None, spec, PartitionSchedule.uniform(1),
-                      IntegrationRule.TRAPEZOID, batch)
+    lo = _path_step(sin_toy, None, spec, [0.0], [1.0], batch)[1]
+    hi = _path_step(sin_toy, None, spec, [1.0], [1.0], batch)[1]
+    betas = PartitionSchedule.uniform(1).betas
+    weights = rule_weights(betas, IntegrationRule.TRAPEZOID)
+    both = _path_step(sin_toy, None, spec, betas, weights, batch)[1]
     np.testing.assert_allclose(both.total, 0.5 * (lo.total + hi.total), atol=1e-12)
 
 
@@ -126,11 +128,11 @@ def test_holder_gradient_finite_at_extreme_log_ratios(conjugate):
     lam = np.array([0.0, math.log(12.0)])
     batch = draw_batch(conjugate, 200, 0, lam)
     assert batch.log_ratio.min() < -800
-    grad = local_evidence_grad(conjugate, lam, PathSpec.holder(1.0), 1.0, batch)
+    grad = _path_step(conjugate, lam, PathSpec.holder(1.0), [1.0], [1.0], batch)[1]
     objective = BoundObjective(bound="hbo", alpha=1.0, rule="right",
                                schedule=PartitionSchedule.uniform(5), sample_size=200)
-    assert np.isfinite(objective.value(batch))
-    bound = objective.gradient(conjugate, lam, batch)
+    assert np.isfinite(_form_value(batch, objective._form))
+    bound = _path_step(conjugate, lam, *objective._form, batch)[1]
     for est in (grad, bound):
         assert np.all(np.isfinite(est.total)) and np.all(np.isfinite(est.std_err))
 
@@ -138,8 +140,10 @@ def test_holder_gradient_finite_at_extreme_log_ratios(conjugate):
 def test_integrated_gradient_std_err_is_calibrated(sin_toy):
     # every knot reweights the same batch, so the knots' errors are correlated
     # and the std err has to be that of the rule-weighted sum, not of the knots
-    grads = [bound_grad(sin_toy, None, PathSpec.holder(0.5), PartitionSchedule.uniform(50),
-                        IntegrationRule.LEFT, draw_batch(sin_toy, 500, seed))
+    betas = PartitionSchedule.uniform(50).betas
+    weights = rule_weights(betas, IntegrationRule.LEFT)
+    grads = [_path_step(sin_toy, None, PathSpec.holder(0.5), betas, weights,
+                        draw_batch(sin_toy, 500, seed))[1]
              for seed in range(300)]
     spread = np.std([g.total for g in grads], axis=0, ddof=1)
     reported = np.mean([g.std_err for g in grads], axis=0)
@@ -173,11 +177,11 @@ def test_gradient_std_err_is_the_delta_method_one_across_blocks(monkeypatch, mod
     objective = BoundObjective(**bound, rule="trapezoid", sample_size=300)
     spec, betas, weights = objective._form
     batch = draw_batch(model, objective.sample_size, 4)
-    one_block = objective.gradient(model, None, batch)
+    one_block = _path_step(model, None, spec, betas, weights, batch)[1]
     term_i, term_ii, std_err = _influence_by_definition(model, spec, betas, weights, batch)
     monkeypatch.setattr(paths, "BLOCK_ELEMENTS", 7 * batch.size)
     assert len(list(path_weights(spec, betas, batch.log_ratio))) == 8
-    blocked = objective.gradient(model, None, batch)
+    blocked = _path_step(model, None, spec, betas, weights, batch)[1]
     for grad in (one_block, blocked):
         np.testing.assert_allclose(grad.std_err, std_err, rtol=1e-12, atol=0)
     for got, expected in ((blocked.term_i, one_block.term_i), (blocked.term_ii, one_block.term_ii),
@@ -204,13 +208,12 @@ def test_gradient_step_peak_memory_stays_below_twelve_knot_by_sample_arrays():
 def test_integrated_gradient_matches_quadrature_fd(sin_toy):
     sched = PartitionSchedule.uniform(5)
     batch = draw_batch(sin_toy, 100_000, 9)
-    grad = bound_grad(sin_toy, None, PathSpec.geometric(), sched,
-                      IntegrationRule.LEFT, batch)
+    weights = rule_weights(sched.betas, IntegrationRule.LEFT)
+    grad = _path_step(sin_toy, None, PathSpec.geometric(), sched.betas, weights, batch)[1]
 
     def objective(model, lam):
         curve = models.quadrature_local_evidence_curve(model, 0.0, sched.betas, params=lam)
-        from hvi.estimators import rule_weights
-        return float(rule_weights(sched.betas, IntegrationRule.LEFT) @ curve)
+        return float(weights @ curve)
 
     oracle = finite_difference_grad(sin_toy, None, objective)
     assert np.all(np.abs(grad.total - oracle) < 3 * grad.std_err + 1e-6)
@@ -332,7 +335,7 @@ _HBO = BoundObjective(bound="hbo", alpha=0.05, schedule=PartitionSchedule.unifor
 ])
 def test_train_matches_separate_value_and_gradient(sin_toy, model, objective):
     # train takes each step's value and gradient from one kernel pass; the
-    # reference loop asks the objective for them separately
+    # reference loop takes the value from the bound's value route, _form_value
     if model is None:
         model, init, learning_rate = sin_toy, sin_toy.default_params.values + 0.3, 1e-2
     else:
@@ -344,9 +347,9 @@ def test_train_matches_separate_value_and_gradient(sin_toy, model, objective):
     for t, step_seed in enumerate(derive_seeds(seed, steps + 1)):
         batch = draw_batch(model, objective.sample_size, int(step_seed), lam)
         params.append(lam.copy())
-        values.append(objective.value(batch))
+        values.append(_form_value(batch, objective._form))
         if t < steps:
-            lam = lam + learning_rate * objective.gradient(model, lam, batch).total
+            lam = lam + learning_rate * _path_step(model, lam, *objective._form, batch)[1].total
     assert not trace.diverged
     np.testing.assert_array_equal(trace.params, params)
     np.testing.assert_array_equal(trace.objective, values)
@@ -373,8 +376,7 @@ def test_training_step_evaluates_model_four_times(objective):
         name: counted(getattr(model, name))
         for name in ("_log_target", "_log_proposal", "_grad_log_target", "_grad_log_proposal")})
     batch = draw_batch(model, objective.sample_size, 0)
-    objective.value(batch)
-    objective.gradient(model, None, batch)
+    _path_step(model, None, *objective._form, batch)
     assert len(calls) == 4
 
 
@@ -396,12 +398,13 @@ def test_objective_follows_its_bound(conjugate, bound_id, spec, knots):
                                rule="trapezoid", sample_size=200)
     batch = draw_batch(conjugate, objective.sample_size, 3)
     report = bound_report(batch, [bound_id], rule="trapezoid")
-    assert objective.value(batch) == report[bound_id]
+    assert _form_value(batch, objective._form) == report[bound_id]
     if isinstance(knots, PartitionSchedule):
-        expected = bound_grad(conjugate, None, spec, knots, "trapezoid", batch)
+        knots, weights = knots.betas, rule_weights(knots.betas, "trapezoid")
     else:
-        expected = local_evidence_grad(conjugate, None, spec, knots[0], batch)
-    np.testing.assert_array_equal(objective.gradient(conjugate, None, batch).total,
+        weights = [1.0]
+    expected = _path_step(conjugate, None, spec, knots, weights, batch)[1]
+    np.testing.assert_array_equal(_path_step(conjugate, None, *objective._form, batch)[1].total,
                                   expected.total)
     trace = train(conjugate, None, objective, steps=5, learning_rate=0.01, seed=0)
     assert len(trace) == 6 and not trace.diverged

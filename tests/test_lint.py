@@ -2,8 +2,9 @@
 the package imports no scipy, only the CLI sets the allocator policy and
 writes CSV or JSON, every JSON writer in it passes allow_nan=False, every exception it raises is one
 the CLI reports, every code name the README gives still exists, the
-README's API table names only package code, and every package name the
-benchmark (``perfbench``) reads exists.
+README's API table names only package code, every package name the
+benchmark (``perfbench``) reads exists, and every public package name is
+reached by code outside the tests.
 
 Parses each ``hvi`` module, each script, each test module and the
 benchmark's workloads and tracer with ``ast``; nothing is imported.
@@ -295,3 +296,46 @@ def test_every_package_name_the_benchmark_reads_exists():
         *_literal(bench["tracer.py"], "MODEL_EVALUATORS"), "sample_proposal")
         if method not in methods]
     assert not missing, f"package names the benchmark reads that do not exist: {missing}"
+
+
+def _reached(tree: ast.Module) -> set:
+    """(module, name) of every ``from <...>.<module> import <name>`` in ``tree`` and of every
+    ``<module>.<name>`` it reads."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found |= {(node.module.rpartition(".")[2], alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            found.add((node.value.id, node.attr))
+    return found
+
+
+def _loaded_by_its_module(tree: ast.Module, name: str) -> bool:
+    """Whether a top-level statement of ``tree`` other than ``name``'s definition reads it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defines = node.name == name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            defines = name in _defined(ast.Module(body=[node], type_ignores=[]))
+        else:
+            defines = False
+        if not defines and name in _read(node):
+            return True
+    return False
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    # the package keeps only what a command, a script or the benchmark reaches:
+    # a public name that only the tests call is a second route to a computation
+    package = {path.stem: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted((ROOT / "src/hvi").glob("*.py"))}
+    workloads = ROOT / "perfbench" / "workloads.py"
+    reached = _hvi_attributes(ast.parse(workloads.read_text(), filename=str(workloads)))
+    for path in [*sorted((ROOT / "scripts").glob("*.py")), workloads]:
+        reached |= _reached(ast.parse(path.read_text(), filename=str(path)))
+    for module, tree in package.items():
+        reached |= {(m, name) for m, name in _reached(tree) if m != module}
+    unreached = sorted(f"{module}.{name}" for module, tree in package.items()
+                       for name in _all_entries(tree)
+                       if (module, name) not in reached and not _loaded_by_its_module(tree, name))
+    assert not unreached, f"public names only the tests reach: {unreached}"

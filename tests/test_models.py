@@ -12,7 +12,6 @@ from hvi import models
 from hvi.models import (
     GridSpec,
     ModelParameters,
-    conjugate_exact_log_marginal,
     make_bayes_regression,
     make_conjugate_gaussian,
     make_model,
@@ -25,7 +24,7 @@ from hvi.models import (
     quadrature_oracle,
     simulate_bayes_dataset,
 )
-from oracles import quadrature_local_evidence, quadrature_rvi
+from oracles import conjugate_exact_log_marginal, quadrature_local_evidence, quadrature_rvi
 
 ALL_LOW_DIM = [
     lambda: make_scaled_factor(2.0),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from hvi import models, paths
+from hvi.estimators import bound_report, draw_batch
 from hvi.paths import (
     GEOMETRIC_ALPHA_CUTOFF,
     PathCurve,
@@ -77,10 +78,16 @@ def test_perturbed_guard_warns():
 
 
 def test_perturbed_guard_warning_names_the_callers_line():
-    # at stacklevel 2 it named the dataclass-generated __init__, "<string>"
-    with pytest.warns(UserWarning, match="perturbed path") as record:
-        PathSpec("perturbed", delta=1.0)
-    assert record[0].filename == __file__
+    # at stacklevel 2 it named the dataclass-generated __init__, "<string>"; at a
+    # fixed 3, PathSpec.perturbed, from_json and bound_report named lines in hvi
+    batch = draw_batch(models.make_sin_toy(), 10, 1)
+    for construct in (lambda: PathSpec("perturbed", delta=1.0),
+                      lambda: PathSpec.perturbed(1.0),
+                      lambda: PathSpec.from_json({"kind": "perturbed", "delta": 1.0}),
+                      lambda: bound_report(batch, ["perturbed_hbo[1]"])):
+        with pytest.warns(UserWarning, match="perturbed path") as record:
+            construct()
+        assert [warning.filename for warning in record] == [__file__] * len(record)
 
 
 def test_tiny_alpha_routes_to_geometric():
