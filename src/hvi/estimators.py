@@ -15,12 +15,15 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .models import LatentModel
-from .paths import PathSpec, _check_finite, _check_float_range, _log_ratio, _renyi_sum, path_weights
+from .paths import PathSpec, _blocks, _check_betas, _check_finite, _check_float_range
+from .paths import _gradient_coeffs, _log_ratio, _renyi_sum, path_weights
+from .util import _count
 
 __all__ = [
     "ImportanceBatch",
@@ -67,12 +70,17 @@ class ImportanceBatch:
 
 
 def draw_batch(model: LatentModel, size: int, seed: int, params=None) -> ImportanceBatch:
-    """Draw ``size`` proposal samples and cache their log ratios."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = model.sample_proposal(rng, size, params)
-    return ImportanceBatch(z, _log_ratio(model, z, params)[1])
+    """Draw ``size`` proposal samples and cache their log ratios: lambda is resolved, and the
+    samples checked, once for the model's raw sampler and densities."""
+    size = _count("size", size, 1)
+    lam = model._resolve(params)
+    z = model._points(model._sample_proposal(np.random.default_rng(seed), lam, size))
+    f = _log_ratio(model._log_proposal, model._log_target, z, lam)[1]
+    if f.shape != (size,):
+        raise ValueError("log_ratio must have one entry per sample")
+    batch = object.__new__(ImportanceBatch)  # checked here: f once, in _log_ratio
+    batch.__dict__.update(z=z, log_ratio=f)
+    return batch
 
 
 @dataclass(frozen=True)
@@ -89,38 +97,92 @@ class LocalEvidenceEstimate:
     ess: float
 
 
-def _knot_blocks(batch: ImportanceBatch, spec: PathSpec, betas, weights):
-    """(knot rows, block, local evidences) per path_weights block over the knots of
-    nonzero weight: the one place a sample block is summed, and its local evidences
-    checked to lie in the float range (paths._check_float_range)."""
-    knots, start = np.flatnonzero(weights), 0
-    for block in path_weights(spec, np.asarray(betas, dtype=float)[knots], batch.log_ratio):
-        rows = knots[start:start + len(block.betas)]
-        yield rows, block, _check_float_range(spec, block.wg.sum(axis=1), block.betas)
-        start += rows.size
+class _Form(NamedTuple):
+    """A path form: value = weights @ curve.  ``blocks`` maps log ratios to path_weights blocks
+    over the betas of the ``knots`` (nonzero weight), whose log is ``log_betas`` (a column)."""
+
+    spec: PathSpec
+    branch: tuple
+    weights: np.ndarray
+    knots: np.ndarray
+    blocks: Callable
+    log_betas: Optional[np.ndarray]
+
+
+def _path_form(spec: PathSpec, betas, weights) -> _Form:
+    """A bound's form, its knots' betas checked once here for the unchecked paths._blocks."""
+    weights = np.asarray(weights, dtype=float)
+    knots = np.flatnonzero(weights)
+    betas = _check_betas(np.asarray(betas, dtype=float)[knots])
+    with np.errstate(divide="ignore"):
+        log_betas = np.log(betas)[:, None]
+    return _Form(spec, spec.branch(), weights, knots,
+                 partial(_blocks, spec, spec.branch(), betas), log_betas)
 
 
 def _reduce_curve(batch: ImportanceBatch, spec: PathSpec, betas, coef=None):
-    """(values, std errs, ESS) per beta, and the std err of ``coef @ values``.
-
-    Delta-method errors (Owen, Monte Carlo theory, methods and examples, 2013,
-    ch. 9) over one batch, with phi_ks = w_ks (g_ks - E_k): sqrt(sum_s phi_ks^2)
-    per beta and, for the row of coefficients ``coef``, sqrt(sum_s ((coef phi)_s)^2),
-    which keeps the correlation of betas that reweight the same samples (None
-    without ``coef``).  A value beyond the float range is a ValueError
-    (_knot_blocks); an error that overflows reads inf, with no numpy warning.
-    """
-    parts, combo = [], 0.0
+    """_reduce's values, std errs, ESS and coef std err at every beta, checked by path_weights."""
+    form = _Form(spec, spec.branch(), np.ones(len(betas)), np.arange(len(betas)),
+                 partial(path_weights, spec, betas), None)
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, block, values in _knot_blocks(batch, spec, betas, np.ones(len(betas))):
-            phi = block.wg - values[:, None] * block.w
-            if coef is not None:
-                combo = combo + coef[rows] @ phi
-            parts.append((values, np.sqrt(np.sum(phi ** 2, axis=1)),
-                          1.0 / (batch.size * np.sum(block.w * block.w, axis=1))))
-        combo = None if coef is None else np.sqrt(np.sum(combo ** 2))
-    values, std_errs, ess = (np.concatenate(column) for column in zip(*parts))
-    return values, std_errs, ess, combo
+        return _reduce(batch, form, stats=True, coef=coef)[:4]
+
+
+def _knot_blocks(batch: ImportanceBatch, form: _Form):
+    """(slice of the form's knots, block, local evidences checked in the float range) per block."""
+    start = 0
+    for block in form.blocks(batch.log_ratio):
+        knots = slice(start, start + len(block.betas))
+        yield knots, block, _check_float_range(form.spec, block.wg.sum(axis=1), block.betas)
+        start = knots.stop
+
+
+def _reduce(batch: ImportanceBatch, form: _Form, stats=False, coef=None, fields=None,
+            grad_std_err=False):
+    """(values, std errs, ESS, coef std err, gradient) in one pass over ``batch``: the local
+    evidence per beta of ``form`` (0 at weight 0) and, only when asked, the rest (else None).
+
+    With phi_ks = w_ks (g_ks - E_k), ``stats`` gives sqrt(sum_s phi_ks^2) and the ESS
+    1 / (S sum_s w_ks^2) per knot and ``coef`` the std err of coef @ values (README,
+    "Numerical conventions").  ``fields``, (grad L0, grad f) at the samples, gives the
+    gradient terms G_i = sum_s phi (grad L0 + dh/df grad f) and G_ii = sum_s w dg/df grad f,
+    summed with the weights, and ``grad_std_err`` their sum's std err from each sample's
+    influence psi_ks = phi (grad L0 + dh/df grad f) + w dg/df grad f - w (G_i + G_ii).  A
+    local evidence or G_i + G_ii beyond the float range is a ValueError naming its beta;
+    callers ignore numpy overflow, so an error that overflows reads inf."""
+    values = np.zeros(form.weights.size)
+    errs, effective = [], []
+    combo = term_i = term_ii = influence = 0.0
+    for knots, block, knot_values in _knot_blocks(batch, form):
+        rows = form.knots[knots]
+        values[rows] = knot_values
+        if stats or coef is not None or fields is not None:
+            phi = block.wg - knot_values[:, None] * block.w
+        if stats:
+            errs.append(np.sqrt(np.sum(phi ** 2, axis=1)))
+            effective.append(1.0 / (batch.size * np.sum(block.w * block.w, axis=1)))
+        if coef is not None:
+            combo = combo + coef[rows] @ phi
+        if fields is not None:
+            (grad_l0, grad_f), c = fields, form.weights[rows]
+            dh_df, w_dg_df = _gradient_coeffs(form.branch, block, batch.log_ratio,
+                                              form.log_betas[knots])
+            along_f = dh_df * phi
+            knot_i = phi @ grad_l0 + along_f @ grad_f
+            knot_ii = w_dg_df @ grad_f
+            knot = _check_float_range(form.spec, knot_i + knot_ii, block.betas,
+                                      "gradient of the local evidence")
+            term_i = term_i + c @ knot_i
+            term_ii = term_ii + c @ knot_ii
+            if grad_std_err:
+                influence = (influence + (c @ phi)[:, None] * grad_l0
+                             + (c @ along_f + c @ w_dg_df)[:, None] * grad_f
+                             - block.w.T @ (c[:, None] * knot))
+    grad_se = np.sqrt(np.sum(influence ** 2, axis=0)) if grad_std_err else None
+    return (values, np.concatenate(errs) if stats else None,
+            np.concatenate(effective) if stats else None,
+            None if coef is None else np.sqrt(np.sum(combo ** 2)),
+            None if fields is None else (term_i, term_ii, grad_se))
 
 
 def local_evidence_curve(batch: ImportanceBatch, spec: PathSpec,
@@ -240,7 +302,7 @@ _PATH_BOUNDS = tuple(name for name, row in _BOUNDS.items() if row.path is not No
 def _resolve(name: str, arg: Optional[float] = None,
              schedule: Optional[PartitionSchedule] = None,
              rule: IntegrationRule = IntegrationRule.LEFT):
-    """Check a bound's inputs; its path form (PathSpec, betas, rule weights), or None.
+    """Check a bound's inputs; its path form (_path_form), or None.
 
     The parameter must be finite (and a positive normal float for rvi), the
     rule known, and a single-knot bound takes no schedule.  None stands for a
@@ -257,27 +319,18 @@ def _resolve(name: str, arg: Optional[float] = None,
     if not isinstance(row.knots, str):
         if schedule is not None:
             raise ValueError(f"bound {name!r} has a single knot and takes no schedule")
-        return None if row.path is None else (PathSpec(row.path), np.array([row.knots]),
-                                              np.ones(1))
+        return None if row.path is None else _path_form(PathSpec(row.path), [row.knots], [1.0])
     spec = PathSpec(row.path, **({row.param: arg} if row.param else {}))
     schedule = schedule or getattr(PartitionSchedule, row.knots)(DEFAULT_PARTITIONS)
-    return spec, schedule.betas, rule_weights(schedule.betas, rule)
+    return _path_form(spec, schedule.betas, rule_weights(schedule.betas, rule))
 
 
-def _form_value(batch: ImportanceBatch, form) -> float:
-    """A bound from its path form (see _resolve): weights @ the kernel's curve.
-
-    Training reads its values from the same path_weights blocks as its
-    gradients, so a bound sums those blocks, not a paths.PathCurve (values
-    only), whose sums agree with them only to rounding.  Knots of weight 0
-    are not formed: a beta that adds nothing cannot turn the bound into NaN.
-    """
-    spec, betas, weights = form
-    curve = np.zeros(weights.size)
+def _form_value(batch: ImportanceBatch, form: _Form) -> float:
+    """A bound from its path form (see _resolve): weights @ the reducer's curve, from the
+    blocks training's gradients take, not a paths.PathCurve, whose sums agree with them only
+    to rounding.  Knots of weight 0 are not formed, so they cannot turn the bound into NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, _, values in _knot_blocks(batch, spec, betas, weights):
-            curve[rows] = values
-    return float(weights @ curve)
+        return float(form.weights @ _reduce(batch, form)[0])
 
 
 def _split_bound_id(bound_id: str) -> tuple[str, Optional[float]]:

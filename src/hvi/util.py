@@ -27,3 +27,12 @@ def derive_seeds(seed: int, count: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2**63 - 1, size=count, dtype=np.int64)
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value``, a Python or numpy integer (not a bool) of at least ``least``, as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)

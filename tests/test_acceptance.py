@@ -22,19 +22,17 @@ from hvi.estimators import (
     IntegrationRule,
     PartitionSchedule,
     bound_report,
+    _path_form,
     draw_batch,
     local_evidence_curve,
 )
-from hvi.gradients import (
-    BoundObjective,
-    _path_step,
-    train,
-)
+from hvi.gradients import BoundObjective, train
 from hvi.paths import PathSpec
 from hvi.tuning import tune_alpha_grid
 from hvi.util import derive_seeds
 from oracles import (
     finite_difference_grad,
+    path_step,
     quadrature_curve_slope,
     quadrature_local_evidence,
     quadrature_rvi,
@@ -204,9 +202,9 @@ def test_criterion_08_gradient_correctness():
             sin, None,
             lambda m, lam, b=beta: quadrature_local_evidence(m, 0.0, b, params=lam),
             step=1e-4)
+        form = _path_form(PathSpec.geometric(), [beta], [1.0])
         estimates = np.array([
-            _path_step(sin, None, PathSpec.geometric(), [beta], [1.0],
-                       draw_batch(sin, 100, int(s)))[1].total
+            path_step(sin, form, draw_batch(sin, 100, int(s)))[1].total
             for s in seeds])
         mean = estimates.mean(axis=0)
         std_err = estimates.std(axis=0, ddof=1) / math.sqrt(len(seeds))
@@ -216,7 +214,7 @@ def test_criterion_08_gradient_correctness():
     conjugate = models.make_conjugate_gaussian(1.0, 0.0)
     batch = draw_batch(conjugate, 100_000, 3)
     for beta in (0.0, 0.5, 1.0):
-        grad = _path_step(conjugate, None, PathSpec.geometric(), [beta], [1.0], batch)[1]
+        grad = path_step(conjugate, _path_form(PathSpec.geometric(), [beta], [1.0]), batch)[1]
         assert np.all(np.abs(grad.total) < 3 * grad.std_err + 1e-12)
     _pass(8, started, 300.0,
           f"500-seed mean within {worst_z:.2f} std errs of quadrature FD; "

@@ -15,11 +15,11 @@ import pytest
 
 from hvi import models, paths
 from hvi.cli import main
-from hvi.estimators import PartitionSchedule, _form_value, bound_report, draw_batch
-from hvi.gradients import BoundObjective, _path_step, train
+from hvi.estimators import PartitionSchedule, _form_value, _path_form, bound_report, draw_batch
+from hvi.gradients import BoundObjective, train
 from hvi.paths import PathSpec
 from hvi.tuning import tune_alpha_grid
-from oracles import conjugate_exact_log_marginal
+from oracles import conjugate_exact_log_marginal, path_step
 
 # bayes_regression at S = 2000, seed 5: the alpha = 3 local evidence reads
 # -inf at beta = 1, and at alpha = 1.5 its std err overflows
@@ -98,7 +98,7 @@ def test_gradient_beyond_the_float_range_is_a_named_error(bayes_batch):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^local evidence at alpha = 3, beta = 1 reads "
                                              r"-inf: beyond the float range$"):
-            _path_step(model, None, PathSpec.holder(3.0), [1.0], [1.0], batch)
+            path_step(model, _path_form(PathSpec.holder(3.0), [1.0], [1.0]), batch)
 
 
 def test_gradient_with_an_overflowed_std_err_keeps_finite_terms(bayes_batch):
@@ -107,7 +107,7 @@ def test_gradient_with_an_overflowed_std_err_keeps_finite_terms(bayes_batch):
     model, batch = bayes_batch
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grad = _path_step(model, None, PathSpec.holder(-0.5), [0.0], [1.0], batch)[1]
+        grad = path_step(model, _path_form(PathSpec.holder(-0.5), [0.0], [1.0]), batch)[1]
     assert np.all(np.isfinite(grad.term_i)) and np.all(np.isfinite(grad.term_ii))
     assert np.all(grad.std_err == np.inf)
 
@@ -161,7 +161,7 @@ def test_every_bound_and_gradient_is_finite_or_a_named_error(tmp_path, capsys):
                 try:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        grad = _path_step(model, None, spec, [beta], [1.0], batch)[1]
+                        grad = path_step(model, _path_form(spec, [beta], [1.0]), batch)[1]
                 except ValueError as exc:
                     assert "beyond the float range" in str(exc), exc
                     errors.append((model_id, spec, beta))

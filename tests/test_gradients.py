@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hvi import models, paths
+from hvi import gradients, models, paths
 from hvi.estimators import (
     IntegrationRule,
     PartitionSchedule,
     _form_value,
+    _path_form,
     bound_report,
     draw_batch,
     parse_bound_id,
@@ -20,9 +21,9 @@ from hvi.gradients import (
     _path_step,
     train,
 )
-from hvi.paths import PathSpec, path_gradient_coeffs, path_weights
+from hvi.paths import PathSpec, path_weights
 from hvi.util import derive_seeds
-from oracles import finite_difference_grad, quadrature_local_evidence
+from oracles import finite_difference_grad, gradient_coeffs, path_step, quadrature_local_evidence
 
 _BAYES = models.make_bayes_regression(models.simulate_bayes_dataset(0, 20))
 
@@ -43,13 +44,13 @@ def quad_local_evidence_objective(alpha, beta):
 @pytest.mark.parametrize("spec", SPECS)
 def test_terms_sum_to_total(sin_toy, spec):
     batch = draw_batch(sin_toy, 200, 0)
-    grad = _path_step(sin_toy, None, spec, [0.4], [1.0], batch)[1]
+    grad = path_step(sin_toy, _path_form(spec, [0.4], [1.0]), batch)[1]
     np.testing.assert_allclose(grad.total, grad.term_i + grad.term_ii, atol=1e-15)
 
 
 def test_beta_zero_pathwise_term_is_elbo_gradient(sin_toy):
     batch = draw_batch(sin_toy, 500, 1)
-    grad = _path_step(sin_toy, None, PathSpec.geometric(), [0.0], [1.0], batch)[1]
+    grad = path_step(sin_toy, _path_form(PathSpec.geometric(), [0.0], [1.0]), batch)[1]
     grad_f = sin_toy.grad_log_target(batch.z) - sin_toy.grad_log_proposal(batch.z)
     np.testing.assert_allclose(grad.term_ii, grad_f.mean(axis=0), atol=1e-12)
 
@@ -59,8 +60,8 @@ def test_scaled_factor_scale_gradient_is_one(scaled_two):
     batch = draw_batch(scaled_two, 64, 3)
     for rule in IntegrationRule:
         betas = PartitionSchedule.uniform(4).betas
-        grad = _path_step(scaled_two, None, PathSpec.geometric(), betas,
-                          rule_weights(betas, rule), batch)[1]
+        form = _path_form(PathSpec.geometric(), betas, rule_weights(betas, rule))
+        grad = path_step(scaled_two, form, batch)[1]
         assert grad.total[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(grad.term_i[0]) < 1e-12
 
@@ -72,7 +73,7 @@ def test_scaled_factor_scale_gradient_is_one(scaled_two):
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
 def test_zero_gradient_at_conjugate_posterior(conjugate, beta):
     batch = draw_batch(conjugate, 100_000, 3)
-    grad = _path_step(conjugate, None, PathSpec.geometric(), [beta], [1.0], batch)[1]
+    grad = path_step(conjugate, _path_form(PathSpec.geometric(), [beta], [1.0]), batch)[1]
     assert np.all(np.abs(grad.total) < 3 * grad.std_err + 1e-12)
 
 
@@ -83,7 +84,7 @@ def test_zero_gradient_at_conjugate_posterior(conjugate, beta):
 ])
 def test_single_batch_gradient_matches_quadrature_fd(sin_toy, spec, alpha):
     batch = draw_batch(sin_toy, 100_000, 7)
-    grad = _path_step(sin_toy, None, spec, [0.5], [1.0], batch)[1]
+    grad = path_step(sin_toy, _path_form(spec, [0.5], [1.0]), batch)[1]
     oracle = finite_difference_grad(sin_toy, None, quad_local_evidence_objective(alpha, 0.5))
     assert np.all(np.abs(grad.total - oracle) < 3 * grad.std_err)
 
@@ -106,7 +107,7 @@ def test_perturbed_gradient_matches_quadrature_fd(sin_toy):
         return float(np.sum(sign * np.exp(log_mass + log_abs)))
 
     batch = draw_batch(sin_toy, 100_000, 8)
-    grad = _path_step(sin_toy, None, spec, [beta], [1.0], batch)[1]
+    grad = path_step(sin_toy, _path_form(spec, [beta], [1.0]), batch)[1]
     oracle = finite_difference_grad(sin_toy, None, objective)
     assert np.all(np.abs(grad.total - oracle) < 3 * grad.std_err)
 
@@ -114,11 +115,11 @@ def test_perturbed_gradient_matches_quadrature_fd(sin_toy):
 def test_bound_grad_k1_trapezoid_averages_endpoints(sin_toy):
     batch = draw_batch(sin_toy, 300, 5)
     spec = PathSpec.geometric()
-    lo = _path_step(sin_toy, None, spec, [0.0], [1.0], batch)[1]
-    hi = _path_step(sin_toy, None, spec, [1.0], [1.0], batch)[1]
+    lo = path_step(sin_toy, _path_form(spec, [0.0], [1.0]), batch)[1]
+    hi = path_step(sin_toy, _path_form(spec, [1.0], [1.0]), batch)[1]
     betas = PartitionSchedule.uniform(1).betas
     weights = rule_weights(betas, IntegrationRule.TRAPEZOID)
-    both = _path_step(sin_toy, None, spec, betas, weights, batch)[1]
+    both = path_step(sin_toy, _path_form(spec, betas, weights), batch)[1]
     np.testing.assert_allclose(both.total, 0.5 * (lo.total + hi.total), atol=1e-12)
 
 
@@ -128,11 +129,11 @@ def test_holder_gradient_finite_at_extreme_log_ratios(conjugate):
     lam = np.array([0.0, math.log(12.0)])
     batch = draw_batch(conjugate, 200, 0, lam)
     assert batch.log_ratio.min() < -800
-    grad = _path_step(conjugate, lam, PathSpec.holder(1.0), [1.0], [1.0], batch)[1]
+    grad = path_step(conjugate, _path_form(PathSpec.holder(1.0), [1.0], [1.0]), batch, lam)[1]
     objective = BoundObjective(bound="hbo", alpha=1.0, rule="right",
                                schedule=PartitionSchedule.uniform(5), sample_size=200)
     assert np.isfinite(_form_value(batch, objective._form))
-    bound = _path_step(conjugate, lam, *objective._form, batch)[1]
+    bound = path_step(conjugate, objective._form, batch, lam)[1]
     for est in (grad, bound):
         assert np.all(np.isfinite(est.total)) and np.all(np.isfinite(est.std_err))
 
@@ -142,8 +143,8 @@ def test_integrated_gradient_std_err_is_calibrated(sin_toy):
     # and the std err has to be that of the rule-weighted sum, not of the knots
     betas = PartitionSchedule.uniform(50).betas
     weights = rule_weights(betas, IntegrationRule.LEFT)
-    grads = [_path_step(sin_toy, None, PathSpec.holder(0.5), betas, weights,
-                        draw_batch(sin_toy, 500, seed))[1]
+    form = _path_form(PathSpec.holder(0.5), betas, weights)
+    grads = [path_step(sin_toy, form, draw_batch(sin_toy, 500, seed))[1]
              for seed in range(300)]
     spread = np.std([g.total for g in grads], axis=0, ddof=1)
     reported = np.mean([g.std_err for g in grads], axis=0)
@@ -156,7 +157,7 @@ def _influence_by_definition(model, spec, betas, weights, batch):
     grad_l0 = model.grad_log_proposal(batch.z, lam)
     grad_f = model.grad_log_target(batch.z, lam) - grad_l0
     (block,) = path_weights(spec, betas, batch.log_ratio)
-    dh_df, w_dg_df = path_gradient_coeffs(spec, block, batch.log_ratio)
+    dh_df, w_dg_df = gradient_coeffs(spec, block, batch.log_ratio)
     phi = block.wg - block.wg.sum(axis=1)[:, None] * block.w
     per_sample_i = phi[:, :, None] * (grad_l0 + dh_df[:, :, None] * grad_f)
     per_sample_ii = w_dg_df[:, :, None] * grad_f
@@ -168,20 +169,22 @@ def _influence_by_definition(model, spec, betas, weights, batch):
 
 
 @pytest.mark.parametrize("model", [models.make_sin_toy(), _BAYES], ids=["sin_toy", "bayes"])
-@pytest.mark.parametrize("bound", [{"bound": "tvo"}, {"bound": "hbo", "alpha": 0.3},
-                                   {"bound": "perturbed_hbo", "delta": 0.05}],
-                         ids=["tvo", "hbo", "perturbed_hbo"])
+@pytest.mark.parametrize("bound", [
+    {"bound": "tvo", "schedule": PartitionSchedule.log(50)},
+    {"bound": "hbo", "alpha": 0.3, "schedule": PartitionSchedule.uniform(50)},
+    {"bound": "perturbed_hbo", "delta": 0.05, "schedule": PartitionSchedule.uniform(50)},
+], ids=["tvo", "hbo", "perturbed_hbo"])
 def test_gradient_std_err_is_the_delta_method_one_across_blocks(monkeypatch, model, bound):
     # 51 knots in blocks of 7: the per-sample sums over knots carry across
     # blocks, and must equal the definition's sum over the full tensor
     objective = BoundObjective(**bound, rule="trapezoid", sample_size=300)
-    spec, betas, weights = objective._form
+    spec, betas, weights = objective._form.spec, objective.schedule.betas, objective._form.weights
     batch = draw_batch(model, objective.sample_size, 4)
-    one_block = _path_step(model, None, spec, betas, weights, batch)[1]
+    one_block = path_step(model, objective._form, batch)[1]
     term_i, term_ii, std_err = _influence_by_definition(model, spec, betas, weights, batch)
     monkeypatch.setattr(paths, "BLOCK_ELEMENTS", 7 * batch.size)
     assert len(list(path_weights(spec, betas, batch.log_ratio))) == 8
-    blocked = _path_step(model, None, spec, betas, weights, batch)[1]
+    blocked = path_step(model, objective._form, batch)[1]
     for grad in (one_block, blocked):
         np.testing.assert_allclose(grad.std_err, std_err, rtol=1e-12, atol=0)
     for got, expected in ((blocked.term_i, one_block.term_i), (blocked.term_ii, one_block.term_ii),
@@ -193,12 +196,11 @@ def test_gradient_step_peak_memory_stays_below_twelve_knot_by_sample_arrays():
     # tvo's 50 weighted knots at S = 1000, d = 6: an influence tensor of
     # knots x samples x parameters alone would take 6 such arrays
     objective = BoundObjective(bound="tvo", sample_size=1000)
-    spec, betas, weights = objective._form
     batch = draw_batch(_BAYES, objective.sample_size, 0)
-    limit = 12 * np.count_nonzero(weights) * batch.size * 8
+    limit = 12 * np.count_nonzero(objective._form.weights) * batch.size * 8
     tracemalloc.start()
     try:
-        _path_step(_BAYES, None, spec, betas, weights, batch)
+        path_step(_BAYES, objective._form, batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -209,7 +211,7 @@ def test_integrated_gradient_matches_quadrature_fd(sin_toy):
     sched = PartitionSchedule.uniform(5)
     batch = draw_batch(sin_toy, 100_000, 9)
     weights = rule_weights(sched.betas, IntegrationRule.LEFT)
-    grad = _path_step(sin_toy, None, PathSpec.geometric(), sched.betas, weights, batch)[1]
+    grad = path_step(sin_toy, _path_form(PathSpec.geometric(), sched.betas, weights), batch)[1]
 
     def objective(model, lam):
         curve = models.quadrature_local_evidence_curve(model, 0.0, sched.betas, params=lam)
@@ -349,7 +351,7 @@ def test_train_matches_separate_value_and_gradient(sin_toy, model, objective):
         params.append(lam.copy())
         values.append(_form_value(batch, objective._form))
         if t < steps:
-            lam = lam + learning_rate * _path_step(model, lam, *objective._form, batch)[1].total
+            lam = lam + learning_rate * path_step(model, objective._form, batch, lam)[1].total
     assert not trace.diverged
     np.testing.assert_array_equal(trace.params, params)
     np.testing.assert_array_equal(trace.objective, values)
@@ -376,7 +378,8 @@ def test_training_step_evaluates_model_four_times(objective):
         name: counted(getattr(model, name))
         for name in ("_log_target", "_log_proposal", "_grad_log_target", "_grad_log_proposal")})
     batch = draw_batch(model, objective.sample_size, 0)
-    _path_step(model, None, *objective._form, batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _path_step(model, model._resolve(None), objective._form, batch)
     assert len(calls) == 4
 
 
@@ -403,11 +406,78 @@ def test_objective_follows_its_bound(conjugate, bound_id, spec, knots):
         knots, weights = knots.betas, rule_weights(knots.betas, "trapezoid")
     else:
         weights = [1.0]
-    expected = _path_step(conjugate, None, spec, knots, weights, batch)[1]
-    np.testing.assert_array_equal(_path_step(conjugate, None, *objective._form, batch)[1].total,
+    expected = path_step(conjugate, _path_form(spec, knots, weights), batch)[1]
+    np.testing.assert_array_equal(path_step(conjugate, objective._form, batch)[1].total,
                                   expected.total)
     trace = train(conjugate, None, objective, steps=5, learning_rate=0.01, seed=0)
     assert len(trace) == 6 and not trace.diverged
+
+
+@pytest.mark.parametrize("model", [models.make_sin_toy(), _BAYES], ids=["sin_toy", "bayes"])
+@pytest.mark.parametrize("bound_id", ["elbo", "eubo", "wlbo", "wubo", "tvo", "hbo[0.3]",
+                                      "perturbed_hbo[0.05]"])
+def test_asking_for_the_gradient_std_err_changes_no_bits(monkeypatch, model, bound_id):
+    # train takes the step without the std err, the calibration tests with it;
+    # the value and total must not depend on which, across blocks of 7 knots
+    name, arg = parse_bound_id(bound_id)
+    param = {"hbo": "alpha", "perturbed_hbo": "delta"}.get(name)
+    objective = BoundObjective(bound=name, **({param: arg} if param else {}),
+                               rule="trapezoid", sample_size=200)
+    batch = draw_batch(model, objective.sample_size, 6)
+    monkeypatch.setattr(paths, "BLOCK_ELEMENTS", 7 * batch.size)
+    lam = model._resolve(None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, term_i, term_ii, std_err = _path_step(model, lam, objective._form, batch)
+        with_std_err = _path_step(model, lam, objective._form, batch, std_err=True)
+    assert std_err is None and np.all(np.isfinite(with_std_err[3]))
+    assert np.float64(value).tobytes() == np.float64(with_std_err[0]).tobytes()
+    for got, expected in zip((term_i, term_ii), with_std_err[1:3]):
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("objective", [BoundObjective(bound="elbo", sample_size=20), _HBO],
+                         ids=["elbo", "hbo"])
+def test_train_draws_through_the_module_binding_once_per_step_and_once_more(
+        monkeypatch, conjugate, objective):
+    # the benchmark times each step from train's calls of hvi.gradients.draw_batch:
+    # a train that stopped calling it there would leave its step times unsampled
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw_batch(*args, **kwargs)
+
+    monkeypatch.setattr(gradients, "draw_batch", counted)
+    trace = train(conjugate, None, objective, steps=7, learning_rate=0.01, seed=0)
+    assert len(trace) == 8 and len(calls) == 8
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda model: BoundObjective(sample_size=2.5), TypeError,
+     "sample_size must be an integer, got 2.5"),
+    (lambda model: BoundObjective(sample_size=True), TypeError,
+     "sample_size must be an integer, got True"),
+    (lambda model: draw_batch(model, 2.5, 0), TypeError, "size must be an integer, got 2.5"),
+    (lambda model: draw_batch(model, True, 0), TypeError, "size must be an integer, got True"),
+    (lambda model: train(model, None, BoundObjective(), steps=True, learning_rate=0.01, seed=0),
+     TypeError, "steps must be an integer, got True"),
+    (lambda model: train(model, None, BoundObjective(), steps=2.0, learning_rate=0.01, seed=0),
+     TypeError, "steps must be an integer, got 2.0"),
+    (lambda model: draw_batch(model, np.int64(0), 0), ValueError, "size must be >= 1"),
+], ids=["sample_size=2.5", "sample_size=True", "size=2.5", "size=True", "steps=True",
+        "steps=2.0", "size=int64(0)"])
+def test_a_count_that_is_not_an_integer_is_a_named_error(conjugate, call, error, message):
+    # 2.5 samples drew 2 and True drew 1; steps=2.0 failed inside numpy
+    with pytest.raises(error, match=f"^{message}$"):
+        call(conjugate)
+
+
+def test_counts_take_numpy_integers(conjugate):
+    objective = BoundObjective(sample_size=np.int64(20))
+    assert type(objective.sample_size) is int
+    assert draw_batch(conjugate, np.int32(5), 0).size == 5
+    trace = train(conjugate, None, objective, steps=np.int64(3), learning_rate=0.01, seed=0)
+    assert len(trace) == 4 and not trace.diverged
 
 
 def test_objective_validation():

@@ -4,7 +4,8 @@ writes CSV or JSON, every JSON writer in it passes allow_nan=False, every except
 the CLI reports, every code name the README gives still exists, the
 README's API table names only package code, every package name the
 benchmark (``perfbench``) reads exists, and every public package name is
-reached by code outside the tests.
+reached by code outside the tests, and only the kernel's reducer
+(``estimators._reduce``) iterates its blocks (``estimators._knot_blocks``).
 
 Parses each ``hvi`` module, each script, each test module and the
 benchmark's workloads and tracer with ``ast``; nothing is imported.
@@ -339,3 +340,17 @@ def test_every_public_name_is_reached_outside_the_tests():
                        for name in _all_entries(tree)
                        if (module, name) not in reached and not _loaded_by_its_module(tree, name))
     assert not unreached, f"public names only the tests reach: {unreached}"
+
+
+def test_only_the_reducer_iterates_the_knot_blocks():
+    # one pass forms every statistic a caller asks for; a second loop over the
+    # blocks would redo the block math that the reducer already does
+    found = []
+    for path in sorted((ROOT / "src/hvi").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}: {func.name}" for node in ast.walk(func)
+                          if isinstance(node, ast.Name) and node.id == "_knot_blocks"
+                          or isinstance(node, ast.Attribute) and node.attr == "_knot_blocks"]
+    assert found == ["estimators.py: _reduce"], found
