@@ -15,14 +15,13 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .models import LatentModel
-from .paths import PathSpec, _blocks, _check_betas, _check_finite, _check_float_range
-from .paths import _gradient_coeffs, _log_ratio, _renyi_sum, path_weights
+from .paths import PathSpec, _check_betas, _check_finite, _check_float_range, _log_ratio
+from .paths import _renyi_sum, path_gradient_coeffs, path_weights
 from .util import _count
 
 __all__ = [
@@ -70,17 +69,10 @@ class ImportanceBatch:
 
 
 def draw_batch(model: LatentModel, size: int, seed: int, params=None) -> ImportanceBatch:
-    """Draw ``size`` proposal samples and cache their log ratios: lambda is resolved, and the
-    samples checked, once for the model's raw sampler and densities."""
+    """Draw ``size`` proposal samples and cache their log ratios."""
     size = _count("size", size, 1)
-    lam = model._resolve(params)
-    z = model._points(model._sample_proposal(np.random.default_rng(seed), lam, size))
-    f = _log_ratio(model._log_proposal, model._log_target, z, lam)[1]
-    if f.shape != (size,):
-        raise ValueError("log_ratio must have one entry per sample")
-    batch = object.__new__(ImportanceBatch)  # checked here: f once, in _log_ratio
-    batch.__dict__.update(z=z, log_ratio=f)
-    return batch
+    z = model.sample_proposal(np.random.default_rng(seed), size, params)
+    return ImportanceBatch(z, _log_ratio(model, z, params)[1])
 
 
 @dataclass(frozen=True)
@@ -98,32 +90,25 @@ class LocalEvidenceEstimate:
 
 
 class _Form(NamedTuple):
-    """A path form: value = weights @ curve.  ``blocks`` maps log ratios to path_weights blocks
-    over the betas of the ``knots`` (nonzero weight), whose log is ``log_betas`` (a column)."""
+    """A path form: value = weights @ curve, formed at the ``knots`` (nonzero weight),
+    whose checked betas are ``betas``."""
 
     spec: PathSpec
-    branch: tuple
     weights: np.ndarray
     knots: np.ndarray
-    blocks: Callable
-    log_betas: Optional[np.ndarray]
+    betas: np.ndarray
 
 
 def _path_form(spec: PathSpec, betas, weights) -> _Form:
-    """A bound's form, its knots' betas checked once here for the unchecked paths._blocks."""
+    """A bound's form, its knots and their betas resolved and checked once, here."""
     weights = np.asarray(weights, dtype=float)
     knots = np.flatnonzero(weights)
-    betas = _check_betas(np.asarray(betas, dtype=float)[knots])
-    with np.errstate(divide="ignore"):
-        log_betas = np.log(betas)[:, None]
-    return _Form(spec, spec.branch(), weights, knots,
-                 partial(_blocks, spec, spec.branch(), betas), log_betas)
+    return _Form(spec, weights, knots, _check_betas(np.asarray(betas, dtype=float)[knots]))
 
 
 def _reduce_curve(batch: ImportanceBatch, spec: PathSpec, betas, coef=None):
-    """_reduce's values, std errs, ESS and coef std err at every beta, checked by path_weights."""
-    form = _Form(spec, spec.branch(), np.ones(len(betas)), np.arange(len(betas)),
-                 partial(path_weights, spec, betas), None)
+    """_reduce's values, std errs, ESS and coef std err at every beta."""
+    form = _path_form(spec, betas, np.ones(len(betas)))
     with np.errstate(over="ignore", invalid="ignore"):
         return _reduce(batch, form, stats=True, coef=coef)[:4]
 
@@ -131,7 +116,7 @@ def _reduce_curve(batch: ImportanceBatch, spec: PathSpec, betas, coef=None):
 def _knot_blocks(batch: ImportanceBatch, form: _Form):
     """(slice of the form's knots, block, local evidences checked in the float range) per block."""
     start = 0
-    for block in form.blocks(batch.log_ratio):
+    for block in path_weights(form.spec, form.betas, batch.log_ratio):
         knots = slice(start, start + len(block.betas))
         yield knots, block, _check_float_range(form.spec, block.wg.sum(axis=1), block.betas)
         start = knots.stop
@@ -142,7 +127,8 @@ def _reduce(batch: ImportanceBatch, form: _Form, stats=False, coef=None, fields=
     """(values, std errs, ESS, coef std err, gradient) in one pass over ``batch``: the local
     evidence per beta of ``form`` (0 at weight 0) and, only when asked, the rest (else None).
 
-    With phi_ks = w_ks (g_ks - E_k), ``stats`` gives sqrt(sum_s phi_ks^2) and the ESS
+    Delta-method errors (Owen, Monte Carlo theory, methods and examples, 2013, ch. 9):
+    with phi_ks = w_ks (g_ks - E_k), ``stats`` gives sqrt(sum_s phi_ks^2) and the ESS
     1 / (S sum_s w_ks^2) per knot and ``coef`` the std err of coef @ values (README,
     "Numerical conventions").  ``fields``, (grad L0, grad f) at the samples, gives the
     gradient terms G_i = sum_s phi (grad L0 + dh/df grad f) and G_ii = sum_s w dg/df grad f,
@@ -165,8 +151,7 @@ def _reduce(batch: ImportanceBatch, form: _Form, stats=False, coef=None, fields=
             combo = combo + coef[rows] @ phi
         if fields is not None:
             (grad_l0, grad_f), c = fields, form.weights[rows]
-            dh_df, w_dg_df = _gradient_coeffs(form.branch, block, batch.log_ratio,
-                                              form.log_betas[knots])
+            dh_df, w_dg_df = path_gradient_coeffs(form.spec, block, batch.log_ratio)
             along_f = dh_df * phi
             knot_i = phi @ grad_l0 + along_f @ grad_f
             knot_ii = w_dg_df @ grad_f

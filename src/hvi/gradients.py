@@ -44,10 +44,10 @@ __all__ = [
 def _path_step(model: LatentModel, lam: np.ndarray, form: _Form, batch: ImportanceBatch,
                std_err: bool = False) -> tuple:
     """(weights @ curve of ``form``, gradient terms (i) and (ii), their sum's std err or None)
-    from one estimators._reduce pass, with the model's raw gradient fields at the resolved
-    ``lam`` the batch was drawn at, under the caller's numpy error state (train's, per run)."""
-    grad_l0 = model._grad_log_proposal(batch.z, lam)
-    grad_f = model._grad_log_target(batch.z, lam) - grad_l0
+    from one estimators._reduce pass, with the model's gradient fields at the ``lam`` the
+    batch was drawn at, under the caller's numpy error state (train's, per run)."""
+    grad_l0 = model.grad_log_proposal(batch.z, lam)
+    grad_f = model.grad_log_target(batch.z, lam) - grad_l0
     values, *_, grad = _reduce(batch, form, fields=(grad_l0, grad_f), grad_std_err=std_err)
     return (float(form.weights @ values), *grad)
 
@@ -139,7 +139,7 @@ def train(model: LatentModel, params0, objective: BoundObjective, steps: int,
             if t == steps:
                 break
             lam = lam + learning_rate * (term_i + term_ii)
-            if not np.all(np.isfinite(lam)):
+            if np.count_nonzero(np.isfinite(lam)) < lam.size:
                 failure = "non-finite parameters"
                 break
     return TrainingTrace(  # a full run has a row per step and one for its last batch

@@ -127,27 +127,27 @@ class LatentModel:
                 f"expected {self.default_params.size} parameters, got {lam.size}")
         return lam
 
-    def _points(self, z):
-        """``z`` if it is an (n, latent_dim) array of points, else a ValueError."""
+    def _evaluate(self, fn: Callable, z, params):
+        """fn at an (n, latent_dim) array of points and resolved lambda."""
         shape = np.shape(z)
         if len(shape) != 2 or shape[1] != self.latent_dim:
             raise ValueError(f"z with shape {shape} does not match latent_dim {self.latent_dim}")
-        return z
+        return fn(z, self._resolve(params))
 
     def log_target(self, z, params=None):
-        return self._log_target(self._points(z), self._resolve(params))
+        return self._evaluate(self._log_target, z, params)
 
     def log_proposal(self, z, params=None):
-        return self._log_proposal(self._points(z), self._resolve(params))
+        return self._evaluate(self._log_proposal, z, params)
 
     def sample_proposal(self, rng: np.random.Generator, size: int, params=None):
         return self._sample_proposal(rng, self._resolve(params), int(size))
 
     def grad_log_target(self, z, params=None):
-        return self._grad_log_target(self._points(z), self._resolve(params))
+        return self._evaluate(self._grad_log_target, z, params)
 
     def grad_log_proposal(self, z, params=None):
-        return self._grad_log_proposal(self._points(z), self._resolve(params))
+        return self._evaluate(self._grad_log_proposal, z, params)
 
 
 def _gaussian_proposal_model(model_id: str, suffixes, means, log_stds, domain,
@@ -460,8 +460,7 @@ def _grid_tiles(model, grid, params):
     pts, logw = quadrature_grid(model, grid)
     for start in range(0, logw.size, _GRID_TILE):
         tile = slice(start, start + _GRID_TILE)
-        l0, f = _log_ratio(model.log_proposal, model.log_target, pts[tile], params,
-                           "points of a grid tile")
+        l0, f = _log_ratio(model, pts[tile], params, "points of a grid tile")
         yield f, l0 + logw[tile]
 
 

@@ -57,6 +57,7 @@ __all__ = [
     "PathSpec",
     "PathBlock",
     "path_weights",
+    "path_gradient_coeffs",
     "PathCurve",
 ]
 
@@ -161,7 +162,7 @@ BLOCK_ELEMENTS = 1 << 20
 
 def _check_betas(betas) -> np.ndarray:
     betas = np.asarray(betas, dtype=float).reshape(-1)
-    if not np.all((betas >= 0.0) & (betas <= 1.0)):
+    if np.count_nonzero((betas >= 0.0) & (betas <= 1.0)) < betas.size:
         raise ValueError(f"beta must lie in [0, 1], got {betas}")
     return betas
 
@@ -184,15 +185,14 @@ def _check_float_range(spec: PathSpec, values, betas=None, quantity="local evide
 def _check_finite(name: str, values: np.ndarray, unit: str = "samples"):
     """``values`` of ``name`` if finite, else a ValueError naming a bad value and its count."""
     finite = np.isfinite(values)
-    if not finite.all():
+    if np.count_nonzero(finite) < values.size:
         bad = values[~finite]
         raise ValueError(f"{name} reads {bad[0]:g} at {bad.size} of {values.size} {unit}")
     return values
 
 
-def _log_ratio(log_proposal, log_target, points, params, unit: str = "samples"):
-    """(L0, f = L1 - L0) at ``points`` and ``params`` from a model's ``log_proposal`` L0 and
-    ``log_target`` L1: its public evaluators, or its raw ones (estimators.draw_batch).
+def _log_ratio(model, points, params, unit: str = "samples"):
+    """(L0, f = L1 - L0) at ``points``, from the model's log_proposal L0 and log_target L1.
 
     Both densities and f are formed with numpy's overflow warnings off, so a
     density beyond the float range reads as its infinity; a non-finite f is a
@@ -200,9 +200,9 @@ def _log_ratio(log_proposal, log_target, points, params, unit: str = "samples"):
     and log_ratio not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        l0, l1 = log_proposal(points, params), log_target(points, params)
+        l0, l1 = model.log_proposal(points, params), model.log_target(points, params)
         f = l1 - l0
-    if not np.isfinite(f).all():
+    if np.count_nonzero(np.isfinite(f)) < f.size:
         for name, values in (("log_proposal", l0), ("log_target", l1), ("log_ratio", f)):
             _check_finite(name, values, unit)
     return l0, f
@@ -267,7 +267,7 @@ def _normalized(spec: PathSpec, beta, h, base):
     and beta (_check_float_range); a top of -inf, where every weight vanished, does not."""
     log_w = h + base
     top = log_w.max(axis=1, keepdims=True)
-    if not np.all(np.isfinite(top)):
+    if np.count_nonzero(np.isfinite(top)) < top.size:
         _check_float_range(spec, np.where(top == -np.inf, 0.0, top), beta, "largest log weight")
         _check_normalizable(top)
     log_w -= top
@@ -299,15 +299,13 @@ def _holder_far(alpha: float, f, terms, beta):
     """
     m, u, v, p = terms
     # d sums two nonnegative terms and d >= min(beta, 1 - beta): no
-    # cancellation, and no underflow off the endpoints.  Their rows, where d
-    # can underflow, read 1 for the log (no log of 0) and then take exact log d
+    # cancellation, and no underflow off the endpoints
     log_d = (1.0 - beta) * u + beta * v
-    zero, one = np.flatnonzero(beta == 0.0), np.flatnonzero(beta == 1.0)
-    log_d[zero] = log_d[one] = 1.0
-    np.log(log_d, out=log_d)
-    for row in zero:
+    with np.errstate(divide="ignore"):
+        np.log(log_d, out=log_d)
+    for row in np.flatnonzero(beta == 0.0):
         np.negative(m, out=log_d[row])
-    for row in one:
+    for row in np.flatnonzero(beta == 1.0):
         np.minimum(alpha * f, 0.0, out=log_d[row])
     h = np.add(log_d, m)  # alpha h
     return np.divide(h, alpha, out=h), p, log_d
@@ -348,19 +346,21 @@ def path_weights(spec: PathSpec, betas, log_ratio, base=0.0):
     point: 0 for proposal samples, L0 + log cell weight on a quadrature grid.
     The weights at temperature beta are proportional to exp(base + h); yields
     one PathBlock per pass of at most BLOCK_ELEMENTS elements (and at least one
-    beta), and keeps no reference to a block it has yielded.  The betas are
-    checked when called; _blocks, which makes the passes, checks nothing.
+    beta), and keeps no reference to a block it has yielded.
+
+    On the power-mean branch the beta-independent terms of _holder_terms are
+    formed once per call, so each beta takes one log per element.  Near the
+    geometric path (every |alpha f| <= log 2) alpha h = log1p(beta
+    expm1(alpha f)) and the weighted integrand is w times a quotient whose
+    divisor cannot cancel.  Otherwise alpha h = m + log d with d = (1 - beta)
+    u + beta v, exact at beta in {0, 1} where d can underflow, and the
+    weighted integrand is p e^(log w - log d), since the integrand p / d can
+    overflow exactly where the weight underflows.
     """
-    return _blocks(spec, spec.branch(), _check_betas(betas), np.asarray(log_ratio, dtype=float),
-                   base)
-
-
-def _blocks(spec: PathSpec, branch: tuple, betas: np.ndarray, f: np.ndarray, base=0.0):
-    """path_weights' passes over checked 1-d ``betas`` and float ``f``, on spec.branch().
-    On the far form of the power-mean branch w g = p e^(log w - log d), since the
-    integrand p / d can overflow exactly where the weight underflows."""
+    betas = _check_betas(betas)
+    f = np.asarray(log_ratio, dtype=float)
     rows = max(1, BLOCK_ELEMENTS // max(f.size, 1))
-    for beta, h, g, log_d in _path_math(*branch, f, betas, rows):
+    for beta, h, g, log_d in _path_math(*spec.branch(), f, betas, rows):
         log_w, w = _normalized(spec, beta, h, base)
         if log_d is None:
             wg = w * g if g is f else np.multiply(w, g, out=g)
@@ -370,9 +370,8 @@ def _blocks(spec: PathSpec, branch: tuple, betas: np.ndarray, f: np.ndarray, bas
         yield PathBlock(beta, h, log_w, w, wg)
 
 
-def _gradient_coeffs(branch: tuple, block: PathBlock, f: np.ndarray, log_beta: np.ndarray):
-    """(dh/df, w * dg/df) for one PathBlock of _blocks on ``branch`` over the log ratios
-    ``f``, with ``log_beta`` the log of block.betas (a column, -inf at beta = 0).
+def path_gradient_coeffs(spec: PathSpec, block: PathBlock, log_ratio):
+    """(dh/df, w * dg/df) for one PathBlock of path_weights over ``log_ratio``.
 
     With these, grad log pi_beta = grad L0 + dh/df * grad f and
     w * grad g = w * dg/df * grad f, where f = L1 - L0.  On the holder branch,
@@ -380,15 +379,16 @@ def _gradient_coeffs(branch: tuple, block: PathBlock, f: np.ndarray, log_beta: n
     and dg/df = e^(alpha f - 2A); the product with w is formed in log space,
     since e^(-2A) overflows where w underflows.
     """
-    name, param = branch
-    beta, h, log_w = block.betas, block.h, block.log_w
-    if name == "geometric":
+    branch, param = spec.branch()
+    f, beta, h, log_w = np.asarray(log_ratio, dtype=float), block.betas, block.h, block.log_w
+    if branch == "geometric":
         return np.broadcast_to(beta, np.shape(h)), np.exp(log_w)
-    if name == "perturbed":
+    if branch == "perturbed":
         return (beta * (1.0 + param * (1.0 - beta) * f),
                 np.exp(log_w) * (1.0 + param * (1.0 - 2.0 * beta) * f))
-    a_h = param * h
-    return np.exp(log_beta + param * f - a_h), np.exp(log_w + param * f - 2.0 * a_h)
+    a_h, s = param * h, param * f
+    with np.errstate(divide="ignore"):
+        return np.exp(np.log(beta) + s - a_h), np.exp(log_w + s - 2.0 * a_h)
 
 
 # Elements per tile of PathCurve: its passes over a tile of this many float64

@@ -5,8 +5,7 @@
 through scipy's ``logsumexp`` (the slope through the pointwise reference forms
 of ``path_forms``), so they share no reduction with the library.
 ``finite_difference_grad`` differentiates any deterministic functional of
-lambda.  ``path_step`` is the library's training step with its std err, and
-``gradient_coeffs`` the kernel's gradient coefficients for one block.
+lambda.  ``path_step`` is the library's training step with its std err.
 ``conjugate_exact_log_marginal`` is the conjugate Gaussian model's closed form.
 ``serial_mcmc_reference`` is the random-walk Metropolis sampler one step at a
 time, against which the prefetched ``diagnostics.mcmc_reference`` is checked.
@@ -35,15 +34,6 @@ def path_step(model, form, batch, params=None):
                                                      batch, std_err=True)
     return value, SimpleNamespace(term_i=term_i, term_ii=term_ii, total=term_i + term_ii,
                                   std_err=std_err)
-
-
-def gradient_coeffs(spec, block, log_ratio):
-    """(dh/df, w dg/df) of paths._gradient_coeffs for one block of path_weights(spec, ...)
-    over ``log_ratio``, with log beta formed here as estimators._path_form forms it."""
-    with np.errstate(divide="ignore"):
-        log_beta = np.log(block.betas)
-    return paths._gradient_coeffs(spec.branch(), block, np.asarray(log_ratio, dtype=float),
-                                  log_beta)
 
 
 def conjugate_exact_log_marginal(sigma: float, x_obs: float) -> float:

@@ -21,9 +21,9 @@ from hvi.gradients import (
     _path_step,
     train,
 )
-from hvi.paths import PathSpec, path_weights
+from hvi.paths import PathSpec, path_gradient_coeffs, path_weights
 from hvi.util import derive_seeds
-from oracles import finite_difference_grad, gradient_coeffs, path_step, quadrature_local_evidence
+from oracles import finite_difference_grad, path_step, quadrature_local_evidence
 
 _BAYES = models.make_bayes_regression(models.simulate_bayes_dataset(0, 20))
 
@@ -157,7 +157,7 @@ def _influence_by_definition(model, spec, betas, weights, batch):
     grad_l0 = model.grad_log_proposal(batch.z, lam)
     grad_f = model.grad_log_target(batch.z, lam) - grad_l0
     (block,) = path_weights(spec, betas, batch.log_ratio)
-    dh_df, w_dg_df = gradient_coeffs(spec, block, batch.log_ratio)
+    dh_df, w_dg_df = path_gradient_coeffs(spec, block, batch.log_ratio)
     phi = block.wg - block.wg.sum(axis=1)[:, None] * block.w
     per_sample_i = phi[:, :, None] * (grad_l0 + dh_df[:, :, None] * grad_f)
     per_sample_ii = w_dg_df[:, :, None] * grad_f

@@ -14,9 +14,10 @@ from hvi.paths import (
     GEOMETRIC_ALPHA_CUTOFF,
     PathCurve,
     PathSpec,
+    path_gradient_coeffs,
     path_weights,
 )
-from oracles import gradient_coeffs, quadrature_curve_slope, quadrature_local_evidence
+from oracles import quadrature_curve_slope, quadrature_local_evidence
 from path_forms import (
     integrand,
     log_density,
@@ -222,7 +223,7 @@ def test_kernel_matches_pointwise_reference(sin_toy, spec, monkeypatch):
     blocks = list(path_weights(spec, betas, l1 - l0, base))
     assert [block.betas.size for block in blocks] == [3, 3, 3, 2]
     w, wg = (np.vstack(arrays) for arrays in zip(*[(b.w, b.wg) for b in blocks]))
-    coeffs = [gradient_coeffs(spec, block, l1 - l0) for block in blocks]
+    coeffs = [path_gradient_coeffs(spec, block, l1 - l0) for block in blocks]
     dh_df = np.vstack([np.broadcast_to(c, block.w.shape) for (c, _), block in zip(coeffs, blocks)])
     w_dg_df = np.vstack([wd for _, wd in coeffs])
     for k, beta in enumerate(betas):
@@ -267,7 +268,7 @@ def _kernel_rows(alpha, f):
     """Per beta of _LD_BETAS: (h, w, wg, dh/df, w dg/df) from path_weights."""
     spec = PathSpec.holder(alpha)
     for block in path_weights(spec, _LD_BETAS, f):
-        dh_df, w_dg_df = gradient_coeffs(spec, block, f)
+        dh_df, w_dg_df = path_gradient_coeffs(spec, block, f)
         dh_df = np.broadcast_to(dh_df, block.w.shape)
         yield from zip(block.h, block.w, block.wg, dh_df, w_dg_df)
 
@@ -425,7 +426,7 @@ def test_slope_beyond_the_float_range_is_a_signed_infinity(ring):
 def _coeffs(spec, l0, l1, beta):
     """(dh/df, w * dg/df) of the kernel at one point, whose weight w is 1."""
     f = np.array([l1 - l0])
-    dh_df, w_dg_df = gradient_coeffs(spec, next(path_weights(spec, [beta], f)), f)
+    dh_df, w_dg_df = path_gradient_coeffs(spec, next(path_weights(spec, [beta], f)), f)
     return np.broadcast_to(dh_df, (1, 1)).item(), w_dg_df.item()
 
 
