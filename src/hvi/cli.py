@@ -289,8 +289,8 @@ def cmd_curve(cfg: ExperimentConfig, model: LatentModel) -> str:
         _unread(cfg.data, "path", "when alphas is given (alphas runs holder paths)")
         curves = [((alpha,), PathSpec.holder(alpha)) for alpha in alphas]
     batch = draw_batch(model, cfg.sample_size, seed)
-    rows = [[*lead, beta, est.value, est.std_err, est.ess] for lead, spec in curves
-            for beta, est in zip(schedule.betas, local_evidence_curve(batch, spec, schedule.betas))]
+    rows = [[*lead, *row] for lead, spec in curves  # (beta, value, std err, ESS)
+            for row in zip(schedule.betas, *local_evidence_curve(batch, spec, schedule.betas)[:3])]
     return _csv(["alpha"] * (alphas is not None) + ["beta", "value", "std_err", "ess"], rows)
 
 

@@ -15,10 +15,10 @@ from typing import Callable
 import numpy as np
 
 from . import paths
-from .estimators import _reduce_curve, draw_batch
+from .estimators import draw_batch, local_evidence_curve
 from .models import LatentModel, quadrature_log_marginal
 from .paths import PathSpec
-from .util import derive_seeds, log_abs_expm1
+from .util import _count, derive_seeds, log_abs_expm1
 
 __all__ = [
     "CurveProfile",
@@ -54,15 +54,14 @@ def curve_profile(model: LatentModel, spec: PathSpec, betas, sample_size: int,
     A value or mean beyond the float range is a ValueError that names its
     beta; a variance that overflows reads inf.
     """
-    if replicates < 2:
-        raise ValueError("need at least two replicates")
+    replicates = _count("replicates", replicates, 2)
     betas = np.asarray(list(betas), dtype=float)
     seeds = derive_seeds(seed, replicates)
     values = np.empty((replicates, betas.size))
     ess_vals = np.empty((replicates, betas.size))
     for r in range(replicates):
         batch = draw_batch(model, sample_size, int(seeds[r]))
-        values[r], _, ess_vals[r], _ = _reduce_curve(batch, spec, betas)
+        values[r], _, ess_vals[r], _ = local_evidence_curve(batch, spec, betas)
     with np.errstate(over="ignore", invalid="ignore"):  # a variance may overflow to inf
         means, variances = values.mean(axis=0), values.var(axis=0, ddof=1)
     return CurveProfile(means=paths._check_float_range(spec, means, betas),
@@ -211,12 +210,10 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
     depth whose chains * (2^k - 1) tree points fit in _PREFETCH_POINTS, so
     4 chains take k = 4, and 22 or more take k = 1, one step per call.
     """
+    chains, thin = _count("chains", chains, 1), _count("thin", thin, 1)
+    steps, burn_in = _count("steps", steps, 1), _count("burn_in", burn_in, 0)
     if steps <= burn_in:
         raise ValueError("steps must exceed burn_in")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    if thin < 1 or chains < 1:
-        raise ValueError("thin and chains must be >= 1")
     if not 0.0 < step_size < math.inf:
         raise ValueError("step_size must be positive and finite")
     lam = model.default_params.values

@@ -27,7 +27,7 @@ from .util import _count
 __all__ = [
     "ImportanceBatch",
     "draw_batch",
-    "LocalEvidenceEstimate",
+    "LocalEvidenceCurve",
     "local_evidence_curve",
     "PartitionSchedule",
     "IntegrationRule",
@@ -70,23 +70,8 @@ class ImportanceBatch:
 
 def draw_batch(model: LatentModel, size: int, seed: int, params=None) -> ImportanceBatch:
     """Draw ``size`` proposal samples and cache their log ratios."""
-    size = _count("size", size, 1)
     z = model.sample_proposal(np.random.default_rng(seed), size, params)
     return ImportanceBatch(z, _log_ratio(model, z, params)[1])
-
-
-@dataclass(frozen=True)
-class LocalEvidenceEstimate:
-    """A self-normalized importance estimate of the local evidence.
-
-    ``std_err`` is the delta-method standard error of the ratio estimator and
-    ``ess`` the normalized effective sample size in [1/S, 1].  A single-sample
-    batch gives std_err 0, since its spread cannot be estimated.
-    """
-
-    value: float
-    std_err: float
-    ess: float
 
 
 class _Form(NamedTuple):
@@ -104,13 +89,6 @@ def _path_form(spec: PathSpec, betas, weights) -> _Form:
     weights = np.asarray(weights, dtype=float)
     knots = np.flatnonzero(weights)
     return _Form(spec, weights, knots, _check_betas(np.asarray(betas, dtype=float)[knots]))
-
-
-def _reduce_curve(batch: ImportanceBatch, spec: PathSpec, betas, coef=None):
-    """_reduce's values, std errs, ESS and coef std err at every beta."""
-    form = _path_form(spec, betas, np.ones(len(betas)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _reduce(batch, form, stats=True, coef=coef)[:4]
 
 
 def _knot_blocks(batch: ImportanceBatch, form: _Form):
@@ -170,12 +148,29 @@ def _reduce(batch: ImportanceBatch, form: _Form, stats=False, coef=None, fields=
             None if fields is None else (term_i, term_ii, grad_se))
 
 
-def local_evidence_curve(batch: ImportanceBatch, spec: PathSpec,
-                         betas) -> list[LocalEvidenceEstimate]:
-    """Local evidence at several beta from the same batch (correlated across beta)."""
-    values, std_errs, ess, _ = _reduce_curve(batch, spec, betas)
-    return [LocalEvidenceEstimate(value=float(v), std_err=float(se), ess=float(e))
-            for v, se, e in zip(values, std_errs, ess)]
+class LocalEvidenceCurve(NamedTuple):
+    """Self-normalized importance estimates of the local evidence, one per beta.
+
+    ``std_errs`` are the delta-method standard errors of the ratio estimators
+    and ``ess`` the normalized effective sample sizes in [1/S, 1].  A
+    single-sample batch gives std err 0, since its spread cannot be estimated.
+    Every beta reweights the same batch, so the values are correlated:
+    ``coef_std_err`` is the std err of ``coef @ values`` over that batch, None
+    when no ``coef`` row is given.
+    """
+
+    values: np.ndarray
+    std_errs: np.ndarray
+    ess: np.ndarray
+    coef_std_err: Optional[float]
+
+
+def local_evidence_curve(batch: ImportanceBatch, spec: PathSpec, betas,
+                         coef=None) -> LocalEvidenceCurve:
+    """Local evidence at several beta from the same batch, in one _reduce pass."""
+    form = _path_form(spec, betas, np.ones(len(betas)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return LocalEvidenceCurve(*_reduce(batch, form, stats=True, coef=coef)[:4])
 
 
 class IntegrationRule(enum.Enum):
@@ -211,22 +206,15 @@ class PartitionSchedule:
         if not np.all(np.diff(betas) > 0):
             raise ValueError("schedule must be strictly increasing")
 
-    @property
-    def partitions(self) -> int:
-        return self.betas.size - 1
-
     @classmethod
     def uniform(cls, partitions: int) -> "PartitionSchedule":
         """Equally spaced partition of [0, 1] into ``partitions`` bins."""
-        if partitions < 1:
-            raise ValueError("need at least one partition")
-        return cls(np.linspace(0.0, 1.0, partitions + 1))
+        return cls(np.linspace(0.0, 1.0, _count("partitions", partitions, 1) + 1))
 
     @classmethod
     def log(cls, partitions: int) -> "PartitionSchedule":
         """beta_0 = 0, then LOG_PARTITION_BETA1 .. 1 equally spaced on a log scale."""
-        if partitions < 2:
-            raise ValueError("log schedule needs at least two partitions")
+        partitions = _count("partitions", partitions, 2)
         tail = np.logspace(math.log10(LOG_PARTITION_BETA1), 0.0, partitions)
         tail[-1] = 1.0
         return cls(np.concatenate([[0.0], tail]))

@@ -39,6 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .paths import PathCurve, PathSpec, _log_ratio, _renyi_sum
+from .util import _count
 
 __all__ = [
     "ModelParameters",
@@ -141,7 +142,7 @@ class LatentModel:
         return self._evaluate(self._log_proposal, z, params)
 
     def sample_proposal(self, rng: np.random.Generator, size: int, params=None):
-        return self._sample_proposal(rng, self._resolve(params), int(size))
+        return self._sample_proposal(rng, self._resolve(params), _count("size", size, 1))
 
     def grad_log_target(self, z, params=None):
         return self._evaluate(self._grad_log_target, z, params)
@@ -430,9 +431,8 @@ def quadrature_grid(model: LatentModel, grid: Optional[GridSpec] = None):
     if model.latent_dim > 2:
         raise ValueError("quadrature oracles support latent_dim <= 2 only")
     grid = grid or GridSpec()
-    points = grid.points or DEFAULT_GRID_POINTS[model.latent_dim]
-    if points < 2:
-        raise ValueError("grid needs at least 2 points per axis")
+    points = (DEFAULT_GRID_POINTS[model.latent_dim] if grid.points is None
+              else _count("points", grid.points, 2))
     axes, log_ws = [], []
     for lo, hi in model.quadrature_domain:
         h = (hi - lo) / (points - 1)

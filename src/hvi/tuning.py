@@ -17,9 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimators import ImportanceBatch, _reduce_curve, draw_batch
+from .estimators import ImportanceBatch, draw_batch, local_evidence_curve
 from .models import LatentModel
 from .paths import PathSpec, _check_float_range
+from .util import _count
 
 __all__ = [
     "DEFAULT_TEST_BETAS",
@@ -90,7 +91,7 @@ def summarize_curve(batch: ImportanceBatch, alpha: float, betas) -> CurveSummary
     betas = _test_betas(betas)
     coef = _slope_coef(betas)
     spec = PathSpec.holder(float(alpha))
-    values, std_errs, ess, slope_std_err = _reduce_curve(batch, spec, betas, coef)
+    values, std_errs, ess, slope_std_err = local_evidence_curve(batch, spec, betas, coef)
     # beyond the float range, a std err would make any slope "flat" (is_flat)
     _check_float_range(spec, std_errs, betas, "std err of the local evidence")
     _check_float_range(spec, slope_std_err, quantity="std err of the curve slope")
@@ -160,8 +161,7 @@ def tune_alpha_bisect(model: LatentModel, alpha_lo: float = 0.05, alpha_hi: floa
         raise ValueError("alpha_lo must be smaller than alpha_hi")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    max_iters = _count("max_iters", max_iters, 1)
     betas = _test_betas(betas)
     batch = draw_batch(model, sample_size, seed)
     lo_summary = summarize_curve(batch, alpha_lo, betas)

@@ -76,7 +76,7 @@ def test_criterion_02_holder_closed_form():
     for alpha in (-0.5, 0.25, 0.5, 0.75, 1.0):
         for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
             expected = (c**alpha - 1.0) / (alpha * (beta * c**alpha + 1.0 - beta))
-            got = local_evidence_curve(batch, PathSpec.holder(alpha), [beta])[0].value
+            got = local_evidence_curve(batch, PathSpec.holder(alpha), [beta]).values[0]
             worst = max(worst, abs(got - expected))
     assert worst < 1e-12
     for cc in (0.5, 2.0, 10.0):

@@ -38,12 +38,11 @@ from oracles import serial_mcmc_reference
 # ---------------------------------------------------------------------------
 
 def ess(log_weights) -> float:
-    """The ESS hvi curve, diagnose and tune report (_reduce_curve's, here through
-    local_evidence_curve) for weights e^(log_weights): the geometric path at beta = 1
-    weights sample s by e^f_s."""
+    """The ESS hvi curve, diagnose and tune report (local_evidence_curve's) for
+    weights e^(log_weights): the geometric path at beta = 1 weights sample s by e^f_s."""
     log_weights = np.asarray(log_weights, dtype=float)
     batch = ImportanceBatch(z=np.zeros((log_weights.size, 1)), log_ratio=log_weights)
-    return local_evidence_curve(batch, PathSpec.geometric(), [1.0])[0].ess
+    return local_evidence_curve(batch, PathSpec.geometric(), [1.0]).ess[0]
 
 
 def test_ess_uniform_weights():
@@ -287,8 +286,8 @@ def test_mcmc_validation(ring):
                                               ({"step_size": 0.0}, "step_size"),
                                               ({"step_size": -1.0}, "step_size"),
                                               ({"step_size": math.inf}, "step_size"),
-                                              ({"thin": 0}, "thin and chains"),
-                                              ({"chains": 0}, "thin and chains")])
+                                              ({"thin": 0}, "thin must be >= 1"),
+                                              ({"chains": 0}, "chains must be >= 1")])
 def test_mcmc_rejects_settings_before_sampling(ring, setting, message):
     def never(*args):
         raise AssertionError("the sampler ran")

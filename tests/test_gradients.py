@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hvi import gradients, models, paths
+from hvi import diagnostics, gradients, models, paths, tuning
 from hvi.estimators import (
     IntegrationRule,
     PartitionSchedule,
@@ -478,6 +478,40 @@ def test_counts_take_numpy_integers(conjugate):
     assert draw_batch(conjugate, np.int32(5), 0).size == 5
     trace = train(conjugate, None, objective, steps=np.int64(3), learning_rate=0.01, seed=0)
     assert len(trace) == 4 and not trace.diverged
+
+
+def _mcmc(model, **count):
+    return diagnostics.mcmc_reference(model, **{**dict(chains=2, steps=200, burn_in=100,
+                                                        thin=5), **count})
+
+
+# per count: the call with the count as its one argument, and a value the count accepts
+_COUNTS = {
+    "size": (lambda model, n: model.sample_proposal(np.random.default_rng(0), n), 3),
+    "replicates": (lambda model, n: diagnostics.curve_profile(
+        model, PathSpec.geometric(), [0.0, 1.0], 10, n, 0), 2),
+    "partitions/uniform": (lambda model, n: PartitionSchedule.uniform(n), 2),
+    "partitions/log": (lambda model, n: PartitionSchedule.log(n), 3),
+    "points": (lambda model, n: models.quadrature_grid(model, models.GridSpec(points=n)), 3),
+    "chains": (lambda model, n: _mcmc(model, chains=n), 2),
+    "steps": (lambda model, n: _mcmc(model, steps=n), 200),
+    "burn_in": (lambda model, n: _mcmc(model, burn_in=n), 100),
+    "thin": (lambda model, n: _mcmc(model, thin=n), 5),
+    "max_iters": (lambda model, n: tuning.tune_alpha_bisect(
+        model, betas=(0.25, 0.5, 0.75), sample_size=2000, max_iters=n), 1),
+}
+
+
+@pytest.mark.parametrize("count", sorted(_COUNTS))
+def test_every_count_takes_integers_only(sin_toy, count):
+    # 2.5 rows drew 2 and True drew 1, a True partition count built one partition, and the
+    # others failed inside numpy or, for mcmc_reference, with an AttributeError
+    call, accepted = _COUNTS[count]
+    name = count.partition("/")[0]
+    for value in (2.5, True):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+            call(sin_toy, value)
+    call(sin_toy, np.int64(accepted))
 
 
 def test_objective_validation():

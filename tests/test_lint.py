@@ -4,8 +4,10 @@ writes CSV or JSON, every JSON writer in it passes allow_nan=False, every except
 the CLI reports, every code name the README gives still exists, the
 README's API table names only package code, every package name the
 benchmark (``perfbench``) reads exists, and every public package name is
-reached by code outside the tests, and only the kernel's reducer
-(``estimators._reduce``) iterates its blocks (``estimators._knot_blocks``).
+reached by code outside the tests, only the kernel's reducer
+(``estimators._reduce``) iterates its blocks (``estimators._knot_blocks``),
+and only ``estimators`` and training's step (``gradients``) read the reducer
+or its forms (``_path_form``): every other curve takes ``local_evidence_curve``.
 
 Parses each ``hvi`` module, each script, each test module and the
 benchmark's workloads and tracer with ``ast``; nothing is imported.
@@ -354,3 +356,18 @@ def test_only_the_reducer_iterates_the_knot_blocks():
                           if isinstance(node, ast.Name) and node.id == "_knot_blocks"
                           or isinstance(node, ast.Attribute) and node.attr == "_knot_blocks"]
     assert found == ["estimators.py: _reduce"], found
+
+
+def test_every_other_curve_takes_the_public_route():
+    # a module that reduces its own forms is a second curve route, and it hides
+    # its curves from a tracer that wraps the public functions only
+    private = {"_reduce", "_path_form"}
+    found = []
+    for path in sorted((ROOT / "src/hvi").glob("*.py")):
+        if path.stem in ("estimators", "gradients"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = set(_imports(tree)) | _read(tree)
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        found += [f"{path.name}: {name}" for name in sorted(names & private)]
+    assert not found, found

@@ -354,7 +354,7 @@ def test_quadrature_rejects_high_dim():
 
 
 def test_quadrature_grid_checks_its_points_and_domain(sin_toy):
-    with pytest.raises(ValueError, match="at least 2 points per axis"):
+    with pytest.raises(ValueError, match="points must be >= 2"):
         quadrature_grid(sin_toy, GridSpec(points=1))
     with pytest.raises(ValueError, match=r"^quadrature interval \[1, 1\] is too narrow or not "
                                          "finite for 20001 points"):
