@@ -29,8 +29,8 @@ def main():
     model = models.make_sin_toy()
     betas = np.linspace(0.0, 1.0, args.beta_points)
     rows = []
-    for label, spec in (("geometric", PathSpec.geometric()),
-                        (f"holder_{args.alpha:g}", PathSpec.holder(args.alpha))):
+    for label, spec in (("geometric", PathSpec("geometric")),
+                        (f"holder_{args.alpha:g}", PathSpec("holder", alpha=args.alpha))):
         profile = curve_profile(model, spec, betas, args.batch_size,
                                 args.replicates, args.seed)
         rows.extend(

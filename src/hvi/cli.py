@@ -48,10 +48,6 @@ from .paths import PathSpec, _check_betas
 from .tuning import DEFAULT_TEST_BETAS, _test_betas, tune_alpha_bisect, tune_alpha_grid
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message carries the field path."""
-
-
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
@@ -60,14 +56,14 @@ def _fmt(value) -> str:
 
 def _require(condition: bool, field: str, message: str):
     if not condition:
-        raise ConfigError(f"config.{field}: {message}")
+        raise ValueError(f"config.{field}: {message}")
 
 
 def _check_keys(obj: dict, allowed: Sequence[str], field: str):
     _require(isinstance(obj, dict), field, "must be an object")
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
-        raise ConfigError(f"config.{field}: unknown keys {unknown}")
+        raise ValueError(f"config.{field}: unknown keys {unknown}")
 
 
 def _read(obj: dict, field: str, cast, default=None):
@@ -82,7 +78,7 @@ def _read(obj: dict, field: str, cast, default=None):
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config.{field}: {exc}") from None
+        raise ValueError(f"config.{field}: {exc}") from None
 
 
 def _real(value) -> float:
@@ -130,6 +126,19 @@ def _numbers(value, cast=_real, least=1) -> list:
 def _betas(value, least=1) -> list:
     """A list of at least ``least`` temperatures, each checked to lie in [0, 1]."""
     return _check_betas(_numbers(value, least=least)).tolist()
+
+
+def _path(value) -> PathSpec:
+    """A path object: its kind and, as JSON numbers, the alpha or delta that kind takes."""
+    if not isinstance(value, dict):
+        raise ValueError(f"must be an object with a 'kind', got {value!r}")
+    unknown = sorted(set(value) - {"kind", "alpha", "delta"})
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    for name, number in value.items():
+        if name != "kind" and (isinstance(number, bool) or not isinstance(number, (int, float))):
+            raise TypeError(f"{name} must be a number, got {number!r}")
+    return PathSpec(**{"kind": None, **value})
 
 
 def _distinct_keys(values: list) -> list:
@@ -196,7 +205,7 @@ class ExperimentConfig:
                  "must be an object")
         self.sample_size = _read(data, "sample_size", _at_least(1),
                                  1000 if "sample_size" in keys else None)
-        self.rule = _read(data, "rule", IntegrationRule.parse, "left" if "rule" in keys else None)
+        self.rule = _read(data, "rule", IntegrationRule, "left" if "rule" in keys else None)
         self.out = data.get("out")
 
     def model(self):
@@ -284,10 +293,10 @@ def cmd_curve(cfg: ExperimentConfig, model: LatentModel) -> str:
     seed = cfg.seed()
     alphas = _read(cfg.data, "alphas", _numbers)
     if alphas is None:  # one curve on ``path``, rows without an alpha column
-        curves = [((), _read(cfg.data, "path", PathSpec.from_json, {"kind": "geometric"}))]
+        curves = [((), _read(cfg.data, "path", _path, {"kind": "geometric"}))]
     else:
         _unread(cfg.data, "path", "when alphas is given (alphas runs holder paths)")
-        curves = [((alpha,), PathSpec.holder(alpha)) for alpha in alphas]
+        curves = [((alpha,), PathSpec("holder", alpha=alpha)) for alpha in alphas]
     batch = draw_batch(model, cfg.sample_size, seed)
     rows = [[*lead, *row] for lead, spec in curves  # (beta, value, std err, ESS)
             for row in zip(schedule.betas, *local_evidence_curve(batch, spec, schedule.betas)[:3])]
@@ -359,6 +368,9 @@ def cmd_train(cfg: ExperimentConfig, model: LatentModel) -> str:
         sweeps = {**_defaults(mcmc_reference), **mcmc}
         _require(sweeps["steps"] > sweeps["burn_in"], "training.mcmc.steps",
                  f"must exceed burn_in = {sweeps['burn_in']}")
+        sampled = sweeps["steps"] - sweeps["burn_in"]
+        _require(sweeps["thin"] <= sampled, "training.mcmc.thin",
+                 f"must not exceed steps - burn_in = {sampled}")
         mmd_sample = _read(training, "training.mmd_sample", _at_least(1), 2000)
         reference = MmdReference.of(mcmc_reference(model, **{"seed": seed, **mcmc}).pooled)
 
@@ -388,7 +400,7 @@ def cmd_diagnose(cfg: ExperimentConfig, model: LatentModel) -> str:
     seed = cfg.seed()
     diag = cfg.data.get("diagnose", {})
     _check_keys(diag, ("path", "betas", "replicates"), "diagnose")
-    spec = _read(diag, "diagnose.path", PathSpec.from_json, {"kind": "geometric"})
+    spec = _read(diag, "diagnose.path", _path, {"kind": "geometric"})
     betas = _read(diag, "diagnose.betas", _betas, np.linspace(0.0, 1.0, 21).tolist())
     replicates = _read(diag, "diagnose.replicates", _at_least(2), 50)
     profile = curve_profile(model, spec, betas, cfg.sample_size, replicates, seed)
@@ -457,7 +469,7 @@ def _finite_float(literal: str) -> float:
     value = float(literal)
     if np.isfinite(value):
         return value
-    raise ConfigError(f"config: non-finite number {literal} is not allowed")
+    raise ValueError(f"config: non-finite number {literal} is not allowed")
 
 
 def _unique_keys(pairs) -> dict:
@@ -465,7 +477,7 @@ def _unique_keys(pairs) -> dict:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ConfigError(f"config: duplicate key {key!r}")
+            raise ValueError(f"config: duplicate key {key!r}")
         data[key] = value
     return data
 
@@ -478,7 +490,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                 data = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float,
                                  object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
-                raise ConfigError(f"config: invalid JSON ({exc})") from None
+                raise ValueError(f"config: invalid JSON ({exc})") from None
     _require(isinstance(data, dict), "<root>", "must be an object")
     if getattr(args, "seed", None) is not None:
         data.pop("seeds", None)

@@ -119,7 +119,7 @@ class MmdReference:
 
     @classmethod
     def of(cls, sample) -> MmdReference:
-        b = np.atleast_2d(np.asarray(sample, dtype=float))
+        b = np.asarray(sample, dtype=float)
         if b.ndim != 2:
             raise ValueError("samples must be 2-d with matching dimension")
         if b.shape[0] == 0:
@@ -146,7 +146,7 @@ def mmd(sample_a, reference) -> float:
     """
     if not isinstance(reference, MmdReference):
         reference = MmdReference.of(reference)
-    a = np.atleast_2d(np.asarray(sample_a, dtype=float))
+    a = np.asarray(sample_a, dtype=float)
     if a.ndim != 2 or a.shape[1] != reference.points.shape[1]:
         raise ValueError("samples must be 2-d with matching dimension")
     if a.shape[0] == 0:
@@ -212,8 +212,8 @@ def mcmc_reference(model: LatentModel, chains: int = 4, steps: int = 20000,
     """
     chains, thin = _count("chains", chains, 1), _count("thin", thin, 1)
     steps, burn_in = _count("steps", steps, 1), _count("burn_in", burn_in, 0)
-    if steps <= burn_in:
-        raise ValueError("steps must exceed burn_in")
+    if steps - burn_in < thin:  # else the chains keep no draw
+        raise ValueError(f"steps must exceed burn_in by at least thin = {thin}")
     if not 0.0 < step_size < math.inf:
         raise ValueError("step_size must be positive and finite")
     lam = model.default_params.values

@@ -179,15 +179,12 @@ class IntegrationRule(enum.Enum):
     TRAPEZOID = "trapezoid"
 
     @classmethod
-    def parse(cls, name) -> "IntegrationRule":
-        if isinstance(name, cls):
-            return name
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown integration rule {name!r}; expected left, right or trapezoid"
-            ) from None
+    def _missing_(cls, name):
+        """A rule named in any case: ``IntegrationRule("Trapezoid")`` is TRAPEZOID."""
+        for rule in cls:
+            if rule.value == str(name).lower():
+                return rule
+        raise ValueError(f"unknown integration rule {name!r}; expected left, right or trapezoid")
 
 
 @dataclass(frozen=True)
@@ -222,7 +219,7 @@ class PartitionSchedule:
 
 def rule_weights(betas: np.ndarray, rule: IntegrationRule) -> np.ndarray:
     """Per-point weights turning curve values into the Riemann sum value."""
-    rule = IntegrationRule.parse(rule)
+    rule = IntegrationRule(rule)
     betas = np.asarray(betas, dtype=float)
     gaps = np.diff(betas)
     w = np.zeros(betas.size)
@@ -282,7 +279,7 @@ def _resolve(name: str, arg: Optional[float] = None,
     closed form; else bound = weights @ curve(betas), on the bound's one knot
     with weight 1 or on ``schedule`` (its default when None) with the rule's weights.
     """
-    row, rule = _BOUNDS[name], IntegrationRule.parse(rule)
+    row, rule = _BOUNDS[name], IntegrationRule(rule)
     if arg is not None and not math.isfinite(arg):
         raise ValueError(f"bound {name!r} needs a finite parameter, got {arg}")
     if name == "rvi" and not arg > 0:
@@ -338,14 +335,14 @@ def bound_report(batch: ImportanceBatch, bounds: Sequence[str],
     The closed forms rvi[a] and iw_elbo (a = 1) are paths._renyi_sum's (1/a) log mean e^(a f).
     """
     schedules = {"log": tvo_schedule, "uniform": hbo_schedule}
-    rule = IntegrationRule.parse(rule)
+    rule = IntegrationRule(rule)
     values: dict[str, float] = {}
     for bound_id in bounds:
         name, arg = _split_bound_id(bound_id)
         form = _resolve(name, arg, schedules.get(_BOUNDS[name].knots), rule)
         if form is None:  # iw_elbo is rvi at alpha = 1 bit for bit: 1.0 * f and / 1.0 are exact
             alpha = arg or 1.0
-            value = _check_float_range(PathSpec.holder(alpha), _renyi_sum(
+            value = _check_float_range(PathSpec("holder", alpha=alpha), _renyi_sum(
                 alpha, batch.log_ratio, count=batch.size), quantity="Renyi bound")
         else:
             value = _form_value(batch, form)

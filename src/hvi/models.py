@@ -482,7 +482,7 @@ def quadrature_oracle(model: LatentModel, alphas=(), betas=(),
     One pass over the grid serves all of them; log p(x) is the Renyi sum at
     alpha = 1, taken beside the curves (_grid_sum).
     """
-    curves = [PathCurve(PathSpec.holder(float(alpha)), betas) for alpha in alphas]
+    curves = [PathCurve(PathSpec("holder", alpha=alpha), betas) for alpha in alphas]
     return _grid_sum(model, grid, params, curves=curves), [curve.values() for curve in curves]
 
 
@@ -496,7 +496,7 @@ def quadrature_local_evidence_curve(model: LatentModel, alpha: float, betas,
                                     grid: Optional[GridSpec] = None,
                                     params=None) -> np.ndarray:
     """Exact local evidence E_(alpha,beta) at several beta, one grid pass."""
-    curve = PathCurve(PathSpec.holder(float(alpha)), betas)
+    curve = PathCurve(PathSpec("holder", alpha=alpha), betas)
     for f, base in _grid_tiles(model, grid, params):
         curve.add(f, base)
     return curve.values()

@@ -87,9 +87,9 @@ class PathSpec:
     """Which interpolation family to use, plus its parameter.
 
     Only ``holder`` takes ``alpha`` and only ``perturbed`` takes ``delta``; a
-    nonzero parameter the kind does not take is rejected.  ``holder(0)``
-    behaves identically to ``geometric()`` and ``holder(1)`` identically to
-    ``wasserstein()``.
+    nonzero parameter the kind does not take is rejected.  ``PathSpec("holder",
+    alpha=0)`` behaves identically to ``PathSpec("geometric")`` and alpha = 1
+    identically to ``PathSpec("wasserstein")``.
     """
 
     kind: str
@@ -113,45 +113,14 @@ class PathSpec:
                 stacklevel=_outside_caller(),
             )
 
-    @classmethod
-    def geometric(cls) -> "PathSpec":
-        return cls("geometric")
-
-    @classmethod
-    def holder(cls, alpha: float) -> "PathSpec":
-        return cls("holder", alpha=alpha)
-
-    @classmethod
-    def wasserstein(cls) -> "PathSpec":
-        return cls("wasserstein")
-
-    @classmethod
-    def perturbed(cls, delta: float) -> "PathSpec":
-        return cls("perturbed", delta=delta)
-
     def branch(self) -> tuple[str, float]:
         """Resolve to the actual evaluation branch: (name, parameter)."""
-        if self.kind == "geometric":
+        if self.kind == "perturbed":
+            return ("perturbed", self.delta)
+        alpha = 1.0 if self.kind == "wasserstein" else self.alpha  # 0 on the geometric kind
+        if abs(alpha) < GEOMETRIC_ALPHA_CUTOFF:
             return ("geometric", 0.0)
-        if self.kind == "wasserstein":
-            return ("holder", 1.0)
-        if self.kind == "holder":
-            if abs(self.alpha) < GEOMETRIC_ALPHA_CUTOFF:
-                return ("geometric", 0.0)
-            return ("holder", self.alpha)
-        return ("perturbed", self.delta)
-
-    @classmethod
-    def from_json(cls, data) -> "PathSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"path must be an object with a 'kind', got {data!r}")
-        extra = set(data) - {"kind", "alpha", "delta"}
-        if extra:
-            raise ValueError(f"unknown path keys: {sorted(extra)}")
-        for name, value in data.items():
-            if name != "kind" and (isinstance(value, bool) or not isinstance(value, (int, float))):
-                raise TypeError(f"path {name} must be a number, got {value!r}")
-        return cls(**{"kind": None, **data})
+        return ("holder", alpha)
 
 
 # Elements per pass of path_weights.  Fixed, so memory stays bounded however
@@ -162,6 +131,8 @@ BLOCK_ELEMENTS = 1 << 20
 
 def _check_betas(betas) -> np.ndarray:
     betas = np.asarray(betas, dtype=float).reshape(-1)
+    if not betas.size:
+        raise ValueError("betas must list at least one temperature")
     if np.count_nonzero((betas >= 0.0) & (betas <= 1.0)) < betas.size:
         raise ValueError(f"beta must lie in [0, 1], got {betas}")
     return betas

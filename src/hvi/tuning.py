@@ -90,7 +90,7 @@ def summarize_curve(batch: ImportanceBatch, alpha: float, betas) -> CurveSummary
     """Local evidence at the test betas for one alpha, from a shared batch."""
     betas = _test_betas(betas)
     coef = _slope_coef(betas)
-    spec = PathSpec.holder(float(alpha))
+    spec = PathSpec("holder", alpha=alpha)
     values, std_errs, ess, slope_std_err = local_evidence_curve(batch, spec, betas, coef)
     # beyond the float range, a std err would make any slope "flat" (is_flat)
     _check_float_range(spec, std_errs, betas, "std err of the local evidence")

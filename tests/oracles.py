@@ -63,7 +63,7 @@ def quadrature_curve_slope(model, alpha, beta, grid=None, params=None) -> float:
         return -evidence * evidence
     pts, log_cell = models.quadrature_grid(model, grid)
     l0, l1 = model.log_proposal(pts, params), model.log_target(pts, params)
-    spec = PathSpec.holder(alpha)
+    spec = PathSpec("holder", alpha=alpha)
     log_w = reference_log_density(spec, l0, l1, beta) + log_cell
     log_w -= logsumexp(log_w)
     sign, log_abs = reference_integrand_parts(spec, l0, l1, beta)

@@ -76,7 +76,7 @@ def test_criterion_02_holder_closed_form():
     for alpha in (-0.5, 0.25, 0.5, 0.75, 1.0):
         for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
             expected = (c**alpha - 1.0) / (alpha * (beta * c**alpha + 1.0 - beta))
-            got = local_evidence_curve(batch, PathSpec.holder(alpha), [beta]).values[0]
+            got = local_evidence_curve(batch, PathSpec("holder", alpha=alpha), [beta]).values[0]
             worst = max(worst, abs(got - expected))
     assert worst < 1e-12
     for cc in (0.5, 2.0, 10.0):
@@ -174,7 +174,7 @@ def test_criterion_07_perturbed_quadratic_decay():
     def max_errors(delta):
         worst_u = worst_g = 0.0
         for beta in (0.1, 0.3, 0.5, 0.7, 0.9):
-            exact, pert = PathSpec.holder(delta), PathSpec.perturbed(delta)
+            exact, pert = PathSpec("holder", alpha=delta), PathSpec("perturbed", delta=delta)
             worst_u = max(worst_u, float(np.max(np.abs(
                 log_density(exact, l0, l1, beta)
                 - log_density(pert, l0, l1, beta)))))
@@ -202,7 +202,7 @@ def test_criterion_08_gradient_correctness():
             sin, None,
             lambda m, lam, b=beta: quadrature_local_evidence(m, 0.0, b, params=lam),
             step=1e-4)
-        form = _path_form(PathSpec.geometric(), [beta], [1.0])
+        form = _path_form(PathSpec("geometric"), [beta], [1.0])
         estimates = np.array([
             path_step(sin, form, draw_batch(sin, 100, int(s)))[1].total
             for s in seeds])
@@ -214,7 +214,7 @@ def test_criterion_08_gradient_correctness():
     conjugate = models.make_conjugate_gaussian(1.0, 0.0)
     batch = draw_batch(conjugate, 100_000, 3)
     for beta in (0.0, 0.5, 1.0):
-        grad = path_step(conjugate, _path_form(PathSpec.geometric(), [beta], [1.0]), batch)[1]
+        grad = path_step(conjugate, _path_form(PathSpec("geometric"), [beta], [1.0]), batch)[1]
         assert np.all(np.abs(grad.total) < 3 * grad.std_err + 1e-12)
     _pass(8, started, 300.0,
           f"500-seed mean within {worst_z:.2f} std errs of quadrature FD; "
@@ -261,8 +261,8 @@ def test_criterion_10_ess_profile():
     alpha_hat = tune_alpha_grid(sin, [round(a, 1) for a in np.arange(0.1, 1.0, 0.1)],
                                 (0.0, 0.25, 0.5, 0.75), 10_000, seed=3).alpha
     betas = np.linspace(0.0, 1.0, 21)
-    geo = curve_profile(sin, PathSpec.geometric(), betas, 1000, 50, seed=17)
-    hold = curve_profile(sin, PathSpec.holder(alpha_hat), betas, 1000, 50, seed=17)
+    geo = curve_profile(sin, PathSpec("geometric"), betas, 1000, 50, seed=17)
+    hold = curve_profile(sin, PathSpec("holder", alpha=alpha_hat), betas, 1000, 50, seed=17)
     assert geo.mean_ess[0] == pytest.approx(1.0, abs=1e-12)
     rho, pval = spearmanr(np.tile(betas, 50), geo.ess_values.ravel())
     assert rho < 0 and pval < 0.01

@@ -21,6 +21,7 @@ from hvi.cli import _COMMANDS, _build_parser, main
 from hvi.estimators import PartitionSchedule, bound_report, draw_batch
 from hvi.gradients import BoundObjective, train
 from hvi.models import make_conjugate_gaussian, make_sin_toy
+from hvi.paths import PathSpec
 from hvi.tuning import DEFAULT_TEST_BETAS, tune_alpha_bisect, tune_alpha_grid
 from oracles import quadrature_local_evidence
 
@@ -625,6 +626,39 @@ def test_path_errors_name_their_field(tmp_path, capsys, command, field, path):
     assert not out.exists()
 
 
+def test_path_cast_reads_each_kind():
+    for data, spec in (({"kind": "geometric"}, PathSpec("geometric")),
+                       ({"kind": "holder", "alpha": 0.3}, PathSpec("holder", alpha=0.3)),
+                       ({"kind": "wasserstein"}, PathSpec("wasserstein")),
+                       ({"kind": "perturbed", "delta": 0.01}, PathSpec("perturbed", delta=0.01))):
+        assert cli._path(data) == spec
+
+
+_BAD_PATHS = {
+    "holder-delta": ({"kind": "holder", "delta": 0.3}, "path kind 'holder' takes no delta"),
+    "geometric-alpha": ({"kind": "geometric", "alpha": 0.8},
+                        "path kind 'geometric' takes no alpha"),
+    "perturbed-alpha": ({"kind": "perturbed", "alpha": 0.1, "delta": 0.05},
+                        "path kind 'perturbed' takes no alpha"),
+    "not-an-object": ("holder", "must be an object with a 'kind', got 'holder'"),
+    "unknown-key": ({"kind": "holder", "alpha": 0.5, "oops": 1}, "unknown keys ['oops']"),
+    "unknown-kind": ({"kind": "powermean"}, "unknown path kind 'powermean'"),
+    "null-alpha": ({"kind": "holder", "alpha": None}, "alpha must be a number, got None"),
+}
+
+
+@pytest.mark.parametrize("path, message", _BAD_PATHS.values(), ids=_BAD_PATHS.keys())
+def test_path_cast_rejects_foreign_parameters_and_non_objects(tmp_path, capsys, monkeypatch,
+                                                              path, message):
+    # dropping a parameter of another kind would silently run a different path
+    drawn = []
+    monkeypatch.setattr("hvi.cli.draw_batch", lambda *args: drawn.append(args))
+    cfg = write_config(tmp_path, "cfg.json", {"model": "sin_toy", "seed": 1, "path": path})
+    assert run_cli(["curve", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config.path: {message}")
+    assert drawn == []
+
+
 # One malformed field per command: each must end in an error line that names
 # the field, not a traceback.
 _MALFORMED = [
@@ -720,6 +754,11 @@ _MALFORMED = [
      "config.model_params.n"),
     ("bounds", {"model": "bayes_regression", "model_params": {"n": 2}},
      "config.model_params.n"),
+    # a thinning interval longer than the sampled steps, which kept no draw and
+    # failed after the whole burn-in with numpy's "need at least one array to stack"
+    ("train", {"training": {"steps": 2, "mmd_every": 1,
+                            "mcmc": {"steps": 300, "burn_in": 100, "thin": 1000, "chains": 2}}},
+     "config.training.mcmc.thin"),
 ]
 
 

@@ -42,7 +42,7 @@ def ess(log_weights) -> float:
     weights e^(log_weights): the geometric path at beta = 1 weights sample s by e^f_s."""
     log_weights = np.asarray(log_weights, dtype=float)
     batch = ImportanceBatch(z=np.zeros((log_weights.size, 1)), log_ratio=log_weights)
-    return local_evidence_curve(batch, PathSpec.geometric(), [1.0]).ess[0]
+    return local_evidence_curve(batch, PathSpec("geometric"), [1.0]).ess[0]
 
 
 def test_ess_uniform_weights():
@@ -94,7 +94,7 @@ def test_ess_bounds_property(log_weights):
 # ---------------------------------------------------------------------------
 
 def test_profile_scaled_factor_degenerate(scaled_two):
-    profile = curve_profile(scaled_two, PathSpec.geometric(),
+    profile = curve_profile(scaled_two, PathSpec("geometric"),
                             np.linspace(0, 1, 5), 200, 10, seed=0)
     np.testing.assert_allclose(profile.variances, 0.0, atol=1e-24)
     np.testing.assert_allclose(profile.mean_ess, 1.0, atol=1e-12)
@@ -102,7 +102,7 @@ def test_profile_scaled_factor_degenerate(scaled_two):
 
 def test_profile_sin_toy_ess_trend(sin_toy):
     betas = np.linspace(0, 1, 21)
-    profile = curve_profile(sin_toy, PathSpec.geometric(), betas, 1000, 50, seed=17)
+    profile = curve_profile(sin_toy, PathSpec("geometric"), betas, 1000, 50, seed=17)
     assert profile.mean_ess[0] == pytest.approx(1.0, abs=1e-12)
     rho, pval = spearmanr(np.tile(betas, 50), profile.ess_values.ravel())
     assert rho < 0 and pval < 0.01
@@ -110,15 +110,15 @@ def test_profile_sin_toy_ess_trend(sin_toy):
 
 
 def test_profile_deterministic(sin_toy):
-    a = curve_profile(sin_toy, PathSpec.geometric(), [0.0, 0.5, 1.0], 100, 5, seed=3)
-    b = curve_profile(sin_toy, PathSpec.geometric(), [0.0, 0.5, 1.0], 100, 5, seed=3)
+    a = curve_profile(sin_toy, PathSpec("geometric"), [0.0, 0.5, 1.0], 100, 5, seed=3)
+    b = curve_profile(sin_toy, PathSpec("geometric"), [0.0, 0.5, 1.0], 100, 5, seed=3)
     np.testing.assert_array_equal(a.means, b.means)
     np.testing.assert_array_equal(a.ess_values, b.ess_values)
 
 
 def test_profile_requires_replicates(sin_toy):
     with pytest.raises(ValueError):
-        curve_profile(sin_toy, PathSpec.geometric(), [0.0, 1.0], 100, 1, seed=0)
+        curve_profile(sin_toy, PathSpec("geometric"), [0.0, 1.0], 100, 1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +228,17 @@ def test_mmd_reference_gives_the_value_of_its_sample():
         MmdReference.of(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("shape", [(500,), (5, 2, 1)], ids=["1-d", "3-d"])
+def test_mmd_takes_only_point_rows(shape):
+    # np.atleast_2d read 500 scalar draws as one 500-dimensional point, so
+    # two unlike samples of them read sqrt(2)
+    sample = np.random.default_rng(0).normal(size=shape)
+    for call in (lambda: mmd(sample, np.zeros((5, 1))), lambda: MmdReference.of(sample),
+                 lambda: mmd(sample, sample)):
+        with pytest.raises(ValueError, match="samples must be 2-d"):
+            call()
+
+
 def test_mmd_dimension_mismatch():
     with pytest.raises(ValueError):
         mmd(np.zeros((5, 2)), np.zeros((5, 3)))
@@ -287,7 +298,9 @@ def test_mcmc_validation(ring):
                                               ({"step_size": -1.0}, "step_size"),
                                               ({"step_size": math.inf}, "step_size"),
                                               ({"thin": 0}, "thin must be >= 1"),
-                                              ({"chains": 0}, "chains must be >= 1")])
+                                              ({"chains": 0}, "chains must be >= 1"),
+                                              ({"steps": 300, "burn_in": 100, "thin": 1000},
+                                               "steps must exceed burn_in by at least thin")])
 def test_mcmc_rejects_settings_before_sampling(ring, setting, message):
     def never(*args):
         raise AssertionError("the sampler ran")

@@ -177,20 +177,20 @@ def test_rvi_limit_and_monotonicity(conjugate, sin_toy):
 def test_local_evidence_scaled_factor_geometric(scaled_two):
     batch = draw_batch(scaled_two, 256, 0)
     for beta in (0.0, 0.25, 1.0):
-        est = local_evidence_curve(batch, PathSpec.geometric(), [beta])
+        est = local_evidence_curve(batch, PathSpec("geometric"), [beta])
         assert est.values[0] == pytest.approx(math.log(2.0), abs=1e-12)
         assert est.ess[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_local_evidence_scaled_factor_holder_closed_form(scaled_two):
     batch = draw_batch(scaled_two, 256, 0)
-    est = local_evidence_curve(batch, PathSpec.holder(1.0), [0.5])
+    est = local_evidence_curve(batch, PathSpec("holder", alpha=1.0), [0.5])
     assert est.values[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_local_evidence_matches_quadrature(sin_toy):
     batch = draw_batch(sin_toy, 100_000, 12)
-    est = local_evidence_curve(batch, PathSpec.holder(0.8), [0.5])
+    est = local_evidence_curve(batch, PathSpec("holder", alpha=0.8), [0.5])
     exact = quadrature_local_evidence(sin_toy, 0.8, 0.5)
     assert abs(est.values[0] - exact) < 3 * est.std_errs[0]
 
@@ -198,19 +198,20 @@ def test_local_evidence_matches_quadrature(sin_toy):
 def test_local_evidence_beta_validation(sin_toy):
     batch = draw_batch(sin_toy, 16, 0)
     with pytest.raises(ValueError):
-        local_evidence_curve(batch, PathSpec.geometric(), [1.5])
+        local_evidence_curve(batch, PathSpec("geometric"), [1.5])
 
 
 def test_local_evidence_degenerate_single_sample(sin_toy):
     batch = draw_batch(sin_toy, 1, 0)
-    est = local_evidence_curve(batch, PathSpec.geometric(), [0.5])
+    est = local_evidence_curve(batch, PathSpec("geometric"), [0.5])
     assert est.std_errs[0] == 0.0 and est.ess[0] == pytest.approx(1.0)
 
 
 @settings(max_examples=25)
 @given(st.floats(0.0, 1.0),
-       st.sampled_from([PathSpec.geometric(), PathSpec.holder(-0.5), PathSpec.holder(0.4),
-                        PathSpec.wasserstein(), PathSpec.perturbed(0.05)]),
+       st.sampled_from([PathSpec("geometric"), PathSpec("holder", alpha=-0.5),
+                        PathSpec("holder", alpha=0.4), PathSpec("wasserstein"),
+                        PathSpec("perturbed", delta=0.05)]),
        st.integers(0, 10_000))
 def test_self_normalized_weights_sum_to_one(beta, spec, seed):
     model = models.make_sin_toy()
@@ -224,12 +225,12 @@ def test_self_normalized_weights_sum_to_one(beta, spec, seed):
 def test_ess_always_in_bounds(beta, alpha, seed):
     model = models.make_sin_toy()
     batch = draw_batch(model, 50, seed)
-    est = local_evidence_curve(batch, PathSpec.holder(alpha), [beta])
+    est = local_evidence_curve(batch, PathSpec("holder", alpha=alpha), [beta])
     assert 1.0 / batch.size - 1e-12 <= est.ess[0] <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("spec", [PathSpec.geometric(), PathSpec.holder(0.8),
-                                  PathSpec.wasserstein(), PathSpec.perturbed(0.05)])
+@pytest.mark.parametrize("spec", [PathSpec("geometric"), PathSpec("holder", alpha=0.8),
+                                  PathSpec("wasserstein"), PathSpec("perturbed", delta=0.05)])
 def test_ess_is_the_normalized_effective_sample_size(sin_toy, spec):
     # (sum w)^2 / (S sum w^2) of the path weights, at interior betas where they are uneven
     batch = draw_batch(sin_toy, 500, 3)
@@ -345,7 +346,7 @@ def test_perturbed_hbo_zero_delta_equals_tvo(sin_toy):
 def test_left_sum_below_right_sum_on_rising_curve(sin_toy):
     batch = draw_batch(sin_toy, 2000, 6)
     sched = PartitionSchedule.log(50)
-    curve = local_evidence_curve(batch, PathSpec.geometric(), sched.betas)
+    curve = local_evidence_curve(batch, PathSpec("geometric"), sched.betas)
     left = bound(batch, "tvo", tvo_schedule=sched, rule=IntegrationRule.LEFT)
     right = bound(batch, "tvo", tvo_schedule=sched, rule=IntegrationRule.RIGHT)
     slack = 3 * math.sqrt(curve.std_errs[0] ** 2 + curve.std_errs[-1] ** 2)

@@ -47,10 +47,10 @@ def _run(tmp_path, capsys, config, *flags, command="bounds"):
 
 
 @pytest.mark.parametrize("spec, values, betas, where", [
-    (PathSpec.geometric(), [1.0, np.inf], [0.2, 0.7], "beta = 0.7 reads inf"),
-    (PathSpec.perturbed(0.05), [[1.0, 2.0], [3.0, 4.0], [-np.inf, np.nan]], [0.0, 0.5, 1.0],
-     "delta = 0.05, beta = 1 reads -inf"),
-    (PathSpec.holder(1.5), [np.nan], None, "alpha = 1.5 reads nan"),
+    (PathSpec("geometric"), [1.0, np.inf], [0.2, 0.7], "beta = 0.7 reads inf"),
+    (PathSpec("perturbed", delta=0.05), [[1.0, 2.0], [3.0, 4.0], [-np.inf, np.nan]],
+     [0.0, 0.5, 1.0], "delta = 0.05, beta = 1 reads -inf"),
+    (PathSpec("holder", alpha=1.5), [np.nan], None, "alpha = 1.5 reads nan"),
 ])
 def test_the_rule_names_the_path_parameter_and_beta(spec, values, betas, where):
     # one row of values per beta; a finite array passes through as it is
@@ -98,7 +98,7 @@ def test_gradient_beyond_the_float_range_is_a_named_error(bayes_batch):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^local evidence at alpha = 3, beta = 1 reads "
                                              r"-inf: beyond the float range$"):
-            path_step(model, _path_form(PathSpec.holder(3.0), [1.0], [1.0]), batch)
+            path_step(model, _path_form(PathSpec("holder", alpha=3.0), [1.0], [1.0]), batch)
 
 
 def test_gradient_with_an_overflowed_std_err_keeps_finite_terms(bayes_batch):
@@ -107,7 +107,7 @@ def test_gradient_with_an_overflowed_std_err_keeps_finite_terms(bayes_batch):
     model, batch = bayes_batch
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grad = path_step(model, _path_form(PathSpec.holder(-0.5), [0.0], [1.0]), batch)[1]
+        grad = path_step(model, _path_form(PathSpec("holder", alpha=-0.5), [0.0], [1.0]), batch)[1]
     assert np.all(np.isfinite(grad.term_i)) and np.all(np.isfinite(grad.term_ii))
     assert np.all(grad.std_err == np.inf)
 
@@ -136,8 +136,8 @@ def test_train_writes_no_row_beyond_the_float_range():
 
 _SWEEP_BOUNDS = ["elbo", "iw_elbo", "rvi[3]", "eubo", "wlbo", "wubo", "tvo", "hbo[3]",
                  "hbo[-0.5]", "perturbed_hbo[0.05]"]
-_SWEEP_SPECS = [PathSpec.holder(3.0), PathSpec.holder(-0.5), PathSpec.holder(1.5),
-                PathSpec.perturbed(0.05)]
+_SWEEP_SPECS = [PathSpec("holder", alpha=3.0), PathSpec("holder", alpha=-0.5),
+                PathSpec("holder", alpha=1.5), PathSpec("perturbed", delta=0.05)]
 
 
 def test_every_bound_and_gradient_is_finite_or_a_named_error(tmp_path, capsys):
@@ -168,7 +168,7 @@ def test_every_bound_and_gradient_is_finite_or_a_named_error(tmp_path, capsys):
                 else:
                     assert np.all(np.isfinite(grad.total)), (model_id, spec, beta)
     assert ("bayes_regression", "hbo[3]", "right") in errors
-    assert ("bayes_regression", PathSpec.holder(3.0), 1.0) in errors
+    assert ("bayes_regression", PathSpec("holder", alpha=3.0), 1.0) in errors
 
 
 # Every cause that may stop a training run, as the run names it.

@@ -27,8 +27,8 @@ from oracles import finite_difference_grad, path_step, quadrature_local_evidence
 
 _BAYES = models.make_bayes_regression(models.simulate_bayes_dataset(0, 20))
 
-SPECS = [PathSpec.geometric(), PathSpec.holder(0.5), PathSpec.holder(-0.4),
-         PathSpec.wasserstein(), PathSpec.perturbed(0.05)]
+SPECS = [PathSpec("geometric"), PathSpec("holder", alpha=0.5), PathSpec("holder", alpha=-0.4),
+         PathSpec("wasserstein"), PathSpec("perturbed", delta=0.05)]
 
 
 def quad_local_evidence_objective(alpha, beta):
@@ -50,7 +50,7 @@ def test_terms_sum_to_total(sin_toy, spec):
 
 def test_beta_zero_pathwise_term_is_elbo_gradient(sin_toy):
     batch = draw_batch(sin_toy, 500, 1)
-    grad = path_step(sin_toy, _path_form(PathSpec.geometric(), [0.0], [1.0]), batch)[1]
+    grad = path_step(sin_toy, _path_form(PathSpec("geometric"), [0.0], [1.0]), batch)[1]
     grad_f = sin_toy.grad_log_target(batch.z) - sin_toy.grad_log_proposal(batch.z)
     np.testing.assert_allclose(grad.term_ii, grad_f.mean(axis=0), atol=1e-12)
 
@@ -60,7 +60,7 @@ def test_scaled_factor_scale_gradient_is_one(scaled_two):
     batch = draw_batch(scaled_two, 64, 3)
     for rule in IntegrationRule:
         betas = PartitionSchedule.uniform(4).betas
-        form = _path_form(PathSpec.geometric(), betas, rule_weights(betas, rule))
+        form = _path_form(PathSpec("geometric"), betas, rule_weights(betas, rule))
         grad = path_step(scaled_two, form, batch)[1]
         assert grad.total[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(grad.term_i[0]) < 1e-12
@@ -73,14 +73,14 @@ def test_scaled_factor_scale_gradient_is_one(scaled_two):
 @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
 def test_zero_gradient_at_conjugate_posterior(conjugate, beta):
     batch = draw_batch(conjugate, 100_000, 3)
-    grad = path_step(conjugate, _path_form(PathSpec.geometric(), [beta], [1.0]), batch)[1]
+    grad = path_step(conjugate, _path_form(PathSpec("geometric"), [beta], [1.0]), batch)[1]
     assert np.all(np.abs(grad.total) < 3 * grad.std_err + 1e-12)
 
 
 @pytest.mark.parametrize("spec,alpha", [
-    (PathSpec.geometric(), 0.0),
-    (PathSpec.holder(0.5), 0.5),
-    (PathSpec.holder(0.8), 0.8),
+    (PathSpec("geometric"), 0.0),
+    (PathSpec("holder", alpha=0.5), 0.5),
+    (PathSpec("holder", alpha=0.8), 0.8),
 ])
 def test_single_batch_gradient_matches_quadrature_fd(sin_toy, spec, alpha):
     batch = draw_batch(sin_toy, 100_000, 7)
@@ -94,7 +94,7 @@ def test_perturbed_gradient_matches_quadrature_fd(sin_toy):
     from path_forms import reference_integrand_parts, reference_log_density
     from scipy.special import logsumexp
 
-    spec = PathSpec.perturbed(0.05)
+    spec = PathSpec("perturbed", delta=0.05)
     beta = 0.4
 
     def objective(model, lam):
@@ -114,7 +114,7 @@ def test_perturbed_gradient_matches_quadrature_fd(sin_toy):
 
 def test_bound_grad_k1_trapezoid_averages_endpoints(sin_toy):
     batch = draw_batch(sin_toy, 300, 5)
-    spec = PathSpec.geometric()
+    spec = PathSpec("geometric")
     lo = path_step(sin_toy, _path_form(spec, [0.0], [1.0]), batch)[1]
     hi = path_step(sin_toy, _path_form(spec, [1.0], [1.0]), batch)[1]
     betas = PartitionSchedule.uniform(1).betas
@@ -129,7 +129,8 @@ def test_holder_gradient_finite_at_extreme_log_ratios(conjugate):
     lam = np.array([0.0, math.log(12.0)])
     batch = draw_batch(conjugate, 200, 0, lam)
     assert batch.log_ratio.min() < -800
-    grad = path_step(conjugate, _path_form(PathSpec.holder(1.0), [1.0], [1.0]), batch, lam)[1]
+    form = _path_form(PathSpec("holder", alpha=1.0), [1.0], [1.0])
+    grad = path_step(conjugate, form, batch, lam)[1]
     objective = BoundObjective(bound="hbo", alpha=1.0, rule="right",
                                schedule=PartitionSchedule.uniform(5), sample_size=200)
     assert np.isfinite(_form_value(batch, objective._form))
@@ -143,7 +144,7 @@ def test_integrated_gradient_std_err_is_calibrated(sin_toy):
     # and the std err has to be that of the rule-weighted sum, not of the knots
     betas = PartitionSchedule.uniform(50).betas
     weights = rule_weights(betas, IntegrationRule.LEFT)
-    form = _path_form(PathSpec.holder(0.5), betas, weights)
+    form = _path_form(PathSpec("holder", alpha=0.5), betas, weights)
     grads = [path_step(sin_toy, form, draw_batch(sin_toy, 500, seed))[1]
              for seed in range(300)]
     spread = np.std([g.total for g in grads], axis=0, ddof=1)
@@ -211,7 +212,7 @@ def test_integrated_gradient_matches_quadrature_fd(sin_toy):
     sched = PartitionSchedule.uniform(5)
     batch = draw_batch(sin_toy, 100_000, 9)
     weights = rule_weights(sched.betas, IntegrationRule.LEFT)
-    grad = path_step(sin_toy, _path_form(PathSpec.geometric(), sched.betas, weights), batch)[1]
+    grad = path_step(sin_toy, _path_form(PathSpec("geometric"), sched.betas, weights), batch)[1]
 
     def objective(model, lam):
         curve = models.quadrature_local_evidence_curve(model, 0.0, sched.betas, params=lam)
@@ -384,13 +385,13 @@ def test_training_step_evaluates_model_four_times(objective):
 
 
 @pytest.mark.parametrize("bound_id, spec, knots", [
-    ("elbo", PathSpec.geometric(), [0.0]),
-    ("eubo", PathSpec.geometric(), [1.0]),
-    ("wlbo", PathSpec.wasserstein(), [1.0]),
-    ("wubo", PathSpec.wasserstein(), [0.0]),
-    ("tvo", PathSpec.geometric(), PartitionSchedule.log(50)),
-    ("hbo[0.3]", PathSpec.holder(0.3), PartitionSchedule.uniform(50)),
-    ("perturbed_hbo[0.05]", PathSpec.perturbed(0.05), PartitionSchedule.uniform(50)),
+    ("elbo", PathSpec("geometric"), [0.0]),
+    ("eubo", PathSpec("geometric"), [1.0]),
+    ("wlbo", PathSpec("wasserstein"), [1.0]),
+    ("wubo", PathSpec("wasserstein"), [0.0]),
+    ("tvo", PathSpec("geometric"), PartitionSchedule.log(50)),
+    ("hbo[0.3]", PathSpec("holder", alpha=0.3), PartitionSchedule.uniform(50)),
+    ("perturbed_hbo[0.05]", PathSpec("perturbed", delta=0.05), PartitionSchedule.uniform(50)),
 ])
 def test_objective_follows_its_bound(conjugate, bound_id, spec, knots):
     # the value bound_report gives, the gradient of the same path at the
@@ -489,7 +490,7 @@ def _mcmc(model, **count):
 _COUNTS = {
     "size": (lambda model, n: model.sample_proposal(np.random.default_rng(0), n), 3),
     "replicates": (lambda model, n: diagnostics.curve_profile(
-        model, PathSpec.geometric(), [0.0, 1.0], 10, n, 0), 2),
+        model, PathSpec("geometric"), [0.0, 1.0], 10, n, 0), 2),
     "partitions/uniform": (lambda model, n: PartitionSchedule.uniform(n), 2),
     "partitions/log": (lambda model, n: PartitionSchedule.log(n), 3),
     "points": (lambda model, n: models.quadrature_grid(model, models.GridSpec(points=n)), 3),

@@ -135,8 +135,8 @@ def test_only_the_cli_sets_the_allocator_policy():
 
 
 def test_only_the_cli_serializes():
-    # the output format has one home: library results are plain data, and only
-    # hvi.cli lays them out as CSV or JSON
+    # the config and output formats have one home: library records are plain
+    # data, and only hvi.cli reads them from JSON or lays them out as CSV or JSON
     found = {}
     for path in sorted((ROOT / "src/hvi").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -145,7 +145,7 @@ def test_only_the_cli_serializes():
              if module in ("json", "csv")]
             + [f"{node.lineno}: defines {node.name}" for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and node.name in ("to_json", "csv_row")])
+               and node.name in ("to_json", "from_json", "csv_row")])
     assert found.pop("cli.py")
     stray = {name: where for name, where in found.items() if where}
     assert not stray, f"serialization outside hvi.cli: {stray}"

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from hvi import models, paths
-from hvi.estimators import bound_report, draw_batch
+from hvi.cli import main
+from hvi.diagnostics import curve_profile
+from hvi.estimators import bound_report, draw_batch, local_evidence_curve
 from hvi.paths import (
     GEOMETRIC_ALPHA_CUTOFF,
     PathCurve,
@@ -34,34 +37,10 @@ betas_mid = st.floats(0.01, 0.99)
 # PathSpec
 # ---------------------------------------------------------------------------
 
-def test_pathspec_validation_and_json_roundtrip():
-    for data, spec in (({"kind": "geometric"}, PathSpec.geometric()),
-                       ({"kind": "holder", "alpha": 0.3}, PathSpec.holder(0.3)),
-                       ({"kind": "wasserstein"}, PathSpec.wasserstein()),
-                       ({"kind": "perturbed", "delta": 0.01}, PathSpec.perturbed(0.01))):
-        assert PathSpec.from_json(data) == spec
-    with pytest.raises(ValueError):
-        PathSpec("powermean")
-    with pytest.raises(ValueError):
-        PathSpec.from_json({"kind": "holder", "alpha": 0.5, "oops": 1})
-
-
-@pytest.mark.parametrize("data", [
-    {"kind": "holder", "delta": 0.3},
-    {"kind": "geometric", "alpha": 0.8},
-    {"kind": "perturbed", "alpha": 0.1, "delta": 0.05},
-    "holder",
-])
-def test_from_json_rejects_foreign_parameters_and_non_objects(data):
-    # dropping a parameter of another kind would silently run a different path
-    with pytest.raises(ValueError):
-        PathSpec.from_json(data)
-
-
 def test_constructor_rejects_a_parameter_its_kind_does_not_take():
     with pytest.raises(ValueError, match="takes no alpha"):
         PathSpec("wasserstein", alpha=0.5)
-    assert PathSpec("holder", alpha=0.5, delta=0.0) == PathSpec.holder(0.5)
+    assert PathSpec("holder", alpha=0.5, delta=0.0) == PathSpec("holder", alpha=0.5)
 
 
 @pytest.mark.parametrize("kind, name, value", [("holder", "alpha", math.nan),
@@ -74,27 +53,43 @@ def test_constructor_rejects_a_non_finite_parameter(kind, name, value):
 
 def test_perturbed_guard_warns():
     with pytest.warns(UserWarning):
-        PathSpec.perturbed(0.5)
+        PathSpec("perturbed", delta=0.5)
 
 
-def test_perturbed_guard_warning_names_the_callers_line():
+def test_perturbed_guard_warning_names_the_callers_line(tmp_path):
     # at stacklevel 2 it named the dataclass-generated __init__, "<string>"; at a
-    # fixed 3, PathSpec.perturbed, from_json and bound_report named lines in hvi
+    # fixed 3, bound_report and the CLI's path cast named lines in hvi
     batch = draw_batch(models.make_sin_toy(), 10, 1)
+    config = tmp_path / "curve.json"
+    config.write_text(json.dumps({"model": "sin_toy", "seed": 1, "sample_size": 10,
+                                  "path": {"kind": "perturbed", "delta": 1.0}}))
+    curve = ["curve", "--config", str(config), "--out", str(tmp_path / "curve.csv")]
     for construct in (lambda: PathSpec("perturbed", delta=1.0),
-                      lambda: PathSpec.perturbed(1.0),
-                      lambda: PathSpec.from_json({"kind": "perturbed", "delta": 1.0}),
-                      lambda: bound_report(batch, ["perturbed_hbo[1]"])):
+                      lambda: bound_report(batch, ["perturbed_hbo[1]"]),
+                      lambda: main(curve)):
         with pytest.warns(UserWarning, match="perturbed path") as record:
             construct()
         assert [warning.filename for warning in record] == [__file__] * len(record)
 
 
+@pytest.mark.parametrize("curve", [
+    lambda: models.quadrature_local_evidence_curve(models.make_sin_toy(), 0.5, []),
+    lambda: local_evidence_curve(draw_batch(models.make_sin_toy(), 10, 1),
+                                 PathSpec("geometric"), []),
+    lambda: curve_profile(models.make_sin_toy(), PathSpec("geometric"), [], 10, 2, 1),
+], ids=["quadrature", "samples", "replicates"])
+def test_an_empty_beta_list_is_a_named_error(curve):
+    # it failed in PathCurve.add with a ZeroDivisionError, and on samples with
+    # numpy's "need at least one array to concatenate"
+    with pytest.raises(ValueError, match="betas must list at least one temperature"):
+        curve()
+
+
 def test_tiny_alpha_routes_to_geometric():
-    spec = PathSpec.holder(GEOMETRIC_ALPHA_CUTOFF / 10)
+    spec = PathSpec("holder", alpha=GEOMETRIC_ALPHA_CUTOFF / 10)
     assert spec.branch() == ("geometric", 0.0)
-    assert PathSpec.holder(0.0).branch() == ("geometric", 0.0)
-    assert PathSpec.wasserstein().branch() == ("holder", 1.0)
+    assert PathSpec("holder", alpha=0.0).branch() == ("geometric", 0.0)
+    assert PathSpec("wasserstein").branch() == ("holder", 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +98,16 @@ def test_tiny_alpha_routes_to_geometric():
 
 @given(finite_logs, finite_logs)
 def test_every_spec_hits_the_endpoints(l0, l1):
-    for spec in (PathSpec.geometric(), PathSpec.holder(0.7), PathSpec.holder(-0.5),
-                 PathSpec.wasserstein(), PathSpec.perturbed(0.05)):
+    for spec in (PathSpec("geometric"), PathSpec("holder", alpha=0.7),
+                 PathSpec("holder", alpha=-0.5), PathSpec("wasserstein"),
+                 PathSpec("perturbed", delta=0.05)):
         assert log_density(spec, l0, l1, 0.0) == pytest.approx(l0, abs=1e-12)
         assert log_density(spec, l0, l1, 1.0) == pytest.approx(l1, abs=1e-12)
 
 
 def test_wasserstein_is_arithmetic_mean():
     # densities 2 and 4 average to 3
-    got = log_density(PathSpec.holder(1.0), math.log(2.0), math.log(4.0), 0.5)
+    got = log_density(PathSpec("holder", alpha=1.0), math.log(2.0), math.log(4.0), 0.5)
     assert got == pytest.approx(math.log(3.0), abs=1e-12)
 
 
@@ -119,8 +115,8 @@ def test_holder_one_equals_wasserstein_everywhere():
     rng = np.random.default_rng(0)
     l0, l1 = rng.normal(-3, 2, 50), rng.normal(-4, 3, 50)
     for beta in (0.0, 0.2, 0.5, 0.9, 1.0):
-        a = log_density(PathSpec.holder(1.0), l0, l1, beta)
-        b = log_density(PathSpec.wasserstein(), l0, l1, beta)
+        a = log_density(PathSpec("holder", alpha=1.0), l0, l1, beta)
+        b = log_density(PathSpec("wasserstein"), l0, l1, beta)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -129,22 +125,22 @@ def test_holder_matches_direct_power_mean(sin_toy):
     beta, alpha = 0.4, 0.5
     (l0,), (l1,) = _endpoints(sin_toy, 0.3)
     direct = (beta * math.exp(l1) ** alpha + (1 - beta) * math.exp(l0) ** alpha) ** (1 / alpha)
-    got = log_density(PathSpec.holder(alpha), l0, l1, beta)
+    got = log_density(PathSpec("holder", alpha=alpha), l0, l1, beta)
     assert got == pytest.approx(math.log(direct), abs=1e-12)
 
 
 @given(finite_logs, finite_logs, betas_mid, st.sampled_from([-1.5, -0.5, 0.4, 0.8, 1.0, 1.5]))
 def test_power_mean_between_endpoints(l0, l1, beta, alpha):
-    u = log_density(PathSpec.holder(alpha), l0, l1, beta)
+    u = log_density(PathSpec("holder", alpha=alpha), l0, l1, beta)
     assert min(l0, l1) - 1e-9 <= u <= max(l0, l1) + 1e-9
 
 
 @given(finite_logs, finite_logs, betas_mid, st.sampled_from([-1.5, -0.5, 0.4, 1.0, 1.5]))
 def test_integrand_matches_its_definition(l0, l1, beta, alpha):
     # the stable form equals (1/a)(e^(a L1) - e^(a L0)) / e^(a U)
-    u = log_density(PathSpec.holder(alpha), l0, l1, beta)
+    u = log_density(PathSpec("holder", alpha=alpha), l0, l1, beta)
     direct = (math.exp(alpha * (l1 - u)) - math.exp(alpha * (l0 - u))) / alpha
-    got = float(integrand(PathSpec.holder(alpha), l0, l1, beta))
+    got = float(integrand(PathSpec("holder", alpha=alpha), l0, l1, beta))
     assert got == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
@@ -157,12 +153,12 @@ def _endpoints(model, z):
 def test_geometric_integrand_is_constant_for_scaled_factor(scaled_two):
     l0, l1 = _endpoints(scaled_two, np.linspace(-3, 3, 9))
     np.testing.assert_allclose(
-        integrand(PathSpec.geometric(), l0, l1, 0.3), math.log(2), atol=1e-12)
+        integrand(PathSpec("geometric"), l0, l1, 0.3), math.log(2), atol=1e-12)
 
 
 def test_wasserstein_integrand_closed_form_at_zero(scaled_two):
     l0, l1 = _endpoints(scaled_two, np.linspace(-2, 2, 7))
-    got = integrand(PathSpec.holder(1.0), l0, l1, 0.0)
+    got = integrand(PathSpec("holder", alpha=1.0), l0, l1, 0.0)
     np.testing.assert_allclose(got, 1.0, atol=1e-12)  # c - 1 pointwise
 
 
@@ -170,25 +166,26 @@ def test_perturbed_zero_collapses_to_geometric(sin_toy):
     l0, l1 = _endpoints(sin_toy, np.linspace(-4, 4, 11))
     for beta in (0.0, 0.4, 1.0):
         np.testing.assert_array_equal(
-            integrand(PathSpec.perturbed(0.0), l0, l1, beta),
-            integrand(PathSpec.geometric(), l0, l1, beta))
+            integrand(PathSpec("perturbed", delta=0.0), l0, l1, beta),
+            integrand(PathSpec("geometric"), l0, l1, beta))
 
 
 def test_beta_out_of_range_rejected(sin_toy):
     (l0,), (l1,) = _endpoints(sin_toy, 0.0)
     for beta in (-0.1, 1.1):
         with pytest.raises(ValueError):
-            log_density(PathSpec.geometric(), l0, l1, beta)
+            log_density(PathSpec("geometric"), l0, l1, beta)
         with pytest.raises(ValueError):
-            integrand(PathSpec.holder(0.5), l0, l1, beta)
+            integrand(PathSpec("holder", alpha=0.5), l0, l1, beta)
         with pytest.raises(ValueError):
-            next(path_weights(PathSpec.holder(0.5), [0.5, beta], [l1 - l0]))
+            next(path_weights(PathSpec("holder", alpha=0.5), [0.5, beta], [l1 - l0]))
 
 
 def test_integrand_parts_consistent_with_dense_values():
     rng = np.random.default_rng(1)
     l0, l1 = rng.normal(-2, 1, 40), rng.normal(-3, 2, 40)
-    for spec in (PathSpec.geometric(), PathSpec.holder(0.6), PathSpec.perturbed(0.02)):
+    for spec in (PathSpec("geometric"), PathSpec("holder", alpha=0.6),
+                 PathSpec("perturbed", delta=0.02)):
         block = next(path_weights(spec, [0.3], l1 - l0))
         sign, log_abs = path_integrand_parts(spec, block, l1 - l0)
         np.testing.assert_allclose(block.w * sign * np.exp(log_abs), block.wg, rtol=1e-12)
@@ -211,9 +208,9 @@ def _closed_form_coeffs(spec, f, beta):
     return beta * e / mix, e / mix**2
 
 
-@pytest.mark.parametrize("spec", [PathSpec.geometric(), PathSpec.holder(0.6),
-                                  PathSpec.holder(-0.5), PathSpec.wasserstein(),
-                                  PathSpec.perturbed(0.05)])
+@pytest.mark.parametrize("spec", [PathSpec("geometric"), PathSpec("holder", alpha=0.6),
+                                  PathSpec("holder", alpha=-0.5), PathSpec("wasserstein"),
+                                  PathSpec("perturbed", delta=0.05)])
 def test_kernel_matches_pointwise_reference(sin_toy, spec, monkeypatch):
     rng = np.random.default_rng(4)
     l0, l1 = _endpoints(sin_toy, rng.normal(0.0, 1.5, 300))
@@ -266,7 +263,7 @@ def _long_double_reference(alpha, f, beta):
 
 def _kernel_rows(alpha, f):
     """Per beta of _LD_BETAS: (h, w, wg, dh/df, w dg/df) from path_weights."""
-    spec = PathSpec.holder(alpha)
+    spec = PathSpec("holder", alpha=alpha)
     for block in path_weights(spec, _LD_BETAS, f):
         dh_df, w_dg_df = path_gradient_coeffs(spec, block, f)
         dh_df = np.broadcast_to(dh_df, block.w.shape)
@@ -310,7 +307,7 @@ def test_holder_kernel_near_the_geometric_cutoff_is_no_less_accurate():
     # both forms lose accuracy as 1/alpha here; the kernel's largest weight
     # error must not exceed that of the pointwise logaddexp forms
     alpha, f = 2e-6, _LD_LOG_RATIOS
-    spec = PathSpec.holder(alpha)
+    spec = PathSpec("holder", alpha=alpha)
     kernel = pointwise = 0.0
     for beta, (_, w, wg, _, _) in zip(_LD_BETAS, _kernel_rows(alpha, f)):
         _, _, ref_w, ref_wg, _, _ = _long_double_reference(alpha, f, beta)
@@ -336,12 +333,12 @@ def test_limit_consistency_small_alpha(sin_toy):
                         for center in (0.0, math.pi, -math.pi)])
     l0, l1 = _endpoints(sin_toy, z)
     for alpha in (1e-4, -1e-4):
-        spec = PathSpec.holder(alpha)
+        spec = PathSpec("holder", alpha=alpha)
         for beta in (0.1, 0.5, 0.9):
             du = log_density(spec, l0, l1, beta) - log_density(
-                PathSpec.geometric(), l0, l1, beta)
+                PathSpec("geometric"), l0, l1, beta)
             dg = integrand(spec, l0, l1, beta) - integrand(
-                PathSpec.geometric(), l0, l1, beta)
+                PathSpec("geometric"), l0, l1, beta)
             assert np.max(np.abs(du)) < 5e-3
             assert np.max(np.abs(dg)) < 5e-3
 
@@ -351,8 +348,8 @@ def _max_errors(sin_toy, delta):
     l0, l1 = _endpoints(sin_toy, rng.uniform(-6, 6, 400))
     worst_u = worst_g = 0.0
     for beta in (0.1, 0.3, 0.5, 0.7, 0.9):
-        exact = PathSpec.holder(delta)
-        pert = PathSpec.perturbed(delta)
+        exact = PathSpec("holder", alpha=delta)
+        pert = PathSpec("perturbed", delta=delta)
         worst_u = max(worst_u, np.max(np.abs(
             log_density(exact, l0, l1, beta) - log_density(pert, l0, l1, beta))))
         worst_g = max(worst_g, np.max(np.abs(
@@ -433,12 +430,12 @@ def _coeffs(spec, l0, l1, beta):
 @given(finite_logs, finite_logs, betas_mid)
 def test_holder_density_coeffs_are_convex_weights(l0, l1, beta):
     # grad log pi_beta = (1 - dh/df) grad L0 + dh/df grad L1, a convex combination
-    dh_df, _ = _coeffs(PathSpec.holder(0.6), l0, l1, beta)
+    dh_df, _ = _coeffs(PathSpec("holder", alpha=0.6), l0, l1, beta)
     assert 0.0 <= dh_df <= 1.0
 
 
 def test_geometric_coeffs():
-    dh_df, w_dg_df = _coeffs(PathSpec.geometric(), -1.0, -2.0, 0.3)
+    dh_df, w_dg_df = _coeffs(PathSpec("geometric"), -1.0, -2.0, 0.3)
     assert (dh_df, w_dg_df) == (0.3, 1.0)
 
 
@@ -474,7 +471,7 @@ def _holder_spec(form, scale, f):
         assume(top >= 1.5 * math.log(2.0))
         alpha = math.copysign(max(abs(scale), 1.5 * math.log(2.0) / top), scale)
     assert (np.abs(alpha * f).max() <= math.log(2.0)) == (form == "near")
-    return PathSpec.holder(alpha)
+    return PathSpec("holder", alpha=alpha)
 
 
 def test_near_form_specs_take_the_near_form():
@@ -488,8 +485,8 @@ def test_near_form_specs_take_the_near_form():
 
 
 _specs = st.one_of(
-    st.just(PathSpec.geometric()),
-    st.floats(-0.2, 0.2).map(PathSpec.perturbed),
+    st.just(PathSpec("geometric")),
+    st.floats(-0.2, 0.2).map(lambda delta: PathSpec("perturbed", delta=delta)),
     st.tuples(st.sampled_from(["near", "far"]),
               st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)),
 )
@@ -502,8 +499,8 @@ def _resolve_spec(spec, f):
 @given(log_ratios, st.floats(-700.0, 700.0), st.lists(st.floats(0.0, 1.0), max_size=4))
 def test_shifting_f_shifts_the_geometric_curve(f, shift, extra):
     betas = EDGE_BETAS + extra
-    base, _, _ = _kernel_curve(PathSpec.geometric(), betas, f)
-    shifted, _, _ = _kernel_curve(PathSpec.geometric(), betas, f + shift)
+    base, _, _ = _kernel_curve(PathSpec("geometric"), betas, f)
+    shifted, _, _ = _kernel_curve(PathSpec("geometric"), betas, f + shift)
     # each log weight beta (f + c) is rounded once more than beta f
     scale = np.abs(f).max() + abs(shift)
     np.testing.assert_allclose(shifted, base + shift, rtol=0.0, atol=1e-12 * scale)
@@ -569,7 +566,7 @@ def test_far_form_tiles_with_any_base_give_the_one_block_curve(f, sign, far, alp
     base = np.array(data.draw(st.lists(st.floats(-50.0, 50.0) | st.just(-np.inf),
                                        min_size=f.size, max_size=f.size)))
     assume(np.isfinite(base).any())
-    spec, betas = PathSpec.holder(alpha), EDGE_BETAS + [1e-30, 1e-300]
+    spec, betas = PathSpec("holder", alpha=alpha), EDGE_BETAS + [1e-30, 1e-300]
     values, magnitude, _ = _kernel_curve(spec, betas, f, base)
     bounds = sorted({c for c in cuts if c < f.size})
     got = _tiled_curve(spec, betas, np.split(f, bounds), np.split(base, bounds))
@@ -585,7 +582,7 @@ def test_far_tiles_whose_tops_differ_beyond_the_float_range(alpha):
     f, base = map(np.concatenate, zip(*models._grid_tiles(ring, models.GridSpec(101), None)))
     far = f + base < -800.0
     assert (f + base)[~far].max() - (f + base)[far].max() > 709.0
-    spec = PathSpec.holder(alpha)
+    spec = PathSpec("holder", alpha=alpha)
     values, magnitude, _ = _kernel_curve(spec, EDGE_BETAS, f, base)
     tiles = [(f[~far], base[~far]), (f[far], base[far])]
     for order in (tiles, tiles[::-1]):
@@ -599,7 +596,7 @@ def test_tiles_may_take_different_holder_forms(alpha):
     rng = np.random.default_rng(7)
     near, far = rng.uniform(-1.5, 1.5, 40), rng.uniform(-600.0, 600.0, 40)
     assert len(paths._holder_terms(alpha, near)) == 2 and len(paths._holder_terms(alpha, far)) == 4
-    spec, f = PathSpec.holder(alpha), np.concatenate([near, far])
+    spec, f = PathSpec("holder", alpha=alpha), np.concatenate([near, far])
     base = rng.normal(0.0, 3.0, f.size)
     blocks = list(path_weights(spec, EDGE_BETAS, f, base))
     wg = np.concatenate([block.wg for block in blocks])
@@ -608,8 +605,8 @@ def test_tiles_may_take_different_holder_forms(alpha):
                                  1e-12 * np.abs(wg).sum(axis=1) + 1e-300)
 
 
-@pytest.mark.parametrize("spec", [PathSpec.holder(0.5), PathSpec.geometric(),
-                                  PathSpec.perturbed(0.05)], ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("spec", [PathSpec("holder", alpha=0.5), PathSpec("geometric"),
+                                  PathSpec("perturbed", delta=0.05)], ids=lambda spec: spec.kind)
 def test_more_betas_than_a_tile_holds(spec):
     # past _TILE_ELEMENTS betas a tile is one point wide and takes every beta at once
     betas = np.linspace(0.0, 1.0, paths._TILE_ELEMENTS + 5)
@@ -620,7 +617,7 @@ def test_more_betas_than_a_tile_holds(spec):
 
 
 def test_path_curve_with_every_weight_vanished_raises():
-    spec = PathSpec.holder(0.5)
+    spec = PathSpec("holder", alpha=0.5)
     curve = PathCurve(spec, EDGE_BETAS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -642,8 +639,9 @@ _VANISHED = "^all importance weights vanished; cannot self-normalize$"
     lambda spec, f, base: next(paths.path_weights(spec, EDGE_BETAS, f, base)),
     lambda spec, f, base: PathCurve(spec, EDGE_BETAS).add(f, base).values(),
 ], ids=["path_weights", "PathCurve"])
-@pytest.mark.parametrize("spec", [PathSpec.geometric(), PathSpec.holder(0.5),
-                                  PathSpec.holder(-3.0), PathSpec.perturbed(0.05)],
+@pytest.mark.parametrize("spec", [PathSpec("geometric"), PathSpec("holder", alpha=0.5),
+                                  PathSpec("holder", alpha=-3.0),
+                                  PathSpec("perturbed", delta=0.05)],
                          ids=lambda spec: f"{spec.kind}{spec.alpha or spec.delta or ''}")
 def test_every_reduction_rejects_weights_that_all_vanished(reduce, spec):
     # every point's base log weight reads -inf: nothing is left to normalize by

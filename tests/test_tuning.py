@@ -73,7 +73,7 @@ def test_slope_std_err_is_the_delta_method_over_kernel_blocks(sin_toy, monkeypat
     # pointwise path forms, combined across beta before squaring; both depend on the
     # endpoints only through f, so (L0, L1) = (0, f) stands in for them
     batch = draw_batch(sin_toy, 400, 5)
-    spec = PathSpec.holder(0.6)
+    spec = PathSpec("holder", alpha=0.6)
     phi = []
     for beta in DEFAULT_TEST_BETAS:
         log_w = reference_log_density(spec, 0.0, batch.log_ratio, beta)
