@@ -95,12 +95,14 @@ def _integer(value) -> int:
     raise ValueError(f"must be an integer, got {value!r}")
 
 
-def _at_least(least: int):
-    """A cast to an integer (see _integer) of at least ``least``."""
+def _at_least(least: int, most: Optional[int] = sys.maxsize):
+    """A cast to an integer (see _integer) from ``least`` to ``most`` (None: no bound)."""
     def cast(value) -> int:
         number = _integer(value)
         if number < least:
             raise ValueError(f"must be >= {least}, got {number}")
+        if most is not None and number > most:  # by default numpy's largest array dimension
+            raise ValueError(f"must be <= {most}, got {value!r}")
         return number
     return cast
 
@@ -211,7 +213,7 @@ class ExperimentConfig:
     def model(self):
         params = self.data.get("model_params", {})
         # every builder parameter is a real number but a dataset's seed and size
-        casts = {"seed": _at_least(0), "n": _at_least(3)}
+        casts = {"seed": _at_least(0, None), "n": _at_least(3)}
         typed = {name: _read(params, f"model_params.{name}", casts.get(name, _real))
                  for name in params if params[name] is not None}
         return _read(self.data, "model_params", lambda _: make_model(self.model_id, typed), {})
@@ -222,8 +224,9 @@ class ExperimentConfig:
         _require("seed" not in data or "seeds" not in data, "seeds",
                  "give seed or seeds, not both")
         if "seeds" in data:
-            return _read(data, "seeds", lambda value: _numbers(value, _at_least(0)))
-        seed = _read(data, "seed", _at_least(0))
+            # a default, so that null is a bad list rather than no seeds
+            return _read(data, "seeds", lambda value: _numbers(value, _at_least(0, None)), [])
+        seed = _read(data, "seed", _at_least(0, None))
         _require(seed is not None, "seed", "estimator commands require an explicit seed "
                  "(pass --seed or set seed/seeds in the config)")
         return [seed]
@@ -334,7 +337,7 @@ def cmd_tune(cfg: ExperimentConfig, model: LatentModel) -> str:
 
 # Keys of training.mcmc: the mcmc_reference argument each sets, and its type.
 _MCMC_KEYS = {"chains": _at_least(1), "steps": _integer, "burn_in": _at_least(0),
-              "thin": _at_least(1), "step_size": _positive, "seed": _at_least(0)}
+              "thin": _at_least(1), "step_size": _positive, "seed": _at_least(0, None)}
 
 
 def cmd_train(cfg: ExperimentConfig, model: LatentModel) -> str:
@@ -524,8 +527,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = _load_config(args)
         text = _COMMANDS[args.command][0](cfg, cfg.model())
         _write_output(cfg.out, text, cfg.echo())
-    except (ValueError, TypeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, TypeError, OSError, MemoryError) as exc:
+        kind = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -75,30 +75,33 @@ MMD_BANDWIDTH = 0.5
 def _kernel_mean(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
     """Mean of exp(-gamma |x_i - y_j|^2) over all pairs, summed over row blocks of x.
 
-    A block and its work buffer together hold at most paths._TILE_ELEMENTS
-    kernel entries (a block at least one row), so memory stays bounded
-    whatever the sample sizes and a block's passes run from cache.  The
-    squared distances sum (x_k - y_k)^2 over the axes in order, as scipy's
-    cdist(x, y, "sqeuclidean") does.
+    A block's exponents are one matrix product [2 gamma x_i, -gamma |x_i|^2, 1] .
+    [y_j, 1, -gamma |y_j|^2] into a buffer of at most paths._TILE_ELEMENTS // 2
+    entries (a block at least one row), or, where the product could lose 2^-30
+    of an entry, cdist's distances: (x_k - y_k)^2 summed over the axes in order.
     """
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        x_norms, y_norms = gamma * np.einsum("ij,ij->i", x, x), gamma * np.einsum("ij,ij->i", y, y)
+    # the product's partial sums, and gamma times the distances', stay within
+    # this bound, so past the float range the product would read inf - inf
+    bound = 2.0 * (x_norms.max() + y_norms.max())
+    if not math.isfinite(bound):
+        raise ValueError("mmd: samples not finite, or too far apart for the float range")
+    # rounding moves a product's exponent by up to about (d + 2) eps bound
+    direct = (x.shape[1] + 2) * np.finfo(float).eps * bound > 2.0**-30
+    lhs = np.column_stack([2.0 * gamma * x, -x_norms, np.ones(len(x))])
+    rhs = np.stack([*y.T, np.ones(len(y)), -y_norms])  # C order: a faster product than y.T's
     rows = max(1, paths._TILE_ELEMENTS // (2 * y.shape[0]))
-    x_axes, y_axes = x.T.copy(), y.T.copy()  # one contiguous row per axis
-    block_buffer = np.empty(min(rows, x.shape[0]) * y.shape[0])
-    work_buffer = np.empty_like(block_buffer)
+    buffer = np.empty((min(rows, x.shape[0]), y.shape[0]))
     total = 0.0
     for start in range(0, x.shape[0], rows):
-        stop = min(start + rows, x.shape[0])
-        block = block_buffer[:(stop - start) * y.shape[0]].reshape(stop - start, -1)
-        work = work_buffer[:block.size].reshape(block.shape)
-        np.subtract(x_axes[0, start:stop, None], y_axes[0], out=block)
-        np.square(block, out=block)
-        for x_k, y_k in zip(x_axes[1:, start:stop], y_axes[1:]):
-            np.subtract(x_k[:, None], y_k, out=work)
-            np.square(work, out=work)
-            block += work
-        block *= -gamma
-        np.exp(block, out=block)
-        total += block.sum()
+        block = buffer[:min(rows, x.shape[0] - start)]
+        if direct:
+            np.multiply(sum(np.square(x_k[start:start + rows, None] - y_k)
+                            for x_k, y_k in zip(x.T, y.T)), -gamma, out=block)
+        else:
+            np.matmul(lhs[start:start + rows], rhs, out=block)
+        total += np.exp(block, out=block).sum()
     return total / (x.shape[0] * y.shape[0])
 
 
@@ -134,15 +137,12 @@ class MmdReference:
 def mmd(sample_a, reference) -> float:
     """Biased (V-statistic) Gaussian-kernel MMD between a sample and a reference.
 
-    Both samples are first normalized by the mean and standard deviation of
-    the reference (e.g. MCMC ground truth), then compared with kernel
-    exp(-|x-y|^2 / (2 h^2)), h = MMD_BANDWIDTH.  ``reference`` is a sample or
-    an ``MmdReference`` built from one, which gives the same value without
-    redoing the reference's own terms.  The V-statistic includes diagonal
-    terms, so the squared discrepancy is nonnegative by construction; the
-    square root is returned.  The kernel means are summed over row blocks,
-    so memory is bounded by paths._TILE_ELEMENTS entries rather than growing
-    with the product of the sample sizes.
+    Both samples are normalized by the mean and standard deviation of the
+    reference (e.g. MCMC ground truth), then compared with kernel
+    exp(-|x-y|^2 / (2 h^2)), h = MMD_BANDWIDTH.  ``reference`` is a sample or an
+    ``MmdReference`` of one, which gives the same value without redoing its
+    self-term.  The squared statistic, diagonal terms included, is clipped at 0
+    against rounding; its root is returned.  Memory is one _kernel_mean block.
     """
     if not isinstance(reference, MmdReference):
         reference = MmdReference.of(reference)

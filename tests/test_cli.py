@@ -533,6 +533,20 @@ def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command):
     assert written[0] == written[1]
 
 
+def test_mmd_does_not_depend_on_the_blas_thread_count():
+    # criterion 11's shape: a block's exponents are a BLAS product, split over
+    # OpenBLAS's threads by rows and columns, never along its d + 2 terms
+    script = ("import numpy as np; from hvi.diagnostics import mmd; "
+              "rng = np.random.default_rng(11); "
+              "print(mmd(rng.normal(size=(2000, 3)), rng.normal(0.2, 1.1, (5000, 3))).hex())")
+    printed = []
+    for threads in ("1", "2"):
+        proc = run_python(["-c", script], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]
+
+
 # ---------------------------------------------------------------------------
 # validation and environment
 # ---------------------------------------------------------------------------
@@ -660,110 +674,130 @@ def test_path_cast_rejects_foreign_parameters_and_non_objects(tmp_path, capsys, 
 
 
 # One malformed field per command: each must end in an error line that names
-# the field, not a traceback.
-_MALFORMED = [
-    ("bounds", {"sample_size": None}, "config.sample_size"),
-    ("curve", {"schedule": 5}, "config.schedule"),
-    ("tune", {"tuning": {"candidates": 0.5}}, "config.tuning.candidates"),
-    ("train", {"training": 5}, "config.training"),
-    ("diagnose", {"diagnose": {"replicates": None}}, "config.diagnose.replicates"),
-    ("oracle", {"oracle": {"alphas": 0.5}}, "config.oracle.alphas"),
-    ("bounds", {"bounds": [None]}, "config.bounds"),
-    ("oracle", {"oracle": {"grid_points": "x"}}, "config.oracle.grid_points"),
-    ("train", {"training": {"mmd_every": -1, "steps": 2}}, "config.training.mmd_every"),
-    ("train", {"training": {"init": [], "steps": 2}}, "config.training.init"),
-    ("bounds", {"bounds": ["hbo[nan]"]}, "config.bounds"),
-    ("bounds", {"bounds": ["hbo[inf]"]}, "config.bounds"),
-    ("bounds", {"bounds": ["perturbed_hbo[nan]"]}, "config.bounds"),
-    ("bounds", {"bounds": ["rvi[0]"]}, "config.bounds"),
-    ("bounds", {"bounds": ["rvi[-1]"]}, "config.bounds"),
-    ("bounds", {"bounds": ["rvi[inf]"]}, "config.bounds"),
-    ("tune", {"tuning": {"betas": [0, 2]}}, "config.tuning.betas"),
-    ("diagnose", {"diagnose": {"betas": [0, 2]}}, "config.diagnose.betas"),
-    ("oracle", {"oracle": {"alphas": [0.5], "betas": [-1]}}, "config.oracle.betas"),
-    ("train", {"training": {"learning_rate": 10 ** 400, "steps": 2}},
-     "config.training.learning_rate"),
+# the field, not a traceback.  A case's id is its key, so no row renames
+# another.  The "-field<n>" ids are the list positions the rows had when ids
+# were positions, kept so runs before and after compare; a new row is keyed
+# by its command and field, with a suffix only where that key is taken.
+_MALFORMED = {
+    "bounds-field0": ("bounds", {"sample_size": None}, "config.sample_size"),
+    "curve-field1": ("curve", {"schedule": 5}, "config.schedule"),
+    "tune-field2": ("tune", {"tuning": {"candidates": 0.5}}, "config.tuning.candidates"),
+    "train-field3": ("train", {"training": 5}, "config.training"),
+    "diagnose-field4": ("diagnose", {"diagnose": {"replicates": None}},
+                        "config.diagnose.replicates"),
+    "oracle-field5": ("oracle", {"oracle": {"alphas": 0.5}}, "config.oracle.alphas"),
+    "bounds-field6": ("bounds", {"bounds": [None]}, "config.bounds"),
+    "oracle-field7": ("oracle", {"oracle": {"grid_points": "x"}}, "config.oracle.grid_points"),
+    "train-field8": ("train", {"training": {"mmd_every": -1, "steps": 2}},
+                     "config.training.mmd_every"),
+    "train-field9": ("train", {"training": {"init": [], "steps": 2}}, "config.training.init"),
+    "bounds-field10": ("bounds", {"bounds": ["hbo[nan]"]}, "config.bounds"),
+    "bounds-field11": ("bounds", {"bounds": ["hbo[inf]"]}, "config.bounds"),
+    "bounds-field12": ("bounds", {"bounds": ["perturbed_hbo[nan]"]}, "config.bounds"),
+    "bounds-field13": ("bounds", {"bounds": ["rvi[0]"]}, "config.bounds"),
+    "bounds-field14": ("bounds", {"bounds": ["rvi[-1]"]}, "config.bounds"),
+    "bounds-field15": ("bounds", {"bounds": ["rvi[inf]"]}, "config.bounds"),
+    "tune-field16": ("tune", {"tuning": {"betas": [0, 2]}}, "config.tuning.betas"),
+    "diagnose-field17": ("diagnose", {"diagnose": {"betas": [0, 2]}}, "config.diagnose.betas"),
+    "oracle-field18": ("oracle", {"oracle": {"alphas": [0.5], "betas": [-1]}},
+                       "config.oracle.betas"),
+    "train-field19": ("train", {"training": {"learning_rate": 10 ** 400, "steps": 2}},
+                      "config.training.learning_rate"),
     # integer settings that int() truncated or coerced, and float settings
     # that float() coerced
-    ("bounds", {"sample_size": 100.9}, "config.sample_size"),
-    ("bounds", {"seed": 1.7}, "config.seed"),
-    ("bounds", {"sample_size": "100"}, "config.sample_size"),
-    ("bounds", {"sample_size": True}, "config.sample_size"),
-    ("bounds", {"seeds": [1.5, 2]}, "config.seeds"),
-    ("bounds", {"schedule": {"partitions": 10.7}}, "config.schedule.partitions"),
-    ("bounds", {"schedule": {"betas": [False, True]}}, "config.schedule.betas"),
-    ("curve", {"alphas": [True]}, "config.alphas"),
-    ("train", {"training": {"learning_rate": "1e-3", "steps": 2}},
-     "config.training.learning_rate"),
-    ("train", {"training": {"steps": True}}, "config.training.steps"),
-    ("oracle", {"oracle": {"grid_points": 101.5}}, "config.oracle.grid_points"),
+    "bounds-field20": ("bounds", {"sample_size": 100.9}, "config.sample_size"),
+    "bounds-field21": ("bounds", {"seed": 1.7}, "config.seed"),
+    "bounds-field22": ("bounds", {"sample_size": "100"}, "config.sample_size"),
+    "bounds-field23": ("bounds", {"sample_size": True}, "config.sample_size"),
+    "bounds-field24": ("bounds", {"seeds": [1.5, 2]}, "config.seeds"),
+    "bounds-field25": ("bounds", {"schedule": {"partitions": 10.7}}, "config.schedule.partitions"),
+    "bounds-field26": ("bounds", {"schedule": {"betas": [False, True]}}, "config.schedule.betas"),
+    "curve-field27": ("curve", {"alphas": [True]}, "config.alphas"),
+    "train-field28": ("train", {"training": {"learning_rate": "1e-3", "steps": 2}},
+                      "config.training.learning_rate"),
+    "train-field29": ("train", {"training": {"steps": True}}, "config.training.steps"),
+    "oracle-field30": ("oracle", {"oracle": {"grid_points": 101.5}}, "config.oracle.grid_points"),
     # model parameters that the builders coerced
-    ("oracle", {"model": "conjugate_gaussian", "model_params": {"sigma": True, "x_obs": 0.0}},
-     "config.model_params.sigma"),
-    ("oracle", {"model": "conjugate_gaussian", "model_params": {"sigma": 1.0, "x_obs": "0"}},
-     "config.model_params.x_obs"),
-    ("bounds", {"model": "bayes_regression", "model_params": {"n": 20.5}},
-     "config.model_params.n"),
+    "oracle-field31": ("oracle", {"model": "conjugate_gaussian",
+                                  "model_params": {"sigma": True, "x_obs": 0.0}},
+                       "config.model_params.sigma"),
+    "oracle-field32": ("oracle", {"model": "conjugate_gaussian",
+                                  "model_params": {"sigma": 1.0, "x_obs": "0"}},
+                       "config.model_params.x_obs"),
+    "bounds-field33": ("bounds", {"model": "bayes_regression", "model_params": {"n": 20.5}},
+                       "config.model_params.n"),
     # values whose oracle output keys (f"{v:g}") coincide, which dropped curves
-    ("oracle", {"oracle": {"alphas": [0.5, 0.5000001]}}, "config.oracle.alphas"),
-    ("oracle", {"oracle": {"alphas": [0.5], "betas": [0.1234567, 0.1234568, 1.0]}},
-     "config.oracle.betas"),
-    ("oracle", {"oracle": {"alphas": [0.5], "betas": [0.5, 0.5]}}, "config.oracle.betas"),
+    "oracle-field34": ("oracle", {"oracle": {"alphas": [0.5, 0.5000001]}}, "config.oracle.alphas"),
+    "oracle-field35": ("oracle", {"oracle": {"alphas": [0.5],
+                                             "betas": [0.1234567, 0.1234568, 1.0]}},
+                       "config.oracle.betas"),
+    "oracle-field36": ("oracle", {"oracle": {"alphas": [0.5], "betas": [0.5, 0.5]}},
+                       "config.oracle.betas"),
     # test betas with no spread, which wrote a NaN slope
-    ("tune", {"tuning": {"betas": [0.5, 0.5]}}, "config.tuning.betas"),
+    "tune-field37": ("tune", {"tuning": {"betas": [0.5, 0.5]}}, "config.tuning.betas"),
     # settings out of range, which failed without a field (mmd_sample only
     # after the MCMC reference and the training run)
-    ("train", {"training": {"steps": -3}}, "config.training.steps"),
-    ("train", {"training": {"steps": 2, "mmd_every": 1, "mmd_sample": 0}},
-     "config.training.mmd_sample"),
-    ("diagnose", {"diagnose": {"replicates": 1}}, "config.diagnose.replicates"),
-    ("tune", {"tuning": {"method": "bisect", "max_iters": 0}}, "config.tuning.max_iters"),
-    ("oracle", {"oracle": {"grid_points": 1}}, "config.oracle.grid_points"),
-    ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"steps": 100}}},
-     "config.training.mcmc.steps"),
-    ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"steps": 500, "burn_in": 500}}},
-     "config.training.mcmc.steps"),
-    ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"chains": 0}}},
-     "config.training.mcmc.chains"),
+    "train-field38": ("train", {"training": {"steps": -3}}, "config.training.steps"),
+    "train-field39": ("train", {"training": {"steps": 2, "mmd_every": 1, "mmd_sample": 0}},
+                      "config.training.mmd_sample"),
+    "diagnose-field40": ("diagnose", {"diagnose": {"replicates": 1}},
+                         "config.diagnose.replicates"),
+    "tune-field41": ("tune", {"tuning": {"method": "bisect", "max_iters": 0}},
+                     "config.tuning.max_iters"),
+    "oracle-field42": ("oracle", {"oracle": {"grid_points": 1}}, "config.oracle.grid_points"),
+    "train-field43": ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"steps": 100}}},
+                      "config.training.mcmc.steps"),
+    "train-field44": ("train", {"training": {"steps": 2, "mmd_every": 1,
+                                             "mcmc": {"steps": 500, "burn_in": 500}}},
+                      "config.training.mcmc.steps"),
+    "train-field45": ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"chains": 0}}},
+                      "config.training.mcmc.chains"),
     # settings the library rejected without a field (bisect), or ran with: a
     # negative burn-in ran more sweeps than steps, and step_size 0 failed
     # only after the whole MCMC reference
-    ("tune", {"tuning": {"method": "bisect", "tolerance": 0}}, "config.tuning.tolerance"),
-    ("tune", {"tuning": {"method": "bisect", "alpha_lo": 0.9, "alpha_hi": 0.1}},
-     "config.tuning.alpha_hi"),
-    ("train", {"training": {"steps": 2, "mmd_every": 1,
-                            "mcmc": {"steps": 300, "burn_in": -100, "chains": 2}}},
-     "config.training.mcmc.burn_in"),
-    ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"step_size": 0}}},
-     "config.training.mcmc.step_size"),
+    "tune-field46": ("tune", {"tuning": {"method": "bisect", "tolerance": 0}},
+                     "config.tuning.tolerance"),
+    "tune-field47": ("tune", {"tuning": {"method": "bisect", "alpha_lo": 0.9, "alpha_hi": 0.1}},
+                     "config.tuning.alpha_hi"),
+    "train-field48": ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {
+                          "steps": 300, "burn_in": -100, "chains": 2}}},
+                      "config.training.mcmc.burn_in"),
+    "train-field49": ("train", {"training": {"steps": 2, "mmd_every": 1,
+                                             "mcmc": {"step_size": 0}}},
+                      "config.training.mcmc.step_size"),
     # path parameters that float() coerced
-    ("curve", {"path": {"kind": "holder", "alpha": "0.5"}}, "config.path"),
-    ("curve", {"path": {"kind": "holder", "alpha": True}}, "config.path"),
-    ("diagnose", {"diagnose": {"path": {"kind": "perturbed", "delta": "0.05"}}},
-     "config.diagnose.path"),
+    "curve-field50": ("curve", {"path": {"kind": "holder", "alpha": "0.5"}}, "config.path"),
+    "curve-field51": ("curve", {"path": {"kind": "holder", "alpha": True}}, "config.path"),
+    "diagnose-field52": ("diagnose", {"diagnose": {"path": {"kind": "perturbed",
+                                                            "delta": "0.05"}}},
+                         "config.diagnose.path"),
     # negative seeds, which numpy rejected under no field
-    ("bounds", {"seed": -1}, "config.seed"),
-    ("bounds", {"seeds": [1, -2]}, "config.seeds"),
-    ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"seed": -5}}},
-     "config.training.mcmc.seed"),
+    "bounds-field53": ("bounds", {"seed": -1}, "config.seed"),
+    "bounds-field54": ("bounds", {"seeds": [1, -2]}, "config.seeds"),
+    "train-field55": ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {"seed": -5}}},
+                      "config.training.mcmc.seed"),
     # a dataset's seed and size, which numpy or math.log rejected under no field
     # (two points fit the OLS line exactly)
-    ("bounds", {"model": "bayes_regression", "model_params": {"seed": -3}},
-     "config.model_params.seed"),
-    ("bounds", {"model": "bayes_regression", "model_params": {"n": -4}},
-     "config.model_params.n"),
-    ("bounds", {"model": "bayes_regression", "model_params": {"n": 2}},
-     "config.model_params.n"),
+    "bounds-field56": ("bounds", {"model": "bayes_regression", "model_params": {"seed": -3}},
+                       "config.model_params.seed"),
+    "bounds-field57": ("bounds", {"model": "bayes_regression", "model_params": {"n": -4}},
+                       "config.model_params.n"),
+    "bounds-field58": ("bounds", {"model": "bayes_regression", "model_params": {"n": 2}},
+                       "config.model_params.n"),
     # a thinning interval longer than the sampled steps, which kept no draw and
     # failed after the whole burn-in with numpy's "need at least one array to stack"
-    ("train", {"training": {"steps": 2, "mmd_every": 1,
-                            "mcmc": {"steps": 300, "burn_in": 100, "thin": 1000, "chains": 2}}},
-     "config.training.mcmc.thin"),
-]
+    "train-field59": ("train", {"training": {"steps": 2, "mmd_every": 1, "mcmc": {
+                          "steps": 300, "burn_in": 100, "thin": 1000, "chains": 2}}},
+                      "config.training.mcmc.thin"),
+    # a null seed list, and sample sizes past numpy's largest array and past
+    # the address space (1e18, which no machine can allocate)
+    "bounds-seeds": ("bounds", {"seeds": None}, "config.seeds"),
+    "bounds-sample_size-1e308": ("bounds", {"sample_size": 1e308}, "config.sample_size"),
+    "bounds-sample_size-1e18": ("bounds", {"sample_size": 1e18}, "out of memory"),
+}
 
 
-@pytest.mark.parametrize("command, field, expected", _MALFORMED,
-                         ids=[f"{case[0]}-field{i}" for i, case in enumerate(_MALFORMED)])
+@pytest.mark.parametrize("command, field, expected", _MALFORMED.values(), ids=_MALFORMED.keys())
 def test_malformed_config_is_an_error_not_a_traceback(tmp_path, capsys, command, field,
                                                        expected):
     seed = {} if command == "oracle" or "seeds" in field else {"seed": 1}

@@ -167,9 +167,9 @@ def _dense_mmd(a, b):
 @pytest.mark.parametrize("tile_elements", [100, 10])
 @pytest.mark.parametrize("n, m", [(37, 23), (1, 23), (23, 1)])
 def test_mmd_blocks_match_dense_statistic(monkeypatch, tile_elements, n, m):
-    # a block and its work buffer share one tile: 100 // (2 * 23) = 2 rows per
-    # block leaves a ragged last block of 37 rows; 10 < 23 entries still takes
-    # one row per block
+    # a block takes at most half a tile: 100 // (2 * 23) = 2 rows per block
+    # leaves a ragged last block of 37 rows; 10 < 23 entries still takes one
+    # row per block
     rng = np.random.default_rng(5)
     x = rng.normal(size=(n, 3))
     y = rng.normal(0.3, 1.2, size=(m, 3))
@@ -180,22 +180,44 @@ def test_mmd_blocks_match_dense_statistic(monkeypatch, tile_elements, n, m):
 
 
 @pytest.mark.parametrize("tile_elements", [100, 10])
-def test_kernel_mean_distances_equal_cdist_bitwise(monkeypatch, tile_elements):
-    # from cdist's squared distances, the kernel mean of each pair and the one
-    # summed over the same ragged blocks (2 or 1 rows of 23 entries) have the
-    # same bits: the distances summed over the axes in order are cdist's
+def test_kernel_mean_blocks_equal_those_of_the_full_kernel_bitwise(monkeypatch, tile_elements):
+    # near the origin a kernel entry's exponent is the product
+    # [2 gamma x, -gamma |x|^2, 1] . [y, 1, -gamma |y|^2] (its bits differ from
+    # cdist's in 493 of these 851 pairs), and 1e5 kernel widths out cdist's
+    # distance; summed over ragged blocks (2 or 1 rows of 23 entries), the kernel
+    # mean has the bits of the same row blocks of the full kernel
     rng = np.random.default_rng(8)
     x = rng.normal(size=(37, 3))
     y = rng.normal(0.3, 1.2, size=(23, 3))
     monkeypatch.setattr(paths, "_TILE_ELEMENTS", tile_elements)
     gamma = 0.5 / MMD_BANDWIDTH**2
-    kernel = np.exp(-gamma * cdist(x, y, "sqeuclidean"))
-    pairs = [[diagnostics._kernel_mean(x[i:i + 1], y[j:j + 1], gamma) for j in range(23)]
-             for i in range(37)]
-    assert np.array(pairs).tobytes() == kernel.tobytes()
     rows = max(1, tile_elements // (2 * y.shape[0]))
-    total = sum(kernel[start:start + rows].sum() for start in range(0, 37, rows))
-    assert diagnostics._kernel_mean(x, y, gamma) == total / kernel.size
+
+    def pairs(x, y):
+        return np.array([[diagnostics._kernel_mean(x[i:i + 1], y[j:j + 1], gamma)
+                          for j in range(23)] for i in range(37)])
+
+    def blocked(kernel):
+        return sum(kernel[start:start + rows].sum() for start in range(0, 37, rows)) / kernel.size
+
+    x_norms, y_norms = gamma * np.einsum("ij,ij->i", x, x), gamma * np.einsum("ij,ij->i", y, y)
+    lhs = np.column_stack([2.0 * gamma * x, -x_norms, np.ones(37)])
+    rhs = np.stack([*y.T, np.ones(23), -y_norms])
+    columns = rhs.T.copy()  # a lone pair's product is a dot of two contiguous vectors
+    assert pairs(x, y).tobytes() == np.exp([[lhs[i] @ columns[j] for j in range(23)]
+                                            for i in range(37)]).tobytes()
+    product = lhs @ rhs
+    for i in range(37) if rows == 1 else [36]:  # the one-row blocks (37 = 18 * 2 + 1)
+        # numpy forms a one-row product as vector @ matrix, whose last bits differ
+        product[i] = lhs[i] @ rhs
+    value = diagnostics._kernel_mean(x, y, gamma)
+    assert value == blocked(np.exp(product))
+    dense = np.exp(-gamma * cdist(x, y, "sqeuclidean")).mean()
+    assert value == pytest.approx(dense, rel=1e-13, abs=0)
+    far_x, far_y = x + 1e5, y + 1e5
+    far_kernel = np.exp(-gamma * cdist(far_x, far_y, "sqeuclidean"))
+    assert pairs(far_x, far_y).tobytes() == far_kernel.tobytes()
+    assert diagnostics._kernel_mean(far_x, far_y, gamma) == blocked(far_kernel)
 
 
 def test_mmd_memory_is_bounded():
@@ -237,6 +259,22 @@ def test_mmd_takes_only_point_rows(shape):
                  lambda: mmd(sample, sample)):
         with pytest.raises(ValueError, match="samples must be 2-d"):
             call()
+
+
+def test_mmd_of_far_samples_is_a_value_or_a_named_error():
+    # 1e160 reference SDs out the norms pass the float range, and the product
+    # form would read nan (inf - inf); closer in, where its rounding could lift
+    # an exponent far above 0, the distances are taken directly, with no warning
+    rng = np.random.default_rng(9)
+    y = rng.normal(size=(300, 3))
+    with pytest.raises(ValueError, match="mmd: .* float range"):
+        mmd(y[:50] + 1e160, y)
+    reference = MmdReference.of(y)
+    # one point 1e150 SDs out: its own kernel mean is 1, its mean with y is 0
+    assert mmd(np.full((4, 3), 1e150), y) == pytest.approx(math.sqrt(1.0 + reference.k_bb),
+                                                           rel=1e-15)
+    outlier = np.vstack([y[:50] * 1.1, [[1e9, -1e9, 1e9]]])
+    assert mmd(outlier, y) == pytest.approx(_dense_mmd(outlier, y), rel=1e-12, abs=0)
 
 
 def test_mmd_dimension_mismatch():
